@@ -1,8 +1,8 @@
 """csdc: compile unitary matrices into elementary gate sequences via a
 recursive cosine-sine decomposition tree, and decompile/verify the results."""
 
-from .matrices import (DEFAULT_TOL, direct_sum, frobenius_distance, is_unitary,
-                       state_permutation_matrix, tensor_product)
+from .matrices import (DEFAULT_TOL, NotUnitaryError, direct_sum, frobenius_distance,
+                       is_unitary, state_permutation_matrix, tensor_product)
 from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                      bit_reversal_permutation, gray_sequence, hadamard_transform,
                      sylvester_hadamard)
@@ -22,7 +22,7 @@ from .reference import dft_matrix, hadamard_input, quantum_fft_program
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "direct_sum", "frobenius_distance", "is_unitary",
+    "DEFAULT_TOL", "NotUnitaryError", "direct_sum", "frobenius_distance", "is_unitary",
     "state_permutation_matrix", "tensor_product",
     "BitPermutation", "apply_bit_permutation", "basis_change_matrix",
     "bit_reversal_permutation", "gray_sequence", "hadamard_transform",

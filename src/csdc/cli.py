@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from .compiler import CompileOptions, compile_unitary, pad_to_power_of_two
-from .matrices import (DEFAULT_TOL, MatrixFormatError, frobenius_distance,
-                       read_matrix_file, unitarity_deviation, write_matrix_file)
+from .matrices import (DEFAULT_TOL, MatrixFormatError, NotUnitaryError,
+                       frobenius_distance, read_matrix_file, unitarity_deviation,
+                       write_matrix_file)
 from .seo import SeoParseError, parse, program_to_matrix, serialize
 
 # The compiled program must reproduce the (padded) input to this Frobenius
@@ -195,9 +196,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotUnitaryError as exc:
+        return _fail(EXIT_NOT_UNITARY, str(exc))
     except ValueError as exc:
-        if "not unitary" in str(exc):
-            return _fail(EXIT_NOT_UNITARY, str(exc))
         return _fail(EXIT_BAD_INPUT, str(exc))
 
 

@@ -27,7 +27,7 @@ from .central import (CentralMatrix, PRUNE_TOL, complex_d_central, decompose_cen
                       diagonal_central, real_d_central)
 from .csd import (PhaseFactors, csd, d_matrix, extract_phases, is_complex_d,
                   lighten)
-from .matrices import DEFAULT_TOL, as_matrix, unitarity_deviation
+from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation
 from .seo import Program, concat, expand_controls, rename_bits
 
 # A side matrix whose max-entry deviation from the identity is below this
@@ -82,7 +82,7 @@ def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     dev = unitarity_deviation(a)
     if dev > tol:
-        raise ValueError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
+        raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
     dim = a.shape[0]
     n = 1
     while (1 << n) < dim:
@@ -206,7 +206,7 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     nb = _nb_of(a)
     dev = unitarity_deviation(a)
     if dev > opts.tol:
-        raise ValueError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
+        raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
     if opts.perm_search == "none":
         return _build([a], 1, nb, opts)
     if nb > PERM_SEARCH_MAX_NB:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .matrices import DEFAULT_TOL, as_matrix, direct_sum, unitarity_deviation
+from .matrices import (DEFAULT_TOL, NotUnitaryError, as_matrix, direct_sum,
+                       unitarity_deviation)
 
 # Two CSD angles count as degenerate when closer than this (degrees).  Must be
 # looser than the reconstruction tolerance or clusters never form.
@@ -70,7 +71,7 @@ def csd(u, tol: float = DEFAULT_TOL) -> CsdFactors:
         raise ValueError(f"csd needs a square even-dimensional matrix, got {a.shape}")
     dev = unitarity_deviation(a)
     if dev > tol:
-        raise ValueError(f"csd input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
+        raise NotUnitaryError(f"csd input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
     m = n // 2
     lr, cs, rr = cossin(a, p=m, q=m)
     # cossin returns (U1 ⊕ U2) [[C, -S], [S, C]] (V1 ⊕ V2)†; flipping the sign

@@ -19,6 +19,10 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
+class NotUnitaryError(ValueError):
+    """Raised when an input that must be unitary is not, within tolerance."""
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D complex128 array, validating finiteness."""
     a = np.asarray(m, dtype=np.complex128)

@@ -16,9 +16,13 @@ to first.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import bitops
 
 KINDS = ("ROTY", "ROTZ", "SIGX", "CNOT", "PHAS", "CPHA")
 
@@ -215,10 +219,13 @@ def parse(text: str, nb: int | None = None) -> Program:
             raise
         except ValueError as exc:
             raise SeoParseError(lineno, str(exc)) from None
-        if nb is not None and ins.bits() and max(ins.bits()) >= nb:
-            raise SeoParseError(lineno, f"bit {max(ins.bits())} out of range for nb={nb}")
+        bits = ins.bits()
+        if bits:
+            top = max(bits)
+            if nb is not None and top >= nb:
+                raise SeoParseError(lineno, f"bit {top} out of range for nb={nb}")
+            max_bit = max(max_bit, top)
         instructions.append(ins)
-        max_bit = max(max_bit, *ins.bits()) if ins.bits() else max_bit
     return Program(max_bit + 1 if nb is None else nb, tuple(instructions))
 
 
@@ -226,54 +233,121 @@ def parse(text: str, nb: int | None = None) -> Program:
 # Matrix semantics
 # ---------------------------------------------------------------------------
 
-def _control_mask(arr_len: int, controls: tuple[Control, ...]) -> np.ndarray:
-    idx = np.arange(arr_len)
-    sel = np.ones(arr_len, dtype=bool)
-    for c in controls:
-        sel &= ((idx >> c.bit) & 1) == (1 if c.polarity else 0)
-    return sel
+def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
+    """Apply instructions, first to last, to the rows of arr, shape (2**nb, m).
 
+    The operator applied so far is held as F · R · arr:
 
-def _apply(arr: np.ndarray, ins: Instruction, nb: int) -> None:
-    """Apply one instruction in place to arr of shape (2**nb,) or (2**nb, m).
+      * F, the frame, is monomial: row d of F·x is g * ph[d] * x[pos[d]], g a
+        global phase.  SIGX, CNOT, ROTZ, PHAS and CPHA are monomial, so they
+        update only pos, ph and g, in O(2**nb) each.
+      * R is a pending run of ROTYs that share one pairing of rows: row i of
+        R·x is coef[i, 0] * x[i] + coef[i, 1] * x[partner[i]].  A ROTY moved
+        through F becomes a rotation on the row pairs (pos[lo], pos[hi]) whose
+        off-diagonal entries are scaled by ph[hi]/ph[lo].  It is folded into R
+        in O(2**nb) when its pairing is R's; otherwise R is first applied to
+        arr and a new run starts.
 
-    Axis 0 indexes the state; each gate costs O(2**nb) per column.
+    At the end R, then F, is applied.  The cost is
+    O(#dense runs * 2**nb * m + len * 2**nb); a ROTY ladder on one target, with
+    the c-nots on that target between its rotations, is one dense run.  arr may
+    be overwritten; the result is returned.
     """
-    n = arr.shape[0]
-    rad = np.radians(ins.angle) if ins.angle is not None else 0.0
-    if ins.kind == "PHAS":
-        arr *= np.exp(1j * rad)
-        return
-    if ins.kind == "CPHA":
-        sel = _control_mask(n, ins.controls)
-        arr[sel] *= np.exp(1j * rad)
-        return
-    t = ins.target
-    idx = np.arange(n)
-    low = idx[((idx >> t) & 1) == 0]
-    if ins.kind == "CNOT":
-        # Controls never include the target, so the mask is constant per pair.
-        sel = _control_mask(n, ins.controls)
-        low = low[sel[low]]
-    high = low | (1 << t)
-    if ins.kind in ("SIGX", "CNOT"):
-        tmp = arr[low].copy()
-        arr[low] = arr[high]
-        arr[high] = tmp
-        return
-    if ins.kind == "ROTY":
-        # exp(i theta sigma_y) = [[cos, sin], [-sin, cos]]
-        c, s = np.cos(rad), np.sin(rad)
-        a0 = arr[low].copy()
-        a1 = arr[high]
-        arr[low] = c * a0 + s * a1
-        arr[high] = -s * a0 + c * a1
-        return
-    if ins.kind == "ROTZ":
-        arr[low] *= np.exp(1j * rad)
-        arr[high] *= np.exp(-1j * rad)
-        return
-    raise AssertionError(f"unhandled kind {ins.kind}")
+    n = 1 << nb
+    rows = np.arange(n)
+    pos = rows
+    ph = np.ones(n, dtype=np.complex128)
+    g = 1.0 + 0.0j
+    # Index plans, cached per call: swaps by (target, controls), CPHA rows by
+    # controls, ROTZ high-bit masks and ROTY (lo, hi) pairs by target.
+    swaps: dict = {}
+    phased: dict = {}
+    highs: dict = {}
+    pairs: dict = {}
+    run = None  # pending R: (rows a, their partners b, partner, coef)
+
+    def matches(controls):
+        sel = np.ones(n, dtype=bool)
+        for c in controls:
+            sel &= ((rows >> c.bit) & 1).astype(bool) == c.polarity
+        return sel
+
+    def flush(arr, run):
+        # Two half-row passes: the lo rows of every pair, then the hi rows.
+        a, b, _, coef = run
+        ca, cb = coef[a], coef[b]
+        xa, xb = arr[a], arr[b]
+        out = xa * ca[:, :1]
+        out += xb * ca[:, 1:]
+        arr[a] = out
+        xb *= cb[:, :1]
+        xa *= cb[:, 1:]
+        xb += xa
+        arr[b] = xb
+
+    for ins in instructions:
+        kind = ins.kind
+        if kind == "PHAS":
+            g *= cmath.exp(1j * math.radians(ins.angle))
+        elif kind == "CPHA":
+            idx = phased.get(ins.controls)
+            if idx is None:
+                idx = phased[ins.controls] = np.flatnonzero(matches(ins.controls))
+            ph[idx] *= cmath.exp(1j * math.radians(ins.angle))
+        elif kind == "ROTZ":
+            t = ins.target
+            high = highs.get(t)
+            if high is None:
+                high = highs[t] = ((rows >> t) & 1).astype(bool)
+            e = cmath.exp(1j * math.radians(ins.angle))
+            ph *= np.where(high, e.conjugate(), e)
+        elif kind == "SIGX" or kind == "CNOT":
+            key = (ins.target, ins.controls)
+            q = swaps.get(key)
+            if q is None:
+                q = swaps[key] = np.where(matches(ins.controls), rows ^ (1 << ins.target), rows)
+            pos = pos[q]
+            ph = ph[q]
+        elif kind == "ROTY":
+            t = ins.target
+            lohi = pairs.get(t)
+            if lohi is None:
+                bit = (rows >> t) & 1
+                lohi = pairs[t] = (rows[bit == 0], rows[bit == 1])
+            lo, hi = lohi
+            rad = math.radians(ins.angle)
+            c, s = math.cos(rad), math.sin(rad)
+            a, b = pos[lo], pos[hi]
+            r = ph[hi] / ph[lo]
+            up = (s * r)[:, None]
+            down = (s / r)[:, None]
+            if run is not None and (run[2][a] == b).all():
+                coef = run[3]
+                ca, cb = coef[a], coef[b]
+                coef[a] = c * ca + up * cb[:, ::-1]
+                coef[b] = c * cb - down * ca[:, ::-1]
+                continue
+            if run is not None:
+                flush(arr, run)
+            partner = np.empty(n, dtype=np.intp)
+            partner[a] = b
+            partner[b] = a
+            coef = np.empty((n, 2), dtype=np.complex128)
+            coef[a, 0] = c
+            coef[a, 1:] = up
+            coef[b, 0] = c
+            coef[b, 1:] = -down
+            run = (a, b, partner, coef)
+        else:
+            raise AssertionError(f"unhandled kind {kind}")
+    if run is not None:
+        flush(arr, run)
+    if not (pos == rows).all():
+        arr = arr[pos]
+    ph *= g
+    if not (ph == 1).all():
+        arr *= ph[:, None]
+    return arr
 
 
 def instruction_matrix(ins: Instruction, nb: int) -> np.ndarray:
@@ -281,28 +355,28 @@ def instruction_matrix(ins: Instruction, nb: int) -> np.ndarray:
     for b in ins.bits():
         if b >= nb:
             raise ValueError(f"bit {b} out of range for nb={nb}")
-    out = np.eye(1 << nb, dtype=np.complex128)
-    _apply(out, ins, nb)
-    return out
+    return _simulate(np.eye(1 << nb, dtype=np.complex128), (ins,), nb)
 
 
 def program_to_matrix(p: Program) -> np.ndarray:
-    """Dense unitary of a program: the first instruction acts first on a ket."""
-    out = np.eye(1 << p.nb, dtype=np.complex128)
-    for ins in p.instructions:
-        _apply(out, ins, p.nb)
-    return out
+    """Dense unitary of a program: the first instruction acts first on a ket.
+
+    Costs O(#dense runs * 4**nb + len * 2**nb): only runs of ROTYs touch the
+    dense matrix; every other gate is tracked as a permutation and phases.
+    """
+    return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p.instructions, p.nb)
 
 
 def apply_to_state(p: Program, state) -> np.ndarray:
-    """Apply a program to a state vector, gate by gate, in O(len * 2**nb)."""
-    v = np.asarray(state, dtype=np.complex128)
-    if v.shape != (1 << p.nb,):
-        raise ValueError(f"state length {v.shape} does not match nb={p.nb}")
-    v = v.copy()
-    for ins in p.instructions:
-        _apply(v, ins, p.nb)
-    return v
+    """Apply a program to a state vector, or to the columns of a (2**nb, m) array.
+
+    Costs O(#dense runs * 2**nb * m + len * 2**nb).
+    """
+    v = np.array(state, dtype=np.complex128)
+    if v.ndim not in (1, 2) or v.shape[0] != 1 << p.nb:
+        raise ValueError(f"state shape {v.shape} does not match nb={p.nb}")
+    out = _simulate(v if v.ndim == 2 else v[:, None], p.instructions, p.nb)
+    return out.reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +402,6 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> list[Inst
     c-nots from the remaining selected bits, and consecutive factors sharing a
     rotation bit are linked by the c-nots of their control-set difference.
     """
-    from .bitops import gray_sequence
-
     k = len(bits)
     if len(thetas) != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
@@ -342,7 +414,7 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> list[Inst
                                        controls=(Control(bits[j], True),)))
 
     prev: tuple[int, int] | None = None  # (target index, control mask) awaiting closure
-    for m in gray_sequence(k) if k else [0]:
+    for m in bitops.gray_sequence(k) if k else [0]:
         theta = float(thetas[m])
         if m == 0:
             if abs(theta) > prune_tol:
@@ -383,20 +455,11 @@ def _expand_one(ins: Instruction, prune_tol: float) -> list[Instruction]:
     # coefficients angle * (-1)**|m| / 2**k over control-bit subsets m.
     k = len(involved)
     masks = np.arange(1 << k)
-    signs = np.where(_popcount_small(masks) & 1, -1.0, 1.0)
+    signs = np.where(bitops.popcount(masks) & 1, -1.0, 1.0)
     thetas = angle * signs / (1 << k)
     body = z_ladder(involved, thetas, prune_tol)
     closing = [Instruction("ROTY", target=ins.target, angle=-45.0)] if ins.kind == "CNOT" else []
     return flips + wrap + body + closing + list(reversed(flips))
-
-
-def _popcount_small(a: np.ndarray) -> np.ndarray:
-    count = np.zeros_like(a)
-    x = a.copy()
-    while np.any(x):
-        count += x & 1
-        x >>= 1
-    return count
 
 
 def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:

@@ -130,3 +130,37 @@ def random_program(rng, nb, length, kinds=None, max_controls=4):
             else:
                 out.append(Instruction(kind, controls=controls, angle=angle))
     return Program(nb, tuple(out))
+
+
+def kron_instruction_matrix(ins, nb):
+    """Dense matrix of one instruction, as Kronecker products of 2x2 factors.
+
+    A controlled gate is I + (control projectors) ⊗ (V - I) on the target;
+    bit 0 is the rightmost factor.
+    """
+    eye = np.eye(1 << nb, dtype=complex)
+    rad = np.radians(ins.angle) if ins.angle is not None else 0.0
+    if ins.kind == "PHAS":
+        return np.exp(1j * rad) * eye
+    factors = [np.eye(2, dtype=complex)] * nb
+    for c in ins.controls:
+        factors[c.bit] = P1 if c.polarity else P0
+    if ins.kind == "CPHA":
+        return eye + (np.exp(1j * rad) - 1) * kron_all(reversed(factors))
+    single = {
+        "ROTY": expm(1j * rad * SIGMA_Y),
+        "ROTZ": expm(1j * rad * SIGMA_Z),
+        "SIGX": SIGMA_X,
+        "CNOT": SIGMA_X,
+    }[ins.kind]
+    factors[ins.target] = single - np.eye(2)
+    return eye + kron_all(reversed(factors))
+
+
+def kron_program_matrix(program):
+    """Dense matrix of a program: the product of its instruction matrices,
+    last to first."""
+    out = np.eye(1 << program.nb, dtype=complex)
+    for ins in program:
+        out = kron_instruction_matrix(ins, program.nb) @ out
+    return out

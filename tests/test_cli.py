@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from csdc import frobenius_distance, quantum_fft_program, serialize
+from csdc import cli, frobenius_distance, quantum_fft_program, serialize
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import main
-from csdc.matrices import format_matrix_text, read_matrix_file
+from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
 from csdc.reference import dft_matrix
 
 from conftest import SIGMA_X, random_unitary
@@ -49,6 +49,17 @@ class TestCompileCommand:
         inp = write_matrix(tmp_path / "in.txt", np.diag([1.0, 2.0]))
         assert main(["compile", inp, "-o", str(tmp_path / "x.seo")]) == 3
         assert "deviation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (NotUnitaryError("side matrix is off"), 3),
+        (ValueError("input is not unitary, said an untyped error"), 2),
+    ])
+    def test_exit_code_follows_exception_type(self, tmp_path, rng, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "compile_unitary", fail)
+        inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 4))
+        assert main(["compile", inp, "-o", str(tmp_path / "x.seo")]) == code
 
     def test_option_flags_accepted(self, tmp_path, rng):
         inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 4))

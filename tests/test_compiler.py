@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, assemble, build_tree, compile_unitary,
-                  frobenius_distance, hadamard_input, pad_to_power_of_two,
-                  program_to_matrix)
+from csdc import (CompileOptions, NotUnitaryError, assemble, build_tree,
+                  compile_unitary, frobenius_distance, hadamard_input,
+                  pad_to_power_of_two, program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.compiler import program_for_tree
 from csdc.csd import d_matrix
@@ -50,6 +50,10 @@ class TestPad:
         with pytest.raises(ValueError, match="unitary"):
             pad_to_power_of_two(np.ones((3, 3)))
 
+    def test_non_unitary_error_is_typed(self):
+        with pytest.raises(NotUnitaryError):
+            pad_to_power_of_two(np.ones((3, 3)))
+
 
 class TestBuildTree:
     def test_identity_single_node_empty_program(self):
@@ -83,6 +87,10 @@ class TestBuildTree:
     def test_rejects_non_power_of_two(self, rng):
         with pytest.raises(ValueError):
             build_tree(random_unitary(rng, 6), DEFAULTS)
+
+    def test_rejects_non_unitary_with_typed_error(self):
+        with pytest.raises(NotUnitaryError):
+            build_tree(np.diag([1.0, 1.0, 1.0, 2.0]), DEFAULTS)
 
 
 class TestAssemble:

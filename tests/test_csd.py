@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from csdc import (CsdFactors, csd, extract_phases, frobenius_distance, is_complex_d,
-                  is_unitary, lighten, normalize_angles, phase_factors_matrix,
-                  qr_nonneg)
+from csdc import (CsdFactors, NotUnitaryError, csd, extract_phases, frobenius_distance,
+                  is_complex_d, is_unitary, lighten, normalize_angles,
+                  phase_factors_matrix, qr_nonneg)
 from csdc.csd import d_matrix
 
 from conftest import block_diag, random_unitary
@@ -71,6 +71,10 @@ class TestCsd:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
+            csd(np.diag([1.0, 2.0, 3.0, 4.0]))
+
+    def test_non_unitary_error_is_typed(self):
+        with pytest.raises(NotUnitaryError):
             csd(np.diag([1.0, 2.0, 3.0, 4.0]))
 
     def test_rejects_odd_dimension(self):

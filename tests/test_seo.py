@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from csdc import (Control, Instruction, Program, apply_to_state, exchanger_program,
                   expand_controls, frobenius_distance, instruction_matrix, parse,
                   program_to_matrix, serialize, state_permutation_matrix)
-from csdc.seo import SeoParseError, concat, rename_bits
+from csdc.seo import SeoParseError, _simulate, concat, rename_bits
 
-from conftest import random_program
+from conftest import kron_instruction_matrix, kron_program_matrix, random_program
 
 
 class TestInstructionValidation:
@@ -195,6 +195,110 @@ class TestApplyToState:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             apply_to_state(Program(2), np.zeros(3))
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ValueError):
+            apply_to_state(Program(1), np.zeros((2, 2, 2)))
+
+
+class _CountingArray(np.ndarray):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        type(self).writes += 1
+        super().__setitem__(key, value)
+
+
+def dense_runs(p: Program) -> int:
+    """Dense updates made while simulating p: each one writes the matrix twice,
+    once for the lo rows of its pairs and once for the hi rows."""
+    _CountingArray.writes = 0
+    _simulate(np.eye(1 << p.nb, dtype=complex).view(_CountingArray), p.instructions, p.nb)
+    assert _CountingArray.writes % 2 == 0
+    return _CountingArray.writes // 2
+
+
+def assert_matches_kron(p: Program) -> None:
+    want = kron_program_matrix(p)
+    assert np.abs(program_to_matrix(p) - want).max() < 1e-12
+
+
+class TestSimulator:
+    """The simulator against the Kronecker interpreter of conftest."""
+
+    @given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_all_entry_points_match_kron(self, nb, length, seed):
+        rng = np.random.default_rng(seed)
+        p = random_program(rng, nb, length, max_controls=4)
+        want = kron_program_matrix(p)
+        assert np.abs(program_to_matrix(p) - want).max() < 1e-12
+        n = 1 << nb
+        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        assert np.abs(apply_to_state(p, block) - want @ block).max() < 1e-12
+        assert np.abs(apply_to_state(p, block[:, 0]) - want @ block[:, 0]).max() < 1e-12
+        for ins in p:
+            got = instruction_matrix(ins, nb)
+            assert np.abs(got - kron_instruction_matrix(ins, nb)).max() < 1e-12
+
+    def test_roty_run_fused_across_cnots_on_its_target(self):
+        p = parse("ROTY 0 20\nCNOT 1 T 0\nROTY 0 -35\nCNOT 2 F 1 T 0\nROTY 0 50\n"
+                  "CNOT 1 T 0\nROTY 0 10", nb=3)
+        assert dense_runs(p) == 1
+        assert_matches_kron(p)
+
+    def test_run_broken_by_cnot_on_another_target(self):
+        p = parse("ROTY 0 20\nCNOT 0 T 1\nROTY 0 -35", nb=2)
+        assert dense_runs(p) == 2
+        assert_matches_kron(p)
+
+    def test_runs_on_different_targets(self):
+        p = parse("ROTY 0 20\nROTY 1 30\nROTY 0 40", nb=2)
+        assert dense_runs(p) == 3
+        assert_matches_kron(p)
+
+    def test_expanded_multi_control_cnot_is_one_run(self):
+        ins = Instruction("CNOT", target=2, controls=(Control(0, True), Control(1, False)))
+        ex = expand_controls(Program(3, (ins,)))
+        assert dense_runs(ex) == 1
+        assert np.abs(program_to_matrix(ex) - kron_instruction_matrix(ins, 3)).max() < 1e-12
+
+    def test_phases_carried_through_permutation_into_roty(self):
+        # Phases set before the permutation reach the later ROTYs as
+        # off-diagonal ratios, both starting a run and fused into it.
+        p = parse("ROTZ 0 30\nCPHA 1 T 50\nPHAS 15\nCNOT 1 T 0\nROTY 0 40\n"
+                  "CPHA 0 T 1 T 70\nROTZ 1 -25\nCNOT 1 F 0\nROTY 0 -65\nSIGX 1", nb=2)
+        assert dense_runs(p) == 1
+        assert_matches_kron(p)
+
+    def test_monomial_program_makes_no_dense_update(self):
+        p = parse("SIGX 0\nCNOT 0 T 2\nROTZ 1 30\nCPHA 0 F 2 T 45\nPHAS 10", nb=3)
+        assert dense_runs(p) == 0
+        assert_matches_kron(p)
+
+    def test_empty_program(self, rng):
+        assert np.array_equal(program_to_matrix(Program(3)), np.eye(8))
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        out = apply_to_state(Program(3), v)
+        assert np.array_equal(out, v) and out is not v
+
+    def test_nb_1(self):
+        p = parse("ROTY 0 30\nROTZ 0 20\nSIGX 0\nPHAS 45\nROTY 0 -70\nSIGX 0", nb=1)
+        assert_matches_kron(p)
+        assert np.allclose(program_to_matrix(parse("SIGX 0\nROTY 0 90")), [[1, 0], [0, -1]])
+
+    def test_permutation_result_is_exact(self):
+        p = parse("SIGX 0\nCNOT 0 T 1\nCNOT 1 F 2 T 0", nb=3)
+        m = program_to_matrix(p)
+        assert set(np.unique(m)) <= {0, 1}
+        assert np.array_equal(m, kron_program_matrix(p))
+
+    def test_apply_to_state_leaves_input_unchanged(self, rng):
+        p = random_program(rng, 3, 20)
+        block = rng.standard_normal((8, 2)) + 0j
+        before = block.copy()
+        apply_to_state(p, block)
+        assert np.array_equal(block, before)
 
 
 class TestExchanger:
