@@ -2,7 +2,7 @@
 recursive cosine-sine decomposition tree, and decompile/verify the results."""
 
 from .matrices import (DEFAULT_TOL, NotUnitaryError, direct_sum, frobenius_distance,
-                       is_unitary, state_permutation_matrix, tensor_product)
+                       is_unitary, tensor_product)
 from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                      bit_reversal_permutation, gray_sequence, hadamard_transform,
                      sylvester_hadamard)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL", "NotUnitaryError", "direct_sum", "frobenius_distance", "is_unitary",
-    "state_permutation_matrix", "tensor_product",
+    "tensor_product",
     "BitPermutation", "apply_bit_permutation", "basis_change_matrix",
     "bit_reversal_permutation", "gray_sequence", "hadamard_transform",
     "sylvester_hadamard",

@@ -68,14 +68,25 @@ def sylvester_hadamard(nb: int) -> np.ndarray:
     return np.where(dots & 1, -1.0, 1.0).astype(np.complex128)
 
 
+# Set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 def popcount(a) -> np.ndarray:
-    """Number of set bits, elementwise, for non-negative integer arrays."""
-    x = np.asarray(a, dtype=np.uint64)
-    count = np.zeros_like(x)
+    """Number of set bits, elementwise, for non-negative integer arrays (int64).
+
+    One table lookup per byte, stopping once no bits are left.
+    """
+    shape = np.shape(a)
+    x = np.array(a, dtype=np.uint64).reshape(-1)  # a copy: shifted in place below
+    byte = x & np.uint64(0xFF)
+    count = _BYTE_POPCOUNT[byte]
+    x >>= np.uint64(8)
     while np.any(x):
-        count += x & 1
-        x >>= np.uint64(1)
-    return count.astype(np.int64)
+        np.bitwise_and(x, np.uint64(0xFF), out=byte)
+        count += _BYTE_POPCOUNT[byte]
+        x >>= np.uint64(8)
+    return count.astype(np.int64).reshape(shape)
 
 
 @dataclass(frozen=True)

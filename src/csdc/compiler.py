@@ -1,4 +1,4 @@
-"""Recursive CSD tree construction and program assembly.
+"""CSD tree construction and program assembly.
 
 The root holds the input matrix; each node cosine-sine decomposes the side
 matrices handed down by its parent, keeps the D factors as its central matrix
@@ -6,6 +6,17 @@ and passes the new side matrices to (up to) two children.  A side whose
 matrices are all identity spawns no child.  The product of the central
 matrices, read right subtree / node / left subtree in application order,
 rebuilds the input.
+
+The tree is built level by level.  Level L holds every side matrix of that
+depth, 2**(L-1) per node, as one (k, d, d) array with d = 2**(nb-L+1); a node
+is a slice of it, and each step below is one vectorised pass over the level:
+  * complex-D test and phase extraction (``is_complex_d_stack``,
+    ``extract_phases_stack``); every 2x2 leaf is a complex D matrix;
+  * CSD of the rest: ``csd_stack`` (a batched SVD-based CSD) for d <= 32,
+    ``csd`` (LAPACK through scipy's ``cossin``) one matrix at a time above;
+    ``csd_stack`` itself hands ``csd`` every matrix it cannot factor
+    accurately (angles near 0° or 90°, close or equal angles, failed checks);
+  * identity-side and diagonal-side tests, as per-matrix reductions.
 
 Optimizations (all per the compile options):
   * lighten: gauge-fix each CSD so the right sides drift toward identity.
@@ -25,8 +36,11 @@ import numpy as np
 from .bitops import BitPermutation, apply_bit_permutation
 from .central import (CentralMatrix, PRUNE_TOL, complex_d_central, decompose_central,
                       diagonal_central, real_d_central)
-from .csd import (PhaseFactors, csd, d_matrix, extract_phases, is_complex_d,
-                  lighten)
+# is_complex_d and extract_phases are not called here; they stay importable
+# from this module, where perfbench/spans.py traces them by name.
+from .csd import (BATCHED_CSD_MAX_DIM, CsdFactors, PhaseFactors, csd,  # noqa: F401
+                  csd_stack, extract_phases, extract_phases_stack, is_complex_d,
+                  is_complex_d_stack, lighten, lighten_stack, phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation
 from .seo import Program, concat, expand_controls, rename_bits
 
@@ -71,9 +85,6 @@ class CsdNode:
             n += self.right.node_count()
         return n
 
-    def child_count(self) -> int:
-        return (self.left is not None) + (self.right is not None)
-
 
 def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Embed a unitary into the next power-of-two dimension as u ⊕ I."""
@@ -95,96 +106,176 @@ def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     return out, dim
 
 
-def _is_identity(m: np.ndarray) -> bool:
-    return bool(np.abs(m - np.eye(m.shape[0])).max() <= IDENTITY_TOL)
+def _identity_mask(sides: np.ndarray) -> np.ndarray:
+    """Per leading index of a (k, 2, h, h) side stack: both sides are the
+    identity within IDENTITY_TOL."""
+    return np.abs(sides - np.eye(sides.shape[-1])).max(axis=(1, 2, 3)) <= IDENTITY_TOL
 
 
-def _diag_if_diagonal(m: np.ndarray, tol: float) -> np.ndarray | None:
-    off = m - np.diag(np.diag(m))
-    if np.abs(off).max() <= tol:
-        return np.diag(m)
-    return None
+def _diagonal_mask(sides: np.ndarray, tol: float) -> np.ndarray:
+    """Per leading index of a (k, 2, h, h) side stack: both sides are diagonal
+    within tol."""
+    mag = np.abs(sides)
+    j = np.arange(sides.shape[-1])
+    mag[..., j, j] = 0.0
+    return mag.max(axis=(1, 2, 3)) <= tol
 
 
 @dataclass
-class _Step:
-    """Result of one CSD pass on one side matrix."""
+class _Split:
+    """One CSD pass over the k side matrices (each 2h x 2h) of a tree level.
 
-    lefts: tuple[np.ndarray, np.ndarray]
-    rights: tuple[np.ndarray, np.ndarray]
-    real_thetas: np.ndarray | None = None   # real block
-    phase_block: PhaseFactors | None = None  # complex block
+    Matrix i contributes angles ``thetas[i]``, the sides ``lefts[i]`` =
+    (l0, l1) and ``rights[i]`` = (r0, r1), and either a real D block or, where
+    ``phased[i]``, the complex D block (omega[i], omega_l[i], omega_r[i],
+    thetas[i]); omegas are zero where not phased.
+    """
 
+    thetas: np.ndarray        # (k, h)
+    omegas: np.ndarray        # (3, k, h): omega, omega_l, omega_r
+    phased: np.ndarray        # (k,)
+    lefts: np.ndarray         # (k, 2, h, h)
+    rights: np.ndarray        # (k, 2, h, h)
+    left_identity: np.ndarray   # (k,)
+    right_identity: np.ndarray  # (k,)
 
-def _classify_block(pf: PhaseFactors, tol: float) -> _Step:
-    h = pf.half_dim
-    eye = np.eye(h, dtype=np.complex128)
-    if pf.is_real(tol):
-        return _Step((eye, eye.copy()), (eye.copy(), eye.copy()), real_thetas=pf.thetas)
-    return _Step((eye, eye.copy()), (eye.copy(), eye.copy()), phase_block=pf)
-
-
-def _csd_step(m: np.ndarray, opts: CompileOptions) -> _Step:
-    if opts.extract_phases and is_complex_d(m, opts.tol):
-        # Aborted CSD: the matrix is already a (complex) D matrix; keep it
-        # whole and return identity sides.
-        return _classify_block(extract_phases(m, opts.tol), opts.tol)
-    f = csd(m, opts.tol)
-    if opts.lighten:
-        f = lighten(f, opts.tol)
-    l0, l1, r0, r1 = f.l0, f.l1, f.r0, f.r1
-    if not opts.extract_phases:
-        return _Step((l0, l1), (r0, r1), real_thetas=f.thetas)
-    # Fold diagonal (but non-identity) side matrices into the D factor; the
-    # dressed block stays a complex D matrix and the side stops growing.
-    h = f.half_dim
-    ldiag = rdiag = None
-    if not (_is_identity(r0) and _is_identity(r1)):
-        dr0, dr1 = _diag_if_diagonal(r0, opts.tol), _diag_if_diagonal(r1, opts.tol)
-        if dr0 is not None and dr1 is not None:
-            rdiag = np.concatenate([dr0, dr1])
-    if not (_is_identity(l0) and _is_identity(l1)):
-        dl0, dl1 = _diag_if_diagonal(l0, opts.tol), _diag_if_diagonal(l1, opts.tol)
-        if dl0 is not None and dl1 is not None:
-            ldiag = np.concatenate([dl0, dl1])
-    if ldiag is None and rdiag is None:
-        return _Step((l0, l1), (r0, r1), real_thetas=f.thetas)
-    block = d_matrix(f.thetas)
-    if rdiag is not None:
-        block = block * rdiag[None, :]
-    if ldiag is not None:
-        block = ldiag[:, None] * block
-    eye = np.eye(h, dtype=np.complex128)
-    lefts = (l0, l1) if ldiag is None else (eye, eye.copy())
-    rights = (r0, r1) if rdiag is None else (eye.copy(), eye.copy())
-    return _Step(lefts, rights, phase_block=extract_phases(block, opts.tol))
+    def central(self, nb: int, level: int, rows: slice) -> CentralMatrix:
+        if not self.phased[rows].any():
+            return real_d_central(nb, level, self.thetas[rows].reshape(-1))
+        om, om_l, om_r = self.omegas[:, rows]
+        return complex_d_central(nb, level, [
+            PhaseFactors(om[j], om_l[j], om_r[j], th)
+            for j, th in enumerate(self.thetas[rows])])
 
 
-def _build(mats: list[np.ndarray], level: int, nb: int, opts: CompileOptions) -> CsdNode:
-    if level == nb + 1:
-        phases = np.degrees(np.angle(np.array([m[0, 0] for m in mats])))
-        return CsdNode(level, diagonal_central(nb, phases))
-    steps = [_csd_step(m, opts) for m in mats]
-    if all(s.phase_block is None for s in steps):
-        central = real_d_central(nb, level,
-                                 np.concatenate([s.real_thetas for s in steps]))
-    else:
-        blocks = []
-        for s in steps:
-            if s.phase_block is not None:
-                blocks.append(s.phase_block)
+def _set_phases(split: _Split, idx: np.ndarray, pf: PhaseFactors, phased: np.ndarray) -> None:
+    split.thetas[idx] = pf.thetas
+    split.phased[idx] = phased
+    keep = idx[phased]
+    for j, values in enumerate((pf.omega, pf.omega_l, pf.omega_r)):
+        split.omegas[j, keep] = values[phased]
+
+
+def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
+    """CSD every matrix of a (k, d, d) level stack.
+
+    Complex D matrices are kept whole (aborted CSD, identity sides).  The
+    others are cosine-sine decomposed: by ``csd_stack`` when d is small, by
+    ``csd`` one matrix at a time otherwise, so that a large matrix is never
+    copied into a stack.  Diagonal but non-identity sides left over after
+    lightening are then folded into the D block, which stops that side.
+    """
+    k, d, _ = mats.shape
+    h = d // 2
+    aborted = (is_complex_d_stack(mats, opts.tol) if opts.extract_phases
+               else np.zeros(k, dtype=bool))
+    rest = np.flatnonzero(~aborted)
+    # (rows, factors) pairs, factored before the level's side arrays exist so
+    # that a large CSD does not run beside them.
+    factored: list[tuple[np.ndarray | int, CsdFactors]] = []
+    if d > BATCHED_CSD_MAX_DIM:
+        for i in rest:
+            f = csd(mats[i], opts.tol)
+            factored.append((i, lighten(f, opts.tol) if opts.lighten else f))
+    elif rest.size:
+        f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
+        factored.append((rest, lighten_stack(f, opts.tol) if opts.lighten else f))
+    split = _Split(thetas=np.empty((k, h)), omegas=np.zeros((3, k, h)),
+                   phased=np.zeros(k, dtype=bool),
+                   lefts=np.empty((k, 2, h, h), dtype=np.complex128),
+                   rights=np.empty((k, 2, h, h), dtype=np.complex128),
+                   left_identity=np.ones(k, dtype=bool), right_identity=np.ones(k, dtype=bool))
+    idx = np.flatnonzero(aborted)
+    if idx.size:
+        pf = extract_phases_stack(mats[idx], opts.tol)
+        _set_phases(split, idx, pf, ~pf.real_mask(opts.tol))
+        eye = np.eye(h, dtype=np.complex128)
+        split.lefts[idx] = eye
+        split.rights[idx] = eye
+    if not rest.size:
+        return split
+    for rows, f in factored:
+        split.thetas[rows] = f.thetas
+        split.lefts[rows, 0], split.lefts[rows, 1] = f.l0, f.l1
+        split.rights[rows, 0], split.rights[rows, 1] = f.r0, f.r1
+    split.left_identity = _identity_mask(split.lefts)
+    split.right_identity = _identity_mask(split.rights)
+    if opts.extract_phases:
+        _fold_diagonal_sides(split, ~aborted, opts.tol)
+    return split
+
+
+def _fold_diagonal_sides(split: _Split, candidates: np.ndarray, tol: float) -> None:
+    """Fold diagonal, non-identity sides into the D block: the block becomes
+    diag(L) · D · diag(R), a complex D matrix, and the folded side becomes
+    the identity."""
+    lfold = candidates & ~split.left_identity & _diagonal_mask(split.lefts, tol)
+    rfold = candidates & ~split.right_identity & _diagonal_mask(split.rights, tol)
+    idx = np.flatnonzero(lfold | rfold)
+    if not idx.size:
+        return
+    th = np.radians(split.thetas[idx])
+    c, s = np.cos(th).astype(np.complex128), np.sin(th)
+    d00, d01, d10, d11 = c, s.astype(np.complex128), (-s).astype(np.complex128), c
+    rd = np.diagonal(split.rights[idx], axis1=2, axis2=3)   # (n, 2, h): r0, r1
+    r = rfold[idx, None]
+    d00, d01 = np.where(r, d00 * rd[:, 0], d00), np.where(r, d01 * rd[:, 1], d01)
+    d10, d11 = np.where(r, d10 * rd[:, 0], d10), np.where(r, d11 * rd[:, 1], d11)
+    ld = np.diagonal(split.lefts[idx], axis1=2, axis2=3)    # (n, 2, h): l0, l1
+    lf = lfold[idx, None]
+    d00, d01 = np.where(lf, ld[:, 0] * d00, d00), np.where(lf, ld[:, 0] * d01, d01)
+    d10, d11 = np.where(lf, ld[:, 1] * d10, d10), np.where(lf, ld[:, 1] * d11, d11)
+    _set_phases(split, idx, phase_parameters(d00, d01, d10, d11),
+                np.ones(idx.size, dtype=bool))
+    eye = np.eye(split.lefts.shape[-1], dtype=np.complex128)
+    split.lefts[idx[lfold[idx]]] = eye
+    split.rights[idx[rfold[idx]]] = eye
+    split.left_identity[lfold] = True
+    split.right_identity[rfold] = True
+
+
+def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
+    """Build the CSD tree of a 2**nb unitary level by level.
+
+    Level L is one (k, d, d) stack with d = 2**(nb-L+1); each of its nodes
+    owns 2**(L-1) consecutive matrices, and ``slots`` says where each node
+    hangs.  Level nb+1 holds 1x1 matrices: each node there is a diagonal.
+    """
+    root: CsdNode | None = None
+    mats = a[None]
+    slots: list[tuple[CsdNode | None, str]] = [(None, "")]
+    for level in range(1, nb + 2):
+        per = 1 << (level - 1)
+        rows = [slice(j * per, (j + 1) * per) for j in range(len(slots))]
+        if level == nb + 1:
+            phases = np.degrees(np.angle(mats[:, 0, 0]))
+            centrals = [diagonal_central(nb, phases[r]) for r in rows]
+        else:
+            split = _split_level(mats, opts)
+            centrals = [split.central(nb, level, r) for r in rows]
+        nodes = []
+        for (parent, side), central in zip(slots, centrals):
+            node = CsdNode(level, central)
+            if parent is None:
+                root = node
             else:
-                z = np.zeros(len(s.real_thetas))
-                blocks.append(PhaseFactors(z, z.copy(), z.copy(), s.real_thetas))
-        central = complex_d_central(nb, level, blocks)
-    node = CsdNode(level, central)
-    lefts = [m for s in steps for m in s.lefts]
-    rights = [m for s in steps for m in s.rights]
-    if not all(_is_identity(m) for m in lefts):
-        node.left = _build(lefts, level + 1, nb, opts)
-    if not all(_is_identity(m) for m in rights):
-        node.right = _build(rights, level + 1, nb, opts)
-    return node
+                setattr(parent, side, node)
+            nodes.append(node)
+        if level == nb + 1:
+            break
+        h = split.lefts.shape[-1]
+        slots, parts = [], []
+        for node, r in zip(nodes, rows):
+            for side, sides, ident in (("left", split.lefts, split.left_identity),
+                                       ("right", split.rights, split.right_identity)):
+                if not ident[r].all():
+                    slots.append((node, side))
+                    parts.append(sides[r].reshape(-1, h, h))
+        split = None  # free the sides no child takes
+        if not parts:
+            break
+        mats = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return root
 
 
 def _nb_of(u: np.ndarray) -> int:
@@ -208,7 +299,7 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     if dev > opts.tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
     if opts.perm_search == "none":
-        return _build([a], 1, nb, opts)
+        return _build(a, nb, opts)
     if nb > PERM_SEARCH_MAX_NB:
         raise ValueError(f"root-exhaustive permutation search supports nb <= "
                          f"{PERM_SEARCH_MAX_NB}, got nb={nb}")
@@ -216,7 +307,7 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     best_len = -1
     for mapping in itertools.permutations(range(nb)):
         perm = BitPermutation(nb, mapping)
-        root = _build([apply_bit_permutation(perm, a)], 1, nb, opts)
+        root = _build(apply_bit_permutation(perm, a), nb, opts)
         root.perm = None if perm.is_identity() else perm
         n = len(program_for_tree(root, opts))
         if best is None or n < best_len:

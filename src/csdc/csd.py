@@ -30,10 +30,27 @@ ANGLE_CLUSTER_TOL = 1e-8
 # phases; a wrong phase on such an entry perturbs the matrix by < 1e-11.
 _PHASE_MAG_TINY = 1e-12
 
+# ``csd_stack`` factors matrices up to this dimension in one batched pass;
+# larger ones go to ``csd``, whose cost is arithmetic, not per-call overhead.
+BATCHED_CSD_MAX_DIM = 32
+
+# The batched pass divides by the sines and cosines and reads L0 and R0 off
+# singular vectors, which are only as well conditioned as the angle gaps.  A
+# matrix with min(cos, sin) below this, or two angles closer than
+# _BATCHED_MIN_GAP degrees, goes to ``csd``; so does one whose sides are not
+# unitary, or whose blocks are not reproduced, within _BATCHED_CHECK_TOL.
+_BATCHED_MIN_CS = 1e-6
+_BATCHED_MIN_GAP = 1e-6
+_BATCHED_CHECK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CsdFactors:
-    """One cosine-sine step: side unitaries and the shared angle vector."""
+    """One cosine-sine step: side unitaries and the shared angle vector.
+
+    ``csd_stack`` and ``lighten_stack`` return k steps at once: every field
+    then has a leading axis of length k.
+    """
 
     l0: np.ndarray
     l1: np.ndarray
@@ -43,7 +60,7 @@ class CsdFactors:
 
     @property
     def half_dim(self) -> int:
-        return self.l0.shape[0]
+        return self.l0.shape[-1]
 
     def d_matrix(self) -> np.ndarray:
         return d_matrix(self.thetas)
@@ -170,6 +187,108 @@ def lighten(f: CsdFactors, tol: float = DEFAULT_TOL,
                       thetas=f.thetas)
 
 
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of each matrix of a stack."""
+    u, _, vh = np.linalg.svd(x)
+    return u @ vh
+
+
+def _unitarity_deviations(x: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of XᴴX from the identity, per matrix of a stack."""
+    return np.abs(_ct(x) @ x - np.eye(x.shape[-1])).max(axis=(-2, -1))
+
+
+def _set_factors(out: CsdFactors, i: int, f: CsdFactors) -> None:
+    for name in ("l0", "l1", "r0", "r1", "thetas"):
+        getattr(out, name)[i] = getattr(f, name)
+
+
+def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
+    """``csd`` of every matrix of a (k, n, n) stack, in the same convention.
+
+    For n <= BATCHED_CSD_MAX_DIM the whole stack is factored at once, from
+    the SVD of the top-left block (Paige & Wei, LAA 1994): Q11 = L0 C R0
+    gives L0, C and R0; L1 is the polar factor of -Q21 R0ᴴ = L1 S; row j of
+    R1 is row j of L0ᴴ Q12 / s_j or of L1ᴴ Q22 / c_j, whichever divisor is
+    larger, and R1 is replaced by its polar factor to restore unitarity.
+    The angles come out canonical when they are distinct, since the singular
+    values arrive in descending order.  A matrix is handed to ``csd`` instead
+    when n is larger, when an angle is within _BATCHED_MIN_CS (as a cosine or
+    sine) of 90° or 0°, when two angles are closer than _BATCHED_MIN_GAP
+    degrees, or when its batched factors fail the side-unitarity or block
+    residual check.  Raises NotUnitaryError if any matrix is not unitary
+    within tol.
+    """
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
+        raise ValueError(f"csd_stack needs a stack of square even-dimensional matrices, "
+                         f"got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    dev = _unitarity_deviations(a)
+    if np.any(dev > tol):
+        i = int(np.argmax(dev))
+        raise NotUnitaryError(f"csd input {i} of the stack is not unitary: "
+                              f"max deviation {dev[i]:.3e} > {tol:.1e}")
+    k, n, _ = a.shape
+    m = n // 2
+    if n > BATCHED_CSD_MAX_DIM:
+        shape = (k, m, m)
+        out = CsdFactors(*(np.empty(shape, dtype=np.complex128) for _ in range(4)),
+                         thetas=np.empty((k, m)))
+        fallback = np.ones(k, dtype=bool)
+    else:
+        q11, q12, q21, q22 = a[:, :m, :m], a[:, :m, m:], a[:, m:, :m], a[:, m:, m:]
+        l0, c, r0 = np.linalg.svd(q11)
+        x = -q21 @ _ct(r0)
+        l1 = _polar(x)
+        s = np.einsum("kij,kij->kj", l1.conj(), x).real
+        rows = np.where((s >= c)[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
+        r1 = _polar(rows / np.maximum(s, c)[:, :, None])
+        thetas = np.degrees(np.arctan2(s, c))
+        fallback = ((np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
+                    | (np.diff(thetas, axis=1) < _BATCHED_MIN_GAP).any(axis=1))
+        for side in (l0, l1, r0, r1):
+            fallback |= _unitarity_deviations(side) > _BATCHED_CHECK_TOL
+        cs, ss = c[:, None, :], s[:, None, :]
+        for rebuilt, block in (((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
+                               (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22)):
+            fallback |= np.abs(rebuilt - block).max(axis=(1, 2)) > _BATCHED_CHECK_TOL
+        out = CsdFactors(l0, l1, r0, r1, thetas)
+    for i in np.flatnonzero(fallback):
+        _set_factors(out, i, csd(a[i], tol))
+    return out
+
+
+def lighten_stack(f: CsdFactors, tol: float = DEFAULT_TOL,
+                  angle_tol: float = ANGLE_CLUSTER_TOL) -> CsdFactors:
+    """``lighten`` of every factorization of a stack (fields with a leading axis).
+
+    Where every angle cluster is a singleton, the gauge fix is one phase per
+    angle: it makes the first entry of each row of r0 real and non-negative,
+    as ``qr_nonneg`` does for a one-row block.  Factorizations with a larger
+    cluster, or with a first entry of r0 below the magnitude ``qr_nonneg``
+    leaves alone, go through ``lighten``.
+    """
+    pivot = f.r0[:, :, 0]
+    mag = np.abs(pivot)
+    batched = ((np.diff(f.thetas, axis=1) > angle_tol).all(axis=1)
+               & (mag >= _PHASE_MAG_TINY).all(axis=1))
+    g = np.where(batched[:, None], pivot / np.where(batched[:, None], mag, 1.0), 1.0)
+    gh = g.conj()[:, :, None]
+    out = CsdFactors(l0=f.l0 * g[:, None, :], l1=f.l1 * g[:, None, :],
+                     r0=gh * f.r0, r1=gh * f.r1, thetas=f.thetas.copy())
+    for i in np.flatnonzero(~batched):
+        one = CsdFactors(f.l0[i], f.l1[i], f.r0[i], f.r1[i], f.thetas[i])
+        _set_factors(out, i, lighten(one, tol, angle_tol))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Complex D matrices
 # ---------------------------------------------------------------------------
@@ -184,6 +303,8 @@ class PhaseFactors:
          [ -s e^{i(Ω+ωL)}, c e^{i(Ω+ωL+ωR)}      ]]
 
     with c = cos θ_j >= 0 and s = sin θ_j >= 0, θ_j in [0°, 90°].
+    ``extract_phases_stack`` returns k parameter sets at once: every field
+    then has a leading axis of length k.
     """
 
     omega: np.ndarray
@@ -193,14 +314,16 @@ class PhaseFactors:
 
     @property
     def half_dim(self) -> int:
-        return len(self.omega)
+        return self.omega.shape[-1]
+
+    def real_mask(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Per parameter set of a stack: every phase vanishes within tol radians."""
+        scale = np.degrees(tol)
+        phases = np.stack([self.omega, self.omega_l, self.omega_r])
+        return np.all(np.abs(_wrap_deg(phases)) <= scale, axis=(0, -1))
 
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        scale = np.degrees(tol)
-        return bool(
-            np.all(np.abs(_wrap_deg(self.omega)) <= scale)
-            and np.all(np.abs(_wrap_deg(self.omega_l)) <= scale)
-            and np.all(np.abs(_wrap_deg(self.omega_r)) <= scale))
+        return bool(self.real_mask(tol))
 
 
 def _wrap_deg(a) -> np.ndarray:
@@ -208,60 +331,73 @@ def _wrap_deg(a) -> np.ndarray:
     return -(np.mod(-np.asarray(a, dtype=np.float64) + 180.0, 360.0) - 180.0)
 
 
+def _block_diagonal_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the diagonals of the four half-size blocks."""
+    j = np.arange(n // 2)
+    k = j + n // 2
+    return np.concatenate([j, j, k, k]), np.concatenate([j, k, j, k])
+
+
+def is_complex_d_stack(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a (k, n, n) stack: True iff all four half-size blocks are
+    diagonal within tol (max entry off the block diagonals)."""
+    a = np.asarray(mats)
+    if a.ndim != 3:
+        raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
+    if a.shape[1] != a.shape[2] or a.shape[1] % 2:
+        return np.zeros(a.shape[0], dtype=bool)
+    mag = np.abs(a)
+    rows, cols = _block_diagonal_index(a.shape[1])
+    mag[:, rows, cols] = 0.0
+    return mag.max(axis=(1, 2)) <= tol
+
+
 def is_complex_d(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff all four half-size blocks of m are diagonal within tol."""
-    a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n % 2:
-        return False
-    h = n // 2
-    for blk in (a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]):
-        off = blk - np.diag(np.diag(blk))
-        if np.abs(off).max() > tol:
-            return False
-    return True
+    return bool(is_complex_d_stack(as_matrix(m)[None], tol)[0])
 
 
-def extract_phases(d, tol: float = DEFAULT_TOL) -> PhaseFactors:
-    """Solve a complex D matrix for its phase and angle parameters.
+def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
+    """Phase and angle parameters of complex D matrices given by the diagonals
+    of their four blocks (arrays whose last axis runs along the diagonal).
 
     Magnitudes give c and s directly (hence θ lands in [0°, 90°] with both
     non-negative, as the 180°-shift rules demand); phases are read off the
-    entries of largest magnitude so that degenerate angles stay stable.
+    entries of largest magnitude so that degenerate angles stay stable: the
+    off-diagonal entries vanish at θ ≈ 0°, the diagonal ones at θ ≈ 90°.
     """
-    a = as_matrix(d)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n % 2:
-        raise ValueError(f"extract_phases needs a square even-dimensional matrix, got {a.shape}")
-    if not is_complex_d(a, tol):
-        raise ValueError("extract_phases input blocks are not diagonal")
-    h = n // 2
-    d00 = np.diag(a[:h, :h])
-    d01 = np.diag(a[:h, h:])
-    d10 = np.diag(a[h:, :h])
-    d11 = np.diag(a[h:, h:])
     c, s = np.abs(d00), np.abs(d01)
     thetas = np.degrees(np.arctan2(s, c))
-    omega = np.empty(h)
-    omega_l = np.empty(h)
-    omega_r = np.empty(h)
-    for j in range(h):
-        if s[j] < _PHASE_MAG_TINY:      # theta ~ 0: off-diagonal entries vanish
-            omega[j] = np.angle(d00[j])
-            omega_r[j] = 0.0
-            omega_l[j] = np.angle(d11[j]) - omega[j]
-        elif c[j] < _PHASE_MAG_TINY:    # theta ~ 90: diagonal entries vanish
-            omega_r[j] = 0.0
-            omega[j] = np.angle(d01[j])
-            omega_l[j] = np.angle(-d10[j]) - omega[j]
-        else:
-            omega[j] = np.angle(d00[j])
-            omega_r[j] = np.angle(d01[j]) - omega[j]
-            omega_l[j] = np.angle(-d10[j]) - omega[j]
+    flat = s < _PHASE_MAG_TINY                  # theta ~ 0
+    right = ~flat & (c < _PHASE_MAG_TINY)       # theta ~ 90
+    a00, a01 = np.angle(d00), np.angle(d01)
+    omega = np.where(right, a01, a00)
+    omega_r = np.where(flat | right, 0.0, a01 - omega)
+    omega_l = np.where(flat, np.angle(d11), np.angle(-d10)) - omega
     return PhaseFactors(omega=_wrap_deg(np.degrees(omega)),
                         omega_l=_wrap_deg(np.degrees(omega_l)),
                         omega_r=_wrap_deg(np.degrees(omega_r)),
                         thetas=thetas)
+
+
+def extract_phases_stack(mats, tol: float = DEFAULT_TOL) -> PhaseFactors:
+    """Solve every complex D matrix of a (k, n, n) stack for its phase and
+    angle parameters; each field of the result has shape (k, n/2)."""
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
+        raise ValueError(f"extract_phases needs square even-dimensional matrices, got {a.shape}")
+    if not is_complex_d_stack(a, tol).all():
+        raise ValueError("extract_phases input blocks are not diagonal")
+    h = a.shape[1] // 2
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    return phase_parameters(diag[:, :h], np.diagonal(a[:, :h, h:], axis1=1, axis2=2),
+                            np.diagonal(a[:, h:, :h], axis1=1, axis2=2), diag[:, h:])
+
+
+def extract_phases(d, tol: float = DEFAULT_TOL) -> PhaseFactors:
+    """Solve a complex D matrix for its phase and angle parameters."""
+    pf = extract_phases_stack(as_matrix(d)[None], tol)
+    return PhaseFactors(pf.omega[0], pf.omega_l[0], pf.omega_r[0], pf.thetas[0])
 
 
 def phase_factors_matrix(pf: PhaseFactors) -> np.ndarray:

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -79,27 +79,6 @@ def frobenius_distance(a, b) -> float:
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     return float(np.linalg.norm(ma - mb))
-
-
-def state_permutation_matrix(n: int, transpositions: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Permutation matrix for a product of state transpositions.
-
-    The product is applied right to left: the last pair in ``transpositions``
-    acts first.  Entry (j, i) is 1 iff the composed permutation sends i to j.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    targets = np.arange(n)
-    for i, j in reversed(list(transpositions)):
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"transposition ({i},{j}) out of range for n={n}")
-        swapped = targets.copy()
-        swapped[targets == i] = j
-        swapped[targets == j] = i
-        targets = swapped
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[targets, np.arange(n)] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,7 @@ def concat(*programs: Program) -> Program:
     if not programs:
         raise ValueError("concat needs at least one program")
     nb = max(p.nb for p in programs)
-    ins: tuple[Instruction, ...] = ()
-    for p in programs:
-        ins += p.instructions
-    return Program(nb, ins)
+    return Program(nb, [ins for p in programs for ins in p.instructions])
 
 
 # ---------------------------------------------------------------------------

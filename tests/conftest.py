@@ -50,6 +50,15 @@ def dense_real_d_block(angles_deg):
     return out
 
 
+def transposition_matrix(n, pairs):
+    """n x n permutation matrix swapping the states of each pair; the pairs
+    must be disjoint, so their order does not matter."""
+    order = np.arange(n)
+    for i, j in pairs:
+        order[[i, j]] = order[[j, i]]
+    return np.eye(n, dtype=complex)[:, order]
+
+
 def block_diag(blocks):
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n), dtype=complex)

@@ -196,7 +196,7 @@ def test_criterion_8_dft_tree_is_a_string():
         widths = []
 
         def walk(n):
-            widths.append(n.child_count())
+            widths.append((n.left is not None) + (n.right is not None))
             for ch in (n.left, n.right):
                 if ch:
                     walk(ch)

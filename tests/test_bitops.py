@@ -3,11 +3,10 @@ import pytest
 
 from csdc import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                   bit_reversal_permutation, frobenius_distance, gray_sequence,
-                  hadamard_transform, state_permutation_matrix, sylvester_hadamard,
-                  tensor_product)
+                  hadamard_transform, sylvester_hadamard, tensor_product)
 from csdc.bitops import popcount, state_permutation
 
-from conftest import SIGMA_X, random_unitary
+from conftest import SIGMA_X, random_unitary, transposition_matrix
 
 
 class TestGraySequence:
@@ -98,14 +97,14 @@ class TestSylvesterHadamard:
 class TestBitPermutation:
     def test_bit_reversal_nb3_state_transpositions(self):
         g = state_permutation(bit_reversal_permutation(3))
-        assert np.array_equal(g, state_permutation_matrix(8, [(1, 4), (3, 6)]))
+        assert np.array_equal(g, transposition_matrix(8, [(1, 4), (3, 6)]))
 
     def test_bit_reversal_nb1_identity(self):
         assert bit_reversal_permutation(1).is_identity()
 
     def test_bit_reversal_nb2_swaps_middle_states(self):
         g = state_permutation(bit_reversal_permutation(2))
-        assert np.array_equal(g, state_permutation_matrix(4, [(1, 2)]))
+        assert np.array_equal(g, transposition_matrix(4, [(1, 2)]))
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):

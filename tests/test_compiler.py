@@ -70,7 +70,7 @@ class TestBuildTree:
     def test_dft_tree_degenerates_to_string(self):
         for nb in (2, 3, 4):
             root = build_tree(dft_input(nb), DEFAULTS)
-            assert all(n.child_count() <= 1 for n in tree_nodes(root))
+            assert all(n.left is None or n.right is None for n in tree_nodes(root))
             assert len(tree_nodes(root)) == nb
 
     def test_node_count_bound(self, rng):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from csdc import (direct_sum, frobenius_distance, is_unitary,
-                  state_permutation_matrix, tensor_product)
+from csdc import direct_sum, frobenius_distance, is_unitary, tensor_product
 from csdc.matrices import (MatrixFormatError, format_matrix_text,
                            parse_matrix_text, unitarity_deviation)
 
@@ -106,42 +105,6 @@ class TestFrobeniusDistance:
             assert frobenius_distance(a, b) == pytest.approx(frobenius_distance(b, a))
             assert (frobenius_distance(a, c)
                     <= frobenius_distance(a, b) + frobenius_distance(b, c) + 1e-12)
-
-
-class TestStatePermutationMatrix:
-    def test_bit_reversal_transpositions(self):
-        out = state_permutation_matrix(8, [(1, 4), (3, 6)])
-        expected = np.eye(8)[:, [0, 4, 2, 6, 1, 5, 3, 7]]
-        assert np.array_equal(out, expected.astype(complex))
-
-    def test_empty_is_identity(self):
-        assert np.array_equal(state_permutation_matrix(4, []), np.eye(4))
-
-    def test_exchanger(self):
-        out = state_permutation_matrix(4, [(1, 2)])
-        expected = np.array([
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-        ], dtype=complex)
-        assert np.array_equal(out, expected)
-
-    def test_orthogonal_exactly(self, rng):
-        pairs = [tuple(rng.choice(8, size=2, replace=False)) for _ in range(5)]
-        g = state_permutation_matrix(8, pairs)
-        assert np.array_equal(g.T @ g, np.eye(8).astype(complex))
-
-    def test_right_to_left_composition(self):
-        # (0,1)(1,2) applied right to left sends 2 -> 1 -> 0.
-        g = state_permutation_matrix(3, [(0, 1), (1, 2)])
-        e2 = np.zeros(3)
-        e2[2] = 1
-        assert np.argmax(g @ e2) == 0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_permutation_matrix(4, [(0, 4)])
 
 
 class TestMatrixTextFormat:

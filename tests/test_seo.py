@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from csdc import (Control, Instruction, Program, apply_to_state, exchanger_program,
                   expand_controls, frobenius_distance, instruction_matrix, parse,
-                  program_to_matrix, serialize, state_permutation_matrix)
+                  program_to_matrix, serialize)
 from csdc.seo import SeoParseError, _simulate, concat, rename_bits
 
-from conftest import kron_instruction_matrix, kron_program_matrix, random_program
+from conftest import (kron_instruction_matrix, kron_program_matrix, random_program,
+                      transposition_matrix)
 
 
 class TestInstructionValidation:
@@ -124,7 +125,7 @@ class TestInstructionMatrix:
     def test_cnot_is_01_11_transposition(self):
         m = instruction_matrix(
             Instruction("CNOT", target=1, controls=(Control(0, True),)), 2)
-        assert np.array_equal(m, state_permutation_matrix(4, [(1, 3)]))
+        assert np.array_equal(m, transposition_matrix(4, [(1, 3)]))
 
     def test_phas_zero_is_identity(self):
         m = instruction_matrix(Instruction("PHAS", angle=0.0), 2)
@@ -139,7 +140,7 @@ class TestInstructionMatrix:
             Instruction("CNOT", target=2,
                         controls=(Control(0, True), Control(1, False))), 3)
         # flips bit 2 exactly on states x01: (001,101) swap.
-        assert np.array_equal(m, state_permutation_matrix(8, [(1, 5)]))
+        assert np.array_equal(m, transposition_matrix(8, [(1, 5)]))
 
     def test_bit_out_of_range(self):
         with pytest.raises(ValueError):
@@ -308,7 +309,7 @@ class TestExchanger:
 
     def test_matrix_is_exchanger(self):
         m = program_to_matrix(exchanger_program(0, 1, 2))
-        assert np.array_equal(m, state_permutation_matrix(4, [(1, 2)]))
+        assert np.array_equal(m, transposition_matrix(4, [(1, 2)]))
 
     def test_squares_to_identity(self):
         p = exchanger_program(1, 2, 3)
