@@ -179,7 +179,9 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
             factored.append((i, lighten(f, opts.tol) if opts.lighten else f))
     elif rest.size:
         f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
-        factored.append((rest, lighten_stack(f, opts.tol) if opts.lighten else f))
+        if opts.lighten:
+            f = lighten_stack(f)   # rebinding frees the unlightened factors
+        factored.append((rest, f))
     split = _Split(thetas=np.empty((k, h)), omegas=np.zeros((3, k, h)),
                    phased=np.zeros(k, dtype=bool),
                    lefts=np.empty((k, 2, h, h), dtype=np.complex128),
@@ -247,11 +249,28 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
     for level in range(1, nb + 2):
         per = 1 << (level - 1)
         rows = [slice(j * per, (j + 1) * per) for j in range(len(slots))]
+        children: list[tuple[int, str]] = []   # (node index, side) per child
         if level == nb + 1:
             phases = np.degrees(np.angle(mats[:, 0, 0]))
             centrals = [diagonal_central(nb, phases[r]) for r in rows]
         else:
             split = _split_level(mats, opts)
+            h = split.lefts.shape[-1]
+            parts = []
+            for j, r in enumerate(rows):
+                for side, sides, ident in (("left", split.lefts, split.left_identity),
+                                           ("right", split.rights, split.right_identity)):
+                    if not ident[r].all():
+                        children.append((j, side))
+                        parts.append(sides[r].reshape(-1, h, h))
+            # Assemble the next level, and drop this one and the sides no child
+            # takes, before the centrals are built: the leaf-level centrals are
+            # most of the tree's memory, and the level arrays would add to it.
+            if len(parts) == 1:
+                mats = parts[0]   # a view: a spine's one side is not copied
+            else:
+                mats = np.concatenate(parts) if parts else None
+            parts = split.lefts = split.rights = None
             centrals = [split.central(nb, level, r) for r in rows]
         nodes = []
         for (parent, side), central in zip(slots, centrals):
@@ -261,20 +280,9 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
             else:
                 setattr(parent, side, node)
             nodes.append(node)
-        if level == nb + 1:
+        slots = [(nodes[j], side) for j, side in children]
+        if not slots:
             break
-        h = split.lefts.shape[-1]
-        slots, parts = [], []
-        for node, r in zip(nodes, rows):
-            for side, sides, ident in (("left", split.lefts, split.left_identity),
-                                       ("right", split.rights, split.right_identity)):
-                if not ident[r].all():
-                    slots.append((node, side))
-                    parts.append(sides[r].reshape(-1, h, h))
-        split = None  # free the sides no child takes
-        if not parts:
-            break
-        mats = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return root
 
 

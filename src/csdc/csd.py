@@ -30,8 +30,9 @@ ANGLE_CLUSTER_TOL = 1e-8
 # phases; a wrong phase on such an entry perturbs the matrix by < 1e-11.
 _PHASE_MAG_TINY = 1e-12
 
-# ``csd_stack`` factors matrices up to this dimension in one batched pass;
-# larger ones go to ``csd``, whose cost is arithmetic, not per-call overhead.
+# ``csd_stack`` factors matrices up to this dimension in one batched pass; the
+# compiler hands larger ones to ``csd`` one at a time, whose cost there is
+# arithmetic, not per-call overhead, and which needs no stacked copy of them.
 BATCHED_CSD_MAX_DIM = 32
 
 # The batched pass divides by the sines and cosines and reads L0 and R0 off
@@ -211,23 +212,26 @@ def _set_factors(out: CsdFactors, i: int, f: CsdFactors) -> None:
 def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     """``csd`` of every matrix of a (k, n, n) stack, in the same convention.
 
-    For n <= BATCHED_CSD_MAX_DIM the whole stack is factored at once, from
-    the SVD of the top-left block (Paige & Wei, LAA 1994): Q11 = L0 C R0
-    gives L0, C and R0; L1 is the polar factor of -Q21 R0ᴴ = L1 S; row j of
-    R1 is row j of L0ᴴ Q12 / s_j or of L1ᴴ Q22 / c_j, whichever divisor is
-    larger, and R1 is replaced by its polar factor to restore unitarity.
+    The whole stack is factored at once, from the SVD of the top-left block
+    (Paige & Wei, LAA 1994): Q11 = L0 C R0 gives L0, C and R0; L1 is the
+    polar factor of -Q21 R0ᴴ = L1 S; row j of R1 is row j of L0ᴴ Q12 / s_j or
+    of L1ᴴ Q22 / c_j, whichever divisor is larger, and R1 is replaced by its
+    polar factor to restore unitarity.
     The angles come out canonical when they are distinct, since the singular
     values arrive in descending order.  A matrix is handed to ``csd`` instead
-    when n is larger, when an angle is within _BATCHED_MIN_CS (as a cosine or
-    sine) of 90° or 0°, when two angles are closer than _BATCHED_MIN_GAP
-    degrees, or when its batched factors fail the side-unitarity or block
-    residual check.  Raises NotUnitaryError if any matrix is not unitary
-    within tol.
+    when an angle is within _BATCHED_MIN_CS (as a cosine or sine) of 90° or
+    0°, when two angles are closer than _BATCHED_MIN_GAP degrees, or when its
+    batched factors fail the side-unitarity or block residual check.  Raises
+    NotUnitaryError if any matrix is not unitary within tol, and ValueError
+    if n > BATCHED_CSD_MAX_DIM: the caller factors those with ``csd``.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
         raise ValueError(f"csd_stack needs a stack of square even-dimensional matrices, "
                          f"got {a.shape}")
+    if a.shape[1] > BATCHED_CSD_MAX_DIM:
+        raise ValueError(f"csd_stack factors matrices up to dimension {BATCHED_CSD_MAX_DIM}, "
+                         f"got {a.shape[1]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     dev = _unitarity_deviations(a)
@@ -235,38 +239,30 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
         i = int(np.argmax(dev))
         raise NotUnitaryError(f"csd input {i} of the stack is not unitary: "
                               f"max deviation {dev[i]:.3e} > {tol:.1e}")
-    k, n, _ = a.shape
-    m = n // 2
-    if n > BATCHED_CSD_MAX_DIM:
-        shape = (k, m, m)
-        out = CsdFactors(*(np.empty(shape, dtype=np.complex128) for _ in range(4)),
-                         thetas=np.empty((k, m)))
-        fallback = np.ones(k, dtype=bool)
-    else:
-        q11, q12, q21, q22 = a[:, :m, :m], a[:, :m, m:], a[:, m:, :m], a[:, m:, m:]
-        l0, c, r0 = np.linalg.svd(q11)
-        x = -q21 @ _ct(r0)
-        l1 = _polar(x)
-        s = np.einsum("kij,kij->kj", l1.conj(), x).real
-        rows = np.where((s >= c)[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
-        r1 = _polar(rows / np.maximum(s, c)[:, :, None])
-        thetas = np.degrees(np.arctan2(s, c))
-        fallback = ((np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
-                    | (np.diff(thetas, axis=1) < _BATCHED_MIN_GAP).any(axis=1))
-        for side in (l0, l1, r0, r1):
-            fallback |= _unitarity_deviations(side) > _BATCHED_CHECK_TOL
-        cs, ss = c[:, None, :], s[:, None, :]
-        for rebuilt, block in (((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
-                               (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22)):
-            fallback |= np.abs(rebuilt - block).max(axis=(1, 2)) > _BATCHED_CHECK_TOL
-        out = CsdFactors(l0, l1, r0, r1, thetas)
+    m = a.shape[1] // 2
+    q11, q12, q21, q22 = a[:, :m, :m], a[:, :m, m:], a[:, m:, :m], a[:, m:, m:]
+    l0, c, r0 = np.linalg.svd(q11)
+    x = -q21 @ _ct(r0)
+    l1 = _polar(x)
+    s = np.einsum("kij,kij->kj", l1.conj(), x).real
+    rows = np.where((s >= c)[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
+    r1 = _polar(rows / np.maximum(s, c)[:, :, None])
+    thetas = np.degrees(np.arctan2(s, c))
+    fallback = ((np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
+                | (np.diff(thetas, axis=1) < _BATCHED_MIN_GAP).any(axis=1))
+    for side in (l0, l1, r0, r1):
+        fallback |= _unitarity_deviations(side) > _BATCHED_CHECK_TOL
+    cs, ss = c[:, None, :], s[:, None, :]
+    for rebuilt, block in (((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
+                           (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22)):
+        fallback |= np.abs(rebuilt - block).max(axis=(1, 2)) > _BATCHED_CHECK_TOL
+    out = CsdFactors(l0, l1, r0, r1, thetas)
     for i in np.flatnonzero(fallback):
         _set_factors(out, i, csd(a[i], tol))
     return out
 
 
-def lighten_stack(f: CsdFactors, tol: float = DEFAULT_TOL,
-                  angle_tol: float = ANGLE_CLUSTER_TOL) -> CsdFactors:
+def lighten_stack(f: CsdFactors) -> CsdFactors:
     """``lighten`` of every factorization of a stack (fields with a leading axis).
 
     Where every angle cluster is a singleton, the gauge fix is one phase per
@@ -277,7 +273,7 @@ def lighten_stack(f: CsdFactors, tol: float = DEFAULT_TOL,
     """
     pivot = f.r0[:, :, 0]
     mag = np.abs(pivot)
-    batched = ((np.diff(f.thetas, axis=1) > angle_tol).all(axis=1)
+    batched = ((np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL).all(axis=1)
                & (mag >= _PHASE_MAG_TINY).all(axis=1))
     g = np.where(batched[:, None], pivot / np.where(batched[:, None], mag, 1.0), 1.0)
     gh = g.conj()[:, :, None]
@@ -285,7 +281,7 @@ def lighten_stack(f: CsdFactors, tol: float = DEFAULT_TOL,
                      r0=gh * f.r0, r1=gh * f.r1, thetas=f.thetas.copy())
     for i in np.flatnonzero(~batched):
         one = CsdFactors(f.l0[i], f.l1[i], f.r0[i], f.r1[i], f.thetas[i])
-        _set_factors(out, i, lighten(one, tol, angle_tol))
+        _set_factors(out, i, lighten(one))
     return out
 
 

@@ -134,13 +134,14 @@ class TestBatchedCsd:
                     assert np.array_equal(a, b)
             assert_csd_properties(one(got, i), u)
 
-    def test_large_dimension_goes_to_csd(self, rng, csd_calls):
-        dim = 2 * BATCHED_CSD_MAX_DIM
-        mats = np.stack([random_unitary(rng, dim) for _ in range(2)])
-        got = csd_stack(mats)
-        assert csd_calls["csd"] == 2
-        for i, u in enumerate(mats):
-            assert np.array_equal(got.thetas[i], csd(u).thetas)
+    def test_rejects_dimension_above_batched_size(self, rng, csd_calls):
+        # The compiler sends these to csd one at a time (TestLevelBuild).
+        mats = np.stack([random_unitary(rng, 2 * BATCHED_CSD_MAX_DIM) for _ in range(2)])
+        with pytest.raises(ValueError, match="up to dimension"):
+            csd_stack(mats)
+        assert csd_calls["csd"] == 0
+        at_limit = np.stack([random_unitary(rng, BATCHED_CSD_MAX_DIM)])
+        assert csd_stack(at_limit).thetas.shape == (1, BATCHED_CSD_MAX_DIM // 2)
 
     def test_gauge_fix_falls_back_on_clusters_and_tiny_pivots(self, rng, csd_calls):
         h = 4
