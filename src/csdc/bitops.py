@@ -24,15 +24,12 @@ def gray_sequence(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("gray_sequence requires n >= 1")
-    out = []
-    for i in range(1 << n):
-        g = i ^ (i >> 1)
-        r = 0
-        for b in range(n):
-            if g >> b & 1:
-                r |= 1 << (n - 1 - b)
-        out.append(r)
-    return out
+    i = np.arange(1 << n)
+    g = i ^ (i >> 1)
+    out = np.zeros_like(g)
+    for b in range(n):
+        out |= ((g >> b) & 1) << (n - 1 - b)
+    return out.tolist()
 
 
 def hadamard_transform(v) -> np.ndarray:

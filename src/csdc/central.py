@@ -9,6 +9,11 @@ the un-relabeled form, then rename bits through the level's alias permutation.
 Rotation ladders follow the lazy (Gray) ordering so that one c-not survives
 between adjacent rotations, and rotations with negligible angles are dropped
 with their flanking c-nots merged.
+
+Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
+array operations: a ladder is a mask over the Gray sequence, and a diagonal's
+PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
+routine builds a 4**nb matrix.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import numpy as np
 
 from .bitops import BitPermutation, basis_change_matrix, gray_sequence, hadamard_transform
 from .csd import PhaseFactors, _wrap_deg
-from .seo import Control, Instruction, Program, concat, rename_bits, z_ladder
+from .seo import CNOT, CPHA, PHAS, ROTY, ROTZ, Program, concat, rename_bits, z_ladder
 
 # Rotations at or below this angle (degrees) are suppressed and their flanking
 # c-nots merged; this is what lets structured inputs collapse to short programs.
@@ -27,6 +32,8 @@ PRUNE_TOL = 1e-10
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
 
+_PHASE_FIELDS = ("omega", "omega_l", "omega_r", "thetas")
+
 
 @dataclass(frozen=True)
 class CentralMatrix:
@@ -34,7 +41,9 @@ class CentralMatrix:
 
     variant "realD":    ``angles`` holds the 2**(nb-1) rotation angles, block
                         by block (level ``level`` means 2**(level-1) blocks).
-    variant "complexD": ``blocks`` holds one PhaseFactors per D block.
+    variant "complexD": ``factors`` holds the parameters of every D block as
+                        one PhaseFactors whose four fields are
+                        (2**(level-1), 2**(nb-level)) arrays, a row per block.
     variant "diagonal": ``phases`` holds the 2**nb diagonal phases; level is
                         nb+1 by convention.
     """
@@ -43,7 +52,7 @@ class CentralMatrix:
     nb: int
     level: int
     angles: np.ndarray | None = None
-    blocks: tuple[PhaseFactors, ...] | None = None
+    factors: PhaseFactors | None = None
     phases: np.ndarray | None = None
 
     def __post_init__(self):
@@ -53,20 +62,27 @@ class CentralMatrix:
             if not 1 <= self.level <= self.nb:
                 raise ValueError(f"realD level must be in [1, nb], got {self.level}")
         elif self.variant == "complexD":
-            if self.blocks is None or len(self.blocks) != 1 << (self.level - 1):
-                raise ValueError(f"complexD central at level {self.level} needs "
-                                 f"{1 << (self.level - 1)} blocks")
             if not 1 <= self.level <= self.nb:
                 raise ValueError(f"complexD level must be in [1, nb], got {self.level}")
-            per_block = 1 << (self.nb - self.level)
-            for pf in self.blocks:
-                if pf.half_dim != per_block:
-                    raise ValueError(f"complexD block size {pf.half_dim} != {per_block}")
+            shape = (1 << (self.level - 1), 1 << (self.nb - self.level))
+            for name in _PHASE_FIELDS:
+                got = np.shape(getattr(self.factors, name, None))
+                if got != shape:
+                    raise ValueError(f"complexD central at level {self.level} needs "
+                                     f"{shape[0]} blocks of size {shape[1]}, "
+                                     f"got {name} of shape {got}")
         elif self.variant == "diagonal":
             if self.phases is None or len(self.phases) != 1 << self.nb:
                 raise ValueError(f"diagonal central needs {1 << self.nb} phases")
         else:
             raise ValueError(f"unknown central-matrix variant {self.variant!r}")
+
+    @property
+    def blocks(self) -> tuple[PhaseFactors, ...]:
+        """complexD: the parameters of each D block, built on demand."""
+        f = self.factors
+        return tuple(PhaseFactors(*(getattr(f, name)[i] for name in _PHASE_FIELDS))
+                     for i in range(len(f.thetas)))
 
 
 def real_d_central(nb: int, level: int, angles) -> CentralMatrix:
@@ -74,7 +90,17 @@ def real_d_central(nb: int, level: int, angles) -> CentralMatrix:
 
 
 def complex_d_central(nb: int, level: int, blocks) -> CentralMatrix:
-    return CentralMatrix("complexD", nb, level, blocks=tuple(blocks))
+    """``blocks``: one PhaseFactors per D block, or one whose fields hold a
+    row per block."""
+    if isinstance(blocks, PhaseFactors):
+        fields = [getattr(blocks, name) for name in _PHASE_FIELDS]
+    else:
+        blocks = list(blocks)
+        if not blocks:
+            raise ValueError("complexD central needs at least one block")
+        fields = [np.stack([getattr(pf, name) for pf in blocks]) for name in _PHASE_FIELDS]
+    factors = PhaseFactors(*(np.asarray(x, dtype=np.float64) for x in fields))
+    return CentralMatrix("complexD", nb, level, factors=factors)
 
 
 def diagonal_central(nb: int, phases) -> CentralMatrix:
@@ -112,43 +138,52 @@ def _alias_rename(prog: Program, nb: int, level: int) -> Program:
     return prog if perm.is_identity() else rename_bits(prog, perm)
 
 
+def _program(nb: int, kind, target, mask, val, angle) -> Program:
+    """A program from emitted columns, valid by construction."""
+    return Program.from_columns(nb, kind, target, mask, val, angle, validate=False)
+
+
 def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
     """ROTY ladder for a real D direct sum.
 
     Walking the Gray sequence, each step contributes a rotation of the top bit
     by the transformed angle followed by one c-not controlled by the bit the
     step flips; skipped (negligible) rotations merge their flanking c-nots by
-    XOR-ing the accumulated control set.
+    XOR-ing the accumulated control set.  So, over the kept steps s_1..s_K,
+    the c-nots before rotation j are the bits of s_j ^ s_(j-1) (s_0 = 0), and
+    the closing c-nots are the bits of s_K.
     """
     if c.variant != "realD":
         raise ValueError("decompose_real_d needs a realD central matrix")
     nb = c.nb
     theta = _wrap_deg(angles_to_theta(c.angles))
-    target = nb - 1
-    out: list[Instruction] = []
     if nb == 1:
-        if abs(theta[0]) > prune_tol:
-            out.append(Instruction("ROTY", target=0, angle=float(theta[0])))
-        return Program(1, tuple(out))
+        n = int(abs(theta[0]) > prune_tol)
+        return _program(1, [ROTY] * n, [0] * n, [0] * n, [0] * n, theta[:n])
+    w = nb - 1                     # the rotation bit, and the count of control bits
+    seq = np.array(gray_sequence(w))
+    kept = seq[np.abs(theta[seq]) > prune_tol]
+    k = len(kept)
+    masks = np.zeros(k + 1, dtype=np.int64)
+    masks[:k] = kept
+    masks[1:] ^= kept
+    # One row of slots per mask: a c-not per control bit, then the rotation.
+    slots = np.zeros((k + 1, nb), dtype=bool)
+    slots[:, :w] = (masks[:, None] >> np.arange(w)) & 1
+    slots[:k, w] = True
+    row, col = np.nonzero(slots)
+    rot = col == w
+    ctrl = np.where(rot, 0, 1 << col)
+    angle = np.zeros(len(col))
+    angle[rot] = theta[kept]
+    prog = _program(nb, np.where(rot, ROTY, CNOT), np.full(len(col), w), ctrl, ctrl, angle)
+    return _alias_rename(prog, nb, c.level)
 
-    def cnots(mask: int) -> None:
-        for b in range(nb - 1):
-            if mask >> b & 1:
-                out.append(Instruction("CNOT", target=target, controls=(Control(b, True),)))
 
-    seq = gray_sequence(nb - 1)
-    pending = 0
-    prev = 0
-    for b in seq:
-        pending ^= b ^ prev
-        prev = b
-        if abs(theta[b]) > prune_tol:
-            cnots(pending)
-            pending = 0
-            out.append(Instruction("ROTY", target=target, angle=float(theta[b])))
-    pending ^= seq[-1]
-    cnots(pending)
-    return _alias_rename(Program(nb, tuple(out)), nb, c.level)
+def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
+    """Coefficients of a diagonal's phases over products of number operators:
+    theta = M^T phi with M the projector-to-number basis change."""
+    return basis_change_matrix("projector-to-number", nb).real.T @ phases
 
 
 def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
@@ -161,43 +196,35 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
 
     ``controlled-phase``: rewrite over products of number operators; the
     all-T controlled phases come out directly as CPHA instructions, single-bit
-    terms as one accumulated PHAS plus a ROTZ per bit.
+    terms as one accumulated PHAS plus a ROTZ per bit.  Rows: the PHAS, then
+    the ROTZs by bit, then the CPHAs by subset.
     """
     if c.variant != "diagonal":
         raise ValueError("decompose_diagonal needs a diagonal central matrix")
     nb = c.nb
     if mode == "rotz-chain":
         theta = _wrap_deg(angles_to_theta(c.phases))
-        return Program(nb, tuple(z_ladder(list(range(nb)), theta, prune_tol)))
+        return z_ladder(list(range(nb)), theta, prune_tol)
     if mode != "controlled-phase":
         raise ValueError(f"unknown diagonal mode {mode!r}")
-    # Coefficients over the number-operator basis: theta' = M^T phi with M the
-    # projector-to-number basis change.
-    m = basis_change_matrix("projector-to-number", nb).real
-    theta = _wrap_deg(m.T @ np.asarray(c.phases, dtype=np.float64))
-    out: list[Instruction] = []
+    theta = _wrap_deg(_number_coefficients(np.asarray(c.phases, dtype=np.float64), nb))
+    keep = np.abs(theta) > prune_tol
+    # exp(i t n(beta)) = exp(i t/2) exp(-i (t/2) sigma_z(beta))
+    rotz_bits = np.flatnonzero(keep[1 << np.arange(nb)])
+    t_single = theta[1 << rotz_bits]
     phas_total = float(theta[0])
-    rotz: list[tuple[int, float]] = []
-    cpha: list[tuple[int, float]] = []
-    for b in range(1, 1 << nb):
-        t = float(theta[b])
-        if abs(t) <= prune_tol:
-            continue
-        if b & (b - 1) == 0:
-            # exp(i t n(beta)) = exp(i t/2) exp(-i (t/2) sigma_z(beta))
-            phas_total += t / 2.0
-            rotz.append((b.bit_length() - 1, -t / 2.0))
-        else:
-            cpha.append((b, t))
+    for t in t_single.tolist():   # summed in bit order, one term at a time
+        phas_total += t / 2.0
     phas_total = float(_wrap_deg(phas_total))
-    if abs(phas_total) > prune_tol:
-        out.append(Instruction("PHAS", angle=phas_total))
-    for bit, ang in rotz:
-        out.append(Instruction("ROTZ", target=bit, angle=ang))
-    for mask, ang in cpha:
-        controls = tuple(Control(b, True) for b in range(nb) if mask >> b & 1)
-        out.append(Instruction("CPHA", controls=controls, angle=ang))
-    return Program(nb, tuple(out))
+    phas = [phas_total] if abs(phas_total) > prune_tol else []
+    subsets = np.arange(1 << nb)
+    cpha = np.flatnonzero(keep & (subsets & (subsets - 1) != 0))
+    n_p, n_z, n_c = len(phas), len(rotz_bits), len(cpha)
+    kind = np.repeat([PHAS, ROTZ, CPHA], [n_p, n_z, n_c])
+    target = np.concatenate([np.full(n_p, -1), rotz_bits, np.full(n_c, -1)])
+    ctrl = np.concatenate([np.zeros(n_p + n_z, dtype=np.int64), cpha])
+    angle = np.concatenate([phas, -t_single / 2.0, theta[cpha]])
+    return _program(nb, kind, target, ctrl, ctrl, angle)
 
 
 def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
@@ -211,18 +238,15 @@ def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
     """
     if c.variant != "complexD":
         raise ValueError("decompose_complex_d needs a complexD central matrix")
-    nb, level = c.nb, c.level
+    nb, level, f = c.nb, c.level, c.factors
     rot = nb - level                      # aliased rotation bit position
     states = np.arange(1 << nb)
     blk = states >> (rot + 1)
     hi = (states >> rot) & 1
     j = states & ((1 << rot) - 1)
-    omega = np.stack([pf.omega for pf in c.blocks])
-    omega_l = np.stack([pf.omega_l for pf in c.blocks])
-    omega_r = np.stack([pf.omega_r for pf in c.blocks])
-    phi_r = omega[blk, j] + hi * omega_r[blk, j]
-    phi_l = hi * omega_l[blk, j]
-    core = real_d_central(nb, level, np.concatenate([pf.thetas for pf in c.blocks]))
+    phi_r = f.omega[blk, j] + hi * f.omega_r[blk, j]
+    phi_l = hi * f.omega_l[blk, j]
+    core = real_d_central(nb, level, f.thetas.reshape(-1))
     prog_r = decompose_diagonal(diagonal_central(nb, phi_r), diag_mode, prune_tol)
     prog_core = _real_core_program(core, use_right_angle, prune_tol)
     prog_l = decompose_diagonal(diagonal_central(nb, phi_l), diag_mode, prune_tol)
@@ -251,20 +275,18 @@ def decompose_right_angle_case(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -
     on = np.abs(np.asarray(c.angles, dtype=np.float64) - 90.0) <= RIGHT_ANGLE_TOL
     target = nb - 1
     if not np.any(on):
-        return Program(nb, ())
+        return _program(nb, [], [], [], [], [])
     if np.all(on):
-        prog = Program(nb, (Instruction("ROTY", target=target, angle=90.0),))
+        prog = _program(nb, [ROTY], [target], [0], [0], [90.0])
         return _alias_rename(prog, nb, c.level)
     idx = np.arange(1 << (nb - 1))
     for delta in range(nb - 1):
         for pol in (True, False):
             if np.array_equal(on, ((idx >> delta) & 1) == (1 if pol else 0)):
-                ctrl = Control(delta, pol)
-                prog = Program(nb, (
-                    Instruction("CNOT", target=target, controls=(ctrl,)),
-                    Instruction("CPHA", angle=180.0,
-                                controls=(ctrl, Control(target, True))),
-                ))
+                ctrl, val = 1 << delta, (1 << delta) if pol else 0
+                top = 1 << target
+                prog = _program(nb, [CNOT, CPHA], [target, -1], [ctrl, ctrl | top],
+                                [val, val | top], [0.0, 180.0])
                 return _alias_rename(prog, nb, c.level)
     return decompose_real_d(c, prune_tol)
 

@@ -143,9 +143,7 @@ class _Split:
         if not self.phased[rows].any():
             return real_d_central(nb, level, self.thetas[rows].reshape(-1))
         om, om_l, om_r = self.omegas[:, rows]
-        return complex_d_central(nb, level, [
-            PhaseFactors(om[j], om_l[j], om_r[j], th)
-            for j, th in enumerate(self.thetas[rows])])
+        return complex_d_central(nb, level, PhaseFactors(om, om_l, om_r, self.thetas[rows]))
 
 
 def _set_phases(split: _Split, idx: np.ndarray, pf: PhaseFactors, phased: np.ndarray) -> None:
@@ -306,6 +304,11 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     dev = unitarity_deviation(a)
     if dev > opts.tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
+    return _tree(a, nb, opts)
+
+
+def _tree(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
+    """build_tree on a matrix already checked to be unitary."""
     if opts.perm_search == "none":
         return _build(a, nb, opts)
     if nb > PERM_SEARCH_MAX_NB:
@@ -366,7 +369,8 @@ def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> 
 
 def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     """Compile a unitary matrix (any dimension; padded to a power of two)
-    into a gate program whose matrix reproduces the padded input."""
-    padded, _ = pad_to_power_of_two(u, opts.tol)
-    root = build_tree(padded, opts)
-    return program_for_tree(root, opts)
+    into a gate program whose matrix reproduces the padded input.
+
+    The input's unitarity is checked once, by ``pad_to_power_of_two``."""
+    padded, _ = pad_to_power_of_two(u, opts.tol)   # the one unitarity check
+    return program_for_tree(_tree(padded, _nb_of(padded), opts), opts)

@@ -13,11 +13,31 @@ Angles are degrees.  Control characters are T (bit must be 1) and F (bit must
 be 0).  The first line of a file is the first operation applied to a ket, so
 the matrix of a program is the product of its instruction matrices taken last
 to first.
+
+A :class:`Program` stores its instructions as five numpy columns, one entry
+per instruction:
+
+  kind       int8 code into KINDS
+  target     int64 target bit, -1 for the kinds without one (PHAS, CPHA)
+  ctrl_mask  int64: bit b is a control iff it is set
+  ctrl_val   int64: the control on bit b is T iff it is set (a subset of
+             ctrl_mask)
+  angle      float64 degrees, 0.0 for the kinds without one (SIGX, CNOT)
+
+The columns are checked once, vectorised, when a program is built from
+outside (``Program(...)``, ``Program.from_columns``, ``parse``); the stages
+here (concat, rename_bits, expand_controls, serialize, the simulator) work on
+them with array operations.  ``Instruction`` and ``Control`` are the row
+view: ``Program(nb, instructions)`` accepts them, and iterating a program or
+reading ``.instructions`` builds them on demand.  Controls are listed in
+increasing bit order, in rows and in SEO text alike.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +45,21 @@ import numpy as np
 from . import bitops
 
 KINDS = ("ROTY", "ROTZ", "SIGX", "CNOT", "PHAS", "CPHA")
+ROTY, ROTZ, SIGX, CNOT, PHAS, CPHA = range(len(KINDS))
+_CODE = {name: code for code, name in enumerate(KINDS)}
 
-_ANGLE_KINDS = {"ROTY", "ROTZ", "PHAS", "CPHA"}
-_TARGET_KINDS = {"ROTY", "ROTZ", "SIGX", "CNOT"}
-_CONTROL_KINDS = {"CNOT", "CPHA"}
+# Per kind code: whether the kind takes a target, an angle, controls.
+_TAKES_TARGET = np.array([True, True, True, True, False, False])
+_TAKES_ANGLE = np.array([True, True, False, False, True, True])
+_TAKES_CONTROLS = np.array([False, False, False, True, False, True])
+_ANGLED = _TAKES_ANGLE.tolist()
+
+# Control masks are int64, so bit indices stay below 63.
+MAX_NB = 63
+
+# A dense simulation holds about this many 2**nb x 2**nb complex128 arrays at
+# its peak (measured with tracemalloc on program_to_matrix).
+DENSE_PEAK_ARRAYS = 3
 
 
 class SeoParseError(ValueError):
@@ -37,6 +68,10 @@ class SeoParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class DenseTooLargeError(ValueError):
+    """Raised before a dense simulation whose matrices would not fit in memory."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +86,8 @@ class Control:
 
 @dataclass(frozen=True)
 class Instruction:
+    """One row of a program, as an object; see the module docstring."""
+
     kind: str
     target: int | None = None
     controls: tuple[Control, ...] = ()
@@ -59,17 +96,17 @@ class Instruction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
-        if self.kind in _TARGET_KINDS:
+        if self.kind in ("ROTY", "ROTZ", "SIGX", "CNOT"):
             if self.target is None or self.target < 0:
                 raise ValueError(f"{self.kind} needs a non-negative target bit")
         elif self.target is not None:
             raise ValueError(f"{self.kind} carries no target")
-        if self.kind in _ANGLE_KINDS:
+        if self.kind in ("ROTY", "ROTZ", "PHAS", "CPHA"):
             if self.angle is None or not np.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} carries no angle")
-        if self.kind in _CONTROL_KINDS:
+        if self.kind in ("CNOT", "CPHA"):
             if len(self.controls) < 1:
                 raise ValueError(f"{self.kind} needs at least one control")
         elif self.controls:
@@ -86,31 +123,117 @@ class Instruction:
         return out
 
 
-@dataclass(frozen=True)
-class Program:
-    nb: int
-    instructions: tuple[Instruction, ...] = ()
+def _bits_of(mask: int) -> list[int]:
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
-    def __post_init__(self):
-        if self.nb < 1:
-            raise ValueError("a program needs nb >= 1")
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        for ins in self.instructions:
-            for b in ins.bits():
-                if b >= self.nb:
-                    raise ValueError(f"bit {b} out of range for nb={self.nb}")
+
+def _reject(bad: np.ndarray, kind: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first row where ``bad`` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"instruction {i}: " + message.format(kind=KINDS[kind[i]]))
+
+
+class Program:
+    """A gate sequence on ``nb`` bits, stored as five columns (module docstring).
+
+    Treated as an immutable value: no function here writes to a column.
+    """
+
+    __slots__ = ("nb", "kind", "target", "ctrl_mask", "ctrl_val", "angle")
+
+    def __init__(self, nb: int, instructions=()):
+        rows = tuple(instructions)
+        if not 1 <= nb <= MAX_NB:
+            raise ValueError(f"a program needs 1 <= nb <= {MAX_NB}, got {nb}")
+        top = max((max(ins.bits(), default=-1) for ins in rows), default=-1)
+        if top >= nb:
+            raise ValueError(f"bit {top} out of range for nb={nb}")
+        self._set(nb, [_CODE[ins.kind] for ins in rows],
+                  [-1 if ins.target is None else ins.target for ins in rows],
+                  [sum(1 << c.bit for c in ins.controls) for ins in rows],
+                  [sum(1 << c.bit for c in ins.controls if c.polarity) for ins in rows],
+                  [0.0 if ins.angle is None else ins.angle for ins in rows])
+        self.validate()
+
+    def _set(self, nb, kind, target, ctrl_mask, ctrl_val, angle) -> None:
+        self.nb = int(nb)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.target = np.asarray(target, dtype=np.int64)
+        self.ctrl_mask = np.asarray(ctrl_mask, dtype=np.int64)
+        self.ctrl_val = np.asarray(ctrl_val, dtype=np.int64)
+        self.angle = np.asarray(angle, dtype=np.float64)
+
+    @classmethod
+    def from_columns(cls, nb: int, kind, target, ctrl_mask, ctrl_val, angle,
+                     validate: bool = True) -> "Program":
+        """A program with the given columns.  ``validate=False`` is for callers
+        that build the columns valid by construction."""
+        p = cls.__new__(cls)
+        p._set(nb, kind, target, ctrl_mask, ctrl_val, angle)
+        if validate:
+            p.validate()
+        return p
+
+    def validate(self) -> None:
+        """Check every rule of the column encoding; raise ValueError if one fails."""
+        nb = self.nb
+        if not 1 <= nb <= MAX_NB:
+            raise ValueError(f"a program needs 1 <= nb <= {MAX_NB}, got {nb}")
+        cols = self.columns
+        if any(c.ndim != 1 or c.shape != self.kind.shape for c in cols):
+            raise ValueError("program columns must be 1-D and of equal length")
+        if not len(self):
+            return
+        kind, target, mask, val, angle = cols
+        if kind.min() < 0 or kind.max() >= len(KINDS):
+            raise ValueError(f"instruction kind codes must lie in [0, {len(KINDS)})")
+        has_target = target >= 0
+        _reject(has_target != _TAKES_TARGET[kind], kind,
+                "{kind} must have a target bit iff it takes one (-1 for none)")
+        _reject((target < -1) | (target >= nb), kind, f"target bit out of range for nb={nb}")
+        _reject((mask < 0) | (mask >> nb != 0), kind, f"control bit out of range for nb={nb}")
+        _reject(val & ~mask != 0, kind, "control values must be a subset of the control mask")
+        _reject(has_target & (mask >> np.maximum(target, 0) & 1 != 0), kind,
+                "{kind} bits must be distinct: the target is also a control")
+        _reject((mask != 0) != _TAKES_CONTROLS[kind], kind,
+                "{kind} needs at least one control iff it takes controls")
+        _reject(~np.isfinite(angle), kind, "{kind} needs a finite angle")
+        _reject((angle != 0.0) & ~_TAKES_ANGLE[kind], kind, "{kind} carries no angle")
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(kind, target, ctrl_mask, ctrl_val, angle)."""
+        return self.kind, self.target, self.ctrl_mask, self.ctrl_val, self.angle
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.kind)
 
     def __iter__(self):
-        return iter(self.instructions)
+        for k, t, m, v, a in zip(*(c.tolist() for c in self.columns)):
+            yield Instruction(KINDS[k], None if t < 0 else t,
+                              tuple(Control(b, bool(v >> b & 1)) for b in _bits_of(m)),
+                              a if _ANGLED[k] else None)
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The rows as Instruction objects, built on demand."""
+        return tuple(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Program):
+            return NotImplemented
+        return self.nb == other.nb and all(
+            np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Program(nb={self.nb}, {len(self)} instructions)"
 
     def count_by_kind(self) -> dict[str, int]:
-        out = {k: 0 for k in KINDS}
-        for ins in self.instructions:
-            out[ins.kind] += 1
-        return out
+        counts = np.bincount(self.kind, minlength=len(KINDS)).tolist()
+        return dict(zip(KINDS, counts))
 
 
 def concat(*programs: Program) -> Program:
@@ -118,30 +241,38 @@ def concat(*programs: Program) -> Program:
     if not programs:
         raise ValueError("concat needs at least one program")
     nb = max(p.nb for p in programs)
-    return Program(nb, [ins for p in programs for ins in p.instructions])
+    cols = [np.concatenate(c) for c in zip(*(p.columns for p in programs))]
+    return Program.from_columns(nb, *cols, validate=False)
 
 
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
-def _fmt_angle(a: float) -> str:
-    return f"{a:.15g}"
+def _prefix(kind: int, target: int, mask: int, val: int) -> str:
+    """A line without its angle; angled kinds end in a space."""
+    parts = [KINDS[kind]]
+    for b in _bits_of(mask):
+        parts.append(f"{b} {'T' if val >> b & 1 else 'F'}")
+    if target >= 0:
+        parts.append(str(target))
+    return " ".join(parts) + (" " if _ANGLED[kind] else "")
 
 
 def serialize(p: Program) -> str:
-    """One line per instruction, single-space separated, first-applied first."""
+    """One line per instruction, single-space separated, first-applied first.
+
+    Each distinct (kind, target, controls) prefix is formatted once; angles
+    are written with ``.15g``.
+    """
+    prefixes: dict = {}
     lines = []
-    for ins in p.instructions:
-        parts = [ins.kind]
-        for c in ins.controls:
-            parts.append(str(c.bit))
-            parts.append("T" if c.polarity else "F")
-        if ins.target is not None:
-            parts.append(str(ins.target))
-        if ins.angle is not None:
-            parts.append(_fmt_angle(ins.angle))
-        lines.append(" ".join(parts))
+    for k, t, m, v, a in zip(*(c.tolist() for c in p.columns)):
+        key = (k, t, m, v)
+        pre = prefixes.get(key)
+        if pre is None:
+            pre = prefixes[key] = _prefix(k, t, m, v)
+        lines.append(f"{pre}{a:.15g}" if _ANGLED[k] else pre)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -152,6 +283,8 @@ def _parse_bit(tok: str, lineno: int) -> int:
         raise SeoParseError(lineno, f"expected a bit index, got {tok!r}") from None
     if b < 0:
         raise SeoParseError(lineno, f"bit index must be non-negative, got {b}")
+    if b >= MAX_NB:
+        raise SeoParseError(lineno, f"bit index must be below {MAX_NB}, got {b}")
     return b
 
 
@@ -165,73 +298,128 @@ def _parse_angle(tok: str, lineno: int) -> float:
     return a
 
 
-def _parse_controls(tokens: list[str], lineno: int) -> tuple[Control, ...]:
+def _parse_controls(tokens: list[str], lineno: int) -> list[tuple[int, bool]]:
     controls = []
     for i in range(0, len(tokens), 2):
         bit = _parse_bit(tokens[i], lineno)
         pol = tokens[i + 1]
         if pol not in ("T", "F"):
             raise SeoParseError(lineno, f"control polarity must be T or F, got {pol!r}")
-        controls.append(Control(bit, pol == "T"))
-    return tuple(controls)
+        controls.append((bit, pol == "T"))
+    return controls
+
+
+def _parse_tokens(tokens: list[str], lineno: int) -> tuple[tuple[int, int, int, int], float]:
+    """Parse one line's tokens into its (kind, target, mask, val) and angle."""
+    kind, args = tokens[0], tokens[1:]
+    target, controls, angle = -1, [], 0.0
+    if kind == "ROTY" or kind == "ROTZ":
+        if len(args) != 2:
+            raise SeoParseError(lineno, f"{kind} takes a target and an angle")
+        target, angle = _parse_bit(args[0], lineno), _parse_angle(args[1], lineno)
+    elif kind == "SIGX":
+        if len(args) != 1:
+            raise SeoParseError(lineno, "SIGX takes a single target bit")
+        target = _parse_bit(args[0], lineno)
+    elif kind == "CNOT":
+        if len(args) < 3 or len(args) % 2 == 0:
+            raise SeoParseError(lineno, "CNOT takes control/polarity pairs and a target")
+        target = _parse_bit(args[-1], lineno)
+        controls = _parse_controls(args[:-1], lineno)
+    elif kind == "PHAS":
+        # A controlled phase must be written CPHA; PHAS takes only an angle.
+        if len(args) != 1:
+            raise SeoParseError(lineno, "PHAS takes a single angle (use CPHA for controls)")
+        angle = _parse_angle(args[0], lineno)
+    elif kind == "CPHA":
+        if len(args) < 3 or len(args) % 2 == 0:
+            raise SeoParseError(lineno, "CPHA takes control/polarity pairs and an angle")
+        controls = _parse_controls(args[:-1], lineno)
+        angle = _parse_angle(args[-1], lineno)
+    else:
+        raise SeoParseError(lineno, f"unknown keyword {kind!r}")
+    bits = tuple(b for b, _ in controls) + ((target,) if target >= 0 else ())
+    if len(bits) != len(set(bits)):
+        raise SeoParseError(lineno, f"{kind} bits must be distinct, got {bits}")
+    mask = sum(1 << b for b, _ in controls)
+    val = sum(1 << b for b, pol in controls if pol)
+    return (_CODE[kind], target, mask, val), angle
 
 
 def parse(text: str, nb: int | None = None) -> Program:
-    """Parse SEO text; nb is inferred as 1 + max referenced bit unless given."""
-    instructions = []
-    max_bit = 0
+    """Parse SEO text; nb is inferred as 1 + max referenced bit unless given.
+
+    A line is first looked up whole (kinds without an angle), then without its
+    last space-separated token (kinds with an angle) among the lines already
+    parsed; only a line not seen before is tokenised and checked.
+    """
+    if nb is not None and not 1 <= nb <= MAX_NB:
+        raise ValueError(f"a program needs 1 <= nb <= {MAX_NB}, got {nb}")
+    whole: dict[str, tuple] = {}   # line -> row, kinds without an angle
+    heads: dict[str, tuple] = {}   # line without its angle -> row, angled kinds
+    rows = []
+    angles = []
+    top = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        kind, args = tokens[0], tokens[1:]
-        try:
-            if kind == "ROTY" or kind == "ROTZ":
-                if len(args) != 2:
-                    raise SeoParseError(lineno, f"{kind} takes a target and an angle")
-                ins = Instruction(kind, target=_parse_bit(args[0], lineno),
-                                  angle=_parse_angle(args[1], lineno))
-            elif kind == "SIGX":
-                if len(args) != 1:
-                    raise SeoParseError(lineno, "SIGX takes a single target bit")
-                ins = Instruction(kind, target=_parse_bit(args[0], lineno))
-            elif kind == "CNOT":
-                if len(args) < 3 or len(args) % 2 == 0:
-                    raise SeoParseError(lineno, "CNOT takes control/polarity pairs and a target")
-                ins = Instruction(kind, target=_parse_bit(args[-1], lineno),
-                                  controls=_parse_controls(args[:-1], lineno))
-            elif kind == "PHAS":
-                # A controlled phase must be written CPHA; PHAS takes only an angle.
-                if len(args) != 1:
-                    raise SeoParseError(lineno, "PHAS takes a single angle (use CPHA for controls)")
-                ins = Instruction(kind, angle=_parse_angle(args[0], lineno))
-            elif kind == "CPHA":
-                if len(args) < 3 or len(args) % 2 == 0:
-                    raise SeoParseError(lineno, "CPHA takes control/polarity pairs and an angle")
-                ins = Instruction(kind, controls=_parse_controls(args[:-1], lineno),
-                                  angle=_parse_angle(args[-1], lineno))
-            else:
-                raise SeoParseError(lineno, f"unknown keyword {kind!r}")
-        except SeoParseError:
-            raise
-        except ValueError as exc:
-            raise SeoParseError(lineno, str(exc)) from None
-        bits = ins.bits()
-        if bits:
-            top = max(bits)
-            if nb is not None and top >= nb:
-                raise SeoParseError(lineno, f"bit {top} out of range for nb={nb}")
-            max_bit = max(max_bit, top)
-        instructions.append(ins)
-    return Program(max_bit + 1 if nb is None else nb, tuple(instructions))
+        row = whole.get(raw)
+        angle = 0.0
+        if row is None:
+            head, _, tail = raw.rpartition(" ")
+            row = heads.get(head)
+            if row is not None:
+                try:
+                    angle = float(tail)
+                except ValueError:
+                    row = None
+                else:
+                    if not math.isfinite(angle):
+                        row = None
+            if row is None:
+                tokens = raw.split()
+                if not tokens:
+                    continue
+                row, angle = _parse_tokens(tokens, lineno)
+                row_top = max([row[1], *_bits_of(row[2])])
+                if nb is not None and row_top >= nb:
+                    raise SeoParseError(lineno, f"bit {row_top} out of range for nb={nb}")
+                top = max(top, row_top)
+                if _ANGLED[row[0]]:
+                    heads[" ".join(tokens[:-1])] = row
+                else:
+                    whole[" ".join(tokens)] = row
+        rows.append(row)
+        angles.append(angle)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return Program.from_columns(top + 1 if nb is None else nb, *cols, angles,
+                                validate=False)
 
 
 # ---------------------------------------------------------------------------
 # Matrix semantics
 # ---------------------------------------------------------------------------
 
-def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
-    """Apply instructions, first to last, to the rows of arr, shape (2**nb, m).
+def physical_memory_bytes() -> int | None:
+    """Physical memory of this machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense(nb: int) -> None:
+    """Raise DenseTooLargeError if a dense simulation on nb bits would need
+    more than the physical memory: about DENSE_PEAK_ARRAYS * 16 * 4**nb bytes."""
+    need = DENSE_PEAK_ARRAYS * 16 * 4 ** nb
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise DenseTooLargeError(
+            f"a dense {1 << nb} x {1 << nb} simulation (nb={nb}) needs about {need} bytes, "
+            f"more than the {limit} bytes of physical memory")
+
+
+def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
+    """Apply the instructions of p, first to last, to the rows of arr, shape
+    (2**nb, m).
 
     The operator applied so far is held as F · R · arr:
 
@@ -247,27 +435,22 @@ def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
 
     At the end R, then F, is applied.  The cost is
     O(#dense runs * 2**nb * m + len * 2**nb); a ROTY ladder on one target, with
-    the c-nots on that target between its rotations, is one dense run.  arr may
-    be overwritten; the result is returned.
+    the c-nots on that target between its rotations, is one dense run.  Index
+    plans are cached per call, keyed by the ints of the columns.  arr may be
+    overwritten; the result is returned.
     """
-    n = 1 << nb
+    n = 1 << p.nb
     rows = np.arange(n)
     pos = rows
     ph = np.ones(n, dtype=np.complex128)
     g = 1.0 + 0.0j
-    # Index plans, cached per call: swaps by (target, controls), CPHA rows by
-    # controls, ROTZ high-bit masks and ROTY (lo, hi) pairs by target.
+    # Index plans: swaps by (target, mask, val), CPHA rows by (mask, val),
+    # ROTZ high-bit masks and ROTY (lo, hi) pairs by target.
     swaps: dict = {}
     phased: dict = {}
     highs: dict = {}
     pairs: dict = {}
     run = None  # pending R: (rows a, their partners b, partner, coef)
-
-    def matches(controls):
-        sel = np.ones(n, dtype=bool)
-        for c in controls:
-            sel &= ((rows >> c.bit) & 1).astype(bool) == c.polarity
-        return sel
 
     def flush(arr, run):
         # Two half-row passes: the lo rows of every pair, then the hi rows.
@@ -282,37 +465,34 @@ def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
         xb += xa
         arr[b] = xb
 
-    for ins in instructions:
-        kind = ins.kind
-        if kind == "PHAS":
-            g *= cmath.exp(1j * math.radians(ins.angle))
-        elif kind == "CPHA":
-            idx = phased.get(ins.controls)
+    for kind, t, m, v, angle in zip(*(c.tolist() for c in p.columns)):
+        if kind == PHAS:
+            g *= cmath.exp(1j * math.radians(angle))
+        elif kind == CPHA:
+            idx = phased.get((m, v))
             if idx is None:
-                idx = phased[ins.controls] = np.flatnonzero(matches(ins.controls))
-            ph[idx] *= cmath.exp(1j * math.radians(ins.angle))
-        elif kind == "ROTZ":
-            t = ins.target
+                idx = phased[(m, v)] = np.flatnonzero(rows & m == v)
+            ph[idx] *= cmath.exp(1j * math.radians(angle))
+        elif kind == ROTZ:
             high = highs.get(t)
             if high is None:
                 high = highs[t] = ((rows >> t) & 1).astype(bool)
-            e = cmath.exp(1j * math.radians(ins.angle))
+            e = cmath.exp(1j * math.radians(angle))
             ph *= np.where(high, e.conjugate(), e)
-        elif kind == "SIGX" or kind == "CNOT":
-            key = (ins.target, ins.controls)
+        elif kind == SIGX or kind == CNOT:
+            key = (t, m, v)
             q = swaps.get(key)
             if q is None:
-                q = swaps[key] = np.where(matches(ins.controls), rows ^ (1 << ins.target), rows)
+                q = swaps[key] = np.where(rows & m == v, rows ^ (1 << t), rows)
             pos = pos[q]
             ph = ph[q]
-        elif kind == "ROTY":
-            t = ins.target
+        else:  # ROTY
             lohi = pairs.get(t)
             if lohi is None:
                 bit = (rows >> t) & 1
                 lohi = pairs[t] = (rows[bit == 0], rows[bit == 1])
             lo, hi = lohi
-            rad = math.radians(ins.angle)
+            rad = math.radians(angle)
             c, s = math.cos(rad), math.sin(rad)
             a, b = pos[lo], pos[hi]
             r = ph[hi] / ph[lo]
@@ -335,8 +515,6 @@ def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
             coef[b, 0] = c
             coef[b, 1:] = -down
             run = (a, b, partner, coef)
-        else:
-            raise AssertionError(f"unhandled kind {kind}")
     if run is not None:
         flush(arr, run)
     if not (pos == rows).all():
@@ -348,11 +526,14 @@ def _simulate(arr: np.ndarray, instructions, nb: int) -> np.ndarray:
 
 
 def instruction_matrix(ins: Instruction, nb: int) -> np.ndarray:
-    """Dense 2**nb unitary of a single instruction."""
-    for b in ins.bits():
-        if b >= nb:
-            raise ValueError(f"bit {b} out of range for nb={nb}")
-    return _simulate(np.eye(1 << nb, dtype=np.complex128), (ins,), nb)
+    """Dense 2**nb unitary of a single instruction.
+
+    Raises DenseTooLargeError, before allocating, when about
+    DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed the physical memory.
+    """
+    p = Program(nb, (ins,))
+    _check_dense(nb)
+    return _simulate(np.eye(1 << nb, dtype=np.complex128), p)
 
 
 def program_to_matrix(p: Program) -> np.ndarray:
@@ -360,8 +541,11 @@ def program_to_matrix(p: Program) -> np.ndarray:
 
     Costs O(#dense runs * 4**nb + len * 2**nb): only runs of ROTYs touch the
     dense matrix; every other gate is tracked as a permutation and phases.
+    Raises DenseTooLargeError, before allocating, when about
+    DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed the physical memory.
     """
-    return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p.instructions, p.nb)
+    _check_dense(p.nb)
+    return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p)
 
 
 def apply_to_state(p: Program, state) -> np.ndarray:
@@ -372,7 +556,7 @@ def apply_to_state(p: Program, state) -> np.ndarray:
     v = np.array(state, dtype=np.complex128)
     if v.ndim not in (1, 2) or v.shape[0] != 1 << p.nb:
         raise ValueError(f"state shape {v.shape} does not match nb={p.nb}")
-    out = _simulate(v if v.ndim == 2 else v[:, None], p.instructions, p.nb)
+    out = _simulate(v if v.ndim == 2 else v[:, None], p)
     return out.reshape(v.shape)
 
 
@@ -384,13 +568,14 @@ def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
     """Three c-nots realizing the transposition of bit positions alpha and beta."""
     if alpha == beta:
         raise ValueError("exchanger needs two distinct bits")
-    outer = Instruction("CNOT", target=alpha, controls=(Control(beta, True),))
-    inner = Instruction("CNOT", target=beta, controls=(Control(alpha, True),))
-    return Program(nb, (outer, inner, outer))
+    ctrl = [1 << beta, 1 << alpha, 1 << beta]
+    return Program.from_columns(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl,
+                                [0.0] * 3)
 
 
-def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> list[Instruction]:
-    """Instructions for prod_b exp(i theta_b Z_b) over subsets of ``bits``.
+def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
+    """Program for prod_b exp(i theta_b Z_b) over subsets of ``bits``, on
+    max(bits) + 1 bits.
 
     ``thetas[m]`` (degrees) multiplies the product of sigma_z over the bits
     selected by mask m; m = 0 contributes a global phase.  Factors are walked
@@ -402,20 +587,28 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> list[Inst
     k = len(bits)
     if len(thetas) != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
-    out: list[Instruction] = []
+    kinds: list[int] = []
+    targets: list[int] = []
+    masks: list[int] = []
+    angles: list[float] = []
+
+    def emit(kind: int, target: int, mask: int, angle: float) -> None:
+        kinds.append(kind)
+        targets.append(target)
+        masks.append(mask)
+        angles.append(angle)
 
     def cnots(mask: int, target_bit: int) -> None:
         for j in range(k):
             if mask >> j & 1:
-                out.append(Instruction("CNOT", target=target_bit,
-                                       controls=(Control(bits[j], True),)))
+                emit(CNOT, target_bit, 1 << bits[j], 0.0)
 
     prev: tuple[int, int] | None = None  # (target index, control mask) awaiting closure
     for m in bitops.gray_sequence(k) if k else [0]:
         theta = float(thetas[m])
         if m == 0:
             if abs(theta) > prune_tol:
-                out.append(Instruction("PHAS", angle=theta))
+                emit(PHAS, -1, 0, theta)
             continue
         if abs(theta) <= prune_tol:
             continue
@@ -427,36 +620,48 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> list[Inst
             if prev is not None:
                 cnots(prev[1], bits[prev[0]])
             cnots(mask, bits[tj])
-        out.append(Instruction("ROTZ", target=bits[tj], angle=theta))
+        emit(ROTZ, bits[tj], 0, theta)
         prev = (tj, mask)
     if prev is not None:
         cnots(prev[1], bits[prev[0]])
-    return out
+    return Program.from_columns(max(bits, default=0) + 1, kinds, targets, masks, masks,
+                                angles, validate=False)
 
 
-def _expand_one(ins: Instruction, prune_tol: float) -> list[Instruction]:
-    """Rewrite one multi-control gate over instructions touching <= 2 bits."""
+def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
+    """Program of (kind, target, angle) rows without controls."""
+    kinds, targets, angles = zip(*rows) if rows else ((), (), ())
+    zeros = [0] * len(kinds)
+    return Program.from_columns(nb, kinds, targets, zeros, zeros, angles, validate=False)
+
+
+def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: bool,
+               prune_tol: float) -> Program:
+    """The expansion of one multi-control gate over instructions touching <= 2
+    bits.  For CPHA it is built for angle 1 and scales linearly in the angle:
+    every ladder angle is +-angle / 2**k, exact in floating point, so the
+    caller multiplies the angle column by the gate's angle, and ``pruned``
+    drops the whole ladder."""
+    ctrl_bits = _bits_of(mask)
     # Normalize F controls by conjugating with SIGX on those bits.
-    flips = [Instruction("SIGX", target=c.bit) for c in ins.controls if not c.polarity]
-    ctrl_bits = [c.bit for c in ins.controls]
-
-    if ins.kind == "CPHA":
+    flips = [(SIGX, b, 0.0) for b in ctrl_bits if not val >> b & 1]
+    if kind == CPHA:
         involved = ctrl_bits
-        wrap: list[Instruction] = []
-        angle = ins.angle
+        wrap, closing = [], []
+        angle, tol = 1.0, -1.0
     else:  # CNOT: sigma_x(t)^P = V sigma_z(t)^P V*, V = exp(-i 45deg sigma_y(t))
-        involved = [ins.target] + ctrl_bits
-        wrap = [Instruction("ROTY", target=ins.target, angle=45.0)]
-        angle = 180.0
-    # sigma_z powers: exp(i angle n...n) has Hadamard-transformed z-string
-    # coefficients angle * (-1)**|m| / 2**k over control-bit subsets m.
-    k = len(involved)
-    masks = np.arange(1 << k)
-    signs = np.where(bitops.popcount(masks) & 1, -1.0, 1.0)
-    thetas = angle * signs / (1 << k)
-    body = z_ladder(involved, thetas, prune_tol)
-    closing = [Instruction("ROTY", target=ins.target, angle=-45.0)] if ins.kind == "CNOT" else []
-    return flips + wrap + body + closing + list(reversed(flips))
+        involved = [target] + ctrl_bits
+        wrap, closing = [(ROTY, target, 45.0)], [(ROTY, target, -45.0)]
+        angle, tol = 180.0, prune_tol
+    parts = [_uncontrolled(nb, flips + wrap)]
+    if not pruned:
+        # sigma_z powers: exp(i angle n...n) has Hadamard-transformed z-string
+        # coefficients angle * (-1)**|m| / 2**k over control-bit subsets m.
+        k = len(involved)
+        signs = np.where(bitops.popcount(np.arange(1 << k)) & 1, -1.0, 1.0)
+        parts.append(z_ladder(involved, angle * signs / (1 << k), tol))
+    parts.append(_uncontrolled(nb, closing + flips[::-1]))
+    return concat(*parts)
 
 
 def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
@@ -464,27 +669,79 @@ def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
 
     CNOT with >= 2 controls and CPHA with >= 3 controls are rewritten in the
     sigma_z basis; everything already elementary passes through unchanged.
+    Each distinct (kind, target, controls) is expanded once per call.  A CPHA
+    expansion is then scaled by the gate's angle, or its ladder is dropped
+    whole (its F-control flips stay) when every ladder angle, |angle| / 2**k,
+    is at most prune_tol.
     """
-    out: list[Instruction] = []
-    for ins in p.instructions:
-        if ins.kind == "CNOT" and len(ins.controls) >= 2:
-            out.extend(_expand_one(ins, prune_tol))
-        elif ins.kind == "CPHA" and len(ins.controls) >= 3:
-            out.extend(_expand_one(ins, prune_tol))
-        else:
-            out.append(ins)
-    return Program(p.nb, tuple(out))
+    kind, target, mask, val, angle = p.columns
+    nctrl = bitops.popcount(mask)
+    cpha = kind == CPHA
+    rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
+    if not rows.size:
+        return p
+    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= prune_tol)
+    keys = np.stack([kind[rows], target[rows], mask[rows], val[rows], pruned], axis=1)
+    uniq, which = np.unique(keys, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    templates = [_expansion(p.nb, *key, prune_tol) for key in uniq.tolist()]
+    # Output slots: every row keeps one, an expanded row takes its template's.
+    lens = np.ones(len(p), dtype=np.int64)
+    lens[rows] = np.array([len(t) for t in templates])[which]
+    start = np.cumsum(lens) - lens
+    out = [np.empty(int(lens.sum()), dtype=c.dtype) for c in p.columns]
+    kept = np.ones(len(p), dtype=bool)
+    kept[rows] = False
+    for o, c in zip(out, p.columns):
+        o[start[kept]] = c[kept]
+    groups = np.split(rows[np.argsort(which, kind="stable")],
+                      np.cumsum(np.bincount(which))[:-1])
+    for key, tpl, group in zip(uniq.tolist(), templates, groups):
+        slots = start[group][:, None] + np.arange(len(tpl))
+        for o, c in zip(out, tpl.columns[:4]):
+            o[slots] = c
+        out[4][slots] = tpl.angle * angle[group][:, None] if key[0] == CPHA else tpl.angle
+    return Program.from_columns(p.nb, *out, validate=False)
+
+
+@functools.lru_cache(maxsize=256)
+def _mask_tables(lut: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Byte tables of a bit relabeling: table j maps the byte of a mask at
+    bits 8j..8j+7 to the image of those bits."""
+    v = np.arange(256, dtype=np.int64)
+    tables = []
+    for j in range(0, len(lut), 8):
+        t = np.zeros(256, dtype=np.int64)
+        for i, dest in enumerate(lut[j:j + 8]):
+            t |= ((v >> i) & 1) << dest
+        t.flags.writeable = False
+        tables.append(t)
+    return tuple(tables)
+
+
+def _map_masks(tables: tuple[np.ndarray, ...], masks: np.ndarray) -> np.ndarray:
+    out = tables[0][masks & 0xFF]
+    for j, t in enumerate(tables[1:], start=1):
+        out |= t[(masks >> (8 * j)) & 0xFF]
+    return out
 
 
 def rename_bits(p: Program, mapping) -> Program:
-    """Rewrite every bit index through ``mapping`` (callable or sequence)."""
+    """Rewrite every bit index through ``mapping`` (callable or sequence),
+    which must be defined on every bit 0..nb-1.
+
+    Targets go through a lookup table and masks through byte tables of the
+    bit relabeling.  The result is checked only when the mapping is not
+    injective into 0..nb-1.
+    """
     get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
-    out = []
-    for ins in p.instructions:
-        out.append(Instruction(
-            ins.kind,
-            target=None if ins.target is None else get(ins.target),
-            controls=tuple(Control(get(c.bit), c.polarity) for c in ins.controls),
-            angle=ins.angle,
-        ))
-    return Program(p.nb, tuple(out))
+    images = tuple(int(get(b)) for b in range(p.nb))
+    if min(images) < 0 or max(images) >= p.nb:
+        raise ValueError(f"bit mapping leaves 0..{p.nb - 1}: {list(images)}")
+    tables = _mask_tables(images)
+    lut = np.array(images + (-1,))   # a target of -1 stays -1
+    out = Program.from_columns(p.nb, p.kind, lut[p.target], _map_masks(tables, p.ctrl_mask),
+                               _map_masks(tables, p.ctrl_val), p.angle, validate=False)
+    if len(set(images)) != p.nb:
+        out.validate()
+    return out

@@ -173,3 +173,22 @@ def kron_program_matrix(program):
     for ins in program:
         out = kron_instruction_matrix(ins, program.nb) @ out
     return out
+
+
+def concat_by_rows(*programs):
+    """concat, defined instruction by instruction."""
+    from csdc import Program
+    return Program(max(p.nb for p in programs), [ins for p in programs for ins in p])
+
+
+def rename_by_rows(p, mapping):
+    """rename_bits, defined instruction by instruction: every bit goes to
+    mapping[bit], and controls are listed in increasing bit order."""
+    from csdc import Control, Instruction, Program
+    out = []
+    for ins in p:
+        controls = sorted((Control(mapping[c.bit], c.polarity) for c in ins.controls),
+                          key=lambda c: c.bit)
+        target = None if ins.target is None else mapping[ins.target]
+        out.append(Instruction(ins.kind, target, tuple(controls), ins.angle))
+    return Program(p.nb, out)

@@ -214,7 +214,7 @@ def dense_runs(p: Program) -> int:
     """Dense updates made while simulating p: each one writes the matrix twice,
     once for the lo rows of its pairs and once for the hi rows."""
     _CountingArray.writes = 0
-    _simulate(np.eye(1 << p.nb, dtype=complex).view(_CountingArray), p.instructions, p.nb)
+    _simulate(np.eye(1 << p.nb, dtype=complex).view(_CountingArray), p)
     assert _CountingArray.writes % 2 == 0
     return _CountingArray.writes // 2
 
