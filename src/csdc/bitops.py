@@ -35,8 +35,8 @@ def gray_sequence(n: int) -> list[int]:
 def hadamard_transform(v) -> np.ndarray:
     """Apply the 2**n Sylvester-Hadamard matrix to v with the butterfly recursion.
 
-    O(n 2**n); exact integer arithmetic when the input is an integer array.
-    Applying it twice scales the input by 2**n.
+    O(n 2**n), one array pass per bit; exact integer arithmetic when the input
+    is an integer array.  Applying it twice scales the input by 2**n.
     """
     a = np.asarray(v)
     if a.ndim != 1:
@@ -47,11 +47,10 @@ def hadamard_transform(v) -> np.ndarray:
     out = a.astype(np.int64) if np.issubdtype(a.dtype, np.integer) else a.copy()
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            x = out[start:start + h].copy()
-            y = out[start + h:start + 2 * h].copy()
-            out[start:start + h] = x + y
-            out[start + h:start + 2 * h] = x - y
+        pairs = out.reshape(-1, 2, h)   # pairs[:, 0] and pairs[:, 1] are h apart
+        x = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = x - pairs[:, 1]
         h *= 2
     return out
 

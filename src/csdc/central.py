@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import BitPermutation, basis_change_matrix, gray_sequence, hadamard_transform
+# basis_change_matrix is not called here; it stays importable from this
+# module, where perfbench/spans.py traces it by name.
+from .bitops import (BitPermutation, basis_change_matrix, gray_sequence,  # noqa: F401
+                     hadamard_transform)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import CNOT, CPHA, PHAS, ROTY, ROTZ, Program, concat, rename_bits, z_ladder
 
@@ -182,8 +185,17 @@ def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
 
 def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
     """Coefficients of a diagonal's phases over products of number operators:
-    theta = M^T phi with M the projector-to-number basis change."""
-    return basis_change_matrix("projector-to-number", nb).real.T @ phases
+    theta = M^T phi with M the projector-to-number basis change, that is
+    theta[b] = sum over the subsets a of b of (-1)**|b - a| phi[a].
+
+    One in-place butterfly per bit, O(nb 2**nb): the entries with bit b set
+    subtract their partners without it.
+    """
+    t = np.array(phases, dtype=np.float64)
+    for b in range(nb):
+        pairs = t.reshape(-1, 2, 1 << b)
+        pairs[:, 1] -= pairs[:, 0]
+    return t
 
 
 def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
