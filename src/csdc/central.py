@@ -80,13 +80,6 @@ class CentralMatrix:
         else:
             raise ValueError(f"unknown central-matrix variant {self.variant!r}")
 
-    @property
-    def blocks(self) -> tuple[PhaseFactors, ...]:
-        """complexD: the parameters of each D block, built on demand."""
-        f = self.factors
-        return tuple(PhaseFactors(*(getattr(f, name)[i] for name in _PHASE_FIELDS))
-                     for i in range(len(f.thetas)))
-
 
 def real_d_central(nb: int, level: int, angles) -> CentralMatrix:
     return CentralMatrix("realD", nb, level, angles=np.asarray(angles, dtype=np.float64))
@@ -174,7 +167,7 @@ def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
     slots = np.zeros((k + 1, nb), dtype=bool)
     slots[:, :w] = (masks[:, None] >> np.arange(w)) & 1
     slots[:k, w] = True
-    row, col = np.nonzero(slots)
+    _, col = np.nonzero(slots)
     rot = col == w
     ctrl = np.where(rot, 0, 1 << col)
     angle = np.zeros(len(col))

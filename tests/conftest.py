@@ -109,8 +109,9 @@ def dense_central(c):
         return dense_real_d_central(c.nb, c.level, np.asarray(c.angles))
     if c.variant == "diagonal":
         return dense_diagonal(np.asarray(c.phases))
-    blocks = [dense_complex_d_block(pf.omega, pf.omega_l, pf.omega_r, pf.thetas)
-              for pf in c.blocks]
+    f = c.factors
+    blocks = [dense_complex_d_block(*rows)
+              for rows in zip(f.omega, f.omega_l, f.omega_r, f.thetas)]
     return block_diag(blocks)
 
 
