@@ -436,7 +436,8 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     At the end R, then F, is applied.  The cost is
     O(#dense runs * 2**nb * m + len * 2**nb); a ROTY ladder on one target, with
     the c-nots on that target between its rotations, is one dense run.  Index
-    plans are cached per call, keyed by the ints of the columns.  arr may be
+    plans are cached per call, keyed by the ints of the columns, and every
+    dense run reuses the same four half-size work arrays.  arr may be
     overwritten; the result is returned.
     """
     n = 1 << p.nb
@@ -451,14 +452,20 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     highs: dict = {}
     pairs: dict = {}
     run = None  # pending R: (rows a, their partners b, partner, coef)
+    bufs: list[np.ndarray] = []   # four (2**nb / 2, m) work arrays, shared by the flushes
 
     def flush(arr, run):
         # Two half-row passes: the lo rows of every pair, then the hi rows.
         a, b, _, coef = run
+        if not bufs:
+            bufs.extend(np.empty((len(a),) + arr.shape[1:], dtype=arr.dtype) for _ in range(4))
+        xa, xb, out, tmp = bufs
         ca, cb = coef[a], coef[b]
-        xa, xb = arr[a], arr[b]
-        out = xa * ca[:, :1]
-        out += xb * ca[:, 1:]
+        # mode="clip" (the rows are in range) keeps take from buffering its output
+        np.take(arr, a, axis=0, out=xa, mode="clip")
+        np.take(arr, b, axis=0, out=xb, mode="clip")
+        np.multiply(xa, ca[:, :1], out=out)
+        out += np.multiply(xb, ca[:, 1:], out=tmp)
         arr[a] = out
         xb *= cb[:, :1]
         xa *= cb[:, 1:]
@@ -517,6 +524,7 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
             run = (a, b, partner, coef)
     if run is not None:
         flush(arr, run)
+    bufs.clear()   # before the gather below, which allocates a full copy
     if not (pos == rows).all():
         arr = arr[pos]
     ph *= g

@@ -136,6 +136,14 @@ class TestColumnStages:
         assert np.array_equal(one[1].angle, one[0].angle * (-8 / 40))
 
 
+def test_simulator_plans_tell_control_values_apart():
+    # Same target and control mask, different control values: each needs its
+    # own cached index plan.
+    p = parse("ROTY 0 20\nROTY 1 35\nROTY 2 50\nCPHA 0 T 1 T 30\nCPHA 0 F 1 T 50\n"
+              "CNOT 0 T 1 F 2\nCNOT 0 F 1 F 2\nCNOT 0 F 1 T 2\nROTY 2 15", nb=3)
+    assert np.abs(program_to_matrix(p) - kron_program_matrix(p)).max() < 1e-12
+
+
 def _columns(**change):
     """Columns of the valid program CNOT 0 T 2 (nb 3), with some replaced."""
     cols = dict(kind=[seo.CNOT], target=[2], ctrl_mask=[1], ctrl_val=[1], angle=[0.0])
