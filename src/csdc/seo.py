@@ -17,7 +17,7 @@ to first.
 A :class:`Program` stores its instructions as five numpy columns, one entry
 per instruction:
 
-  kind       int8 code into KINDS
+  kind       int64 code into KINDS
   target     int64 target bit, -1 for the kinds without one (PHAS, CPHA)
   ctrl_mask  int64: bit b is a control iff it is set
   ctrl_val   int64: the control on bit b is T iff it is set (a subset of
@@ -158,7 +158,7 @@ class Program:
 
     def _set(self, nb, kind, target, ctrl_mask, ctrl_val, angle) -> None:
         self.nb = int(nb)
-        self.kind = np.asarray(kind, dtype=np.int8)
+        self.kind = np.asarray(kind, dtype=np.int64)
         self.target = np.asarray(target, dtype=np.int64)
         self.ctrl_mask = np.asarray(ctrl_mask, dtype=np.int64)
         self.ctrl_val = np.asarray(ctrl_val, dtype=np.int64)

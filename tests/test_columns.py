@@ -158,6 +158,7 @@ class TestValidation:
     @pytest.mark.parametrize("change, message", [
         (dict(kind=[6]), "kind codes"),
         (dict(kind=[-1]), "kind codes"),
+        (dict(kind=[256]), "kind codes"),
         (dict(target=[-1]), "target bit iff"),
         (dict(kind=[seo.CPHA], angle=[5.0]), "target bit iff"),
         (dict(target=[3]), "target bit out of range"),
