@@ -96,17 +96,18 @@ class Instruction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
-        if self.kind in ("ROTY", "ROTZ", "SIGX", "CNOT"):
+        code = _CODE[self.kind]
+        if _TAKES_TARGET[code]:
             if self.target is None or self.target < 0:
                 raise ValueError(f"{self.kind} needs a non-negative target bit")
         elif self.target is not None:
             raise ValueError(f"{self.kind} carries no target")
-        if self.kind in ("ROTY", "ROTZ", "PHAS", "CPHA"):
+        if _TAKES_ANGLE[code]:
             if self.angle is None or not np.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} carries no angle")
-        if self.kind in ("CNOT", "CPHA"):
+        if _TAKES_CONTROLS[code]:
             if len(self.controls) < 1:
                 raise ValueError(f"{self.kind} needs at least one control")
         elif self.controls:
