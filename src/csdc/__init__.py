@@ -8,9 +8,8 @@ from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                      sylvester_hadamard)
 from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
                   lighten, normalize_angles, phase_factors_matrix, qr_nonneg)
-from .seo import (Control, DenseTooLargeError, Instruction, Program, apply_to_state,
-                  exchanger_program, expand_controls, instruction_matrix, parse,
-                  program_to_matrix, serialize)
+from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
+                  expand_controls, parse, program_to_matrix, serialize)
 from .central import (CentralMatrix, angles_to_theta, complex_d_central,
                       decompose_complex_d, decompose_diagonal, decompose_real_d,
                       decompose_right_angle_case, diagonal_central, level_alias,
@@ -29,9 +28,8 @@ __all__ = [
     "sylvester_hadamard",
     "CsdFactors", "PhaseFactors", "csd", "extract_phases", "is_complex_d",
     "lighten", "normalize_angles", "phase_factors_matrix", "qr_nonneg",
-    "Control", "DenseTooLargeError", "Instruction", "Program", "apply_to_state", "exchanger_program",
-    "expand_controls", "instruction_matrix", "parse", "program_to_matrix",
-    "serialize",
+    "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
+    "expand_controls", "parse", "program_to_matrix", "serialize",
     "CentralMatrix", "angles_to_theta", "complex_d_central",
     "decompose_complex_d", "decompose_diagonal", "decompose_real_d",
     "decompose_right_angle_case", "diagonal_central", "level_alias",

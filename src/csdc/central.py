@@ -136,7 +136,7 @@ def _alias_rename(prog: Program, nb: int, level: int) -> Program:
 
 def _program(nb: int, kind, target, mask, val, angle) -> Program:
     """A program from emitted columns, valid by construction."""
-    return Program.from_columns(nb, kind, target, mask, val, angle, validate=False)
+    return Program(nb, kind, target, mask, val, angle, validate=False)
 
 
 def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:

@@ -15,13 +15,14 @@ import sys
 
 import numpy as np
 
-from .compiler import CompileOptions, compile_unitary, pad_to_power_of_two
-# unitarity_deviation is not called here (pad_to_power_of_two checks); it
-# stays importable from this module, where perfbench/spans.py traces it.
+# pad_to_power_of_two and unitarity_deviation are not called here
+# (compile_unitary pads and checks); they stay importable from this module,
+# where perfbench/spans.py traces them by name.
+from .compiler import CompileOptions, _embed, compile_unitary, pad_to_power_of_two  # noqa: F401
 from .matrices import (DEFAULT_TOL, MatrixFormatError, NotUnitaryError,  # noqa: F401
                        frobenius_distance, read_matrix_file, unitarity_deviation,
                        write_matrix_file)
-from .seo import DenseTooLargeError, SeoParseError, parse, program_to_matrix, serialize
+from .seo import SeoParseError, parse, program_to_matrix, serialize
 
 # The compiled program must reproduce the (padded) input to this Frobenius
 # distance or the compile command fails with exit code 4.
@@ -66,10 +67,10 @@ def run_compile(args) -> int:
         u = read_matrix_file(args.input)
     except (OSError, MatrixFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot read matrix file: {exc}")
-    opts = _options_from_args(args)
-    padded, original_dim = pad_to_power_of_two(u, opts.tol)
+    program = compile_unitary(u, _options_from_args(args))   # checks unitarity once
+    padded = _embed(u)
+    original_dim = u.shape[0]
     nb = padded.shape[0].bit_length() - 1
-    program = compile_unitary(padded, opts)
     error = frobenius_distance(padded, program_to_matrix(program))
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -199,9 +200,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotUnitaryError as exc:
         return _fail(EXIT_NOT_UNITARY, str(exc))
-    except DenseTooLargeError as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
-    except ValueError as exc:
+    except ValueError as exc:   # DenseTooLargeError and SeoParseError among them
         return _fail(EXIT_BAD_INPUT, str(exc))
 
 

@@ -94,16 +94,22 @@ def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     dev = unitarity_deviation(a)
     if dev > tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
+    return _embed(a), a.shape[0]
+
+
+def _embed(a: np.ndarray) -> np.ndarray:
+    """a ⊕ I in the next power-of-two dimension (at least 2), as a new array;
+    a is square and unchecked."""
     dim = a.shape[0]
     n = 1
     while (1 << n) < dim:
         n += 1
     full = 1 << n
     if full == dim:
-        return a.copy(), dim
+        return a.copy()
     out = np.eye(full, dtype=np.complex128)
     out[:dim, :dim] = a
-    return out, dim
+    return out
 
 
 def _identity_mask(sides: np.ndarray) -> np.ndarray:

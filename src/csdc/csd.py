@@ -318,9 +318,6 @@ class PhaseFactors:
         phases = np.stack([self.omega, self.omega_l, self.omega_r])
         return np.all(np.abs(_wrap_deg(phases)) <= scale, axis=(0, -1))
 
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(self.real_mask(tol))
-
 
 def _wrap_deg(a) -> np.ndarray:
     """Wrap degrees into (-180, 180]."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitops import sylvester_hadamard
-from .seo import Control, Instruction, Program
+from .seo import CPHA, PHAS, ROTY, ROTZ, Program
 
 
 def dft_matrix(nb: int) -> np.ndarray:
@@ -26,16 +26,6 @@ def hadamard_input(nb: int) -> np.ndarray:
     return sylvester_hadamard(nb) / np.sqrt(1 << nb)
 
 
-def _hadamard_triple(bit: int) -> list[Instruction]:
-    # H = sigma_z exp(i sigma_y 45deg) and sigma_z = exp(-i 90deg) exp(i sigma_z 90deg),
-    # so the single-qubit Hadamard is this fixed three-instruction sequence.
-    return [
-        Instruction("ROTY", target=bit, angle=45.0),
-        Instruction("ROTZ", target=bit, angle=90.0),
-        Instruction("PHAS", angle=-90.0),
-    ]
-
-
 def quantum_fft_program(nb: int) -> Program:
     """The textbook quantum FFT gate sequence (without the final bit reversal).
 
@@ -46,14 +36,17 @@ def quantum_fft_program(nb: int) -> Program:
     """
     if nb < 1:
         raise ValueError("quantum_fft_program requires nb >= 1")
-    out: list[Instruction] = []
+    kind, target, ctrl, angle = [], [], [], []
     for alpha in range(nb - 1, -1, -1):
-        out.extend(_hadamard_triple(alpha))
-        if alpha >= 1:
-            for gamma in range(alpha, nb):
-                out.append(Instruction(
-                    "CPHA",
-                    controls=(Control(alpha - 1, True), Control(gamma, True)),
-                    angle=360.0 / (1 << (gamma - alpha + 2)),
-                ))
-    return Program(nb, tuple(out))
+        # H = sigma_z exp(i sigma_y 45deg) and sigma_z = exp(-i 90deg) exp(i sigma_z 90deg),
+        # so the single-qubit Hadamard is this fixed three-instruction sequence.
+        kind += [ROTY, ROTZ, PHAS]
+        target += [alpha, alpha, -1]
+        ctrl += [0, 0, 0]
+        angle += [45.0, 90.0, -90.0]
+        for gamma in range(alpha, nb) if alpha >= 1 else ():
+            kind.append(CPHA)
+            target.append(-1)
+            ctrl.append(1 << (alpha - 1) | 1 << gamma)
+            angle.append(360.0 / (1 << (gamma - alpha + 2)))
+    return Program(nb, kind, target, ctrl, ctrl, angle)

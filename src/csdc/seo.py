@@ -1,6 +1,6 @@
-"""Instruction model for gate sequences (SEO files).
+"""Gate sequences (SEO files) as programs of five columns.
 
-A program is an ordered list of instructions over six kinds:
+A program is an ordered sequence of instructions over six kinds:
 
   ROTY a ang      qubit rotation exp(i sigma_y(a) ang pi/180)
   ROTZ a ang      qubit rotation exp(i sigma_z(a) ang pi/180)
@@ -24,13 +24,11 @@ per instruction:
              ctrl_mask)
   angle      float64 degrees, 0.0 for the kinds without one (SIGX, CNOT)
 
-The columns are checked once, vectorised, when a program is built from
-outside (``Program(...)``, ``Program.from_columns``, ``parse``); the stages
-here (concat, rename_bits, expand_controls, serialize, the simulator) work on
-them with array operations.  ``Instruction`` and ``Control`` are the row
-view: ``Program(nb, instructions)`` accepts them, and iterating a program or
-reading ``.instructions`` builds them on demand.  Controls are listed in
-increasing bit order, in rows and in SEO text alike.
+A program is built from SEO text by ``parse`` or from its columns by
+``Program(nb, kind, target, ctrl_mask, ctrl_val, angle)``; either way the
+columns are checked once, vectorised.  The stages here (concat, rename_bits,
+expand_controls, serialize, the simulator) work on them with array
+operations.  Controls are written in increasing bit order.
 """
 from __future__ import annotations
 
@@ -38,7 +36,6 @@ import cmath
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,56 +71,6 @@ class DenseTooLargeError(ValueError):
     """Raised before a dense simulation whose matrices would not fit in memory."""
 
 
-@dataclass(frozen=True)
-class Control:
-    bit: int
-    polarity: bool  # True for T (bit must be 1), False for F
-
-    def __post_init__(self):
-        if self.bit < 0:
-            raise ValueError(f"control bit must be non-negative, got {self.bit}")
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One row of a program, as an object; see the module docstring."""
-
-    kind: str
-    target: int | None = None
-    controls: tuple[Control, ...] = ()
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown instruction kind {self.kind!r}")
-        code = _CODE[self.kind]
-        if _TAKES_TARGET[code]:
-            if self.target is None or self.target < 0:
-                raise ValueError(f"{self.kind} needs a non-negative target bit")
-        elif self.target is not None:
-            raise ValueError(f"{self.kind} carries no target")
-        if _TAKES_ANGLE[code]:
-            if self.angle is None or not np.isfinite(self.angle):
-                raise ValueError(f"{self.kind} needs a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} carries no angle")
-        if _TAKES_CONTROLS[code]:
-            if len(self.controls) < 1:
-                raise ValueError(f"{self.kind} needs at least one control")
-        elif self.controls:
-            raise ValueError(f"{self.kind} carries no controls")
-        bits = self.bits()
-        if len(bits) != len(set(bits)):
-            raise ValueError(f"{self.kind} bits must be distinct, got {bits}")
-
-    def bits(self) -> tuple[int, ...]:
-        """All bit indices the instruction touches, controls first."""
-        out = tuple(c.bit for c in self.controls)
-        if self.target is not None:
-            out += (self.target,)
-        return out
-
-
 def _bits_of(mask: int) -> list[int]:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
@@ -143,38 +90,19 @@ class Program:
 
     __slots__ = ("nb", "kind", "target", "ctrl_mask", "ctrl_val", "angle")
 
-    def __init__(self, nb: int, instructions=()):
-        rows = tuple(instructions)
-        if not 1 <= nb <= MAX_NB:
-            raise ValueError(f"a program needs 1 <= nb <= {MAX_NB}, got {nb}")
-        top = max((max(ins.bits(), default=-1) for ins in rows), default=-1)
-        if top >= nb:
-            raise ValueError(f"bit {top} out of range for nb={nb}")
-        self._set(nb, [_CODE[ins.kind] for ins in rows],
-                  [-1 if ins.target is None else ins.target for ins in rows],
-                  [sum(1 << c.bit for c in ins.controls) for ins in rows],
-                  [sum(1 << c.bit for c in ins.controls if c.polarity) for ins in rows],
-                  [0.0 if ins.angle is None else ins.angle for ins in rows])
-        self.validate()
-
-    def _set(self, nb, kind, target, ctrl_mask, ctrl_val, angle) -> None:
+    def __init__(self, nb: int, kind=(), target=(), ctrl_mask=(), ctrl_val=(), angle=(),
+                 validate: bool = True):
+        """A program with the given columns; ``Program(nb)`` is empty.
+        ``validate=False`` is for callers that build the columns valid by
+        construction."""
         self.nb = int(nb)
         self.kind = np.asarray(kind, dtype=np.int64)
         self.target = np.asarray(target, dtype=np.int64)
         self.ctrl_mask = np.asarray(ctrl_mask, dtype=np.int64)
         self.ctrl_val = np.asarray(ctrl_val, dtype=np.int64)
         self.angle = np.asarray(angle, dtype=np.float64)
-
-    @classmethod
-    def from_columns(cls, nb: int, kind, target, ctrl_mask, ctrl_val, angle,
-                     validate: bool = True) -> "Program":
-        """A program with the given columns.  ``validate=False`` is for callers
-        that build the columns valid by construction."""
-        p = cls.__new__(cls)
-        p._set(nb, kind, target, ctrl_mask, ctrl_val, angle)
         if validate:
-            p.validate()
-        return p
+            self.validate()
 
     def validate(self) -> None:
         """Check every rule of the column encoding; raise ValueError if one fails."""
@@ -210,17 +138,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def __iter__(self):
-        for k, t, m, v, a in zip(*(c.tolist() for c in self.columns)):
-            yield Instruction(KINDS[k], None if t < 0 else t,
-                              tuple(Control(b, bool(v >> b & 1)) for b in _bits_of(m)),
-                              a if _ANGLED[k] else None)
-
-    @property
-    def instructions(self) -> tuple[Instruction, ...]:
-        """The rows as Instruction objects, built on demand."""
-        return tuple(self)
-
     def __eq__(self, other):
         if not isinstance(other, Program):
             return NotImplemented
@@ -243,7 +160,7 @@ def concat(*programs: Program) -> Program:
         raise ValueError("concat needs at least one program")
     nb = max(p.nb for p in programs)
     cols = [np.concatenate(c) for c in zip(*(p.columns for p in programs))]
-    return Program.from_columns(nb, *cols, validate=False)
+    return Program(nb, *cols, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +308,7 @@ def parse(text: str, nb: int | None = None) -> Program:
         rows.append(row)
         angles.append(angle)
     cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return Program.from_columns(top + 1 if nb is None else nb, *cols, angles,
-                                validate=False)
+    return Program(top + 1 if nb is None else nb, *cols, angles, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +450,6 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     return arr
 
 
-def instruction_matrix(ins: Instruction, nb: int) -> np.ndarray:
-    """Dense 2**nb unitary of a single instruction.
-
-    Raises DenseTooLargeError, before allocating, when about
-    DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed the physical memory.
-    """
-    p = Program(nb, (ins,))
-    _check_dense(nb)
-    return _simulate(np.eye(1 << nb, dtype=np.complex128), p)
-
-
 def program_to_matrix(p: Program) -> np.ndarray:
     """Dense unitary of a program: the first instruction acts first on a ket.
 
@@ -578,8 +483,7 @@ def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
     if alpha == beta:
         raise ValueError("exchanger needs two distinct bits")
     ctrl = [1 << beta, 1 << alpha, 1 << beta]
-    return Program.from_columns(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl,
-                                [0.0] * 3)
+    return Program(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl, [0.0] * 3)
 
 
 def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
@@ -633,15 +537,15 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
         prev = (tj, mask)
     if prev is not None:
         cnots(prev[1], bits[prev[0]])
-    return Program.from_columns(max(bits, default=0) + 1, kinds, targets, masks, masks,
-                                angles, validate=False)
+    return Program(max(bits, default=0) + 1, kinds, targets, masks, masks, angles,
+                   validate=False)
 
 
 def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
     """Program of (kind, target, angle) rows without controls."""
     kinds, targets, angles = zip(*rows) if rows else ((), (), ())
     zeros = [0] * len(kinds)
-    return Program.from_columns(nb, kinds, targets, zeros, zeros, angles, validate=False)
+    return Program(nb, kinds, targets, zeros, zeros, angles, validate=False)
 
 
 def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: bool,
@@ -710,7 +614,7 @@ def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
         for o, c in zip(out, tpl.columns[:4]):
             o[slots] = c
         out[4][slots] = tpl.angle * angle[group][:, None] if key[0] == CPHA else tpl.angle
-    return Program.from_columns(p.nb, *out, validate=False)
+    return Program(p.nb, *out, validate=False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -749,8 +653,8 @@ def rename_bits(p: Program, mapping) -> Program:
         raise ValueError(f"bit mapping leaves 0..{p.nb - 1}: {list(images)}")
     tables = _mask_tables(images)
     lut = np.array(images + (-1,))   # a target of -1 stays -1
-    out = Program.from_columns(p.nb, p.kind, lut[p.target], _map_masks(tables, p.ctrl_mask),
-                               _map_masks(tables, p.ctrl_val), p.angle, validate=False)
+    out = Program(p.nb, p.kind, lut[p.target], _map_masks(tables, p.ctrl_mask),
+                  _map_masks(tables, p.ctrl_val), p.angle, validate=False)
     if len(set(images)) != p.nb:
         out.validate()
     return out

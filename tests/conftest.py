@@ -115,9 +115,35 @@ def dense_central(c):
     return block_diag(blocks)
 
 
+def rows(program):
+    """The instructions of a program as (kind name, target, ctrl_mask,
+    ctrl_val, angle) tuples, read from its columns one row at a time."""
+    from csdc.seo import KINDS
+    return [(KINDS[k], t, m, v, a)
+            for k, t, m, v, a in zip(*(c.tolist() for c in program.columns))]
+
+
+def program_of_rows(nb, instructions):
+    """The program with these (kind name, target, ctrl_mask, ctrl_val, angle)
+    rows, checked by the Program constructor."""
+    from csdc import Program
+    from csdc.seo import KINDS
+    kind, target, mask, val, angle = zip(*instructions) if instructions else ((),) * 5
+    return Program(nb, [KINDS.index(k) for k in kind], target, mask, val, angle)
+
+
+def bits_of(mask):
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def width(row):
+    """How many bits one row touches: its controls and its target."""
+    _kind, target, mask, _val, _angle = row
+    return len(bits_of(mask)) + (target >= 0)
+
+
 def random_program(rng, nb, length, kinds=None, max_controls=4):
     """Random well-formed program over all six instruction kinds."""
-    from csdc import Control, Instruction, Program
     kinds = kinds or ["ROTY", "ROTZ", "SIGX", "CNOT", "PHAS", "CPHA"]
     if nb < 2:
         kinds = [k for k in kinds if k not in ("CNOT", "CPHA")]
@@ -126,44 +152,49 @@ def random_program(rng, nb, length, kinds=None, max_controls=4):
         kind = kinds[rng.integers(len(kinds))]
         angle = float(np.round(rng.uniform(-360, 360), 9))
         if kind in ("ROTY", "ROTZ"):
-            out.append(Instruction(kind, target=int(rng.integers(nb)), angle=angle))
+            out.append((kind, int(rng.integers(nb)), 0, 0, angle))
         elif kind == "SIGX":
-            out.append(Instruction(kind, target=int(rng.integers(nb))))
+            out.append((kind, int(rng.integers(nb)), 0, 0, 0.0))
         elif kind == "PHAS":
-            out.append(Instruction(kind, angle=angle))
+            out.append((kind, -1, 0, 0, angle))
         else:
             r = int(rng.integers(1, min(max_controls, nb - 1) + 1))
             bits = rng.choice(nb, size=r + 1, replace=False)
-            controls = tuple(Control(int(b), bool(rng.integers(2))) for b in bits[:-1])
+            mask = val = 0
+            for b in bits[:-1]:
+                mask |= 1 << int(b)
+                val |= int(rng.integers(2)) << int(b)
             if kind == "CNOT":
-                out.append(Instruction(kind, target=int(bits[-1]), controls=controls))
+                out.append((kind, int(bits[-1]), mask, val, 0.0))
             else:
-                out.append(Instruction(kind, controls=controls, angle=angle))
-    return Program(nb, tuple(out))
+                out.append((kind, -1, mask, val, angle))
+    return program_of_rows(nb, out)
 
 
-def kron_instruction_matrix(ins, nb):
-    """Dense matrix of one instruction, as Kronecker products of 2x2 factors.
+def kron_instruction_matrix(row, nb):
+    """Dense matrix of one (kind name, target, ctrl_mask, ctrl_val, angle)
+    row, as Kronecker products of 2x2 factors.
 
     A controlled gate is I + (control projectors) ⊗ (V - I) on the target;
     bit 0 is the rightmost factor.
     """
+    kind, target, mask, val, angle = row
     eye = np.eye(1 << nb, dtype=complex)
-    rad = np.radians(ins.angle) if ins.angle is not None else 0.0
-    if ins.kind == "PHAS":
+    rad = np.radians(angle)
+    if kind == "PHAS":
         return np.exp(1j * rad) * eye
     factors = [np.eye(2, dtype=complex)] * nb
-    for c in ins.controls:
-        factors[c.bit] = P1 if c.polarity else P0
-    if ins.kind == "CPHA":
+    for b in bits_of(mask):
+        factors[b] = P1 if val >> b & 1 else P0
+    if kind == "CPHA":
         return eye + (np.exp(1j * rad) - 1) * kron_all(reversed(factors))
     single = {
         "ROTY": expm(1j * rad * SIGMA_Y),
         "ROTZ": expm(1j * rad * SIGMA_Z),
         "SIGX": SIGMA_X,
         "CNOT": SIGMA_X,
-    }[ins.kind]
-    factors[ins.target] = single - np.eye(2)
+    }[kind]
+    factors[target] = single - np.eye(2)
     return eye + kron_all(reversed(factors))
 
 
@@ -171,25 +202,22 @@ def kron_program_matrix(program):
     """Dense matrix of a program: the product of its instruction matrices,
     last to first."""
     out = np.eye(1 << program.nb, dtype=complex)
-    for ins in program:
-        out = kron_instruction_matrix(ins, program.nb) @ out
+    for row in rows(program):
+        out = kron_instruction_matrix(row, program.nb) @ out
     return out
 
 
 def concat_by_rows(*programs):
     """concat, defined instruction by instruction."""
-    from csdc import Program
-    return Program(max(p.nb for p in programs), [ins for p in programs for ins in p])
+    return program_of_rows(max(p.nb for p in programs), [r for p in programs for r in rows(p)])
 
 
 def rename_by_rows(p, mapping):
     """rename_bits, defined instruction by instruction: every bit goes to
-    mapping[bit], and controls are listed in increasing bit order."""
-    from csdc import Control, Instruction, Program
-    out = []
-    for ins in p:
-        controls = sorted((Control(mapping[c.bit], c.polarity) for c in ins.controls),
-                          key=lambda c: c.bit)
-        target = None if ins.target is None else mapping[ins.target]
-        out.append(Instruction(ins.kind, target, tuple(controls), ins.angle))
-    return Program(p.nb, out)
+    mapping[bit]."""
+    def image(mask):
+        return sum(1 << mapping[b] for b in bits_of(mask))
+
+    out = [(kind, -1 if target < 0 else mapping[target], image(mask), image(val), angle)
+           for kind, target, mask, val, angle in rows(p)]
+    return program_of_rows(p.nb, out)

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import numpy as np
 
-from csdc import (CompileOptions, Control, Instruction, Program, build_tree,
+from csdc import (CompileOptions, build_tree,
                   compile_unitary, csd, decompose_diagonal, decompose_real_d,
                   decompose_right_angle_case, decompose_complex_d,
                   diagonal_central, expand_controls, frobenius_distance,
@@ -15,8 +15,8 @@ from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.central import is_right_angle
 from csdc.reference import dft_matrix
 
-from conftest import (block_diag, dense_central, dense_diagonal,
-                      random_phase_factors, random_program, random_unitary)
+from conftest import (block_diag, dense_central, dense_diagonal, program_of_rows,
+                      random_phase_factors, random_program, random_unitary, rows, width)
 
 SEED = 0xC5D
 
@@ -49,7 +49,7 @@ def test_criterion_2_quantum_fft_reproduction():
         u = dft_input(nb)
         prog = compile_unitary(u)
         err = frobenius_distance(u, program_to_matrix(prog))
-        got = sorted(i.angle for i in prog if i.kind == "CPHA")
+        got = sorted(r[4] for r in rows(prog) if r[0] == "CPHA")
         want = sorted(360.0 / (1 << g) for g in range(2, nb + 1)
                       for _ in range(nb + 1 - g))
         multiset_ok = (len(got) == len(want)
@@ -119,19 +119,15 @@ def test_criterion_5_control_expansion_oracle():
         r = int(rng.integers(2, min(3, nb - 1) + 1))
         if i % 2:
             bits = rng.choice(nb, size=r + 1, replace=False)
-            ins = Instruction(
-                "CNOT", target=int(bits[-1]),
-                controls=tuple(Control(int(b), bool(rng.integers(2)))
-                               for b in bits[:-1]))
+            kind, controls, target, angle = "CNOT", bits[:-1], int(bits[-1]), 0.0
         else:
             bits = rng.choice(nb, size=r, replace=False)
-            ins = Instruction(
-                "CPHA", angle=float(rng.uniform(-180, 180)),
-                controls=tuple(Control(int(b), bool(rng.integers(2)))
-                               for b in bits))
-        prog = Program(nb, (ins,))
+            kind, controls, target, angle = "CPHA", bits, -1, float(rng.uniform(-180, 180))
+        mask = sum(1 << int(b) for b in controls)
+        val = sum(int(rng.integers(2)) << int(b) for b in controls)
+        prog = program_of_rows(nb, [(kind, target, mask, val, angle)])
         ex = expand_controls(prog)
-        fat += sum(1 for j in ex if len(j.bits()) > 2)
+        fat += sum(1 for row in rows(ex) if width(row) > 2)
         worst = max(worst, frobenius_distance(program_to_matrix(ex),
                                               program_to_matrix(prog)))
     report("criterion 5: multi-control expansion preserves matrices over 2-bit gates",

@@ -1,57 +1,57 @@
-"""The column representation of a program: row view, text I/O, the column
+"""The column representation of a program: its rows, text I/O, the column
 stages against per-instruction definitions, validation and the dense guard."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (Control, DenseTooLargeError, Instruction, Program, cli, compiler,
-                  expand_controls, instruction_matrix, parse, program_to_matrix, seo,
-                  serialize)
+from csdc import (DenseTooLargeError, Program, cli, compiler, expand_controls, matrices,
+                  parse, program_to_matrix, seo, serialize)
 from csdc.seo import KINDS, SeoParseError, concat, rename_bits
 
-from conftest import (concat_by_rows, kron_program_matrix, random_program,
-                      random_unitary, rename_by_rows)
+from conftest import (concat_by_rows, kron_program_matrix, program_of_rows,
+                      random_program, random_unitary, rename_by_rows, rows, width)
 
 ANGLES = st.floats(-720, 720, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def instructions(draw, nb):
-    """One instruction on nb bits, controls in increasing bit order."""
+    """One (kind name, target, ctrl_mask, ctrl_val, angle) row on nb bits."""
     kind = draw(st.sampled_from(KINDS if nb >= 2 else ("ROTY", "ROTZ", "SIGX", "PHAS", "CPHA")))
     if kind == "PHAS":
-        return Instruction(kind, angle=draw(ANGLES))
+        return (kind, -1, 0, 0, draw(ANGLES))
     if kind in ("ROTY", "ROTZ", "SIGX"):
-        angle = None if kind == "SIGX" else draw(ANGLES)
-        return Instruction(kind, target=draw(st.integers(0, nb - 1)), angle=angle)
+        angle = 0.0 if kind == "SIGX" else draw(ANGLES)
+        return (kind, draw(st.integers(0, nb - 1)), 0, 0, angle)
     first = 1 if kind == "CNOT" else 0
     bits = draw(st.lists(st.integers(0, nb - 1), min_size=first + 1, max_size=nb, unique=True))
-    controls = tuple(Control(b, draw(st.booleans())) for b in sorted(bits[first:]))
+    mask = sum(1 << b for b in bits[first:])
+    val = sum(1 << b for b in bits[first:] if draw(st.booleans()))
     if kind == "CNOT":
-        return Instruction(kind, target=bits[0], controls=controls)
-    return Instruction(kind, controls=controls, angle=draw(ANGLES))
+        return (kind, bits[0], mask, val, 0.0)
+    return (kind, -1, mask, val, draw(ANGLES))
 
 
 @st.composite
 def programs(draw, max_nb=6, max_len=12):
     nb = draw(st.integers(1, max_nb))
-    return Program(nb, draw(st.lists(instructions(nb), max_size=max_len)))
+    return program_of_rows(nb, draw(st.lists(instructions(nb), max_size=max_len)))
 
 
 class TestRowView:
+    """A row is one index into the five columns: one line of SEO text."""
+
     @given(st.integers(1, 6).flatmap(
         lambda nb: st.tuples(st.just(nb), st.lists(instructions(nb), max_size=12))))
     @settings(max_examples=80, deadline=None)
     def test_rows_round_trip(self, nb_rows):
-        nb, rows = nb_rows
-        assert list(Program(nb, rows)) == rows
-        assert Program(nb, rows).instructions == tuple(rows)
+        # The constructor accepts every well-formed row and stores it as given.
+        nb, given_rows = nb_rows
+        assert rows(program_of_rows(nb, given_rows)) == given_rows
 
     def test_controls_listed_in_bit_order(self):
-        ins = Instruction("CNOT", target=0, controls=(Control(3, False), Control(1, True)))
-        (row,) = Program(4, (ins,))
-        assert row.controls == (Control(1, True), Control(3, False))
+        assert serialize(parse("CNOT 3 F 1 T 0")) == "CNOT 1 T 3 F 0\n"
 
     def test_columns_of_a_row(self):
         p = parse("CNOT 0 T 2 F 1\nCPHA 3 F 2 T 45\nPHAS 10\nSIGX 1")
@@ -123,7 +123,7 @@ class TestColumnStages:
     def test_expand_controls_matches_kron(self, nb, length, seed):
         p = random_program(np.random.default_rng(seed), nb, length, max_controls=3)
         ex = expand_controls(p)
-        assert all(len(i.bits()) <= 2 for i in ex)
+        assert all(width(r) <= 2 for r in rows(ex))
         assert np.abs(kron_program_matrix(ex) - kron_program_matrix(p)).max() < 1e-12
 
     def test_expansion_template_scales_with_angle(self):
@@ -153,7 +153,7 @@ def _columns(**change):
 
 class TestValidation:
     def test_valid_columns(self):
-        assert serialize(Program.from_columns(3, **_columns())) == "CNOT 0 T 2\n"
+        assert serialize(Program(3, **_columns())) == "CNOT 0 T 2\n"
 
     @pytest.mark.parametrize("change, message", [
         (dict(kind=[6]), "kind codes"),
@@ -172,14 +172,15 @@ class TestValidation:
         (dict(kind=[seo.ROTY], ctrl_mask=[0], ctrl_val=[0], angle=[np.inf]), "finite angle"),
         (dict(kind=[seo.ROTY], ctrl_mask=[0], ctrl_val=[0], angle=[np.nan]), "finite angle"),
         (dict(angle=[1.0]), "carries no angle"),
+        (dict(kind=[seo.PHAS], target=[-1], angle=[5.0]), "at least one control iff"),
     ])
     def test_rule_rejects_bad_column(self, change, message):
         with pytest.raises(ValueError, match=message):
-            Program.from_columns(3, **_columns(**change))
+            Program(3, **_columns(**change))
 
     def test_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
-            Program.from_columns(3, **_columns(angle=[0.0, 0.0]))
+            Program(3, **_columns(angle=[0.0, 0.0]))
 
     @pytest.mark.parametrize("nb", [0, 64])
     def test_nb_range(self, nb):
@@ -190,7 +191,7 @@ class TestValidation:
         cols = dict(kind=[seo.SIGX, seo.SIGX], target=[0, 5], ctrl_mask=[0, 0],
                     ctrl_val=[0, 0], angle=[0.0, 0.0])
         with pytest.raises(ValueError, match="instruction 1"):
-            Program.from_columns(3, **cols)
+            Program(3, **cols)
 
 
 class TestDenseGuard:
@@ -201,15 +202,11 @@ class TestDenseGuard:
     def test_boundary(self, monkeypatch, limit, ok):
         monkeypatch.setattr(seo, "physical_memory_bytes", lambda: limit)
         p = parse("SIGX 1\nROTY 0 30")
-        ins = Instruction("SIGX", target=1)
         if ok:
             assert program_to_matrix(p).shape == (4, 4)
-            assert instruction_matrix(ins, 2).shape == (4, 4)
         else:
             with pytest.raises(DenseTooLargeError, match="768 bytes, more than the 767"):
                 program_to_matrix(p)
-            with pytest.raises(DenseTooLargeError):
-                instruction_matrix(ins, 2)
 
     def test_unknown_memory_does_not_guard(self, monkeypatch):
         monkeypatch.setattr(seo, "physical_memory_bytes", lambda: None)
@@ -231,6 +228,17 @@ class TestUnitarityCheckedOnce:
         monkeypatch.setattr(compiler, "unitarity_deviation",
                             lambda a: calls.append(a.shape) or original(a))
         compiler.compile_unitary(random_unitary(rng, 8))
+        assert calls == [(8, 8)]
+
+    def test_cli_compile_checks_once(self, rng, tmp_path, monkeypatch):
+        calls = []
+        original = matrices.unitarity_deviation
+        for mod in (compiler, cli):
+            monkeypatch.setattr(mod, "unitarity_deviation",
+                                lambda a: calls.append(a.shape) or original(a))
+        src = str(tmp_path / "u.txt")
+        matrices.write_matrix_file(src, random_unitary(rng, 8))
+        assert cli.main(["compile", src, "-o", str(tmp_path / "u.seo")]) == 0
         assert calls == [(8, 8)]
 
     def test_build_tree_still_checks(self, monkeypatch):

@@ -9,7 +9,7 @@ from csdc.compiler import program_for_tree
 from csdc.csd import d_matrix
 from csdc.reference import dft_matrix
 
-from conftest import dense_central, random_unitary
+from conftest import dense_central, random_unitary, rows, width
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -137,7 +137,7 @@ class TestCompile:
         prog = compile_unitary(u, opts)
         assert frobenius_distance(u, program_to_matrix(prog)) < 1e-8
         if opts.expand_controls:
-            assert all(len(i.bits()) <= 2 for i in prog)
+            assert all(width(r) <= 2 for r in rows(prog))
 
     def test_padded_input_round_trip(self, rng):
         u = random_unitary(rng, 3)

@@ -7,12 +7,13 @@ the subset transform sums in another order and gets a tolerance.
 import numpy as np
 import pytest
 
-from csdc import Control, Instruction, Program
 from csdc.bitops import basis_change_matrix, gray_sequence, hadamard_transform
 from csdc.central import (PRUNE_TOL, _number_coefficients, angles_to_theta,
                           decompose_diagonal, decompose_real_d, diagonal_central,
                           real_d_central)
 from csdc.csd import _wrap_deg
+
+from conftest import program_of_rows
 
 
 def gray_loop(n):
@@ -42,12 +43,11 @@ def real_d_loop(nb, theta, prune_tol=PRUNE_TOL):
     target, out = nb - 1, []
     if nb == 1:
         if abs(theta[0]) > prune_tol:
-            out.append(Instruction("ROTY", target=0, angle=float(theta[0])))
-        return Program(1, out)
+            out.append(("ROTY", 0, 0, 0, float(theta[0])))
+        return program_of_rows(1, out)
 
     def cnots(mask):
-        out.extend(Instruction("CNOT", target=target, controls=(Control(b, True),))
-                   for b in range(nb - 1) if mask >> b & 1)
+        out.extend(("CNOT", target, 1 << b, 1 << b, 0.0) for b in range(nb - 1) if mask >> b & 1)
 
     seq = gray_sequence(nb - 1)
     pending = prev = 0
@@ -57,9 +57,9 @@ def real_d_loop(nb, theta, prune_tol=PRUNE_TOL):
         if abs(theta[b]) > prune_tol:
             cnots(pending)
             pending = 0
-            out.append(Instruction("ROTY", target=target, angle=float(theta[b])))
+            out.append(("ROTY", target, 0, 0, float(theta[b])))
     cnots(pending ^ seq[-1])
-    return Program(nb, out)
+    return program_of_rows(nb, out)
 
 
 def controlled_phase_loop(nb, theta, prune_tol=PRUNE_TOL):
@@ -71,13 +71,12 @@ def controlled_phase_loop(nb, theta, prune_tol=PRUNE_TOL):
             continue
         if b & (b - 1) == 0:
             phas_total += t / 2.0
-            rotz.append(Instruction("ROTZ", target=b.bit_length() - 1, angle=-t / 2.0))
+            rotz.append(("ROTZ", b.bit_length() - 1, 0, 0, -t / 2.0))
         else:
-            controls = tuple(Control(j, True) for j in range(nb) if b >> j & 1)
-            cpha.append(Instruction("CPHA", controls=controls, angle=t))
+            cpha.append(("CPHA", -1, b, b, t))
     phas_total = float(_wrap_deg(phas_total))
-    phas = [Instruction("PHAS", angle=phas_total)] if abs(phas_total) > prune_tol else []
-    return Program(nb, phas + rotz + cpha)
+    phas = [("PHAS", -1, 0, 0, phas_total)] if abs(phas_total) > prune_tol else []
+    return program_of_rows(nb, phas + rotz + cpha)
 
 
 def with_zeros(rng, n, values):

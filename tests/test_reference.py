@@ -6,6 +6,8 @@ from csdc import (dft_matrix, frobenius_distance, hadamard_input, is_unitary,
                   tensor_product)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 
+from conftest import rows
+
 
 class TestDftMatrix:
     def test_nb1_is_scaled_hadamard(self):
@@ -29,13 +31,13 @@ class TestDftMatrix:
 class TestQuantumFftProgram:
     def test_nb1_is_hadamard_triple(self):
         p = quantum_fft_program(1)
-        assert [i.kind for i in p] == ["ROTY", "ROTZ", "PHAS"]
+        assert [r[0] for r in rows(p)] == ["ROTY", "ROTZ", "PHAS"]
         assert frobenius_distance(program_to_matrix(p), dft_matrix(1)) < 1e-12
 
     def test_nb2_single_cpha_90(self):
         p = quantum_fft_program(2)
-        cphas = [i for i in p if i.kind == "CPHA"]
-        assert len(cphas) == 1 and cphas[0].angle == 90.0
+        cphas = [r for r in rows(p) if r[0] == "CPHA"]
+        assert len(cphas) == 1 and cphas[0][4] == 90.0
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4, 5])
     def test_matches_bit_reversed_dft(self, nb):
@@ -45,7 +47,7 @@ class TestQuantumFftProgram:
 
     def test_nb4_cpha_count(self):
         p = quantum_fft_program(4)
-        assert sum(1 for i in p if i.kind == "CPHA") == 6
+        assert sum(1 for r in rows(p) if r[0] == "CPHA") == 6
 
     @pytest.mark.parametrize("nb", [2, 3, 5])
     def test_bit_reversal_times_program_is_dft(self, nb):

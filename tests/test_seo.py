@@ -3,50 +3,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (Control, Instruction, Program, apply_to_state, exchanger_program,
-                  expand_controls, frobenius_distance, instruction_matrix, parse,
-                  program_to_matrix, serialize)
-from csdc.seo import SeoParseError, _simulate, concat, rename_bits
+from csdc import (Program, apply_to_state, exchanger_program, expand_controls,
+                  frobenius_distance, parse, program_to_matrix, serialize)
+from csdc.seo import CNOT, CPHA, PHAS, ROTY, SIGX, SeoParseError, _simulate, concat, rename_bits
 
-from conftest import (kron_instruction_matrix, kron_program_matrix, random_program,
-                      transposition_matrix)
+from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
+                      random_program, rows, transposition_matrix, width)
+
+
+def row_program(p: Program, i: int) -> Program:
+    """The one-instruction program of row i of p."""
+    return Program(p.nb, *(c[i:i + 1] for c in p.columns))
 
 
 class TestInstructionValidation:
+    """Each rule of an instruction, in columns and in SEO text."""
+
     def test_repeated_bits_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            Instruction("CNOT", target=0, controls=(Control(0, True),))
+            Program(1, [CNOT], [0], [1], [1], [0.0])
+        with pytest.raises(SeoParseError, match="distinct"):
+            parse("CNOT 0 T 0")
 
     def test_sigx_rejects_angle(self):
         with pytest.raises(ValueError):
-            Instruction("SIGX", target=0, angle=10.0)
+            Program(1, [SIGX], [0], [0], [0], [10.0])
+        with pytest.raises(SeoParseError):
+            parse("SIGX 0 10")
 
     def test_phas_rejects_target(self):
         with pytest.raises(ValueError):
-            Instruction("PHAS", target=0, angle=10.0)
+            Program(1, [PHAS], [0], [0], [0], [10.0])
+        with pytest.raises(SeoParseError):
+            parse("PHAS 0 10")
 
     def test_cnot_needs_control(self):
         with pytest.raises(ValueError):
-            Instruction("CNOT", target=0)
+            Program(1, [CNOT], [0], [0], [0], [0.0])
+        with pytest.raises(SeoParseError):
+            parse("CNOT 0")
 
     def test_program_bit_range(self):
-        ins = Instruction("SIGX", target=3)
         with pytest.raises(ValueError, match="out of range"):
-            Program(2, (ins,))
+            Program(2, [SIGX], [3], [0], [0], [0.0])
+        with pytest.raises(SeoParseError, match="out of range"):
+            parse("SIGX 3", nb=2)
 
 
 class TestSerialize:
     def test_cnot_line(self):
-        ins = Instruction("CNOT", target=2,
-                          controls=(Control(0, True), Control(1, False)))
-        assert serialize(Program(3, (ins,))) == "CNOT 0 T 1 F 2\n"
+        p = Program(3, [CNOT], [2], [0b11], [0b01], [0.0])
+        assert serialize(p) == "CNOT 0 T 1 F 2\n"
 
     def test_roty_line(self):
-        ins = Instruction("ROTY", target=1, angle=45.0)
-        assert serialize(Program(2, (ins,))) == "ROTY 1 45\n"
+        assert serialize(Program(2, [ROTY], [1], [0], [0], [45.0])) == "ROTY 1 45\n"
 
     def test_phas_line(self):
-        assert serialize(Program(1, (Instruction("PHAS", angle=90.0),))) == "PHAS 90\n"
+        assert serialize(Program(1, [PHAS], [-1], [0], [0], [90.0])) == "PHAS 90\n"
 
     def test_empty_program(self):
         assert serialize(Program(2)) == ""
@@ -55,13 +68,12 @@ class TestSerialize:
 class TestParse:
     def test_sigx(self):
         p = parse("SIGX 0")
-        assert p.instructions == (Instruction("SIGX", target=0),)
+        assert p == Program(1, [SIGX], [0], [0], [0], [0.0])
         assert p.nb == 1
 
     def test_cpha(self):
         p = parse("CPHA 0 T 1 F 90")
-        assert p.instructions == (Instruction(
-            "CPHA", controls=(Control(0, True), Control(1, False)), angle=90.0),)
+        assert p == Program(2, [CPHA], [-1], [0b11], [0b01], [90.0])
 
     def test_malformed_angle_reports_line(self):
         with pytest.raises(SeoParseError, match="line 1"):
@@ -84,6 +96,15 @@ class TestParse:
         with pytest.raises(SeoParseError, match="line 1"):
             parse("CNOT 0 T 0")
 
+    @pytest.mark.parametrize("line, message", [
+        ("CNOT 0 X 1", "polarity must be T or F"),
+        ("SIGX -1", "must be non-negative"),
+        ("CPHA 0 T 1 F", "control/polarity pairs and an angle"),
+    ])
+    def test_malformed_line(self, line, message):
+        with pytest.raises(SeoParseError, match=message):
+            parse(line)
+
     def test_bit_beyond_given_nb(self):
         with pytest.raises(SeoParseError):
             parse("SIGX 5", nb=2)
@@ -101,50 +122,48 @@ class TestParse:
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_hypothesis(self, kinds, data):
-        ins = []
+        out = []
         for kind in kinds:
             angle = data.draw(st.decimals(min_value=-1000, max_value=1000,
                                           places=6).map(float))
             if kind == "SIGX":
-                ins.append(Instruction(kind, target=data.draw(st.integers(0, 3))))
+                out.append((kind, data.draw(st.integers(0, 3)), 0, 0, 0.0))
             elif kind == "PHAS":
-                ins.append(Instruction(kind, angle=angle))
+                out.append((kind, -1, 0, 0, angle))
             else:
-                ins.append(Instruction(kind, target=data.draw(st.integers(0, 3)),
-                                       angle=angle))
-        p = Program(4, tuple(ins))
+                out.append((kind, data.draw(st.integers(0, 3)), 0, 0, angle))
+        p = program_of_rows(4, out)
         assert parse(serialize(p), nb=4) == p
         assert serialize(parse(serialize(p))) == serialize(p)
 
 
 class TestInstructionMatrix:
+    """The dense matrix of a one-instruction program."""
+
     def test_roty_90(self):
-        m = instruction_matrix(Instruction("ROTY", target=0, angle=90.0), 1)
+        m = program_to_matrix(parse("ROTY 0 90", nb=1))
         assert np.allclose(m, [[0, 1], [-1, 0]], atol=1e-15)
 
     def test_cnot_is_01_11_transposition(self):
-        m = instruction_matrix(
-            Instruction("CNOT", target=1, controls=(Control(0, True),)), 2)
+        m = program_to_matrix(parse("CNOT 0 T 1", nb=2))
         assert np.array_equal(m, transposition_matrix(4, [(1, 3)]))
 
     def test_phas_zero_is_identity(self):
-        m = instruction_matrix(Instruction("PHAS", angle=0.0), 2)
+        m = program_to_matrix(parse("PHAS 0", nb=2))
         assert np.array_equal(m, np.eye(4).astype(complex))
 
     def test_rotz(self):
-        m = instruction_matrix(Instruction("ROTZ", target=0, angle=90.0), 1)
+        m = program_to_matrix(parse("ROTZ 0 90", nb=1))
         assert np.allclose(m, np.diag([1j, -1j]))
 
     def test_control_polarities(self):
-        m = instruction_matrix(
-            Instruction("CNOT", target=2,
-                        controls=(Control(0, True), Control(1, False))), 3)
+        m = program_to_matrix(parse("CNOT 0 T 1 F 2", nb=3))
         # flips bit 2 exactly on states x01: (001,101) swap.
         assert np.array_equal(m, transposition_matrix(8, [(1, 5)]))
 
     def test_bit_out_of_range(self):
         with pytest.raises(ValueError):
-            instruction_matrix(Instruction("SIGX", target=3), 2)
+            program_to_matrix(Program(2, [SIGX], [3], [0], [0], [0.0]))
 
 
 class TestProgramToMatrix:
@@ -161,7 +180,7 @@ class TestProgramToMatrix:
 
     def test_matches_instruction_product(self, rng):
         p = random_program(rng, 3, 8)
-        mats = [instruction_matrix(i, 3) for i in p]
+        mats = [program_to_matrix(row_program(p, i)) for i in range(len(p))]
         expected = np.eye(8, dtype=complex)
         for m in mats:
             expected = m @ expected
@@ -238,9 +257,9 @@ class TestSimulator:
         block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         assert np.abs(apply_to_state(p, block) - want @ block).max() < 1e-12
         assert np.abs(apply_to_state(p, block[:, 0]) - want @ block[:, 0]).max() < 1e-12
-        for ins in p:
-            got = instruction_matrix(ins, nb)
-            assert np.abs(got - kron_instruction_matrix(ins, nb)).max() < 1e-12
+        for i, row in enumerate(rows(p)):
+            got = program_to_matrix(row_program(p, i))
+            assert np.abs(got - kron_instruction_matrix(row, nb)).max() < 1e-12
 
     def test_roty_run_fused_across_cnots_on_its_target(self):
         p = parse("ROTY 0 20\nCNOT 1 T 0\nROTY 0 -35\nCNOT 2 F 1 T 0\nROTY 0 50\n"
@@ -259,10 +278,10 @@ class TestSimulator:
         assert_matches_kron(p)
 
     def test_expanded_multi_control_cnot_is_one_run(self):
-        ins = Instruction("CNOT", target=2, controls=(Control(0, True), Control(1, False)))
-        ex = expand_controls(Program(3, (ins,)))
+        p = parse("CNOT 0 T 1 F 2")
+        ex = expand_controls(p)
         assert dense_runs(ex) == 1
-        assert np.abs(program_to_matrix(ex) - kron_instruction_matrix(ins, 3)).max() < 1e-12
+        assert np.abs(program_to_matrix(ex) - kron_instruction_matrix(rows(p)[0], 3)).max() < 1e-12
 
     def test_phases_carried_through_permutation_into_roty(self):
         # Phases set before the permutation reach the later ROTYs as
@@ -318,8 +337,8 @@ class TestExchanger:
 
     def test_conjugation_moves_gates(self):
         e = program_to_matrix(exchanger_program(0, 2, 3))
-        sx0 = instruction_matrix(Instruction("SIGX", target=0), 3)
-        sx2 = instruction_matrix(Instruction("SIGX", target=2), 3)
+        sx0 = program_to_matrix(parse("SIGX 0", nb=3))
+        sx2 = program_to_matrix(parse("SIGX 2", nb=3))
         assert np.array_equal(e @ sx0 @ e.conj().T, sx2)
 
     def test_symmetric_in_arguments(self):
@@ -335,11 +354,9 @@ class TestExchanger:
 
 class TestExpandControls:
     def test_two_control_cnot(self):
-        ins = Instruction("CNOT", target=2,
-                          controls=(Control(0, True), Control(1, False)))
-        p = Program(3, (ins,))
+        p = parse("CNOT 0 T 1 F 2")
         ex = expand_controls(p)
-        assert all(len(i.bits()) <= 2 for i in ex)
+        assert all(width(r) <= 2 for r in rows(ex))
         assert frobenius_distance(program_to_matrix(ex), program_to_matrix(p)) < 1e-12
 
     def test_single_control_program_unchanged(self, rng):
@@ -347,36 +364,29 @@ class TestExpandControls:
         assert expand_controls(p) == p
 
     def test_two_control_cpha_kept_elementary(self):
-        ins = Instruction("CPHA", angle=90.0,
-                          controls=(Control(0, True), Control(1, True)))
-        p = Program(2, (ins,))
+        p = parse("CPHA 0 T 1 T 90")
         assert expand_controls(p) == p
 
     def test_three_control_cpha(self):
-        ins = Instruction("CPHA", angle=77.0,
-                          controls=(Control(0, True), Control(2, False),
-                                    Control(3, True)))
-        p = Program(4, (ins,))
+        p = parse("CPHA 0 T 2 F 3 T 77")
         ex = expand_controls(p)
-        assert all(len(i.bits()) <= 2 for i in ex)
+        assert all(width(r) <= 2 for r in rows(ex))
         assert frobenius_distance(program_to_matrix(ex), program_to_matrix(p)) < 1e-12
 
     def test_gray_structure_of_two_control_expansion(self):
         # All-T two-control c-not: the z-rewrite yields the four commuting
         # factors (one per control subset) as fractional-power rotations.
-        ins = Instruction("CNOT", target=2,
-                          controls=(Control(0, True), Control(1, True)))
-        ex = expand_controls(Program(3, (ins,)))
-        rotz = [i for i in ex if i.kind == "ROTZ"]
+        ex = expand_controls(parse("CNOT 0 T 1 T 2"))
+        rotz = [r for r in rows(ex) if r[0] == "ROTZ"]
         assert len(rotz) == 7  # 2**3 - 1 subsets of {target, c0, c1}
-        assert {abs(round(i.angle, 6)) for i in rotz} == {22.5}
+        assert {abs(round(r[4], 6)) for r in rotz} == {22.5}
 
     def test_random_multi_control_matrix_preserved(self, rng):
         for _ in range(20):
             nb = int(rng.integers(3, 6))
             p = random_program(rng, nb, 4, kinds=["CNOT", "CPHA"], max_controls=3)
             ex = expand_controls(p)
-            assert all(len(i.bits()) <= 2 for i in ex)
+            assert all(width(r) <= 2 for r in rows(ex))
             assert frobenius_distance(program_to_matrix(ex),
                                       program_to_matrix(p)) < 1e-10
 
