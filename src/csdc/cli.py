@@ -135,7 +135,7 @@ def run_verify(args) -> int:
     distance = frobenius_distance(u, rebuilt)
     # Distance once an optimal global phase is removed, reported so a phase
     # mismatch is distinguishable from a structural one.
-    overlap = np.trace(u.conj().T @ rebuilt)
+    overlap = np.vdot(u, rebuilt)   # tr(uᴴ rebuilt), without the dense product
     phase = overlap / abs(overlap) if abs(overlap) > 1e-300 else 1.0
     aligned = frobenius_distance(u, rebuilt * np.conj(phase))
     _emit_report({

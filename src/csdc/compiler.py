@@ -12,10 +12,11 @@ depth, 2**(L-1) per node, as one (k, d, d) array with d = 2**(nb-L+1); a node
 is a slice of it, and each step below is one vectorised pass over the level:
   * complex-D test and phase extraction (``is_complex_d_stack``,
     ``extract_phases_stack``); every 2x2 leaf is a complex D matrix;
-  * CSD of the rest: ``csd_stack`` (a batched SVD-based CSD) for d <= 32,
-    ``csd`` (LAPACK through scipy's ``cossin``) one matrix at a time above;
-    ``csd_stack`` itself hands ``csd`` every matrix it cannot factor
-    accurately (angles near 0° or 90°, close or equal angles, failed checks);
+  * CSD of the rest: ``csd_stack`` (an SVD-based CSD, in closed form where
+    the angles form one cluster) at every size, then ``lighten_stack``;
+    ``csd_stack`` itself hands ``csd`` (LAPACK through scipy's ``cossin``)
+    every matrix it cannot factor accurately (angles near 0° or 90°, failed
+    side or residual checks);
   * identity-side and diagonal-side tests, as per-matrix reductions.
 
 Optimizations (all per the compile options):
@@ -36,11 +37,11 @@ import numpy as np
 from .bitops import BitPermutation, apply_bit_permutation
 from .central import (CentralMatrix, PRUNE_TOL, complex_d_central, decompose_central,
                       diagonal_central, real_d_central)
-# is_complex_d and extract_phases are not called here; they stay importable
-# from this module, where perfbench/spans.py traces them by name.
-from .csd import (BATCHED_CSD_MAX_DIM, CsdFactors, PhaseFactors, csd,  # noqa: F401
-                  csd_stack, extract_phases, extract_phases_stack, is_complex_d,
-                  is_complex_d_stack, lighten, lighten_stack, phase_parameters)
+# csd, lighten, is_complex_d and extract_phases are not called here; they stay
+# importable from this module, where perfbench/spans.py traces them by name.
+from .csd import (PhaseFactors, csd, csd_stack, extract_phases,  # noqa: F401
+                  extract_phases_stack, is_complex_d, is_complex_d_stack, lighten,
+                  lighten_stack, phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation
 from .seo import Program, concat, expand_controls, rename_bits
 
@@ -164,28 +165,21 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     """CSD every matrix of a (k, d, d) level stack.
 
     Complex D matrices are kept whole (aborted CSD, identity sides).  The
-    others are cosine-sine decomposed: by ``csd_stack`` when d is small, by
-    ``csd`` one matrix at a time otherwise, so that a large matrix is never
-    copied into a stack.  Diagonal but non-identity sides left over after
-    lightening are then folded into the D block, which stops that side.
+    others are cosine-sine decomposed by one ``csd_stack`` call.  Diagonal but
+    non-identity sides left over after lightening are then folded into the D
+    block, which stops that side.
     """
     k, d, _ = mats.shape
     h = d // 2
     aborted = (is_complex_d_stack(mats, opts.tol) if opts.extract_phases
                else np.zeros(k, dtype=bool))
     rest = np.flatnonzero(~aborted)
-    # (rows, factors) pairs, factored before the level's side arrays exist so
-    # that a large CSD does not run beside them.
-    factored: list[tuple[np.ndarray | int, CsdFactors]] = []
-    if d > BATCHED_CSD_MAX_DIM:
-        for i in rest:
-            f = csd(mats[i], opts.tol)
-            factored.append((i, lighten(f, opts.tol) if opts.lighten else f))
-    elif rest.size:
+    # Factored before the level's side arrays exist, so that a large CSD does
+    # not run beside them.
+    if rest.size:
         f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
         if opts.lighten:
             f = lighten_stack(f)   # rebinding frees the unlightened factors
-        factored.append((rest, f))
     split = _Split(thetas=np.empty((k, h)), omegas=np.zeros((3, k, h)),
                    phased=np.zeros(k, dtype=bool),
                    lefts=np.empty((k, 2, h, h), dtype=np.complex128),
@@ -200,10 +194,9 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         split.rights[idx] = eye
     if not rest.size:
         return split
-    for rows, f in factored:
-        split.thetas[rows] = f.thetas
-        split.lefts[rows, 0], split.lefts[rows, 1] = f.l0, f.l1
-        split.rights[rows, 0], split.rights[rows, 1] = f.r0, f.r1
+    split.thetas[rest] = f.thetas
+    split.lefts[rest, 0], split.lefts[rest, 1] = f.l0, f.l1
+    split.rights[rest, 0], split.rights[rest, 1] = f.r0, f.r1
     split.left_identity = _identity_mask(split.lefts)
     split.right_identity = _identity_mask(split.rights)
     if opts.extract_phases:

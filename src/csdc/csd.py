@@ -1,14 +1,18 @@
 """Numerical factorization kernels.
 
-``csd`` splits an even-dimensional unitary U into
+``csd_stack`` splits every even-dimensional unitary U of a stack into
 
     U = (L0 ⊕ L1) · D · (R0 ⊕ R1),      D = [[C, S], [-S, C]]
 
 with C = diag(cos θ_i), S = diag(sin θ_i) and the angles canonical:
-non-decreasing and inside [0°, 90°].  ``lighten`` applies the QR gauge fix
-that pushes the right side matrices toward the identity inside clusters of
-equal angles, and ``extract_phases`` peels a complex D matrix apart into a
-real rotation core and diagonal phase factors.
+non-decreasing and inside [0°, 90°].  It works from the SVD of one quadrant,
+or in closed form where the angles form one cluster.  ``csd`` computes the
+same factorization of one matrix with the LAPACK CSD (scipy ``cossin``); it
+is the fallback for the matrices ``csd_stack`` cannot factor accurately.
+``lighten`` (``lighten_stack`` for a stack) applies the QR gauge fix that
+pushes the right side matrices toward the identity inside clusters of equal
+angles, and ``extract_phases`` peels a complex D matrix apart into a real
+rotation core and diagonal phase factors.
 
 All angles in this package are degrees.
 """
@@ -22,26 +26,21 @@ from scipy.linalg import cossin
 from .matrices import (DEFAULT_TOL, NotUnitaryError, as_matrix, direct_sum,
                        unitarity_deviation)
 
-# Two CSD angles count as degenerate when closer than this (degrees).  Must be
-# looser than the reconstruction tolerance or clusters never form.
-ANGLE_CLUSTER_TOL = 1e-8
+# Two CSD angles count as degenerate when closer than this (degrees).  The
+# exactly degenerate clusters of U⊗I (U on 1-4 qubits, d up to 1024) come out
+# with an in-cluster spread of at most 1.4e-13° from ``csd_stack`` and 7.1e-13°
+# from ``csd``, a margin of 14 or more.  Mixing two angles that are merely
+# close is exact only to within their gap, so the tolerance is no looser.
+ANGLE_CLUSTER_TOL = 1e-11
 
 # Magnitudes below this are treated as structurally zero when solving for
 # phases; a wrong phase on such an entry perturbs the matrix by < 1e-11.
 _PHASE_MAG_TINY = 1e-12
 
-# ``csd_stack`` factors matrices up to this dimension in one batched pass; the
-# compiler hands larger ones to ``csd`` one at a time, whose cost there is
-# arithmetic, not per-call overhead, and which needs no stacked copy of them.
-BATCHED_CSD_MAX_DIM = 32
-
-# The batched pass divides by the sines and cosines and reads L0 and R0 off
-# singular vectors, which are only as well conditioned as the angle gaps.  A
-# matrix with min(cos, sin) below this, or two angles closer than
-# _BATCHED_MIN_GAP degrees, goes to ``csd``; so does one whose sides are not
+# The batched pass divides by the sines and cosines, so a matrix with
+# min(cos, sin) below this goes to ``csd``; so does one whose sides are not
 # unitary, or whose blocks are not reproduced, within _BATCHED_CHECK_TOL.
 _BATCHED_MIN_CS = 1e-6
-_BATCHED_MIN_GAP = 1e-6
 _BATCHED_CHECK_TOL = 1e-12
 
 
@@ -209,56 +208,109 @@ def _set_factors(out: CsdFactors, i: int, f: CsdFactors) -> None:
         getattr(out, name)[i] = getattr(f, name)
 
 
+def _column_norms_sq(x: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of every column of every matrix of a stack, (k, n)."""
+    return np.einsum("kij,kij->kj", x.conj(), x).real
+
+
+def _one_cluster(q11: np.ndarray, q21: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether the angles of each matrix of a stack form one cluster away from
+    0° and 90°, that is Q11ᴴQ11 = c²I within _BATCHED_CHECK_TOL; with c and s
+    per matrix.  Equal column norms of Q11 are necessary, and cheap to test,
+    so a stack without them does not pay for the Gram product."""
+    c2 = _column_norms_sq(q11)
+    c, s = np.sqrt(c2.mean(axis=1)), np.sqrt(_column_norms_sq(q21).mean(axis=1))
+    if (np.ptp(c2, axis=1).max() > _BATCHED_CHECK_TOL
+            or np.minimum(c, s).min() < _BATCHED_MIN_CS):
+        return False, c, s
+    gram = _ct(q11) @ q11 - (c ** 2)[:, None, None] * np.eye(q11.shape[-1])
+    return bool(np.abs(gram).max() <= _BATCHED_CHECK_TOL), c, s
+
+
+def _right_rows(l0, l1, q12, q22, c, s) -> np.ndarray:
+    """R1 from L0ᴴQ12 = S·R1 and L1ᴴQ22 = C·R1: row j from whichever of the
+    two has the larger divisor, s_j or c_j."""
+    top = s >= c
+    if top.all():
+        rows = _ct(l0) @ q12
+    elif not top.any():
+        rows = _ct(l1) @ q22
+    else:
+        rows = np.where(top[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
+    return rows / np.maximum(s, c)[:, :, None]
+
+
+def _cluster_factors(q11, q12, q21, q22, c, s) -> tuple[np.ndarray, ...]:
+    """Closed-form CSD of matrices whose angles form one cluster: Q11 = c·L0
+    with L0 unitary, so R0 = I, L0 = Q11/c, L1 = -Q21/s, and R1 as in
+    ``_right_rows``.  This is what ``lighten`` makes of any CSD of such a
+    matrix, since the QR of a unitary r0 that is one cluster is the identity.
+    No SVD and no QR is needed."""
+    m = q11.shape[-1]
+    l0, l1 = q11 / c[:, None, None], -q21 / s[:, None, None]
+    c, s = np.repeat(c[:, None], m, axis=1), np.repeat(s[:, None], m, axis=1)
+    r0 = np.broadcast_to(np.eye(m, dtype=np.complex128), l0.shape).copy()
+    return l0, l1, r0, _right_rows(l0, l1, q12, q22, c, s), c, s
+
+
+def _svd_factors(q11, q12, q21, q22) -> tuple[np.ndarray, ...]:
+    """CSD from the SVD of Q11 (Paige & Wei, LAA 1994): Q11 = L0 C R0 gives
+    L0, C and R0; L1 is the polar factor of -Q21 R0ᴴ = L1 S; R1 is the polar
+    factor of ``_right_rows``, which restores its unitarity."""
+    l0, c, r0 = np.linalg.svd(q11)
+    x = -q21 @ _ct(r0)
+    l1 = _polar(x)
+    s = np.einsum("kij,kij->kj", l1.conj(), x).real
+    return l0, l1, r0, _polar(_right_rows(l0, l1, q12, q22, c, s)), c, s
+
+
 def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     """``csd`` of every matrix of a (k, n, n) stack, in the same convention.
 
-    The whole stack is factored at once, from the SVD of the top-left block
-    (Paige & Wei, LAA 1994): Q11 = L0 C R0 gives L0, C and R0; L1 is the
-    polar factor of -Q21 R0ᴴ = L1 S; row j of R1 is row j of L0ᴴ Q12 / s_j or
-    of L1ᴴ Q22 / c_j, whichever divisor is larger, and R1 is replaced by its
-    polar factor to restore unitarity.
-    The angles come out canonical when they are distinct, since the singular
-    values arrive in descending order.  A matrix is handed to ``csd`` instead
+    A stack in which the angles of each matrix form one cluster gets the
+    closed form of ``_cluster_factors``; any other stack is factored at once
+    by ``_svd_factors``, and a one-cluster matrix in it gets its gauge from
+    ``lighten``.  The angles come out canonical, since the singular values
+    arrive in descending order.  A matrix is handed to ``csd`` instead
     when an angle is within _BATCHED_MIN_CS (as a cosine or sine) of 90° or
-    0°, when two angles are closer than _BATCHED_MIN_GAP degrees, or when its
-    batched factors fail the side-unitarity or block residual check.  Raises
-    NotUnitaryError if any matrix is not unitary within tol, and ValueError
-    if n > BATCHED_CSD_MAX_DIM: the caller factors those with ``csd``.
+    0°, when its factors fail the side-unitarity or block residual check, or
+    when the checks cannot vouch for its unitarity within tol; ``csd`` then
+    raises NotUnitaryError if the matrix is not unitary within tol.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
         raise ValueError(f"csd_stack needs a stack of square even-dimensional matrices, "
                          f"got {a.shape}")
-    if a.shape[1] > BATCHED_CSD_MAX_DIM:
-        raise ValueError(f"csd_stack factors matrices up to dimension {BATCHED_CSD_MAX_DIM}, "
-                         f"got {a.shape[1]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    dev = _unitarity_deviations(a)
-    if np.any(dev > tol):
-        i = int(np.argmax(dev))
-        raise NotUnitaryError(f"csd input {i} of the stack is not unitary: "
-                              f"max deviation {dev[i]:.3e} > {tol:.1e}")
     m = a.shape[1] // 2
     q11, q12, q21, q22 = a[:, :m, :m], a[:, :m, m:], a[:, m:, :m], a[:, m:, m:]
-    l0, c, r0 = np.linalg.svd(q11)
-    x = -q21 @ _ct(r0)
-    l1 = _polar(x)
-    s = np.einsum("kij,kij->kj", l1.conj(), x).real
-    rows = np.where((s >= c)[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
-    r1 = _polar(rows / np.maximum(s, c)[:, :, None])
+    one, c1, s1 = _one_cluster(q11, q21)
+    if one:
+        l0, l1, r0, r1, c, s = _cluster_factors(q11, q12, q21, q22, c1, s1)
+    else:
+        l0, l1, r0, r1, c, s = _svd_factors(q11, q12, q21, q22)
     thetas = np.degrees(np.arctan2(s, c))
-    fallback = ((np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
-                | (np.diff(thetas, axis=1) < _BATCHED_MIN_GAP).any(axis=1))
-    for side in (l0, l1, r0, r1):
-        fallback |= _unitarity_deviations(side) > _BATCHED_CHECK_TOL
+    fallback = (np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
+    side_dev = np.max([_unitarity_deviations(x) for x in (l0, l1, r0, r1)], axis=0)
     cs, ss = c[:, None, :], s[:, None, :]
-    for rebuilt, block in (((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
-                           (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22)):
-        fallback |= np.abs(rebuilt - block).max(axis=(1, 2)) > _BATCHED_CHECK_TOL
+    residual = np.max([np.abs(rebuilt - block).max(axis=(1, 2)) for rebuilt, block in (
+        ((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
+        (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22))], axis=0)
+    fallback |= (side_dev > _BATCHED_CHECK_TOL) | (residual > _BATCHED_CHECK_TOL)
+    # The product P of the factors is unitary within (m·side_dev)(2 + m·side_dev)
+    # (max entry, through the spectral norm), and each column of U - P has
+    # 2-norm at most sqrt(2m)·residual, so U is unitary within the bound below;
+    # where that exceeds tol, ``csd`` checks U itself.
+    fw = m * side_dev * (2.0 + m * side_dev)
+    fe = np.sqrt(2 * m) * residual
+    fallback |= fw + 2.0 * np.sqrt(1.0 + fw) * fe + fe * fe > tol
     out = CsdFactors(l0, l1, r0, r1, thetas)
     for i in np.flatnonzero(fallback):
-        _set_factors(out, i, csd(a[i], tol))
+        try:
+            _set_factors(out, i, csd(a[i], tol))
+        except NotUnitaryError as exc:
+            raise NotUnitaryError(f"csd input {i} of the stack: {exc}") from None
     return out
 
 
@@ -267,15 +319,20 @@ def lighten_stack(f: CsdFactors) -> CsdFactors:
 
     Where every angle cluster is a singleton, the gauge fix is one phase per
     angle: it makes the first entry of each row of r0 real and non-negative,
-    as ``qr_nonneg`` does for a one-row block.  Factorizations with a larger
-    cluster, or with a first entry of r0 below the magnitude ``qr_nonneg``
-    leaves alone, go through ``lighten``.
+    as ``qr_nonneg`` does for a one-row block.  An r0 that is the identity
+    (the closed form of a one-cluster CSD) is already lightened.  The other
+    factorizations, with a larger cluster or with a first entry of r0 below
+    the magnitude ``qr_nonneg`` leaves alone, go through ``lighten``.
     """
+    done = (f.r0 == np.eye(f.half_dim)).all(axis=(1, 2))
+    if done.all():
+        return f
     pivot = f.r0[:, :, 0]
     mag = np.abs(pivot)
-    batched = ((np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL).all(axis=1)
+    singles = ((np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL).all(axis=1)
                & (mag >= _PHASE_MAG_TINY).all(axis=1))
-    g = np.where(batched[:, None], pivot / np.where(batched[:, None], mag, 1.0), 1.0)
+    batched = singles | done   # disjoint but for half_dim 1, where both give g = 1
+    g = np.where(singles[:, None], pivot / np.where(singles[:, None], mag, 1.0), 1.0)
     gh = g.conj()[:, :, None]
     out = CsdFactors(l0=f.l0 * g[:, None, :], l1=f.l1 * g[:, None, :],
                      r0=gh * f.r0, r1=gh * f.r1, thetas=f.thetas.copy())

@@ -132,6 +132,17 @@ class TestVerifyCommand:
         assert report["distance"] > 1
         assert report["phase_aligned_distance"] < 1e-12
 
+    def test_phase_aligned_distance_removes_any_global_phase(self, tmp_path, capsys, rng):
+        u = random_unitary(rng, 4)
+        seo = tmp_path / "u.seo"
+        assert main(["compile", write_matrix(tmp_path / "u.txt", u), "-o", str(seo)]) == 0
+        capsys.readouterr()
+        shifted = write_matrix(tmp_path / "shifted.txt", np.exp(1j * np.pi / 3) * u)
+        assert main(["verify", shifted, str(seo), "--report", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["distance"] == pytest.approx(2.0)   # |1 - e^{iπ/3}| · ||u||_F
+        assert report["phase_aligned_distance"] < 1e-12
+
     def test_quantum_fft_reference_verifies_against_dft(self, tmp_path):
         u = state_permutation(bit_reversal_permutation(3)) @ dft_matrix(3)
         inp = write_matrix(tmp_path / "u.txt", u)

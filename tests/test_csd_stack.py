@@ -1,16 +1,16 @@
 """Stacked kernels: the batched CSD and gauge fix, the stacked complex-D test
 and phase extraction, and the level-wise tree build that uses them."""
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from csdc import (CsdFactors, NotUnitaryError, compile_unitary, csd, hadamard_input,
-                  lighten, phase_factors_matrix)
+from csdc import (CsdFactors, NotUnitaryError, compile_unitary, csd, frobenius_distance,
+                  hadamard_input, lighten, phase_factors_matrix, program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.csd import (BATCHED_CSD_MAX_DIM, _PHASE_MAG_TINY, _wrap_deg, csd_stack,
-                      d_matrix, extract_phases, extract_phases_stack, is_complex_d,
-                      is_complex_d_stack, lighten_stack)
+from csdc.csd import (_PHASE_MAG_TINY, _wrap_deg, csd_stack, d_matrix, extract_phases,
+                      extract_phases_stack, is_complex_d, is_complex_d_stack, lighten_stack)
 from csdc.reference import dft_matrix
 
 from conftest import block_diag, random_phase_factors, random_unitary
@@ -112,16 +112,25 @@ class TestBatchedCsd:
 
     def test_hard_matrices_go_to_csd(self, rng, csd_calls):
         generic = [random_unitary(rng, 8) for _ in range(3)]
-        hard = [with_angles(rng, [10.0, 10.0, 40.0, 70.0]),         # degenerate cluster
-                with_angles(rng, [10.0, 10.0 + 5e-7, 40.0, 70.0]),  # gap below 1e-6 deg
-                with_angles(rng, [0.0, 20.0, 50.0, 80.0]),          # theta = 0
+        hard = [with_angles(rng, [0.0, 20.0, 50.0, 80.0]),          # theta = 0
                 with_angles(rng, [15.0, 30.0, 60.0, 90.0]),         # theta = 90
                 with_angles(rng, [15.0, 30.0, 60.0, 90.0 - 1e-5]),  # cos below 1e-6
+                with_angles(rng, [0.0] * 4),                        # one cluster at 0
+                with_angles(rng, [90.0] * 4),                       # one cluster at 90
                 near_unitary(rng, 8, 5e-11)]                        # fails the residual check
         # Close to the limits but inside them: these stay in the batched pass.
         for _ in range(3):
             generic += [with_angles(rng, [1e-4, 30.0, 60.0, 80.0]),
                         with_angles(rng, [10.0, 30.0, 60.0, 90.0 - 1e-4])]
+        # So do equal and close angles: the gauge fix, not the CSD, has to
+        # treat them apart.
+        generic += [with_angles(rng, [10.0, 10.0, 40.0, 70.0]),         # degenerate cluster
+                    with_angles(rng, [10.0, 10.0 + 5e-7, 40.0, 70.0]),  # gap below 1e-6 deg
+                    with_angles(rng, [35.0] * 4),                       # one cluster
+                    # A flat R0 gives Q11 equal column norms, yet four angles.
+                    block_diag([random_unitary(rng, 4), random_unitary(rng, 4)])
+                    @ d_matrix([10.0, 30.0, 50.0, 70.0])
+                    @ block_diag([dft_matrix(2), random_unitary(rng, 4)])]
         order = [generic[0], hard[0], generic[1], *hard[1:], *generic[2:]]
         is_hard = [any(m is h for h in hard) for m in order]
         mats = np.stack(order)
@@ -133,15 +142,37 @@ class TestBatchedCsd:
                 for a, b in zip(factors(got, i), [want.l0, want.l1, want.r0, want.r1]):
                     assert np.array_equal(a, b)
             assert_csd_properties(one(got, i), u)
+        # Alone in a stack, each matrix takes the same route, and no sine or
+        # cosine of zero is divided by on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, hard_one in zip(mats, is_hard):
+                before = csd_calls["csd"]
+                assert_csd_properties(one(csd_stack(u[None]), 0), u)
+                assert csd_calls["csd"] - before == hard_one
 
-    def test_rejects_dimension_above_batched_size(self, rng, csd_calls):
-        # The compiler sends these to csd one at a time (TestLevelBuild).
-        mats = np.stack([random_unitary(rng, 2 * BATCHED_CSD_MAX_DIM) for _ in range(2)])
-        with pytest.raises(ValueError, match="up to dimension"):
-            csd_stack(mats)
+    @pytest.mark.parametrize("dim", [64, 128, 256])
+    def test_large_haar_and_clustered_matrices(self, rng, csd_calls, dim):
+        h = dim // 2
+        spread = [random_unitary(rng, dim),
+                  np.kron(random_unitary(rng, 4), np.eye(dim // 4))]     # two clusters
+        one_cluster = [np.kron(random_unitary(rng, 2), np.eye(h)),
+                       with_angles(rng, [30.0] * h)]
+        # Alone, the one-cluster matrices take the closed form; among others,
+        # the SVD and then the gauge fix.
+        for mats, ones in ((spread, []), (one_cluster, [0, 1]), (spread + one_cluster, [2, 3])):
+            f = csd_stack(np.stack(mats))
+            got = lighten_stack(f)
+            for i, u in enumerate(mats):
+                assert_csd_properties(one(f, i), u)
+                assert_csd_properties(one(got, i), u)
+            for i in ones:
+                assert np.abs(got.r0[i] - np.eye(h)).max() < 1e-12
+                want = lighten(csd(mats[i]))
+                for a, b in zip(factors(got, i), [want.l0, want.l1, want.r0, want.r1]):
+                    assert np.abs(a - b).max() < 1e-11
+        assert (lighten_stack(csd_stack(np.stack(one_cluster))).r0 == np.eye(h)).all()
         assert csd_calls["csd"] == 0
-        at_limit = np.stack([random_unitary(rng, BATCHED_CSD_MAX_DIM)])
-        assert csd_stack(at_limit).thetas.shape == (1, BATCHED_CSD_MAX_DIM // 2)
 
     def test_gauge_fix_falls_back_on_clusters_and_tiny_pivots(self, rng, csd_calls):
         h = 4
@@ -165,6 +196,16 @@ class TestBatchedCsd:
         mats[2, :, 0] *= 1.01
         with pytest.raises(NotUnitaryError, match="input 2"):
             csd_stack(mats)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_raises_at_twice_tol(self, rng, tol, dim):
+        mats = np.stack([random_unitary(rng, dim), near_unitary(rng, dim, 2 * tol)])
+        with pytest.raises(NotUnitaryError, match="input 1"):
+            csd_stack(mats, tol)
+        mats[1] = near_unitary(rng, dim, 0.5 * tol)
+        for i, u in enumerate(mats):
+            assert_csd_properties(one(csd_stack(mats, tol), i), u)
 
     def test_rejects_bad_shapes(self, rng):
         with pytest.raises(ValueError):
@@ -249,26 +290,35 @@ def dft_input(nb):
 
 
 class TestLevelBuild:
-    def test_haar_inputs_never_fall_back(self, csd_calls, monkeypatch):
-        compiler = sys.modules["csdc.compiler"]
-        large = {"n": 0}
-        direct = compiler.csd
-
-        def counted(*args, **kwargs):
-            large["n"] += 1
-            return direct(*args, **kwargs)
-
-        monkeypatch.setattr(compiler, "csd", counted)
+    def test_haar_inputs_never_fall_back(self, csd_calls):
         rng = np.random.default_rng(77)
         for nb in range(1, 8):
-            large["n"] = 0
             for _ in range(2 if nb < 7 else 1):
                 compile_unitary(random_unitary(rng, 1 << nb))
             assert csd_calls["csd"] == 0, nb
-            # Only matrices above the batched size are factored one at a time.
-            per_input = sum(4 ** (level - 1) for level in range(1, nb + 1)
-                            if (1 << (nb - level + 1)) > BATCHED_CSD_MAX_DIM)
-            assert large["n"] == per_input * (2 if nb < 7 else 1)
+
+    def test_spines_never_call_cossin(self, monkeypatch):
+        calls = {"n": 0}
+        cossin = csd_module.cossin
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return cossin(*args, **kwargs)
+
+        monkeypatch.setattr(csd_module, "cossin", counted)
+        for nb in range(3, 9):
+            for u in (hadamard_input(nb), dft_input(nb)):
+                prog = compile_unitary(u)
+                assert frobenius_distance(u, program_to_matrix(prog)) < 1e-10
+        assert calls["n"] == 0
+
+    def test_near_degenerate_angles_round_trip_exactly(self):
+        # Angles 2e-9 to 6e-9 degrees apart are not one cluster: mixing them
+        # in the gauge fix would cost about 2e-10 of round-trip error.
+        rng = np.random.default_rng(0x5EED)
+        for _ in range(3):
+            u = with_angles(rng, [20, 20 + 3e-9, 20 + 6e-9, 50, 50 + 5e-9, 70, 70 + 2e-9, 80])
+            assert frobenius_distance(u, program_to_matrix(compile_unitary(u))) < 1e-12
 
     # Non-zero count_by_kind entries of each input, as compiled by the tree
     # builder that preceded the level-wise one (one side matrix at a time).
