@@ -12,8 +12,7 @@ from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program
                   expand_controls, parse, program_to_matrix, serialize)
 from .central import (CentralMatrix, angles_to_theta, complex_d_central,
                       decompose_complex_d, decompose_diagonal, decompose_real_d,
-                      decompose_right_angle_case, diagonal_central, level_alias,
-                      real_d_central)
+                      decompose_right_angle_case, diagonal_central, real_d_central)
 from .compiler import (CompileOptions, CsdNode, assemble, build_tree,
                        compile_unitary, pad_to_power_of_two)
 from .reference import dft_matrix, hadamard_input, quantum_fft_program
@@ -32,8 +31,7 @@ __all__ = [
     "expand_controls", "parse", "program_to_matrix", "serialize",
     "CentralMatrix", "angles_to_theta", "complex_d_central",
     "decompose_complex_d", "decompose_diagonal", "decompose_real_d",
-    "decompose_right_angle_case", "diagonal_central", "level_alias",
-    "real_d_central",
+    "decompose_right_angle_case", "diagonal_central", "real_d_central",
     "CompileOptions", "CsdNode", "assemble", "build_tree", "compile_unitary",
     "pad_to_power_of_two",
     "dft_matrix", "hadamard_input", "quantum_fft_program",

@@ -109,12 +109,6 @@ class BitPermutation:
     def __call__(self, bit: int) -> int:
         return self.mapping[bit]
 
-    def compose(self, other: "BitPermutation") -> "BitPermutation":
-        """self∘other: other acts first."""
-        if self.nb != other.nb:
-            raise ValueError("cannot compose permutations on different bit counts")
-        return BitPermutation(self.nb, tuple(self.mapping[other.mapping[b]] for b in range(self.nb)))
-
     def inverse(self) -> "BitPermutation":
         inv = [0] * self.nb
         for b, dest in enumerate(self.mapping):

@@ -3,8 +3,10 @@
 A central matrix is the payload of one tree node: a direct sum of 2**(level-1)
 D matrices (real or complex), or a diagonal unitary.  A level-``level`` direct
 sum equals a bit relabeling of a single big D matrix whose rotation sits on
-bit nb-1, so one emission routine serves every level: build the program for
-the un-relabeled form, then rename bits through the level's alias permutation.
+bit nb-1: the rotation moves to bit nb-level and the other bits keep their
+order.  So one emission routine serves every level, and it writes the final
+bit positions directly: the rotation goes on bit nb-level, and the Gray
+sequence's control bits go, in increasing order, on the remaining bits.
 
 Rotation ladders follow the lazy (Gray) ordering so that one c-not survives
 between adjacent rotations, and rotations with negligible angles are dropped
@@ -21,16 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# basis_change_matrix is not called here; it stays importable from this
-# module, where perfbench/spans.py traces it by name.
-from .bitops import (BitPermutation, basis_change_matrix, gray_sequence,  # noqa: F401
-                     hadamard_transform)
+# basis_change_matrix and rename_bits are not called here; they stay importable
+# from this module, where perfbench/spans.py traces them by name.
+from .bitops import basis_change_matrix, gray_sequence, hadamard_transform  # noqa: F401
 from .csd import PhaseFactors, _wrap_deg
-from .seo import CNOT, CPHA, PHAS, ROTY, ROTZ, Program, concat, rename_bits, z_ladder
-
-# Rotations at or below this angle (degrees) are suppressed and their flanking
-# c-nots merged; this is what lets structured inputs collapse to short programs.
-PRUNE_TOL = 1e-10
+from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
+                  rename_bits, z_ladder)
 
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
@@ -104,18 +102,6 @@ def diagonal_central(nb: int, phases) -> CentralMatrix:
                          phases=np.asarray(phases, dtype=np.float64))
 
 
-def level_alias(nb: int, level: int) -> BitPermutation:
-    """Bit relabeling that turns the rotation-on-top D form into a direct sum
-    of 2**(level-1) blocks: the rotation bit nb-1 moves to nb-level and the
-    displaced bits shift up by one."""
-    if not 1 <= level <= nb:
-        raise ValueError(f"level must be in [1, nb], got {level}")
-    cut = nb - level
-    mapping = [p + 1 if cut <= p <= nb - 2 else p for p in range(nb)]
-    mapping[nb - 1] = cut
-    return BitPermutation(nb, tuple(mapping))
-
-
 def angles_to_theta(phi) -> np.ndarray:
     """Hadamard-transformed rotation angles: theta = H_k phi / 2**k.
 
@@ -129,36 +115,38 @@ def angles_to_theta(phi) -> np.ndarray:
     return hadamard_transform(v) / n
 
 
-def _alias_rename(prog: Program, nb: int, level: int) -> Program:
-    perm = level_alias(nb, level)
-    return prog if perm.is_identity() else rename_bits(prog, perm)
-
-
 def _program(nb: int, kind, target, mask, val, angle) -> Program:
     """A program from emitted columns, valid by construction."""
     return Program(nb, kind, target, mask, val, angle, validate=False)
 
 
-def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
+def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
+    """Where a level's D matrices sit: the rotation bit nb-level, and the bits
+    that the control bits 0..nb-2 of the rotation-on-top form land on, which
+    are the other bits in increasing order."""
+    rot = nb - level
+    ctrl_bits = np.arange(nb - 1)
+    return rot, ctrl_bits + (ctrl_bits >= rot)
+
+
+def decompose_real_d(c: CentralMatrix) -> Program:
     """ROTY ladder for a real D direct sum.
 
-    Walking the Gray sequence, each step contributes a rotation of the top bit
-    by the transformed angle followed by one c-not controlled by the bit the
-    step flips; skipped (negligible) rotations merge their flanking c-nots by
-    XOR-ing the accumulated control set.  So, over the kept steps s_1..s_K,
-    the c-nots before rotation j are the bits of s_j ^ s_(j-1) (s_0 = 0), and
-    the closing c-nots are the bits of s_K.
+    Walking the Gray sequence, each step contributes a rotation of the
+    rotation bit by the transformed angle followed by one c-not controlled by
+    the bit the step flips; skipped (negligible) rotations merge their
+    flanking c-nots by XOR-ing the accumulated control set.  So, over the kept
+    steps s_1..s_K, the c-nots before rotation j are the bits of s_j ^ s_(j-1)
+    (s_0 = 0), and the closing c-nots are the bits of s_K.
     """
     if c.variant != "realD":
         raise ValueError("decompose_real_d needs a realD central matrix")
     nb = c.nb
+    rot, ctrl_bits = _places(nb, c.level)
     theta = _wrap_deg(angles_to_theta(c.angles))
-    if nb == 1:
-        n = int(abs(theta[0]) > prune_tol)
-        return _program(1, [ROTY] * n, [0] * n, [0] * n, [0] * n, theta[:n])
-    w = nb - 1                     # the rotation bit, and the count of control bits
-    seq = np.array(gray_sequence(w))
-    kept = seq[np.abs(theta[seq]) > prune_tol]
+    w = nb - 1                     # the count of control bits
+    seq = np.array(gray_sequence(w) if w else [0])
+    kept = seq[np.abs(theta[seq]) > PRUNE_TOL]
     k = len(kept)
     masks = np.zeros(k + 1, dtype=np.int64)
     masks[:k] = kept
@@ -168,12 +156,11 @@ def decompose_real_d(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
     slots[:, :w] = (masks[:, None] >> np.arange(w)) & 1
     slots[:k, w] = True
     _, col = np.nonzero(slots)
-    rot = col == w
-    ctrl = np.where(rot, 0, 1 << col)
+    is_rot = col == w
+    ctrl = np.where(is_rot, 0, 1 << np.append(ctrl_bits, rot)[col])
     angle = np.zeros(len(col))
-    angle[rot] = theta[kept]
-    prog = _program(nb, np.where(rot, ROTY, CNOT), np.full(len(col), w), ctrl, ctrl, angle)
-    return _alias_rename(prog, nb, c.level)
+    angle[is_rot] = theta[kept]
+    return _program(nb, np.where(is_rot, ROTY, CNOT), np.full(len(col), rot), ctrl, ctrl, angle)
 
 
 def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
@@ -191,8 +178,7 @@ def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
     return t
 
 
-def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
-                       prune_tol: float = PRUNE_TOL) -> Program:
+def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
     """Program for a diagonal unitary diag(exp(i phases)).
 
     ``rotz-chain``: Hadamard-transform the phases and emit the sigma_z ladder
@@ -209,11 +195,11 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
     nb = c.nb
     if mode == "rotz-chain":
         theta = _wrap_deg(angles_to_theta(c.phases))
-        return z_ladder(list(range(nb)), theta, prune_tol)
+        return z_ladder(list(range(nb)), theta, PRUNE_TOL)
     if mode != "controlled-phase":
         raise ValueError(f"unknown diagonal mode {mode!r}")
     theta = _wrap_deg(_number_coefficients(np.asarray(c.phases, dtype=np.float64), nb))
-    keep = np.abs(theta) > prune_tol
+    keep = np.abs(theta) > PRUNE_TOL
     # exp(i t n(beta)) = exp(i t/2) exp(-i (t/2) sigma_z(beta))
     rotz_bits = np.flatnonzero(keep[1 << np.arange(nb)])
     t_single = theta[1 << rotz_bits]
@@ -221,7 +207,7 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
     for t in t_single.tolist():   # summed in bit order, one term at a time
         phas_total += t / 2.0
     phas_total = float(_wrap_deg(phas_total))
-    phas = [phas_total] if abs(phas_total) > prune_tol else []
+    phas = [phas_total] if abs(phas_total) > PRUNE_TOL else []
     subsets = np.arange(1 << nb)
     cpha = np.flatnonzero(keep & (subsets & (subsets - 1) != 0))
     n_p, n_z, n_c = len(phas), len(rotz_bits), len(cpha)
@@ -233,8 +219,7 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain",
 
 
 def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
-                        use_right_angle: bool = False,
-                        prune_tol: float = PRUNE_TOL) -> Program:
+                        use_right_angle: bool = False) -> Program:
     """Split a complex D direct sum into right diagonal, real core, left diagonal.
 
     Per block, the parameters give Δ_L = I ⊕ Γ_L and Δ_R = Γ ⊕ Γ Γ_R around a
@@ -244,7 +229,7 @@ def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
     if c.variant != "complexD":
         raise ValueError("decompose_complex_d needs a complexD central matrix")
     nb, level, f = c.nb, c.level, c.factors
-    rot = nb - level                      # aliased rotation bit position
+    rot = nb - level                      # the rotation bit
     states = np.arange(1 << nb)
     blk = states >> (rot + 1)
     hi = (states >> rot) & 1
@@ -252,9 +237,9 @@ def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
     phi_r = f.omega[blk, j] + hi * f.omega_r[blk, j]
     phi_l = hi * f.omega_l[blk, j]
     core = real_d_central(nb, level, f.thetas.reshape(-1))
-    prog_r = decompose_diagonal(diagonal_central(nb, phi_r), diag_mode, prune_tol)
-    prog_core = _real_core_program(core, use_right_angle, prune_tol)
-    prog_l = decompose_diagonal(diagonal_central(nb, phi_l), diag_mode, prune_tol)
+    prog_r = decompose_diagonal(diagonal_central(nb, phi_r), diag_mode)
+    prog_core = _real_core_program(core, use_right_angle)
+    prog_l = decompose_diagonal(diagonal_central(nb, phi_l), diag_mode)
     return concat(prog_r, prog_core, prog_l)
 
 
@@ -264,7 +249,7 @@ def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL) -> bool:
     return bool(np.all((np.abs(a) <= tol) | (np.abs(a - 90.0) <= tol)))
 
 
-def decompose_right_angle_case(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -> Program:
+def decompose_right_angle_case(c: CentralMatrix) -> Program:
     """Special handling when every D angle is 0 or 90 degrees.
 
     A bare 90-degree rotation stays a single ROTY; the one-control form (the
@@ -278,36 +263,34 @@ def decompose_right_angle_case(c: CentralMatrix, prune_tol: float = PRUNE_TOL) -
         raise ValueError("decompose_right_angle_case needs angles in {0, 90} degrees")
     nb = c.nb
     on = np.abs(np.asarray(c.angles, dtype=np.float64) - 90.0) <= RIGHT_ANGLE_TOL
-    target = nb - 1
+    rot, ctrl_bits = _places(nb, c.level)
     if not np.any(on):
         return _program(nb, [], [], [], [], [])
     if np.all(on):
-        prog = _program(nb, [ROTY], [target], [0], [0], [90.0])
-        return _alias_rename(prog, nb, c.level)
+        return _program(nb, [ROTY], [rot], [0], [0], [90.0])
     idx = np.arange(1 << (nb - 1))
+    top = 1 << rot
     for delta in range(nb - 1):
         for pol in (True, False):
             if np.array_equal(on, ((idx >> delta) & 1) == (1 if pol else 0)):
-                ctrl, val = 1 << delta, (1 << delta) if pol else 0
-                top = 1 << target
-                prog = _program(nb, [CNOT, CPHA], [target, -1], [ctrl, ctrl | top],
+                ctrl = 1 << int(ctrl_bits[delta])
+                val = ctrl if pol else 0
+                return _program(nb, [CNOT, CPHA], [rot, -1], [ctrl, ctrl | top],
                                 [val, val | top], [0.0, 180.0])
-                return _alias_rename(prog, nb, c.level)
-    return decompose_real_d(c, prune_tol)
+    return decompose_real_d(c)
 
 
-def _real_core_program(c: CentralMatrix, use_right_angle: bool, prune_tol: float) -> Program:
+def _real_core_program(c: CentralMatrix, use_right_angle: bool) -> Program:
     if use_right_angle and is_right_angle(c.angles):
-        return decompose_right_angle_case(c, prune_tol)
-    return decompose_real_d(c, prune_tol)
+        return decompose_right_angle_case(c)
+    return decompose_real_d(c)
 
 
 def decompose_central(c: CentralMatrix, diag_mode: str = "controlled-phase",
-                      use_right_angle: bool = True,
-                      prune_tol: float = PRUNE_TOL) -> Program:
+                      use_right_angle: bool = True) -> Program:
     """Dispatch a central matrix to its emission routine."""
     if c.variant == "diagonal":
-        return decompose_diagonal(c, diag_mode, prune_tol)
+        return decompose_diagonal(c, diag_mode)
     if c.variant == "realD":
-        return _real_core_program(c, use_right_angle, prune_tol)
-    return decompose_complex_d(c, diag_mode, use_right_angle, prune_tol)
+        return _real_core_program(c, use_right_angle)
+    return decompose_complex_d(c, diag_mode, use_right_angle)

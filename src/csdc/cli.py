@@ -1,11 +1,12 @@
 """Command-line front end: compile, decompile and verify.
 
 Exit codes: 0 success; 1 verify distance above tolerance; 2 unreadable or
-malformed input (or dimension mismatch, or a program too large to simulate:
-the dense 2**nb x 2**nb rebuild is refused up front when about 3 * 16 * 4**nb
-bytes exceed physical memory); 3 non-unitary matrix; 4 internal tolerance
-failure (the compiled program fails to reproduce its input).  Failures map to
-exit codes by exception type.
+malformed input or options (a bad option, such as a --tol outside
+0 < tol < inf, is argparse's exit 2), a dimension mismatch, or a program too
+large to simulate (the dense 2**nb x 2**nb rebuild is refused up front when
+about 3 * 16 * 4**nb bytes exceed physical memory); 3 non-unitary matrix;
+4 internal tolerance failure (the compiled program fails to reproduce its
+input).  Failures map to exit codes by exception type.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import numpy as np
 # where perfbench/spans.py traces them by name.
 from .compiler import CompileOptions, _embed, compile_unitary, pad_to_power_of_two  # noqa: F401
 from .matrices import (DEFAULT_TOL, MatrixFormatError, NotUnitaryError,  # noqa: F401
-                       frobenius_distance, read_matrix_file, unitarity_deviation,
-                       write_matrix_file)
+                       check_tol, frobenius_distance, read_matrix_file,
+                       unitarity_deviation, write_matrix_file)
 from .seo import SeoParseError, parse, program_to_matrix, serialize
 
 # The compiled program must reproduce the (padded) input to this Frobenius
@@ -50,6 +51,14 @@ def _emit_report(report: dict, fmt: str) -> None:
             print(f"{key}: {inner}")
         else:
             print(f"{key}: {value}")
+
+
+def _tolerance(text: str) -> float:
+    """Parse --tol with the check CompileOptions makes."""
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _options_from_args(args) -> CompileOptions:
@@ -172,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--perm-search", dest="perm_search",
                     choices=("none", "root"), default="none",
                     help="try all bit relabelings at the root, keep the shortest")
-    pc.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_report(pc)
     pc.set_defaults(func=run_compile)
 
@@ -188,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("matrix", help="matrix text file")
     pv.add_argument("seo", help="SEO text file")
     pv.add_argument("--nb", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pv.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_report(pv)
     pv.set_defaults(func=run_verify)
     return parser

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import BitPermutation, apply_bit_permutation
-from .central import (CentralMatrix, PRUNE_TOL, complex_d_central, decompose_central,
-                      diagonal_central, real_d_central)
+from .central import (CentralMatrix, complex_d_central, decompose_central, diagonal_central,
+                      real_d_central)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
 from .csd import (PhaseFactors, csd, csd_stack, extract_phases,  # noqa: F401
                   extract_phases_stack, is_complex_d, is_complex_d_stack, lighten,
                   lighten_stack, phase_parameters)
-from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation
+from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
 from .seo import Program, concat, expand_controls, rename_bits
 
 # A side matrix whose max-entry deviation from the identity is below this
@@ -66,15 +66,14 @@ class CompileOptions:
     def __post_init__(self):
         if self.perm_search not in ("none", "root-exhaustive"):
             raise ValueError(f"unknown perm_search mode {self.perm_search!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        check_tol(self.tol)
 
 
 @dataclass
 class CsdNode:
     level: int
     central: CentralMatrix
-    perm: BitPermutation | None = None
+    perm: BitPermutation | None = None   # set on the root by permutation search
     left: "CsdNode | None" = None
     right: "CsdNode | None" = None
 
@@ -295,8 +294,9 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     """Build the CSD tree of a 2**nb unitary.
 
     With perm_search="root-exhaustive", every bit permutation of the input is
-    compiled and the root of the shortest-program tree is returned, carrying
-    the winning permutation for un-relabeling at assembly time.
+    compiled and the root of the shortest-program tree is returned.  The root
+    carries the winning permutation (None when it is the identity), and
+    ``program_for_tree`` undoes it by one rename of the finished program.
     """
     a = as_matrix(u)
     nb = _nb_of(a)
@@ -325,42 +325,34 @@ def _tree(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
     return best
 
 
-def assemble(root: CsdNode) -> list[tuple[CentralMatrix, BitPermutation | None]]:
+def assemble(root: CsdNode) -> list[CentralMatrix]:
     """Central matrices in application order: right subtree, node, left subtree.
 
-    Each entry carries the bit permutation composed along its root path (None
-    when trivial); the product of the un-relabeled entries, last applied
-    leftmost, equals the tree's input matrix.
+    The product of the entries, last applied leftmost, equals the tree's
+    input matrix, relabeled by ``root.perm`` when that is set.
     """
-    out: list[tuple[CentralMatrix, BitPermutation | None]] = []
+    out: list[CentralMatrix] = []
 
-    def walk(node: CsdNode, acc: BitPermutation | None) -> None:
-        cum = acc
-        if node.perm is not None:
-            cum = node.perm if acc is None else node.perm.compose(acc)
+    def walk(node: CsdNode) -> None:
         if node.right:
-            walk(node.right, cum)
-        out.append((node.central, cum))
+            walk(node.right)
+        out.append(node.central)
         if node.left:
-            walk(node.left, cum)
+            walk(node.left)
 
-    walk(root, None)
+    walk(root)
     return out
 
 
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
-    """Emit the program of an assembled tree (including control expansion)."""
-    nb = root.central.nb
+    """Emit the program of an assembled tree, un-relabel it by the root's
+    permutation, and expand its controls if asked."""
     diag_mode = "controlled-phase" if opts.extract_phases else "rotz-chain"
-    parts = []
-    for central, perm in assemble(root):
-        prog = decompose_central(central, diag_mode=diag_mode,
-                                 use_right_angle=opts.extract_phases,
-                                 prune_tol=PRUNE_TOL)
-        if perm is not None:
-            prog = rename_bits(prog, perm.inverse())
-        parts.append(prog)
-    program = concat(*parts) if parts else Program(nb)
+    program = concat(*(decompose_central(central, diag_mode=diag_mode,
+                                         use_right_angle=opts.extract_phases)
+                       for central in assemble(root)))
+    if root.perm is not None:
+        program = rename_bits(program, root.perm.inverse())
     if opts.expand_controls:
         program = expand_controls(program)
     return program

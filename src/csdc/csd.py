@@ -151,21 +151,21 @@ def qr_nonneg(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def angle_clusters(thetas, angle_tol: float = ANGLE_CLUSTER_TOL) -> list[tuple[int, int]]:
-    """Half-open [start, stop) runs of degenerate angles in a sorted vector."""
+def angle_clusters(thetas) -> list[tuple[int, int]]:
+    """Half-open [start, stop) runs of degenerate angles (gaps at most
+    ANGLE_CLUSTER_TOL) in a sorted vector."""
     th = np.asarray(thetas, dtype=np.float64)
     clusters = []
     start = 0
     for i in range(1, len(th)):
-        if th[i] - th[i - 1] > angle_tol:
+        if th[i] - th[i - 1] > ANGLE_CLUSTER_TOL:
             clusters.append((start, i))
             start = i
     clusters.append((start, len(th)))
     return clusters
 
 
-def lighten(f: CsdFactors, tol: float = DEFAULT_TOL,
-            angle_tol: float = ANGLE_CLUSTER_TOL) -> CsdFactors:
+def lighten(f: CsdFactors) -> CsdFactors:
     """Gauge-fix the factorization so r0 is as close to identity as the angles allow.
 
     Within each cluster of degenerate angles, any shared unitary G commutes
@@ -175,10 +175,9 @@ def lighten(f: CsdFactors, tol: float = DEFAULT_TOL,
     non-negative principal diagonal; a fully degenerate unitary r0 collapses
     to the identity.  Angles are untouched.
     """
-    m = f.half_dim
     gs = []
     new_r0 = np.empty_like(f.r0)
-    for start, stop in angle_clusters(f.thetas, angle_tol):
+    for start, stop in angle_clusters(f.thetas):
         q, r = qr_nonneg(f.r0[start:stop, :])
         gs.append(q)
         new_r0[start:stop, :] = r

@@ -19,6 +19,14 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
+def check_tol(tol: float) -> float:
+    """tol itself if 0 < tol < inf; ValueError otherwise.  A NaN tolerance
+    would make every ``dev > tol`` test false and so disable the checks."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 class NotUnitaryError(ValueError):
     """Raised when an input that must be unitary is not, within tolerance."""
 

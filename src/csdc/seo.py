@@ -33,7 +33,6 @@ operations.  Controls are written in increasing bit order.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import os
 
@@ -53,6 +52,10 @@ _ANGLED = _TAKES_ANGLE.tolist()
 
 # Control masks are int64, so bit indices stay below 63.
 MAX_NB = 63
+
+# Rotations at or below this angle (degrees) are suppressed and their flanking
+# c-nots merged; this is what lets structured inputs collapse to short programs.
+PRUNE_TOL = 1e-10
 
 # A dense simulation holds about this many 2**nb x 2**nb complex128 arrays at
 # its peak (measured with tracemalloc on program_to_matrix).
@@ -548,8 +551,8 @@ def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
     return Program(nb, kinds, targets, zeros, zeros, angles, validate=False)
 
 
-def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: bool,
-               prune_tol: float) -> Program:
+def _expansion(nb: int, kind: int, target: int, mask: int, val: int,
+               pruned: bool) -> Program:
     """The expansion of one multi-control gate over instructions touching <= 2
     bits.  For CPHA it is built for angle 1 and scales linearly in the angle:
     every ladder angle is +-angle / 2**k, exact in floating point, so the
@@ -565,7 +568,7 @@ def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: boo
     else:  # CNOT: sigma_x(t)^P = V sigma_z(t)^P V*, V = exp(-i 45deg sigma_y(t))
         involved = [target] + ctrl_bits
         wrap, closing = [(ROTY, target, 45.0)], [(ROTY, target, -45.0)]
-        angle, tol = 180.0, prune_tol
+        angle, tol = 180.0, PRUNE_TOL
     parts = [_uncontrolled(nb, flips + wrap)]
     if not pruned:
         # sigma_z powers: exp(i angle n...n) has Hadamard-transformed z-string
@@ -577,7 +580,7 @@ def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: boo
     return concat(*parts)
 
 
-def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
+def expand_controls(p: Program) -> Program:
     """Expand multi-control gates so every instruction touches at most 2 bits.
 
     CNOT with >= 2 controls and CPHA with >= 3 controls are rewritten in the
@@ -585,7 +588,7 @@ def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
     Each distinct (kind, target, controls) is expanded once per call.  A CPHA
     expansion is then scaled by the gate's angle, or its ladder is dropped
     whole (its F-control flips stay) when every ladder angle, |angle| / 2**k,
-    is at most prune_tol.
+    is at most PRUNE_TOL.
     """
     kind, target, mask, val, angle = p.columns
     nctrl = bitops.popcount(mask)
@@ -593,11 +596,11 @@ def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
     rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
     if not rows.size:
         return p
-    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= prune_tol)
+    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= PRUNE_TOL)
     keys = np.stack([kind[rows], target[rows], mask[rows], val[rows], pruned], axis=1)
     uniq, which = np.unique(keys, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    templates = [_expansion(p.nb, *key, prune_tol) for key in uniq.tolist()]
+    templates = [_expansion(p.nb, *key) for key in uniq.tolist()]
     # Output slots: every row keeps one, an expanded row takes its template's.
     lens = np.ones(len(p), dtype=np.int64)
     lens[rows] = np.array([len(t) for t in templates])[which]
@@ -617,44 +620,28 @@ def expand_controls(p: Program, prune_tol: float = 1e-10) -> Program:
     return Program(p.nb, *out, validate=False)
 
 
-@functools.lru_cache(maxsize=256)
-def _mask_tables(lut: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Byte tables of a bit relabeling: table j maps the byte of a mask at
-    bits 8j..8j+7 to the image of those bits."""
-    v = np.arange(256, dtype=np.int64)
-    tables = []
-    for j in range(0, len(lut), 8):
-        t = np.zeros(256, dtype=np.int64)
-        for i, dest in enumerate(lut[j:j + 8]):
-            t |= ((v >> i) & 1) << dest
-        t.flags.writeable = False
-        tables.append(t)
-    return tuple(tables)
-
-
-def _map_masks(tables: tuple[np.ndarray, ...], masks: np.ndarray) -> np.ndarray:
-    out = tables[0][masks & 0xFF]
-    for j, t in enumerate(tables[1:], start=1):
-        out |= t[(masks >> (8 * j)) & 0xFF]
-    return out
-
-
 def rename_bits(p: Program, mapping) -> Program:
     """Rewrite every bit index through ``mapping`` (callable or sequence),
     which must be defined on every bit 0..nb-1.
 
-    Targets go through a lookup table and masks through byte tables of the
-    bit relabeling.  The result is checked only when the mapping is not
-    injective into 0..nb-1.
+    Targets go through a lookup table and masks through one shift per bit.
+    The result is checked only when the mapping is not injective into
+    0..nb-1; then two controls of one row that land on one bit raise
+    ValueError, as do a target and a control.
     """
     get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
-    images = tuple(int(get(b)) for b in range(p.nb))
+    images = [int(get(b)) for b in range(p.nb)]
     if min(images) < 0 or max(images) >= p.nb:
-        raise ValueError(f"bit mapping leaves 0..{p.nb - 1}: {list(images)}")
-    tables = _mask_tables(images)
-    lut = np.array(images + (-1,))   # a target of -1 stays -1
-    out = Program(p.nb, p.kind, lut[p.target], _map_masks(tables, p.ctrl_mask),
-                  _map_masks(tables, p.ctrl_val), p.angle, validate=False)
+        raise ValueError(f"bit mapping leaves 0..{p.nb - 1}: {images}")
+    mask = np.zeros_like(p.ctrl_mask)
+    val = np.zeros_like(p.ctrl_val)
+    for b, dest in enumerate(images):
+        mask |= (p.ctrl_mask >> b & 1) << dest
+        val |= (p.ctrl_val >> b & 1) << dest
+    lut = np.array(images + [-1])   # a target of -1 stays -1
+    out = Program(p.nb, p.kind, lut[p.target], mask, val, p.angle, validate=False)
     if len(set(images)) != p.nb:
+        _reject(bitops.popcount(mask) != bitops.popcount(p.ctrl_mask), p.kind,
+                "{kind} bits must be distinct: two controls land on one bit")
         out.validate()
     return out

@@ -50,6 +50,20 @@ def dense_real_d_block(angles_deg):
     return out
 
 
+def level_alias(nb, level):
+    """Bit relabeling that turns the rotation-on-top D form into a direct sum
+    of 2**(level-1) blocks: the rotation bit nb-1 moves to nb-level and the
+    displaced bits shift up by one.  The emission routines write these final
+    positions directly; this is the oracle they are checked against."""
+    from csdc import BitPermutation
+    if not 1 <= level <= nb:
+        raise ValueError(f"level must be in [1, nb], got {level}")
+    cut = nb - level
+    mapping = [p + 1 if cut <= p <= nb - 2 else p for p in range(nb)]
+    mapping[nb - 1] = cut
+    return BitPermutation(nb, tuple(mapping))
+
+
 def transposition_matrix(n, pairs):
     """n x n permutation matrix swapping the states of each pair; the pairs
     must be disjoint, so their order does not matter."""

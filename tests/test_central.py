@@ -4,12 +4,12 @@ import pytest
 from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
                   complex_d_central, decompose_complex_d, decompose_diagonal,
                   decompose_real_d, decompose_right_angle_case, diagonal_central,
-                  frobenius_distance, level_alias, program_to_matrix,
-                  real_d_central, serialize)
+                  frobenius_distance, program_to_matrix, real_d_central, serialize)
 from csdc.bitops import hadamard_transform, state_permutation
+from csdc.seo import rename_bits
 
 from conftest import (bits_of, dense_central, dense_diagonal, dense_real_d_central,
-                      random_phase_factors, rows)
+                      level_alias, random_phase_factors, rows)
 
 
 class TestAnglesToTheta:
@@ -102,6 +102,58 @@ class TestLevelAlias:
         summed = dense_real_d_central(3, 2, phi)
         g = state_permutation(level_alias(3, 2))
         assert frobenius_distance(g @ top @ g.conj().T, summed) < 1e-12
+
+
+def pruned_angles(rng, nb):
+    """Rotation angles whose transformed angles are about half exact zeros
+    (pruned, so neighbouring c-nots merge) and half random."""
+    theta = rng.uniform(-90, 90, 1 << (nb - 1))
+    theta[rng.random(theta.size) < 0.5] = 0.0
+    return hadamard_transform(theta)
+
+
+def right_angle_patterns(nb):
+    """(branch, angles) for every branch of decompose_right_angle_case: none
+    at 90°, all at 90°, one control of either polarity at every delta, and a
+    pattern no single control selects (the ladder fallback)."""
+    idx = np.arange(1 << (nb - 1))
+    out = [("none", np.zeros(idx.size)), ("all", np.full(idx.size, 90.0))]
+    for delta in range(nb - 1):
+        for pol in (1, 0):
+            out.append(("one", np.where(((idx >> delta) & 1) == pol, 90.0, 0.0)))
+    if nb >= 3:
+        out.append(("ladder", np.where(idx == 0, 90.0, 0.0)))
+    return out
+
+
+class TestFinalBitPositions:
+    """Every level is emitted at its final bit positions: the same program as
+    the level-1 one renamed through level_alias, exactly."""
+
+    @pytest.mark.parametrize("nb", range(1, 9))
+    def test_real_d_equals_renamed_level_one(self, rng, nb):
+        for _ in range(3):
+            phi = pruned_angles(rng, nb)
+            top = decompose_real_d(real_d_central(nb, 1, phi))
+            for level in range(1, nb + 1):
+                got = decompose_real_d(real_d_central(nb, level, phi))
+                assert got == rename_bits(top, level_alias(nb, level))
+
+    @pytest.mark.parametrize("nb", range(1, 9))
+    def test_right_angle_equals_renamed_level_one(self, nb):
+        for branch, phi in right_angle_patterns(nb):
+            top = decompose_right_angle_case(real_d_central(nb, 1, phi))
+            if branch == "ladder":
+                assert top == decompose_real_d(real_d_central(nb, 1, phi))
+            else:
+                assert len(top) == {"none": 0, "all": 1, "one": 2}[branch]
+            for level in range(1, nb + 1):
+                c = real_d_central(nb, level, phi)
+                got = decompose_right_angle_case(c)
+                assert got == rename_bits(top, level_alias(nb, level))
+                if nb <= 4:
+                    assert frobenius_distance(program_to_matrix(got),
+                                              dense_real_d_central(nb, level, phi)) < 1e-12
 
 
 class TestDecomposeDiagonal:

@@ -70,6 +70,20 @@ class TestCompileCommand:
         assert out.read_text()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_tol_outside_positive_finite_exits_2(tmp_path, capsys, tol):
+    inp = write_matrix(tmp_path / "in.txt", np.diag([1.0, 2.0, 1.0, 1.0]))
+    out = tmp_path / "out.seo"
+    seo = tmp_path / "p.seo"
+    seo.write_text("SIGX 0\n")
+    for argv in (["compile", inp, "-o", str(out)], ["verify", inp, str(seo)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDecompileCommand:
     def test_sigx_file(self, tmp_path):
         seo = tmp_path / "p.seo"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (DenseTooLargeError, Program, cli, compiler, expand_controls, matrices,
-                  parse, program_to_matrix, seo, serialize)
+from csdc import (DenseTooLargeError, Program, central, cli, compiler, expand_controls,
+                  matrices, parse, program_to_matrix, seo, serialize)
 from csdc.seo import KINDS, SeoParseError, concat, rename_bits
 
 from conftest import (concat_by_rows, kron_program_matrix, program_of_rows,
@@ -113,6 +113,15 @@ class TestColumnStages:
     def test_rename_rejects_colliding_bits(self):
         with pytest.raises(ValueError, match="distinct"):
             rename_bits(parse("CNOT 0 T 1"), [0, 0])
+
+    @pytest.mark.parametrize("text, mapping", [
+        ("CNOT 0 T 1 F 2", [0, 0, 2]),
+        ("CPHA 0 T 1 T 45", [1, 1]),
+        ("ROTY 2 5\nCPHA 0 F 1 T 2 T 45", [0, 2, 2]),
+    ])
+    def test_rename_rejects_controls_landing_on_one_bit(self, text, mapping):
+        with pytest.raises(ValueError, match="bits must be distinct"):
+            rename_bits(parse(text), mapping)
 
     def test_rename_accepts_non_injective_map_without_collision(self):
         q = rename_bits(parse("ROTY 0 5\nROTY 1 6"), [1, 1])
@@ -240,6 +249,28 @@ class TestUnitarityCheckedOnce:
         matrices.write_matrix_file(src, random_unitary(rng, 8))
         assert cli.main(["compile", src, "-o", str(tmp_path / "u.seo")]) == 0
         assert calls == [(8, 8)]
+
+    def test_default_compile_renames_nothing(self, rng, monkeypatch):
+        calls = []
+        for mod in (compiler, central):
+            monkeypatch.setattr(mod, "rename_bits",
+                                lambda p, m: calls.append(len(p)) or rename_bits(p, m))
+        for nb in (1, 3, 5):
+            compiler.compile_unitary(random_unitary(rng, 1 << nb))
+        assert calls == []
+
+    def test_perm_search_renames_once_per_relabeled_program(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(compiler, "rename_bits",
+                            lambda p, m: calls.append(len(p)) or rename_bits(p, m))
+        opts = compiler.CompileOptions(perm_search="root-exhaustive")
+        u = np.kron(np.eye(4), random_unitary(rng, 2))
+        root = compiler.build_tree(u, opts)
+        assert len(calls) == 5          # one per candidate other than the identity
+        program = compiler.program_for_tree(root, opts)
+        assert root.perm is not None and len(calls) == 6
+        assert root.perm.inverse() != root.perm   # a 3-cycle: the direction matters
+        assert np.abs(program_to_matrix(program) - u).max() < 1e-10
 
     def test_build_tree_still_checks(self, monkeypatch):
         with pytest.raises(ValueError, match="not unitary"):

@@ -106,10 +106,10 @@ class TestAssemble:
         for nb in (1, 2, 3, 4):
             u = random_unitary(rng, 1 << nb)
             for opts in (DEFAULTS, PLAIN):
-                entries = assemble(build_tree(u, opts))
-                assert all(perm is None for _, perm in entries)
+                root = build_tree(u, opts)
+                assert all(node.perm is None for node in tree_nodes(root))
                 prod = np.eye(1 << nb, dtype=complex)
-                for central, _ in entries:  # application order: multiply from the left
+                for central in assemble(root):  # application order: multiply from the left
                     prod = dense_central(central) @ prod
                 assert frobenius_distance(prod, u) < 1e-9
 
@@ -170,6 +170,11 @@ class TestCompile:
         short = compile_unitary(u, CompileOptions(perm_search="root-exhaustive"))
         assert frobenius_distance(u, program_to_matrix(short)) < 1e-8
         assert len(short) <= len(compile_unitary(u))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_options_reject_tol_outside_positive_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            CompileOptions(tol=tol)
 
     def test_perm_search_nb_cap(self):
         opts = CompileOptions(perm_search="root-exhaustive")
