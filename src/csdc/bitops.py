@@ -18,12 +18,13 @@ from .matrices import as_matrix
 def gray_sequence(n: int) -> list[int]:
     """Lazy ordering of the n-bit strings: consecutive entries differ in one bit.
 
-    The sequence starts at 0 and ends on a string with a single nonzero bit,
-    so a rotation ladder built over it closes with exactly one c-not.  It is
-    the reflected binary code read through a bit reversal.
+    The sequence starts at 0 and, for n >= 1, ends on a string with a single
+    nonzero bit, so a rotation ladder built over it closes with exactly one
+    c-not; over 0 bits it is [0].  It is the reflected binary code read
+    through a bit reversal.
     """
-    if n < 1:
-        raise ValueError("gray_sequence requires n >= 1")
+    if n < 0:
+        raise ValueError("gray_sequence requires n >= 0")
     i = np.arange(1 << n)
     g = i ^ (i >> 1)
     out = np.zeros_like(g)

@@ -8,9 +8,10 @@ order.  So one emission routine serves every level, and it writes the final
 bit positions directly: the rotation goes on bit nb-level, and the Gray
 sequence's control bits go, in increasing order, on the remaining bits.
 
-Rotation ladders follow the lazy (Gray) ordering so that one c-not survives
-between adjacent rotations, and rotations with negligible angles are dropped
-with their flanking c-nots merged.
+Rotation ladders, the ROTY core of a D matrix and the ROTZ chain of a
+rotz-chain diagonal, are both :func:`~csdc.seo.rotation_ladder`: the lazy
+(Gray) ordering, so that one c-not survives between adjacent rotations, with
+rotations of negligible angle dropped and their flanking c-nots merged.
 
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
@@ -28,7 +29,7 @@ import numpy as np
 from .bitops import basis_change_matrix, gray_sequence, hadamard_transform  # noqa: F401
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
-                  rename_bits, z_ladder)
+                  rename_bits, rotation_ladder, z_ladder)
 
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
@@ -130,37 +131,15 @@ def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
 
 
 def decompose_real_d(c: CentralMatrix) -> Program:
-    """ROTY ladder for a real D direct sum.
-
-    Walking the Gray sequence, each step contributes a rotation of the
-    rotation bit by the transformed angle followed by one c-not controlled by
-    the bit the step flips; skipped (negligible) rotations merge their
-    flanking c-nots by XOR-ing the accumulated control set.  So, over the kept
-    steps s_1..s_K, the c-nots before rotation j are the bits of s_j ^ s_(j-1)
-    (s_0 = 0), and the closing c-nots are the bits of s_K.
-    """
+    """ROTY ladder for a real D direct sum: one :func:`~csdc.seo.rotation_ladder`
+    on the rotation bit over the Gray sequence of the control bits, each step
+    rotating by the transformed angle at its Gray code."""
     if c.variant != "realD":
         raise ValueError("decompose_real_d needs a realD central matrix")
-    nb = c.nb
-    rot, ctrl_bits = _places(nb, c.level)
+    rot, ctrl_bits = _places(c.nb, c.level)
     theta = _wrap_deg(angles_to_theta(c.angles))
-    w = nb - 1                     # the count of control bits
-    seq = np.array(gray_sequence(w) if w else [0])
-    kept = seq[np.abs(theta[seq]) > PRUNE_TOL]
-    k = len(kept)
-    masks = np.zeros(k + 1, dtype=np.int64)
-    masks[:k] = kept
-    masks[1:] ^= kept
-    # One row of slots per mask: a c-not per control bit, then the rotation.
-    slots = np.zeros((k + 1, nb), dtype=bool)
-    slots[:, :w] = (masks[:, None] >> np.arange(w)) & 1
-    slots[:k, w] = True
-    _, col = np.nonzero(slots)
-    is_rot = col == w
-    ctrl = np.where(is_rot, 0, 1 << np.append(ctrl_bits, rot)[col])
-    angle = np.zeros(len(col))
-    angle[is_rot] = theta[kept]
-    return _program(nb, np.where(is_rot, ROTY, CNOT), np.full(len(col), rot), ctrl, ctrl, angle)
+    seq = np.array(gray_sequence(c.nb - 1))
+    return rotation_ladder(c.nb, ROTY, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
 
 
 def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
@@ -218,13 +197,13 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
     return _program(nb, kind, target, ctrl, ctrl, angle)
 
 
-def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
-                        use_right_angle: bool = False) -> Program:
+def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True) -> Program:
     """Split a complex D direct sum into right diagonal, real core, left diagonal.
 
     Per block, the parameters give Δ_L = I ⊕ Γ_L and Δ_R = Γ ⊕ Γ Γ_R around a
     real rotation core; the three pieces are emitted in application order
-    (right diagonal first).
+    (right diagonal first), each by :func:`decompose_central` with
+    ``extract_phases``.
     """
     if c.variant != "complexD":
         raise ValueError("decompose_complex_d needs a complexD central matrix")
@@ -236,11 +215,9 @@ def decompose_complex_d(c: CentralMatrix, diag_mode: str = "controlled-phase",
     j = states & ((1 << rot) - 1)
     phi_r = f.omega[blk, j] + hi * f.omega_r[blk, j]
     phi_l = hi * f.omega_l[blk, j]
-    core = real_d_central(nb, level, f.thetas.reshape(-1))
-    prog_r = decompose_diagonal(diagonal_central(nb, phi_r), diag_mode)
-    prog_core = _real_core_program(core, use_right_angle)
-    prog_l = decompose_diagonal(diagonal_central(nb, phi_l), diag_mode)
-    return concat(prog_r, prog_core, prog_l)
+    pieces = (diagonal_central(nb, phi_r), real_d_central(nb, level, f.thetas.reshape(-1)),
+              diagonal_central(nb, phi_l))
+    return concat(*(decompose_central(piece, extract_phases) for piece in pieces))
 
 
 def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL) -> bool:
@@ -280,17 +257,17 @@ def decompose_right_angle_case(c: CentralMatrix) -> Program:
     return decompose_real_d(c)
 
 
-def _real_core_program(c: CentralMatrix, use_right_angle: bool) -> Program:
-    if use_right_angle and is_right_angle(c.angles):
-        return decompose_right_angle_case(c)
-    return decompose_real_d(c)
+def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
+    """Dispatch a central matrix to its emission routine.
 
-
-def decompose_central(c: CentralMatrix, diag_mode: str = "controlled-phase",
-                      use_right_angle: bool = True) -> Program:
-    """Dispatch a central matrix to its emission routine."""
+    ``extract_phases`` (the compile option) picks the emission: diagonals as
+    controlled phases and real cores through the right-angle special case
+    when set; rotz-chain diagonals and the plain ladder otherwise.
+    """
     if c.variant == "diagonal":
-        return decompose_diagonal(c, diag_mode)
+        return decompose_diagonal(c, "controlled-phase" if extract_phases else "rotz-chain")
     if c.variant == "realD":
-        return _real_core_program(c, use_right_angle)
-    return decompose_complex_d(c, diag_mode, use_right_angle)
+        if extract_phases and is_right_angle(c.angles):
+            return decompose_right_angle_case(c)
+        return decompose_real_d(c)
+    return decompose_complex_d(c, extract_phases)

@@ -6,7 +6,10 @@ malformed input or options (a bad option, such as a --tol outside
 large to simulate (the dense 2**nb x 2**nb rebuild is refused up front when
 about 3 * 16 * 4**nb bytes exceed physical memory); 3 non-unitary matrix;
 4 internal tolerance failure (the compiled program fails to reproduce its
-input).  Failures map to exit codes by exception type.
+input).  Failures map to exit codes by exception type, in ``main`` only.
+
+``verify`` pads the matrix as ``compile`` does (u ⊕ I up to a power of two)
+and reads the SEO file on log2 of that dimension bits unless --nb is given.
 """
 from __future__ import annotations
 
@@ -20,10 +23,10 @@ import numpy as np
 # (compile_unitary pads and checks); they stay importable from this module,
 # where perfbench/spans.py traces them by name.
 from .compiler import CompileOptions, _embed, compile_unitary, pad_to_power_of_two  # noqa: F401
-from .matrices import (DEFAULT_TOL, MatrixFormatError, NotUnitaryError,  # noqa: F401
-                       check_tol, frobenius_distance, read_matrix_file,
-                       unitarity_deviation, write_matrix_file)
-from .seo import SeoParseError, parse, program_to_matrix, serialize
+from .matrices import (DEFAULT_TOL, NotUnitaryError, check_tol,  # noqa: F401
+                       frobenius_distance, read_matrix_file, unitarity_deviation,
+                       write_matrix_file)
+from .seo import parse, program_to_matrix, serialize
 
 # The compiled program must reproduce the (padded) input to this Frobenius
 # distance or the compile command fails with exit code 4.
@@ -72,20 +75,14 @@ def _options_from_args(args) -> CompileOptions:
 
 
 def run_compile(args) -> int:
-    try:
-        u = read_matrix_file(args.input)
-    except (OSError, MatrixFormatError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read matrix file: {exc}")
+    u = read_matrix_file(args.input)
     program = compile_unitary(u, _options_from_args(args))   # checks unitarity once
     padded = _embed(u)
     original_dim = u.shape[0]
     nb = padded.shape[0].bit_length() - 1
     error = frobenius_distance(padded, program_to_matrix(program))
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize(program))
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot write output file: {exc}")
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(serialize(program))
     _emit_report({
         "nb": nb,
         "original_dimension": original_dim,
@@ -101,20 +98,10 @@ def run_compile(args) -> int:
 
 
 def run_decompile(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read SEO file: {exc}")
-    try:
-        program = parse(text, nb=args.nb)
-    except SeoParseError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot parse SEO file: {exc}")
+    with open(args.input, "r", encoding="utf-8") as fh:
+        program = parse(fh.read(), nb=args.nb)
     matrix = program_to_matrix(program)
-    try:
-        write_matrix_file(args.output, matrix)
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot write output file: {exc}")
+    write_matrix_file(args.output, matrix)
     _emit_report({
         "nb": program.nb,
         "instructions": len(program),
@@ -125,17 +112,10 @@ def run_decompile(args) -> int:
 
 
 def run_verify(args) -> int:
-    try:
-        u = read_matrix_file(args.matrix)
-    except (OSError, MatrixFormatError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read matrix file: {exc}")
-    try:
-        with open(args.seo, "r", encoding="utf-8") as fh:
-            program = parse(fh.read(), nb=args.nb)
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read SEO file: {exc}")
-    except SeoParseError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot parse SEO file: {exc}")
+    u = _embed(read_matrix_file(args.matrix))   # u ⊕ I, as compile pads it
+    nb = u.shape[0].bit_length() - 1
+    with open(args.seo, "r", encoding="utf-8") as fh:
+        program = parse(fh.read(), nb=nb if args.nb is None else args.nb)
     if u.shape[0] != (1 << program.nb):
         return _fail(EXIT_BAD_INPUT,
                      f"dimension mismatch: matrix is {u.shape[0]}, "
@@ -196,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="check a matrix/SEO pair")
     pv.add_argument("matrix", help="matrix text file")
     pv.add_argument("seo", help="SEO text file")
-    pv.add_argument("--nb", type=int, default=None)
+    pv.add_argument("--nb", type=int, default=None,
+                    help="bit count (default: log2 of the padded matrix dimension)")
     pv.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_report(pv)
     pv.set_defaults(func=run_verify)
@@ -209,7 +190,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotUnitaryError as exc:
         return _fail(EXIT_NOT_UNITARY, str(exc))
-    except ValueError as exc:   # DenseTooLargeError and SeoParseError among them
+    except (OSError, ValueError) as exc:
+        # Unreadable or unwritable files; and, as ValueErrors, malformed matrix
+        # or SEO files (MatrixFormatError, SeoParseError), a program too large
+        # to simulate (DenseTooLargeError) and bad arguments.
         return _fail(EXIT_BAD_INPUT, str(exc))
 
 

@@ -347,9 +347,7 @@ def assemble(root: CsdNode) -> list[CentralMatrix]:
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
     """Emit the program of an assembled tree, un-relabel it by the root's
     permutation, and expand its controls if asked."""
-    diag_mode = "controlled-phase" if opts.extract_phases else "rotz-chain"
-    program = concat(*(decompose_central(central, diag_mode=diag_mode,
-                                         use_right_angle=opts.extract_phases)
+    program = concat(*(decompose_central(central, opts.extract_phases)
                        for central in assemble(root)))
     if root.perm is not None:
         program = rename_bits(program, root.perm.inverse())

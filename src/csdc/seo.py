@@ -489,59 +489,67 @@ def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
     return Program(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl, [0.0] * 3)
 
 
+def rotation_ladder(nb: int, kind: int, target, ctrl_bits, steps, angles,
+                    prune_tol: float) -> Program:
+    """The lazy ladder of uncontrolled ``kind`` rotations (ROTY or ROTZ), each
+    conjugated by c-nots from its controls, on ``nb`` bits.
+
+    Step i rotates ``target[i]`` (or the scalar ``target``) by ``angles[i]``;
+    its controls are the bits that ``steps[i]`` selects from ``ctrl_bits``
+    (bit j of the mask selects ``ctrl_bits[j]``).  Steps with
+    |angle| <= prune_tol are dropped.  Over the kept steps, a run on one
+    target emits before each rotation the c-nots of the XOR of its control
+    set with the previous step's (all of its own for the first step of the
+    run), and closes with the c-nots of its last step; so adjacent
+    conjugations cancel except for one c-not per Gray step.  Within a step the
+    c-nots follow the order of ``ctrl_bits``.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    keep = np.abs(angles) > prune_tol
+    mask = np.asarray(steps, dtype=np.int64)[keep]
+    tgt = (np.zeros(len(angles), dtype=np.int64) + target)[keep]
+    k = len(mask)
+    # Row 2i + 1 holds step i's c-nots and its rotation (bit w of the row);
+    # row 2i + 2 holds the c-nots closing step i's run, none unless the run
+    # ends there.  Step i's c-nots are m_i ^ m_(i-1) ^ (row 2i), m_-1 = 0: the
+    # XOR with the previous step inside a run, m_i alone after a closed one.
+    w = len(ctrl_bits)
+    rows = np.zeros(2 * k + 2, dtype=np.int64)
+    rows[2::2] = mask
+    rows[1:-1:2] = mask ^ rows[:-2:2] | 1 << w
+    rows[2:-2:2] *= tgt[1:] != tgt[:-1]
+    rows[1:-1:2] ^= rows[:-2:2]
+    row, col = np.nonzero((rows[:, None] >> np.arange(w + 1)) & 1)   # row 0 is empty
+    is_rot = col == w
+    ctrl = np.concatenate((1 << np.asarray(ctrl_bits, dtype=np.int64), [0]))[col]
+    angle = np.zeros(len(col))
+    angle[is_rot] = angles[keep]
+    return Program(nb, np.where(is_rot, kind, CNOT), tgt[(row - 1) >> 1], ctrl, ctrl, angle,
+                   validate=False)
+
+
 def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
     """Program for prod_b exp(i theta_b Z_b) over subsets of ``bits``, on
     max(bits) + 1 bits.
 
     ``thetas[m]`` (degrees) multiplies the product of sigma_z over the bits
     selected by mask m; m = 0 contributes a global phase.  Factors are walked
-    in lazy (Gray) order so that the c-not conjugations of adjacent factors
-    mostly cancel: each factor rotates its lowest selected bit, conjugated by
-    c-nots from the remaining selected bits, and consecutive factors sharing a
-    rotation bit are linked by the c-nots of their control-set difference.
+    in lazy (Gray) order, as one :func:`rotation_ladder`: each factor rotates
+    its lowest selected bit, conjugated by c-nots from the remaining selected
+    bits.
     """
     k = len(bits)
     if len(thetas) != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
-    kinds: list[int] = []
-    targets: list[int] = []
-    masks: list[int] = []
-    angles: list[float] = []
-
-    def emit(kind: int, target: int, mask: int, angle: float) -> None:
-        kinds.append(kind)
-        targets.append(target)
-        masks.append(mask)
-        angles.append(angle)
-
-    def cnots(mask: int, target_bit: int) -> None:
-        for j in range(k):
-            if mask >> j & 1:
-                emit(CNOT, target_bit, 1 << bits[j], 0.0)
-
-    prev: tuple[int, int] | None = None  # (target index, control mask) awaiting closure
-    for m in bitops.gray_sequence(k) if k else [0]:
-        theta = float(thetas[m])
-        if m == 0:
-            if abs(theta) > prune_tol:
-                emit(PHAS, -1, 0, theta)
-            continue
-        if abs(theta) <= prune_tol:
-            continue
-        tj = (m & -m).bit_length() - 1  # lowest selected bit rotates
-        mask = m & ~(1 << tj)
-        if prev is not None and prev[0] == tj:
-            cnots(prev[1] ^ mask, bits[tj])
-        else:
-            if prev is not None:
-                cnots(prev[1], bits[prev[0]])
-            cnots(mask, bits[tj])
-        emit(ROTZ, bits[tj], 0, theta)
-        prev = (tj, mask)
-    if prev is not None:
-        cnots(prev[1], bits[prev[0]])
-    return Program(max(bits, default=0) + 1, kinds, targets, masks, masks, angles,
-                   validate=False)
+    nb = max(bits, default=0) + 1
+    seq = np.array(bitops.gray_sequence(k)[1:], dtype=np.int64)
+    low = seq & -seq
+    # each step rotates its lowest selected bit; frexp gives that bit's index + 1
+    ladder = rotation_ladder(nb, ROTZ, np.asarray(bits, dtype=np.int64)[np.frexp(low)[1] - 1],
+                             bits, seq ^ low, np.asarray(thetas)[seq], prune_tol)
+    if abs(thetas[0]) <= prune_tol:
+        return ladder
+    return concat(Program(nb, [PHAS], [-1], [0], [0], [thetas[0]], validate=False), ladder)
 
 
 def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:

@@ -20,9 +20,12 @@ class TestGraySequence:
     def test_n2(self):
         assert [f"{v:02b}" for v in gray_sequence(2)] == ["00", "10", "11", "01"]
 
-    def test_rejects_zero(self):
+    def test_zero_bits_is_the_empty_string(self):
+        assert gray_sequence(0) == [0]
+
+    def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            gray_sequence(0)
+            gray_sequence(-1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_lazy_ordering_properties(self, n):

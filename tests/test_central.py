@@ -212,8 +212,8 @@ class TestDecomposeComplexD:
             blocks = [random_phase_factors(rng, 1 << (nb - level))
                       for _ in range(1 << (level - 1))]
             c = complex_d_central(nb, level, blocks)
-            for mode in ("controlled-phase", "rotz-chain"):
-                got = program_to_matrix(decompose_complex_d(c, diag_mode=mode))
+            for extract_phases in (True, False):
+                got = program_to_matrix(decompose_complex_d(c, extract_phases))
                 assert frobenius_distance(got, dense_central(c)) < 1e-10
 
 

@@ -70,6 +70,21 @@ class TestCompileCommand:
         assert out.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "{tmp}/none.txt", "-o", "{tmp}/x.seo"],
+    ["compile", "{tmp}/u.txt", "-o", "{tmp}/no-dir/x.seo"],
+    ["decompile", "{tmp}/none.seo", "-o", "{tmp}/m.txt"],
+    ["decompile", "{tmp}/p.seo", "-o", "{tmp}/no-dir/m.txt"],
+    ["verify", "{tmp}/none.txt", "{tmp}/p.seo"],
+    ["verify", "{tmp}/u.txt", "{tmp}/none.seo"],
+])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv):
+    write_matrix(tmp_path / "u.txt", np.eye(2))
+    (tmp_path / "p.seo").write_text("SIGX 0\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_tol_outside_positive_finite_exits_2(tmp_path, capsys, tol):
     inp = write_matrix(tmp_path / "in.txt", np.diag([1.0, 2.0, 1.0, 1.0]))
@@ -131,11 +146,34 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["distance"] == pytest.approx(2.0)
 
-    def test_dimension_mismatch_exits_2(self, tmp_path):
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
+        inp = write_matrix(tmp_path / "id.txt", np.eye(2))
+        seo = tmp_path / "p.seo"
+        seo.write_text("SIGX 1\n")
+        assert main(["verify", inp, str(seo)]) == 2
+        assert "out of range for nb=1" in capsys.readouterr().err
+
+    def test_nb_option_overrides_matrix_dimension(self, tmp_path):
         inp = write_matrix(tmp_path / "id.txt", np.eye(4))
         seo = tmp_path / "p.seo"
-        seo.write_text("SIGX 0\n")
-        assert main(["verify", inp, str(seo)]) == 2
+        seo.write_text("")
+        assert main(["verify", inp, str(seo), "--nb", "3"]) == 2
+
+    def test_identity_verifies_against_its_empty_program(self, tmp_path, capsys):
+        inp = write_matrix(tmp_path / "id.txt", np.eye(4))
+        seo = tmp_path / "id.seo"
+        assert main(["compile", inp, "-o", str(seo)]) == 0
+        assert seo.read_text() == ""
+        capsys.readouterr()
+        assert main(["verify", inp, str(seo), "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["nb"] == 2 and report["distance"] == 0.0
+
+    def test_padded_input_verifies_against_its_compiled_program(self, tmp_path, rng):
+        inp = write_matrix(tmp_path / "u3.txt", random_unitary(rng, 3))
+        seo = tmp_path / "u3.seo"
+        assert main(["compile", inp, "-o", str(seo)]) == 0
+        assert main(["verify", inp, str(seo)]) == 0
 
     def test_phase_aligned_distance_reported(self, tmp_path, capsys):
         inp = write_matrix(tmp_path / "id.txt", np.eye(2))

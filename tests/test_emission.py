@@ -12,6 +12,7 @@ from csdc.central import (PRUNE_TOL, _number_coefficients, angles_to_theta,
                           decompose_diagonal, decompose_real_d, diagonal_central,
                           real_d_central)
 from csdc.csd import _wrap_deg
+from csdc.seo import serialize, z_ladder
 
 from conftest import program_of_rows
 
@@ -60,6 +61,38 @@ def real_d_loop(nb, theta, prune_tol=PRUNE_TOL):
             out.append(("ROTY", target, 0, 0, float(theta[b])))
     cnots(pending ^ seq[-1])
     return program_of_rows(nb, out)
+
+
+def z_ladder_loop(bits, thetas, prune_tol):
+    """The sigma_z ladder, one instruction at a time: each Gray step rotates
+    its lowest selected bit; a change of rotation bit closes the run before."""
+    k, out = len(bits), []
+
+    def cnots(mask, target_bit):
+        out.extend(("CNOT", target_bit, 1 << bits[j], 1 << bits[j], 0.0)
+                   for j in range(k) if mask >> j & 1)
+
+    prev = None  # (target index, control mask) awaiting closure
+    for m in gray_sequence(k):
+        theta = float(thetas[m])
+        if abs(theta) <= prune_tol:
+            continue
+        if m == 0:
+            out.append(("PHAS", -1, 0, 0, theta))
+            continue
+        tj = (m & -m).bit_length() - 1
+        mask = m & ~(1 << tj)
+        if prev is not None and prev[0] == tj:
+            cnots(prev[1] ^ mask, bits[tj])
+        else:
+            if prev is not None:
+                cnots(prev[1], bits[prev[0]])
+            cnots(mask, bits[tj])
+        out.append(("ROTZ", bits[tj], 0, 0, theta))
+        prev = (tj, mask)
+    if prev is not None:
+        cnots(prev[1], bits[prev[0]])
+    return program_of_rows(max(bits, default=0) + 1, out)
 
 
 def controlled_phase_loop(nb, theta, prune_tol=PRUNE_TOL):
@@ -123,3 +156,30 @@ def test_controlled_phase_rows_equal_loop(rng, nb):
         theta = _wrap_deg(_number_coefficients(phases, nb))
         got = decompose_diagonal(diagonal_central(nb, phases), mode="controlled-phase")
         assert got == controlled_phase_loop(nb, theta)
+
+
+@pytest.mark.parametrize("prune_tol", [-1.0, 1e-10, 0.3])
+@pytest.mark.parametrize("k", range(0, 7))
+def test_z_ladder_equals_loop(rng, k, prune_tol):
+    """Unsorted bits, as control expansion passes [target] + controls; zeros and
+    sub-0.3 angles prune steps, among them steps between two rotation bits."""
+    for _ in range(20):
+        ctrl = sorted(rng.choice(8, size=k, replace=False).tolist())
+        bits = ctrl[-1:] + ctrl[:-1]
+        thetas = with_zeros(rng, 1 << k, rng.uniform(-180, 180, 1 << k))
+        thetas[rng.random(1 << k) < 0.2] = 0.2
+        assert z_ladder(bits, thetas, prune_tol) == z_ladder_loop(bits, thetas, prune_tol)
+
+
+def test_z_ladder_pruned_step_before_target_change():
+    # Gray order over 3 bits: 0, 4, 6, 2, 3, 7, 5, 1.  With step 2 pruned, the
+    # run on bits[1] ends at step 6, so it closes with step 6's c-not.
+    thetas = np.arange(1.0, 9.0)
+    thetas[2] = 0.0
+    bits = [5, 1, 3]
+    got = z_ladder(bits, thetas, PRUNE_TOL)
+    assert got == z_ladder_loop(bits, thetas, PRUNE_TOL)
+    assert serialize(got).splitlines() == [
+        "PHAS 1", "ROTZ 3 5", "CNOT 3 T 1", "ROTZ 1 7", "CNOT 3 T 1", "CNOT 1 T 5",
+        "ROTZ 5 4", "CNOT 3 T 5", "ROTZ 5 8", "CNOT 1 T 5", "ROTZ 5 6", "CNOT 3 T 5",
+        "ROTZ 5 2"]
