@@ -8,11 +8,26 @@ induced permutation of the 2**nb state indices is materialized lazily via
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrices import as_matrix
+
+
+@functools.cache
+def gray_codes(n: int) -> np.ndarray:
+    """:func:`gray_sequence` as a read-only int64 array, built once per n."""
+    if n < 0:
+        raise ValueError("gray_sequence requires n >= 0")
+    i = np.arange(1 << n)
+    g = i ^ (i >> 1)
+    out = np.zeros_like(g)
+    for b in range(n):
+        out |= ((g >> b) & 1) << (n - 1 - b)
+    out.flags.writeable = False
+    return out
 
 
 def gray_sequence(n: int) -> list[int]:
@@ -23,14 +38,7 @@ def gray_sequence(n: int) -> list[int]:
     c-not; over 0 bits it is [0].  It is the reflected binary code read
     through a bit reversal.
     """
-    if n < 0:
-        raise ValueError("gray_sequence requires n >= 0")
-    i = np.arange(1 << n)
-    g = i ^ (i >> 1)
-    out = np.zeros_like(g)
-    for b in range(n):
-        out |= ((g >> b) & 1) << (n - 1 - b)
-    return out.tolist()
+    return gray_codes(n).tolist()
 
 
 def hadamard_transform(v) -> np.ndarray:

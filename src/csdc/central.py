@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# basis_change_matrix and rename_bits are not called here; they stay importable
-# from this module, where perfbench/spans.py traces them by name.
-from .bitops import basis_change_matrix, gray_sequence, hadamard_transform  # noqa: F401
+# basis_change_matrix, gray_sequence and rename_bits are not called here; they
+# stay importable from this module, where perfbench/spans.py traces them by name.
+from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
+                     hadamard_transform)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
                   rename_bits, rotation_ladder, z_ladder)
@@ -138,7 +139,7 @@ def decompose_real_d(c: CentralMatrix) -> Program:
         raise ValueError("decompose_real_d needs a realD central matrix")
     rot, ctrl_bits = _places(c.nb, c.level)
     theta = _wrap_deg(angles_to_theta(c.angles))
-    seq = np.array(gray_sequence(c.nb - 1))
+    seq = gray_codes(c.nb - 1)
     return rotation_ladder(c.nb, ROTY, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
 
 

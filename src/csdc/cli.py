@@ -126,7 +126,8 @@ def run_verify(args) -> int:
     # mismatch is distinguishable from a structural one.
     overlap = np.vdot(u, rebuilt)   # tr(uᴴ rebuilt), without the dense product
     phase = overlap / abs(overlap) if abs(overlap) > 1e-300 else 1.0
-    aligned = frobenius_distance(u, rebuilt * np.conj(phase))
+    rebuilt *= np.conj(phase)   # in place: no second dense array
+    aligned = frobenius_distance(u, rebuilt)
     _emit_report({
         "nb": program.nb,
         "distance": distance,

@@ -33,6 +33,7 @@ operations.  Controls are written in increasing bit order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 
@@ -58,7 +59,11 @@ MAX_NB = 63
 PRUNE_TOL = 1e-10
 
 # A dense simulation holds about this many 2**nb x 2**nb complex128 arrays at
-# its peak (measured with tracemalloc on program_to_matrix).
+# its peak: the matrix and the four half-size work arrays of a dense run.
+# Measured with tracemalloc on program_to_matrix at nb = 7, the peak also holds
+# vectors over the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB) and
+# the segment plan, at most 64 bytes per instruction (about 19 for a Haar
+# program, 46 expanded); the guard counts the dense arrays only.
 DENSE_PEAK_ARRAYS = 3
 
 
@@ -337,40 +342,261 @@ def _check_dense(nb: int) -> None:
             f"more than the {limit} bytes of physical memory")
 
 
+# Segment kinds of the simulator.
+_LADDER, _PHASE, _SWAP = range(3)
+
+
+class _Plan:
+    """The segments of a program, found with array passes over its columns.
+
+    A segment is one of:
+
+      * a ladder: a maximal run of ROTYs on one target w and single-control
+        CNOTs into w, holding at least one ROTY;
+      * a phase segment: a run of ROTZ, PHAS, CPHA, SIGX and the other
+        single-control CNOTs;
+      * one multi-control CNOT.
+
+    Across a segment every bit b is an affine GF(2) form of the bits at its
+    start: x_b, XOR the parity of x & S, XOR a constant c.  SIGX and the
+    single-control CNOTs into b add to S and c; they are the only gates that
+    move the forms.  A phase segment is cut wherever the CNOTs and SIGXs of
+    one target are followed by those of another while the first target's
+    (S, c) is not back to zero, so at most one bit of a segment, the target
+    of its last SIGX or CNOT, has a form other than x_b, and its (S, c) is
+    the XOR prefix of the packed contributions ``mask | flip << nb`` since
+    the segment start.  Then:
+
+      * a ladder is, on each w-pair p, X**e(p) · Ry(phi(p)) with
+        phi(p) = sum_j theta_j (-1)**(|S_j & p| + c_j) over its rotations j:
+        one scatter-add of the angles at S_j and one Walsh-Hadamard
+        transform over the pairs;
+      * a phase segment is a permutation times exp(i Phi) in the coordinates
+        of its start, Phi = the Walsh-Hadamard transform of the ROTZ
+        coefficients plus, per F-pattern f of its CPHAs, the subset sum
+        (zeta transform) zeta_f[d ^ f] of their angles by control mask.  A
+        CPHA on the moved bit whose form has S = 0 flips its F-pattern; one
+        with S != 0 goes in as its 2**k Walsh terms;
+      * the permutation of either is d -> d ^ (e(d) << t),
+        e(d) = |S & d| + c mod 2, for the moved bit t and its final (S, c).
+
+    Per segment the plan holds its kind, target, first row, final packed
+    (S, c) and the slices of its Walsh terms (index, degrees) and zeta terms
+    (f, mask, degrees).  PHAS angles, which commute with everything, are
+    summed into ``phas``.
+    """
+
+    def __init__(self, p: Program):
+        nb = p.nb
+        kind, target, mask, val, angle = p.columns
+        rot_y = kind == ROTY
+        multi = (kind == CNOT) & (mask & (mask - 1) != 0)
+        cnot1 = (kind == CNOT) ^ multi
+        moving = cnot1 | (kind == SIGX)
+        # Ladders: runs of one ladder target that hold a ROTY.
+        lt = np.where(rot_y | cnot1, target, -1)
+        runs = np.flatnonzero(np.concatenate(([True], lt[1:] != lt[:-1])))
+        ladder = np.repeat(np.logical_or.reduceat(rot_y, runs), np.diff(runs, append=len(p)))
+        ladder &= lt >= 0
+        del lt, runs
+        start = multi.copy()
+        start[0] = True
+        start[1:] |= ((ladder[1:] != ladder[:-1]) | (ladder[1:] & (target[1:] != target[:-1]))
+                      | multi[:-1])
+        # a SIGX or single-control CNOT adds its control to S, and flips c
+        # if it is a SIGX or its control is F
+        contrib = (val == 0).astype(np.int64)
+        contrib <<= nb
+        contrib |= mask
+        contrib[~moving] = 0
+        # Cut a phase segment where another target's moves follow a run of
+        # moves that does not return its target to x_t.
+        moves = np.flatnonzero(moving & ~ladder)
+        if moves.size:
+            seg = np.searchsorted(np.flatnonzero(start), moves, "right")
+            t = target[moves]
+            new_target = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+            sub = np.flatnonzero(np.concatenate(([True], new_target)))
+            is_open = np.bitwise_xor.reduceat(contrib[moves], sub) != 0
+            cut = (seg[sub[1:]] == seg[sub[:-1]]) & is_open[:-1]
+            start[moves[sub[1:][cut]]] = True
+        first = np.flatnonzero(start)
+        del start
+        end = np.append(first[1:], len(p)) - 1
+        cum = np.bitwise_xor.accumulate(contrib)
+        cum ^= contrib   # exclusive prefix
+        base = cum[first]
+        self.final = cum[end] ^ contrib[end] ^ base
+        del contrib
+        moves = np.flatnonzero(moving)
+
+        def moved(rows):
+            """The target of the last move at or before each row (which has one)."""
+            return target[moves[np.searchsorted(moves, rows, "right") - 1]]
+
+        self.first = first
+        self.kind = np.where(ladder[first], _LADDER, np.where(multi[first], _SWAP, _PHASE))
+        self.target = target[first]
+        open_end = np.flatnonzero((self.kind == _PHASE) & (self.final != 0))
+        self.target[open_end] = moved(end[open_end])
+        del ladder, multi, end, open_end
+        low = (1 << nb) - 1
+
+        def state(rows):
+            """Each row's segment, and its (S, c) relative to that segment."""
+            seg = np.searchsorted(first, rows, "right") - 1
+            x = cum[rows]
+            x ^= base[seg]
+            return seg, x
+
+        # Walsh terms: ladder ROTYs (indexed by pair), ROTZs, split CPHAs.
+        wr = np.flatnonzero(rot_y | (kind == ROTZ))
+        cz = np.flatnonzero(kind == CPHA)
+        z_seg, xc = state(cz)
+        w_seg, w_idx = state(wr)
+        del cum
+        tc = np.full(len(cz), -1)   # the moved bit, for CPHAs with (S, c) != 0
+        nz = np.flatnonzero(xc)
+        tc[nz] = moved(cz[nz])
+        t = target[wr]
+        w_deg = angle[wr]
+        z = np.flatnonzero(kind[wr] == ROTZ)
+        # a ROTZ sees its target's form only if that bit is the moved one
+        nz = z[w_idx[z] != 0]
+        w_idx[nz[moved(wr[nz]) != t[nz]]] = 0
+        del wr, nz, moves
+        np.negative(w_deg, out=w_deg, where=w_idx >> nb != 0)
+        w_idx &= low   # S
+        w_idx[z] ^= 1 << t[z]
+        t[z] = -1
+        y = np.flatnonzero(t >= 0)
+        s, t = w_idx[y], t[y]
+        w_idx[y] = (s & ((1 << t) - 1)) | (s >> (t + 1) << t)   # the pair of S, bit t dropped
+        del z, y, s, t
+        # CPHAs: a zeta term, or Walsh terms when the moved bit has S != 0.
+        mc = mask[cz]
+        f = mc & ~val[cz]
+        hit = (xc != 0) & (mc >> np.maximum(tc, 0) & 1 != 0)
+        f[hit] ^= 1 << tc[hit]
+        split = np.flatnonzero(hit & (xc & low != 0))
+        if split.size:
+            terms = [_cpha_terms(int(mc[i]), int(val[cz[i]]), int(tc[i]), int(xc[i]), nb,
+                                 float(angle[cz[i]])) for i in split.tolist()]
+            w_idx = np.concatenate([w_idx] + [t[0] for t in terms])
+            w_deg = np.concatenate([w_deg] + [t[1] for t in terms])
+            w_seg = np.concatenate([w_seg, np.repeat(z_seg[split], [len(t[0]) for t in terms])])
+            order = np.argsort(w_seg, kind="stable")
+            w_idx, w_deg, w_seg = w_idx[order], w_deg[order], w_seg[order]
+            keep = np.ones(len(cz), dtype=bool)
+            keep[split] = False
+            cz, f, mc, z_seg = cz[keep], f[keep], mc[keep], z_seg[keep]
+        order = np.lexsort((f, z_seg))
+        self.w_idx, self.w_deg = w_idx, w_deg
+        self.z_f, self.z_mask, self.z_deg = f[order], mc[order], angle[cz][order]
+        segs = np.arange(len(first) + 1)
+        self.w_off = np.searchsorted(w_seg, segs)
+        self.z_off = np.searchsorted(z_seg[order], segs)
+        self.phas = float(angle[kind == PHAS].sum())
+
+
+def _cpha_terms(mask: int, val: int, t: int, x: int, nb: int, angle: float):
+    """Walsh terms of a CPHA whose control t has the form x_t + |S & d| + c:
+    the product over its k controls b of (1 + (-1)**(bit_b + val_b)) / 2."""
+    bits = _bits_of(mask)
+    sub = np.arange(1 << len(bits))
+    idx = np.zeros_like(sub)
+    sign = np.zeros_like(sub)
+    for j, b in enumerate(bits):
+        has = sub >> j & 1
+        form, const = (1 << b, 0) if b != t else ((1 << b) ^ (x & ((1 << nb) - 1)), x >> nb)
+        idx ^= has * form
+        sign ^= has & ((val >> b & 1) ^ const)
+    return idx, np.where(sign, -angle, angle) / len(sub)
+
+
+# The simulator's Walsh-Hadamard and subset-sum transforms are Kronecker powers
+# of these 2x2 factors, applied as one small matrix product per chunk of up to
+# _CHUNK_BITS bits: at the sizes simulated that is several times faster than a
+# butterfly pass per bit.  bitops.hadamard_transform keeps its butterfly, whose
+# sums set the angles that emission writes.
+_FACTORS = {"walsh": [[1.0, 1.0], [1.0, -1.0]],
+            "zeta": [[1.0, 1.0], [0.0, 1.0]]}   # row m, column d: m subset of d
+_CHUNK_BITS = 6
+
+
+@functools.cache
+def _kron_power(name: str, c: int) -> np.ndarray:
+    out = np.ones((1, 1))
+    for _ in range(c):
+        out = np.kron(out, _FACTORS[name])
+    out.flags.writeable = False
+    return out
+
+
+def _kron_transform(a: np.ndarray, name: str) -> np.ndarray:
+    """a @ factor**(⊗k) for a of length 2**k, as one small matrix product per
+    chunk of bits: each product acts on the lowest bits, and the transpose
+    after it rotates them to the top."""
+    k = a.size.bit_length() - 1
+    while k > 0:
+        c = min(_CHUNK_BITS, k)
+        a = (a.reshape(-1, 1 << c) @ _kron_power(name, c)).T.reshape(-1)
+        k -= c
+    return a
+
+
+def _walsh(idx: np.ndarray, deg: np.ndarray, size: int):
+    """Radians of sum_j deg_j (-1)**|idx_j & d| for d < size; a scalar when
+    every term sits at index 0."""
+    a = np.bincount(idx, weights=deg, minlength=size)
+    if not a[1:].any():
+        return math.radians(a[0])
+    a = _kron_transform(a, "walsh")
+    return np.radians(a, out=a)
+
+
+def _zeta(masks: np.ndarray, deg: np.ndarray, nb: int) -> np.ndarray:
+    """Degrees sum_{m subset of d} deg[m] for every d: the subset-sum transform."""
+    return _kron_transform(np.bincount(masks, weights=deg, minlength=1 << nb), "zeta")
+
+
 def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     """Apply the instructions of p, first to last, to the rows of arr, shape
-    (2**nb, m).
+    (2**nb, m), one segment (see :class:`_Plan`) at a time.
 
     The operator applied so far is held as F · R · arr:
 
       * F, the frame, is monomial: row d of F·x is g * ph[d] * x[pos[d]], g a
-        global phase.  SIGX, CNOT, ROTZ, PHAS and CPHA are monomial, so they
-        update only pos, ph and g, in O(2**nb) each.
-      * R is a pending run of ROTYs that share one pairing of rows: row i of
-        R·x is coef[i, 0] * x[i] + coef[i, 1] * x[partner[i]].  A ROTY moved
-        through F becomes a rotation on the row pairs (pos[lo], pos[hi]) whose
-        off-diagonal entries are scaled by ph[hi]/ph[lo].  It is folded into R
-        in O(2**nb) when its pairing is R's; otherwise R is first applied to
-        arr and a new run starts.
+        global phase.  A phase segment multiplies ph by exp(i Phi), then
+        permutes pos and ph once; a multi-control CNOT permutes them.
+      * R is a pending run of pair rotations that share one pairing of rows:
+        row i of R·x is coef[i, 0] * x[i] + coef[i, 1] * x[partner[i]].  A
+        ladder on w moved through F becomes a rotation by phi(p) on the row
+        pairs (pos[lo], pos[hi]) of its w-pairs, whose off-diagonal entries
+        are scaled by ph[hi]/ph[lo]; then its X**e permutes pos and ph.  The
+        rotation is folded into R in O(2**nb) when its pairing is R's;
+        otherwise R is first applied to arr and a new run starts.
 
     At the end R, then F, is applied.  The cost is
-    O(#dense runs * 2**nb * m + len * 2**nb); a ROTY ladder on one target, with
-    the c-nots on that target between its rotations, is one dense run.  Index
-    plans are cached per call, keyed by the ints of the columns, and every
-    dense run reuses the same four half-size work arrays.  arr may be
-    overwritten; the result is returned.
+    O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb):
+    the plan is array passes over the columns, each segment costs a few
+    O(nb 2**nb) transforms and O(2**nb) frame updates, and only a dense run
+    touches arr.  There are at most as many dense runs as ladder segments:
+    consecutive ladders on one target, with phase segments and multi-control
+    CNOTs between them, are one run.  Every dense run reuses the same four
+    half-size work arrays.  arr may be overwritten; the result is returned.
     """
-    n = 1 << p.nb
+    if not len(p):
+        return arr
+    nb = p.nb
+    n = 1 << nb
     rows = np.arange(n)
     pos = rows
     ph = np.ones(n, dtype=np.complex128)
-    g = 1.0 + 0.0j
-    # Index plans: swaps by (target, mask, val), CPHA rows by (mask, val),
-    # ROTZ high-bit masks and ROTY (lo, hi) pairs by target.
-    swaps: dict = {}
-    phased: dict = {}
-    highs: dict = {}
-    pairs: dict = {}
+    plan = _Plan(p)
+    g = cmath.exp(1j * math.radians(plan.phas))
+    parity = None
+    pairs: dict = {}   # (lo, hi) rows of the w-pairs, by w
     run = None  # pending R: (rows a, their partners b, partner, coef)
     bufs: list[np.ndarray] = []   # four (2**nb / 2, m) work arrays, shared by the flushes
 
@@ -392,56 +618,67 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
         xb += xa
         arr[b] = xb
 
-    for kind, t, m, v, angle in zip(*(c.tolist() for c in p.columns)):
-        if kind == PHAS:
-            g *= cmath.exp(1j * math.radians(angle))
-        elif kind == CPHA:
-            idx = phased.get((m, v))
-            if idx is None:
-                idx = phased[(m, v)] = np.flatnonzero(rows & m == v)
-            ph[idx] *= cmath.exp(1j * math.radians(angle))
-        elif kind == ROTZ:
-            high = highs.get(t)
-            if high is None:
-                high = highs[t] = ((rows >> t) & 1).astype(bool)
-            e = cmath.exp(1j * math.radians(angle))
-            ph *= np.where(high, e.conjugate(), e)
-        elif kind == SIGX or kind == CNOT:
-            key = (t, m, v)
-            q = swaps.get(key)
-            if q is None:
-                q = swaps[key] = np.where(rows & m == v, rows ^ (1 << t), rows)
+    w_off, z_off = plan.w_off.tolist(), plan.z_off.tolist()
+    low = n - 1
+    for k, (kind, t, final, i) in enumerate(zip(plan.kind.tolist(), plan.target.tolist(),
+                                                plan.final.tolist(), plan.first.tolist())):
+        w0, w1 = w_off[k], w_off[k + 1]
+        if kind == _SWAP:
+            m, v = int(p.ctrl_mask[i]), int(p.ctrl_val[i])
+            q = np.where(rows & m == v, rows ^ (1 << t), rows)
             pos = pos[q]
             ph = ph[q]
-        else:  # ROTY
+            continue
+        if kind == _LADDER:
             lohi = pairs.get(t)
             if lohi is None:
                 bit = (rows >> t) & 1
                 lohi = pairs[t] = (rows[bit == 0], rows[bit == 1])
             lo, hi = lohi
-            rad = math.radians(angle)
-            c, s = math.cos(rad), math.sin(rad)
+            phi = _walsh(plan.w_idx[w0:w1], plan.w_deg[w0:w1], n >> 1)
+            c, s = np.cos(phi), np.sin(phi)
+            if np.ndim(c):
+                c, s = c[:, None], s[:, None]
             a, b = pos[lo], pos[hi]
-            r = ph[hi] / ph[lo]
-            up = (s * r)[:, None]
-            down = (s / r)[:, None]
+            r = (ph[hi] / ph[lo])[:, None]
+            up, down = s * r, s / r
             if run is not None and (run[2][a] == b).all():
                 coef = run[3]
                 ca, cb = coef[a], coef[b]
                 coef[a] = c * ca + up * cb[:, ::-1]
                 coef[b] = c * cb - down * ca[:, ::-1]
-                continue
-            if run is not None:
-                flush(arr, run)
-            partner = np.empty(n, dtype=np.intp)
-            partner[a] = b
-            partner[b] = a
-            coef = np.empty((n, 2), dtype=np.complex128)
-            coef[a, 0] = c
-            coef[a, 1:] = up
-            coef[b, 0] = c
-            coef[b, 1:] = -down
-            run = (a, b, partner, coef)
+            else:
+                if run is not None:
+                    flush(arr, run)
+                partner = np.empty(n, dtype=np.intp)
+                partner[a] = b
+                partner[b] = a
+                coef = np.empty((n, 2), dtype=np.complex128)
+                coef[a, :1] = c
+                coef[a, 1:] = up
+                coef[b, :1] = c
+                coef[b, 1:] = -down
+                run = (a, b, partner, coef)
+        else:
+            z0, z1 = z_off[k], z_off[k + 1]
+            phi = _walsh(plan.w_idx[w0:w1], plan.w_deg[w0:w1], n) if w1 > w0 else 0.0
+            while z0 < z1:   # one zeta transform per F-pattern
+                f = int(plan.z_f[z0])
+                z2 = z0 + int(np.searchsorted(plan.z_f[z0:z1], f, side="right"))
+                zeta = _zeta(plan.z_mask[z0:z2], plan.z_deg[z0:z2], nb)
+                phi = phi + np.radians(zeta if f == 0 else zeta[rows ^ f])
+                z0 = z2
+            if np.ndim(phi):
+                ph *= np.exp(1j * phi)
+            elif phi:
+                ph *= cmath.exp(1j * phi)
+        if final:
+            if parity is None:
+                parity = bitops.popcount(rows) & 1
+            e = parity[rows & (final & low)] ^ (final >> nb) if final & low else final >> nb
+            q = rows ^ (e << t)
+            pos = pos[q]
+            ph = ph[q]
     if run is not None:
         flush(arr, run)
     bufs.clear()   # before the gather below, which allocates a full copy
@@ -456,10 +693,13 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
 def program_to_matrix(p: Program) -> np.ndarray:
     """Dense unitary of a program: the first instruction acts first on a ket.
 
-    Costs O(#dense runs * 4**nb + len * 2**nb): only runs of ROTYs touch the
-    dense matrix; every other gate is tracked as a permutation and phases.
-    Raises DenseTooLargeError, before allocating, when about
-    DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed the physical memory.
+    Costs O(#dense runs * 4**nb + len * log(len) + #segments * nb * 2**nb):
+    the program is simulated one segment at a time (a ROTY ladder, a phase
+    run or a multi-control CNOT, see ``_Plan``), and only the ladders touch
+    the dense matrix, once per run of ladders on one target; everything else
+    is tracked as a permutation and phases.  Raises DenseTooLargeError,
+    before allocating, when about DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed
+    the physical memory.
     """
     _check_dense(p.nb)
     return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p)
@@ -468,7 +708,8 @@ def program_to_matrix(p: Program) -> np.ndarray:
 def apply_to_state(p: Program, state) -> np.ndarray:
     """Apply a program to a state vector, or to the columns of a (2**nb, m) array.
 
-    Costs O(#dense runs * 2**nb * m + len * 2**nb).
+    Costs O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb)
+    for m columns, as :func:`program_to_matrix`.
     """
     v = np.array(state, dtype=np.complex128)
     if v.ndim not in (1, 2) or v.shape[0] != 1 << p.nb:
@@ -542,7 +783,7 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
     if len(thetas) != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
     nb = max(bits, default=0) + 1
-    seq = np.array(bitops.gray_sequence(k)[1:], dtype=np.int64)
+    seq = bitops.gray_codes(k)[1:]
     low = seq & -seq
     # each step rotates its lowest selected bit; frexp gives that bit's index + 1
     ladder = rotation_ladder(nb, ROTZ, np.asarray(bits, dtype=np.int64)[np.frexp(low)[1] - 1],

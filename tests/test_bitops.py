@@ -4,7 +4,7 @@ import pytest
 from csdc import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                   bit_reversal_permutation, frobenius_distance, gray_sequence,
                   hadamard_transform, sylvester_hadamard, tensor_product)
-from csdc.bitops import popcount, state_permutation
+from csdc.bitops import gray_codes, popcount, state_permutation
 
 from conftest import SIGMA_X, random_unitary, transposition_matrix
 
@@ -35,6 +35,14 @@ class TestGraySequence:
         assert seq[-1] & (seq[-1] - 1) == 0 and seq[-1] != 0
         for a, b in zip(seq, seq[1:]):
             assert bin(a ^ b).count("1") == 1
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_cached_array_is_the_sequence_and_read_only(self, n):
+        codes = gray_codes(n)
+        assert codes is gray_codes(n)
+        assert codes.dtype == np.int64 and codes.tolist() == gray_sequence(n)
+        with pytest.raises(ValueError):
+            codes[0] = 1
 
 
 class TestHadamardTransform:

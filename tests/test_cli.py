@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from csdc import cli, frobenius_distance, quantum_fft_program, serialize
+from csdc import (cli, frobenius_distance, parse, program_to_matrix, quantum_fft_program,
+                  serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
@@ -194,6 +195,23 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["distance"] == pytest.approx(2.0)   # |1 - e^{iπ/3}| · ||u||_F
         assert report["phase_aligned_distance"] < 1e-12
+
+    def test_phase_aligned_distance_is_bit_identical(self, tmp_path, capsys, rng):
+        # rebuilt is scaled in place; the number must equal the out-of-place value
+        u = random_unitary(rng, 8)
+        seo = tmp_path / "u.seo"
+        assert main(["compile", write_matrix(tmp_path / "u.txt", u), "-o", str(seo)]) == 0
+        capsys.readouterr()
+        shifted = np.exp(0.7j) * read_matrix_file(str(tmp_path / "u.txt"))
+        assert main(["verify", write_matrix(tmp_path / "s.txt", shifted), str(seo),
+                     "--report", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        shifted = read_matrix_file(str(tmp_path / "s.txt"))
+        rebuilt = program_to_matrix(parse(seo.read_text(), nb=3))
+        overlap = np.vdot(shifted, rebuilt)
+        want = frobenius_distance(shifted, rebuilt * np.conj(overlap / abs(overlap)))
+        assert report["phase_aligned_distance"] == want
+        assert report["distance"] == frobenius_distance(shifted, rebuilt)
 
     def test_quantum_fft_reference_verifies_against_dft(self, tmp_path):
         u = state_permutation(bit_reversal_permutation(3)) @ dft_matrix(3)
