@@ -10,14 +10,16 @@ rebuilds the input.
 The tree is built level by level.  Level L holds every side matrix of that
 depth, 2**(L-1) per node, as one (k, d, d) array with d = 2**(nb-L+1); a node
 is a slice of it, and each step below is one vectorised pass over the level:
-  * complex-D test and phase extraction (``is_complex_d_stack``,
-    ``extract_phases_stack``); every 2x2 leaf is a complex D matrix;
+  * complex-D test (``is_complex_d_stack``); every 2x2 leaf is a complex D
+    matrix;
   * CSD of the rest: ``csd_stack`` (an SVD-based CSD, in closed form where
     the angles form one cluster) at every size, then ``lighten_stack``;
     ``csd_stack`` itself hands ``csd`` (LAPACK through scipy's ``cossin``)
     every matrix it cannot factor accurately (angles near 0° or 90°, failed
     side or residual checks);
-  * identity-side and diagonal-side tests, as per-matrix reductions.
+  * identity-side and diagonal-side tests, as per-matrix reductions;
+  * phase extraction: one ``phase_parameters`` call on the four block
+    diagonals of every matrix's D block.
 
 Optimizations (all per the compile options):
   * lighten: gauge-fix each CSD so the right sides drift toward identity.
@@ -39,9 +41,9 @@ from .central import (CentralMatrix, complex_d_central, decompose_central, diago
                       real_d_central)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
-from .csd import (PhaseFactors, csd, csd_stack, extract_phases,  # noqa: F401
-                  extract_phases_stack, is_complex_d, is_complex_d_stack, lighten,
-                  lighten_stack, phase_parameters)
+from .csd import (PhaseFactors, _block_diagonal_index, csd, csd_stack,  # noqa: F401
+                  extract_phases, is_complex_d, is_complex_d_stack, lighten, lighten_stack,
+                  phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
 from .seo import Program, concat, expand_controls, rename_bits
 
@@ -77,20 +79,10 @@ class CsdNode:
     left: "CsdNode | None" = None
     right: "CsdNode | None" = None
 
-    def node_count(self) -> int:
-        n = 1
-        if self.left:
-            n += self.left.node_count()
-        if self.right:
-            n += self.right.node_count()
-        return n
-
 
 def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Embed a unitary into the next power-of-two dimension as u ⊕ I."""
     a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
     dev = unitarity_deviation(a)
     if dev > tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
@@ -99,7 +91,9 @@ def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
 
 def _embed(a: np.ndarray) -> np.ndarray:
     """a ⊕ I in the next power-of-two dimension (at least 2), as a new array;
-    a is square and unchecked."""
+    a must be square, and is not checked to be unitary."""
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got {a.shape}")
     dim = a.shape[0]
     n = 1
     while (1 << n) < dim:
@@ -131,14 +125,12 @@ def _diagonal_mask(sides: np.ndarray, tol: float) -> np.ndarray:
 class _Split:
     """One CSD pass over the k side matrices (each 2h x 2h) of a tree level.
 
-    Matrix i contributes angles ``thetas[i]``, the sides ``lefts[i]`` =
-    (l0, l1) and ``rights[i]`` = (r0, r1), and either a real D block or, where
-    ``phased[i]``, the complex D block (omega[i], omega_l[i], omega_r[i],
-    thetas[i]); omegas are zero where not phased.
+    Matrix i contributes the sides ``lefts[i]`` = (l0, l1) and ``rights[i]`` =
+    (r0, r1) and row i of ``phases``: the complex D block of those parameters
+    where ``phased[i]``, else the real D block of its angles, with zero phases.
     """
 
-    thetas: np.ndarray        # (k, h)
-    omegas: np.ndarray        # (3, k, h): omega, omega_l, omega_r
+    phases: PhaseFactors      # fields (k, h)
     phased: np.ndarray        # (k,)
     lefts: np.ndarray         # (k, 2, h, h)
     rights: np.ndarray        # (k, 2, h, h)
@@ -146,18 +138,11 @@ class _Split:
     right_identity: np.ndarray  # (k,)
 
     def central(self, nb: int, level: int, rows: slice) -> CentralMatrix:
+        pf = self.phases
         if not self.phased[rows].any():
-            return real_d_central(nb, level, self.thetas[rows].reshape(-1))
-        om, om_l, om_r = self.omegas[:, rows]
-        return complex_d_central(nb, level, PhaseFactors(om, om_l, om_r, self.thetas[rows]))
-
-
-def _set_phases(split: _Split, idx: np.ndarray, pf: PhaseFactors, phased: np.ndarray) -> None:
-    split.thetas[idx] = pf.thetas
-    split.phased[idx] = phased
-    keep = idx[phased]
-    for j, values in enumerate((pf.omega, pf.omega_l, pf.omega_r)):
-        split.omegas[j, keep] = values[phased]
+            return real_d_central(nb, level, pf.thetas[rows].reshape(-1))
+        return complex_d_central(nb, level, PhaseFactors(
+            pf.omega[rows], pf.omega_l[rows], pf.omega_r[rows], pf.thetas[rows]))
 
 
 def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
@@ -166,7 +151,9 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     Complex D matrices are kept whole (aborted CSD, identity sides).  The
     others are cosine-sine decomposed by one ``csd_stack`` call.  Diagonal but
     non-identity sides left over after lightening are then folded into the D
-    block, which stops that side.
+    block, diag(L) · D · diag(R), which stops that side.  One
+    ``phase_parameters`` call reads every D block off its four block
+    diagonals; plain CSD blocks keep the angles of ``csd_stack``.
     """
     k, d, _ = mats.shape
     h = d // 2
@@ -179,57 +166,47 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
         if opts.lighten:
             f = lighten_stack(f)   # rebinding frees the unlightened factors
-    split = _Split(thetas=np.empty((k, h)), omegas=np.zeros((3, k, h)),
-                   phased=np.zeros(k, dtype=bool),
-                   lefts=np.empty((k, 2, h, h), dtype=np.complex128),
-                   rights=np.empty((k, 2, h, h), dtype=np.complex128),
-                   left_identity=np.ones(k, dtype=bool), right_identity=np.ones(k, dtype=bool))
-    idx = np.flatnonzero(aborted)
-    if idx.size:
-        pf = extract_phases_stack(mats[idx], opts.tol)
-        _set_phases(split, idx, pf, ~pf.real_mask(opts.tol))
-        eye = np.eye(h, dtype=np.complex128)
-        split.lefts[idx] = eye
-        split.rights[idx] = eye
-    if not rest.size:
-        return split
-    split.thetas[rest] = f.thetas
-    split.lefts[rest, 0], split.lefts[rest, 1] = f.l0, f.l1
-    split.rights[rest, 0], split.rights[rest, 1] = f.r0, f.r1
-    split.left_identity = _identity_mask(split.lefts)
-    split.right_identity = _identity_mask(split.rights)
-    if opts.extract_phases:
-        _fold_diagonal_sides(split, ~aborted, opts.tol)
-    return split
-
-
-def _fold_diagonal_sides(split: _Split, candidates: np.ndarray, tol: float) -> None:
-    """Fold diagonal, non-identity sides into the D block: the block becomes
-    diag(L) · D · diag(R), a complex D matrix, and the folded side becomes
-    the identity."""
-    lfold = candidates & ~split.left_identity & _diagonal_mask(split.lefts, tol)
-    rfold = candidates & ~split.right_identity & _diagonal_mask(split.rights, tol)
-    idx = np.flatnonzero(lfold | rfold)
-    if not idx.size:
-        return
-    th = np.radians(split.thetas[idx])
-    c, s = np.cos(th).astype(np.complex128), np.sin(th)
-    d00, d01, d10, d11 = c, s.astype(np.complex128), (-s).astype(np.complex128), c
-    rd = np.diagonal(split.rights[idx], axis1=2, axis2=3)   # (n, 2, h): r0, r1
-    r = rfold[idx, None]
-    d00, d01 = np.where(r, d00 * rd[:, 0], d00), np.where(r, d01 * rd[:, 1], d01)
-    d10, d11 = np.where(r, d10 * rd[:, 0], d10), np.where(r, d11 * rd[:, 1], d11)
-    ld = np.diagonal(split.lefts[idx], axis1=2, axis2=3)    # (n, 2, h): l0, l1
-    lf = lfold[idx, None]
-    d00, d01 = np.where(lf, ld[:, 0] * d00, d00), np.where(lf, ld[:, 0] * d01, d01)
-    d10, d11 = np.where(lf, ld[:, 1] * d10, d10), np.where(lf, ld[:, 1] * d11, d11)
-    _set_phases(split, idx, phase_parameters(d00, d01, d10, d11),
-                np.ones(idx.size, dtype=bool))
-    eye = np.eye(split.lefts.shape[-1], dtype=np.complex128)
-    split.lefts[idx[lfold[idx]]] = eye
-    split.rights[idx[rfold[idx]]] = eye
-    split.left_identity[lfold] = True
-    split.right_identity[rfold] = True
+    # d00, d01, d10, d11 of every D block: an aborted matrix is its own D block
+    rows, cols = _block_diagonal_index(d)
+    blocks = mats[:, rows, cols].reshape(k, 4, h).swapaxes(0, 1)
+    thetas = np.zeros((k, h))
+    lefts = np.empty((k, 2, h, h), dtype=np.complex128)
+    rights = np.empty((k, 2, h, h), dtype=np.complex128)
+    eye = np.eye(h, dtype=np.complex128)
+    lefts[aborted] = rights[aborted] = eye
+    left_identity, right_identity = np.ones(k, dtype=bool), np.ones(k, dtype=bool)
+    lfold = rfold = np.zeros(k, dtype=bool)
+    if rest.size:
+        thetas[rest] = f.thetas
+        th = np.radians(f.thetas)
+        c, s = np.cos(th), np.sin(th)
+        blocks[:, rest] = c, s, -s, c
+        lefts[rest, 0], lefts[rest, 1] = f.l0, f.l1
+        rights[rest, 0], rights[rest, 1] = f.r0, f.r1
+        left_identity, right_identity = _identity_mask(lefts), _identity_mask(rights)
+        if opts.extract_phases:
+            lfold = ~aborted & ~left_identity & _diagonal_mask(lefts, opts.tol)
+            rfold = ~aborted & ~right_identity & _diagonal_mask(rights, opts.tol)
+    folded = lfold | rfold
+    if folded.any():
+        ri, li = np.flatnonzero(rfold), np.flatnonzero(lfold)
+        rd = np.diagonal(rights[ri], axis1=2, axis2=3)   # (n, 2, h): r0, r1
+        blocks[:, ri] *= rd[:, [0, 1, 0, 1]].swapaxes(0, 1)
+        ld = np.diagonal(lefts[li], axis1=2, axis2=3)    # (n, 2, h): l0, l1
+        blocks[:, li] = ld[:, [0, 0, 1, 1]].swapaxes(0, 1) * blocks[:, li]
+        lefts[li] = eye
+        rights[ri] = eye
+        left_identity |= lfold
+        right_identity |= rfold
+    pf = phase_parameters(*blocks)
+    phased = folded.copy()
+    if aborted.any():   # an aborted block that is real within tol keeps zero phases
+        phased |= aborted & ~pf.real_mask(opts.tol)
+    plain = ~(aborted | folded)
+    pf.thetas[plain] = thetas[plain]
+    for x in (pf.omega, pf.omega_l, pf.omega_r):
+        x[~phased] = 0.0
+    return _Split(pf, phased, lefts, rights, left_identity, right_identity)
 
 
 def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
@@ -282,14 +259,6 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
     return root
 
 
-def _nb_of(u: np.ndarray) -> int:
-    dim = u.shape[0]
-    nb = max(1, dim.bit_length() - 1)
-    if u.shape[0] != u.shape[1] or (1 << nb) != dim:
-        raise ValueError(f"expected a square power-of-two matrix, got {u.shape}")
-    return nb
-
-
 def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     """Build the CSD tree of a 2**nb unitary.
 
@@ -299,15 +268,13 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     ``program_for_tree`` undoes it by one rename of the finished program.
     """
     a = as_matrix(u)
-    nb = _nb_of(a)
+    dim = a.shape[0]
+    nb = max(1, dim.bit_length() - 1)
+    if a.shape[1] != dim or (1 << nb) != dim:
+        raise ValueError(f"expected a square power-of-two matrix, got {a.shape}")
     dev = unitarity_deviation(a)
     if dev > opts.tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
-    return _tree(a, nb, opts)
-
-
-def _tree(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
-    """build_tree on a matrix already checked to be unitary."""
     if opts.perm_search == "none":
         return _build(a, nb, opts)
     if nb > PERM_SEARCH_MAX_NB:
@@ -360,6 +327,6 @@ def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     """Compile a unitary matrix (any dimension; padded to a power of two)
     into a gate program whose matrix reproduces the padded input.
 
-    The input's unitarity is checked once, by ``pad_to_power_of_two``."""
-    padded, _ = pad_to_power_of_two(u, opts.tol)   # the one unitarity check
-    return program_for_tree(_tree(padded, _nb_of(padded), opts), opts)
+    The input's unitarity is checked once, by ``build_tree`` on the padded
+    matrix u ⊕ I, whose deviation from unitarity is that of u."""
+    return program_for_tree(build_tree(_embed(as_matrix(u)), opts), opts)

@@ -68,16 +68,14 @@ def direct_sum(blocks: Iterable) -> np.ndarray:
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff the max-entry deviation of m†m from the identity is within tol."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"is_unitary requires a square matrix, got {a.shape}")
-    dev = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.abs(dev).max()) <= tol
+    return unitarity_deviation(m) <= tol
 
 
 def unitarity_deviation(m) -> float:
-    """Max-entry deviation of m†m from the identity (for error reporting)."""
+    """Max-entry deviation of m†m from the identity; m must be square."""
     a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"unitarity needs a square matrix, got {a.shape}")
     return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
 
 

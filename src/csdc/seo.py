@@ -389,6 +389,10 @@ class _Plan:
     def __init__(self, p: Program):
         nb = p.nb
         kind, target, mask, val, angle = p.columns
+        # Every gate is 360°-periodic in its angle.  fmod is exact, so this
+        # changes no angle below 360° and keeps the sums below from
+        # overflowing (two ROTY 1e308) or outgrowing their own reduction.
+        angle = np.fmod(angle, 360.0)
         rot_y = kind == ROTY
         multi = (kind == CNOT) & (mask & (mask - 1) != 0)
         cnot1 = (kind == CNOT) ^ multi

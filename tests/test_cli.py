@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,14 @@ class TestDecompileCommand:
         assert main(["compile", inp, "-o", str(seo)]) == 0
         assert main(["decompile", str(seo), "-o", str(back)]) == 0
         assert frobenius_distance(read_matrix_file(str(back)), u) < 1e-8
+
+    def test_angles_that_overflow_when_summed(self, tmp_path):
+        seo = tmp_path / "p.seo"
+        seo.write_text("ROTY 0 1e308\nROTY 0 1e308\n")
+        out = tmp_path / "m.txt"
+        assert main(["decompile", str(seo), "-o", str(out)]) == 0
+        twin = parse(f"ROTY 0 {2 * math.fmod(1e308, 360.0)!r}\n")
+        assert np.abs(read_matrix_file(str(out)) - program_to_matrix(twin)).max() < 1e-12
 
     def test_repeated_bit_exits_2(self, tmp_path, capsys):
         seo = tmp_path / "p.seo"

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, NotUnitaryError, assemble, build_tree,
-                  compile_unitary, frobenius_distance, hadamard_input,
-                  pad_to_power_of_two, program_to_matrix)
+from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build_tree,
+                  compile_unitary, direct_sum, frobenius_distance, hadamard_input,
+                  is_complex_d, pad_to_power_of_two, phase_factors_matrix, program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.compiler import program_for_tree
-from csdc.csd import d_matrix
+from csdc.compiler import _split_level, program_for_tree
+from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
 
-from conftest import dense_central, random_unitary, rows, width
+from conftest import dense_central, random_phase_factors, random_unitary, rows, width
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -54,6 +54,11 @@ class TestPad:
         with pytest.raises(NotUnitaryError):
             pad_to_power_of_two(np.ones((3, 3)))
 
+    def test_rejects_non_square(self):
+        for pad_or_compile in (pad_to_power_of_two, compile_unitary):
+            with pytest.raises(ValueError, match="square matrix"):
+                pad_or_compile(np.ones((2, 3)))
+
 
 class TestBuildTree:
     def test_identity_single_node_empty_program(self):
@@ -78,11 +83,11 @@ class TestBuildTree:
             u = random_unitary(rng, 1 << nb)
             for opts in (DEFAULTS, PLAIN):
                 root = build_tree(u, opts)
-                assert root.node_count() <= (1 << (nb + 1)) - 1
+                assert len(tree_nodes(root)) <= (1 << (nb + 1)) - 1
 
     def test_plain_options_build_full_tree(self, rng):
         root = build_tree(random_unitary(rng, 4), PLAIN)
-        assert root.node_count() == 7
+        assert len(tree_nodes(root)) == 7
 
     def test_rejects_non_power_of_two(self, rng):
         with pytest.raises(ValueError):
@@ -91,6 +96,56 @@ class TestBuildTree:
     def test_rejects_non_unitary_with_typed_error(self):
         with pytest.raises(NotUnitaryError):
             build_tree(np.diag([1.0, 1.0, 1.0, 2.0]), DEFAULTS)
+
+
+class TestSplitLevel:
+    # Below the 8e-14 off-diagonal entries of the both-folded matrix's sides,
+    # which the matrix sums to more than that: it is not complex D within tol.
+    TOL = 1e-13
+
+    def level(self, rng):
+        """4x4 matrices, one per D-block path and eight plain ones, each with
+        (aborted, phased, left side identity, right side identity) as the
+        split should find them."""
+        def phases():
+            return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
+
+        near = np.array([[1.0, 8e-14], [-8e-14, 1.0]])
+        d = d_matrix([20.0, 35.0])
+        return [
+            ("aborted, phased", phase_factors_matrix(random_phase_factors(rng, 2)),
+             (True, True, True, True)),
+            ("aborted, real", d_matrix([25.0, 70.0]) * np.exp(1e-14j),
+             (True, False, True, True)),
+            ("left-folded", direct_sum([phases(), phases()]) @ d
+             @ direct_sum([random_unitary(rng, 2), random_unitary(rng, 2)]),
+             (False, True, True, False)),
+            ("right-folded", direct_sum([random_unitary(rng, 2), random_unitary(rng, 2)]) @ d
+             @ direct_sum([phases(), phases()]),
+             (False, True, False, True)),
+            ("both-folded", direct_sum([phases() @ near, phases() @ near]) @ d
+             @ direct_sum([near @ phases(), near @ phases()]),
+             (False, True, True, True)),
+        ] + [("plain", random_unitary(rng, 4), (False, False, False, False)) for _ in range(8)]
+
+    def test_every_path_rebuilds_its_matrix(self, rng):
+        cases = self.level(rng)
+        mats = np.stack([m for _, m, _ in cases])
+        split = _split_level(mats, CompileOptions(tol=self.TOL))
+        pf = split.phases
+        for i, (name, m, want) in enumerate(cases):
+            got = (is_complex_d(m, self.TOL), bool(split.phased[i]),
+                   bool(split.left_identity[i]), bool(split.right_identity[i]))
+            assert got == want, name
+            row = PhaseFactors(pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i])
+            if not split.phased[i]:
+                assert not np.stack([row.omega, row.omega_l, row.omega_r]).any(), name
+            rebuilt = (direct_sum(split.lefts[i]) @ phase_factors_matrix(row)
+                       @ direct_sum(split.rights[i]))
+            assert np.abs(rebuilt - m).max() < 1e-12, name
+        # plain CSD blocks keep the factorization's angles, bit for bit
+        plain = lighten_stack(csd_stack(mats[5:], self.TOL)).thetas
+        assert np.array_equal(pf.thetas[5:], plain)
 
 
 class TestAssemble:

@@ -85,6 +85,10 @@ class TestIsUnitary:
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
 
+    def test_deviation_names_a_non_square_input(self):
+        with pytest.raises(ValueError, match="square matrix, got \\(2, 3\\)"):
+            unitarity_deviation(np.ones((2, 3)))
+
 
 class TestFrobeniusDistance:
     def test_zero_on_equal(self):

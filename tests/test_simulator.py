@@ -272,6 +272,27 @@ class TestSegments:
         assert np.abs(apply_to_state(p, block[:, 1]) - want[:, 1]).max() < 1e-12
 
 
+class TestLargeAngles:
+    """Every gate is 360°-periodic in its angle, so a program equals its twin
+    with every angle reduced by fmod.  Summed unreduced, two angles of 1e308
+    overflow, and sums of about 1e16° and above lose their reduction."""
+
+    @pytest.mark.parametrize("gate", ["ROTY 1", "ROTZ 1", "PHAS", "CPHA 1 T 2 F"])
+    @pytest.mark.parametrize("angle", [1e308, -1e308, 3e16, 7.5e17])
+    def test_matches_reduced_twin(self, gate, angle):
+        # the c-not moves bit 1, so a CPHA on it also goes in as Walsh terms
+        p = parse(f"{gate} {angle!r}\n{gate} {angle!r}\nCNOT 0 T 1\n{gate} {angle!r}\n"
+                  f"ROTY 0 30\n{gate} 10.5\n", nb=3)
+        kind, target, mask, val, deg = p.columns
+        twin = Program(p.nb, kind, target, mask, val, np.fmod(deg, 360.0))
+        block = np.random.default_rng(5).standard_normal((8, 2)) + 0j
+        with np.errstate(all="raise"):
+            got, state = program_to_matrix(p), apply_to_state(p, block)
+        assert np.abs(got - program_to_matrix(twin)).max() < 1e-12
+        assert np.abs(state - apply_to_state(twin, block)).max() < 1e-12
+        assert np.abs(got - by_gate_matrix(twin)).max() < 1e-12
+
+
 def traced_peak(p: Program) -> int:
     program_to_matrix(p)   # fill the module's caches first
     tracemalloc.start()
