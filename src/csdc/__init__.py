@@ -9,7 +9,7 @@ from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
 from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
                   lighten, normalize_angles, phase_factors_matrix, qr_nonneg)
 from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
-                  expand_controls, parse, program_to_matrix, serialize)
+                  expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
 from .central import (CentralMatrix, angles_to_theta, complex_d_central,
                       decompose_complex_d, decompose_diagonal, decompose_real_d,
                       decompose_right_angle_case, diagonal_central, real_d_central)
@@ -28,7 +28,7 @@ __all__ = [
     "CsdFactors", "PhaseFactors", "csd", "extract_phases", "is_complex_d",
     "lighten", "normalize_angles", "phase_factors_matrix", "qr_nonneg",
     "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
-    "expand_controls", "parse", "program_to_matrix", "serialize",
+    "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
     "CentralMatrix", "angles_to_theta", "complex_d_central",
     "decompose_complex_d", "decompose_diagonal", "decompose_real_d",
     "decompose_right_angle_case", "diagonal_central", "real_d_central",

@@ -13,6 +13,11 @@ rotz-chain diagonal, are both :func:`~csdc.seo.rotation_ladder`: the lazy
 (Gray) ordering, so that one c-not survives between adjacent rotations, with
 rotations of negligible angle dropped and their flanking c-nots merged.
 
+A diagonal has two forms, controlled phases and a ROTZ chain.  When the
+program is bound for :func:`~csdc.seo.expand_controls`, each diagonal takes
+the form whose expansion has fewer two-qubit gates, as counted by
+:func:`~csdc.seo.two_qubit_gates` on its unexpanded rows.
+
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
 PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
@@ -30,7 +35,7 @@ from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F4
                      hadamard_transform)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
-                  rename_bits, rotation_ladder, z_ladder)
+                  rename_bits, rotation_ladder, two_qubit_gates, z_ladder)
 
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
@@ -198,13 +203,14 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
     return _program(nb, kind, target, ctrl, ctrl, angle)
 
 
-def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True) -> Program:
+def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True,
+                        expand_controls: bool = False) -> Program:
     """Split a complex D direct sum into right diagonal, real core, left diagonal.
 
     Per block, the parameters give Δ_L = I ⊕ Γ_L and Δ_R = Γ ⊕ Γ Γ_R around a
     real rotation core; the three pieces are emitted in application order
     (right diagonal first), each by :func:`decompose_central` with
-    ``extract_phases``.
+    ``extract_phases`` and ``expand_controls``.
     """
     if c.variant != "complexD":
         raise ValueError("decompose_complex_d needs a complexD central matrix")
@@ -218,7 +224,8 @@ def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True) -> Progra
     phi_l = hi * f.omega_l[blk, j]
     pieces = (diagonal_central(nb, phi_r), real_d_central(nb, level, f.thetas.reshape(-1)),
               diagonal_central(nb, phi_l))
-    return concat(*(decompose_central(piece, extract_phases) for piece in pieces))
+    return concat(*(decompose_central(piece, extract_phases, expand_controls)
+                    for piece in pieces))
 
 
 def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL) -> bool:
@@ -258,17 +265,26 @@ def decompose_right_angle_case(c: CentralMatrix) -> Program:
     return decompose_real_d(c)
 
 
-def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
+def decompose_central(c: CentralMatrix, extract_phases: bool = True,
+                      expand_controls: bool = False) -> Program:
     """Dispatch a central matrix to its emission routine.
 
     ``extract_phases`` (the compile option) picks the emission: diagonals as
     controlled phases and real cores through the right-angle special case
-    when set; rotz-chain diagonals and the plain ladder otherwise.
+    when set; rotz-chain diagonals and the plain ladder otherwise.  With
+    ``expand_controls`` (the program is bound for the two-qubit gate set of
+    :func:`~csdc.seo.expand_controls`), each diagonal instead takes whichever
+    of its two forms expands to fewer two-qubit gates; a tie keeps the form
+    ``extract_phases`` picks.
     """
     if c.variant == "diagonal":
-        return decompose_diagonal(c, "controlled-phase" if extract_phases else "rotz-chain")
+        modes = (("controlled-phase", "rotz-chain") if extract_phases
+                 else ("rotz-chain", "controlled-phase"))
+        if not expand_controls:
+            return decompose_diagonal(c, modes[0])
+        return min((decompose_diagonal(c, mode) for mode in modes), key=two_qubit_gates)
     if c.variant == "realD":
         if extract_phases and is_right_angle(c.angles):
             return decompose_right_angle_case(c)
         return decompose_real_d(c)
-    return decompose_complex_d(c, extract_phases)
+    return decompose_complex_d(c, extract_phases, expand_controls)

@@ -26,7 +26,7 @@ from .compiler import CompileOptions, _embed, compile_unitary, pad_to_power_of_t
 from .matrices import (DEFAULT_TOL, NotUnitaryError, check_tol,  # noqa: F401
                        frobenius_distance, read_matrix_file, unitarity_deviation,
                        write_matrix_file)
-from .seo import parse, program_to_matrix, serialize
+from .seo import parse, program_to_matrix, serialize, two_qubit_gates
 
 # The compiled program must reproduce the (padded) input to this Frobenius
 # distance or the compile command fails with exit code 4.
@@ -88,6 +88,7 @@ def run_compile(args) -> int:
         "original_dimension": original_dim,
         "instructions": len(program),
         "counts": program.count_by_kind(),
+        "two_qubit_gates": two_qubit_gates(program),
         "reconstruction_error": error,
         "output": args.output,
     }, args.report)

@@ -19,7 +19,7 @@ is a slice of it, and each step below is one vectorised pass over the level:
     side or residual checks);
   * identity-side and diagonal-side tests, as per-matrix reductions;
   * phase extraction: one ``phase_parameters`` call on the four block
-    diagonals of every matrix's D block.
+    diagonals of every aborted or folded D block (none on a plain level).
 
 Optimizations (all per the compile options):
   * lighten: gauge-fix each CSD so the right sides drift toward identity.
@@ -28,6 +28,9 @@ Optimizations (all per the compile options):
     factor, which keeps structured inputs on a single spine of nodes.
   * root-exhaustive permutation search: compile every bit relabeling of the
     input and keep the shortest program.
+  * expand_controls: rewrite the program over instructions on at most two
+    bits, each diagonal emitted in the form that expands to fewer two-qubit
+    gates.
 """
 from __future__ import annotations
 
@@ -152,8 +155,10 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     others are cosine-sine decomposed by one ``csd_stack`` call.  Diagonal but
     non-identity sides left over after lightening are then folded into the D
     block, diag(L) · D · diag(R), which stops that side.  One
-    ``phase_parameters`` call reads every D block off its four block
-    diagonals; plain CSD blocks keep the angles of ``csd_stack``.
+    ``phase_parameters`` call reads the aborted and folded D blocks off their
+    four block diagonals; a plain CSD block keeps the angles of ``csd_stack``
+    and zero phases, so a level without aborted or folded blocks makes no
+    call.
     """
     k, d, _ = mats.shape
     h = d // 2
@@ -166,9 +171,6 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
         if opts.lighten:
             f = lighten_stack(f)   # rebinding frees the unlightened factors
-    # d00, d01, d10, d11 of every D block: an aborted matrix is its own D block
-    rows, cols = _block_diagonal_index(d)
-    blocks = mats[:, rows, cols].reshape(k, 4, h).swapaxes(0, 1)
     thetas = np.zeros((k, h))
     lefts = np.empty((k, 2, h, h), dtype=np.complex128)
     rights = np.empty((k, 2, h, h), dtype=np.complex128)
@@ -178,9 +180,6 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     lfold = rfold = np.zeros(k, dtype=bool)
     if rest.size:
         thetas[rest] = f.thetas
-        th = np.radians(f.thetas)
-        c, s = np.cos(th), np.sin(th)
-        blocks[:, rest] = c, s, -s, c
         lefts[rest, 0], lefts[rest, 1] = f.l0, f.l1
         rights[rest, 0], rights[rest, 1] = f.r0, f.r1
         left_identity, right_identity = _identity_mask(lefts), _identity_mask(rights)
@@ -188,24 +187,34 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
             lfold = ~aborted & ~left_identity & _diagonal_mask(lefts, opts.tol)
             rfold = ~aborted & ~right_identity & _diagonal_mask(rights, opts.tol)
     folded = lfold | rfold
-    if folded.any():
-        ri, li = np.flatnonzero(rfold), np.flatnonzero(lfold)
-        rd = np.diagonal(rights[ri], axis1=2, axis2=3)   # (n, 2, h): r0, r1
+    phased = folded.copy()
+    pf = PhaseFactors(np.zeros((k, h)), np.zeros((k, h)), np.zeros((k, h)), thetas)
+    read = np.flatnonzero(aborted | folded)
+    if read.size:
+        # d00, d01, d10, d11 of the D blocks read: an aborted matrix is its own
+        # D block; a folded one starts from its CSD's, and its diagonal sides
+        # are multiplied in, the right side first
+        rows, cols = _block_diagonal_index(d)
+        blocks = mats[read[:, None], rows, cols].reshape(-1, 4, h).swapaxes(0, 1)
+        fi, ri, li = (np.flatnonzero(m[read]) for m in (folded, rfold, lfold))
+        th = np.radians(thetas[read[fi]])
+        c, s = np.cos(th), np.sin(th)
+        blocks[:, fi] = c, s, -s, c
+        rd = np.diagonal(rights[read[ri]], axis1=2, axis2=3)   # (n, 2, h): r0, r1
         blocks[:, ri] *= rd[:, [0, 1, 0, 1]].swapaxes(0, 1)
-        ld = np.diagonal(lefts[li], axis1=2, axis2=3)    # (n, 2, h): l0, l1
+        ld = np.diagonal(lefts[read[li]], axis1=2, axis2=3)    # (n, 2, h): l0, l1
         blocks[:, li] = ld[:, [0, 0, 1, 1]].swapaxes(0, 1) * blocks[:, li]
-        lefts[li] = eye
-        rights[ri] = eye
+        lefts[lfold] = eye
+        rights[rfold] = eye
         left_identity |= lfold
         right_identity |= rfold
-    pf = phase_parameters(*blocks)
-    phased = folded.copy()
-    if aborted.any():   # an aborted block that is real within tol keeps zero phases
-        phased |= aborted & ~pf.real_mask(opts.tol)
-    plain = ~(aborted | folded)
-    pf.thetas[plain] = thetas[plain]
-    for x in (pf.omega, pf.omega_l, pf.omega_r):
-        x[~phased] = 0.0
+        got = phase_parameters(*blocks)
+        # an aborted block that is real within tol keeps zero phases
+        keep = folded[read] | ~got.real_mask(opts.tol)
+        phased[read] = keep
+        thetas[read] = got.thetas
+        for name in ("omega", "omega_l", "omega_r"):
+            getattr(pf, name)[read[keep]] = getattr(got, name)[keep]
     return _Split(pf, phased, lefts, rights, left_identity, right_identity)
 
 
@@ -313,8 +322,9 @@ def assemble(root: CsdNode) -> list[CentralMatrix]:
 
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
     """Emit the program of an assembled tree, un-relabel it by the root's
-    permutation, and expand its controls if asked."""
-    program = concat(*(decompose_central(central, opts.extract_phases)
+    permutation, and expand its controls if asked (each diagonal is then
+    emitted in the form that expands to fewer two-qubit gates)."""
+    program = concat(*(decompose_central(central, opts.extract_phases, opts.expand_controls)
                        for central in assemble(root)))
     if root.perm is not None:
         program = rename_bits(program, root.perm.inverse())

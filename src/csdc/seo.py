@@ -833,6 +833,48 @@ def _expansion(nb: int, kind: int, target: int, mask: int, val: int,
     return concat(*parts)
 
 
+def _expanded_rows(kind: np.ndarray, nctrl: np.ndarray,
+                   angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``expand_controls`` rewrites (CNOT with >= 2 controls, CPHA
+    with >= 3), given the control count of every row, and whether each is a
+    CPHA whose ladder is pruned: every ladder angle, |angle| / 2**k, at most
+    PRUNE_TOL."""
+    cpha = kind == CPHA
+    rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
+    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= PRUNE_TOL)
+    return rows, pruned
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion_two_qubit_gates(kind: int, nctrl: int) -> int:
+    """Two-bit instructions in the unpruned expansion of one ``kind`` gate
+    with ``nctrl`` controls; neither the bit positions nor the control values
+    (F controls add one-bit flips only) change the count."""
+    nb = nctrl + (kind == CNOT)
+    mask = (1 << nctrl) - 1
+    tpl = _expansion(nb, kind, nb - 1 if kind == CNOT else -1, mask, mask, False)
+    widths = bitops.popcount(tpl.ctrl_mask) + (tpl.target >= 0)
+    return int(np.count_nonzero(widths == 2))
+
+
+def two_qubit_gates(p: Program) -> int:
+    """The number of instructions on exactly two bits in ``expand_controls(p)``,
+    read off the rows of ``p`` without expanding them: a row that stays counts
+    when it touches two bits, an expanded one by its template's cost (zero
+    for a pruned CPHA, whose expansion keeps only its F-control flips)."""
+    nctrl = bitops.popcount(p.ctrl_mask)
+    rows, pruned = _expanded_rows(p.kind, nctrl, p.angle)
+    two = nctrl + (p.target >= 0) == 2
+    two[rows] = False
+    live = rows[~pruned]
+    # (kind, control count) keys of the expanded rows; a count is below 64
+    per_key = np.bincount(p.kind[live] << 6 | nctrl[live])
+    keys = np.flatnonzero(per_key)
+    return int(np.count_nonzero(two)) + sum(
+        _expansion_two_qubit_gates(key >> 6, key & 63) * n
+        for key, n in zip(keys.tolist(), per_key[keys].tolist()))
+
+
 def expand_controls(p: Program) -> Program:
     """Expand multi-control gates so every instruction touches at most 2 bits.
 
@@ -844,12 +886,9 @@ def expand_controls(p: Program) -> Program:
     is at most PRUNE_TOL.
     """
     kind, target, mask, val, angle = p.columns
-    nctrl = bitops.popcount(mask)
-    cpha = kind == CPHA
-    rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
+    rows, pruned = _expanded_rows(kind, bitops.popcount(mask), angle)
     if not rows.size:
         return p
-    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= PRUNE_TOL)
     keys = np.stack([kind[rows], target[rows], mask[rows], val[rows], pruned], axis=1)
     uniq, which = np.unique(keys, axis=0, return_inverse=True)
     which = which.reshape(-1)

@@ -156,6 +156,11 @@ def width(row):
     return len(bits_of(mask)) + (target >= 0)
 
 
+def two_bit_rows(program):
+    """How many instructions of a program touch exactly two bits."""
+    return sum(width(r) == 2 for r in rows(program))
+
+
 def random_program(rng, nb, length, kinds=None, max_controls=4):
     """Random well-formed program over all six instruction kinds."""
     kinds = kinds or ["ROTY", "ROTZ", "SIGX", "CNOT", "PHAS", "CPHA"]

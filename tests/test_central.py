@@ -6,6 +6,7 @@ from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
                   decompose_real_d, decompose_right_angle_case, diagonal_central,
                   frobenius_distance, program_to_matrix, real_d_central, serialize)
 from csdc.bitops import hadamard_transform, state_permutation
+from csdc.central import decompose_central
 from csdc.seo import rename_bits
 
 from conftest import (bits_of, dense_central, dense_diagonal, dense_real_d_central,
@@ -190,6 +191,31 @@ class TestDecomposeDiagonal:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             decompose_diagonal(diagonal_central(1, [0.0, 0.0]), mode="bogus")
+
+    @pytest.mark.parametrize("extract_phases", [True, False])
+    def test_expansion_picks_the_cheaper_form(self, rng, extract_phases):
+        # A dense diagonal's CPHAs cost 6 * 1 + 4 * 6 + 14 = 44 two-qubit
+        # gates once expanded (2, 3 and 4 controls); its rotz chain costs 14.
+        c = diagonal_central(4, rng.uniform(-180, 180, 16))
+        chain = decompose_diagonal(c, mode="rotz-chain")
+        assert decompose_central(c, extract_phases, expand_controls=True) == chain
+        # One CPHA on two bits costs 1 as a controlled phase, 2 as a chain.
+        phi = np.where(np.arange(16) & 0b1010 == 0b1010, 45.0, 0.0)
+        c = diagonal_central(4, phi)
+        cpha = decompose_diagonal(c, mode="controlled-phase")
+        assert decompose_central(c, extract_phases, expand_controls=True) == cpha
+
+    @pytest.mark.parametrize("extract_phases, mode", [(True, "controlled-phase"),
+                                                      (False, "rotz-chain")])
+    def test_expansion_tie_keeps_the_form_extract_phases_picks(self, rng, extract_phases,
+                                                               mode):
+        # Single-bit terms only: neither form has a two-qubit gate.
+        phi = (rng.uniform(-90, 90, 4)[:, None] * ((np.arange(16) >> np.arange(4)[:, None]) & 1)
+               ).sum(axis=0)
+        c = diagonal_central(4, phi)
+        got = decompose_central(c, extract_phases, expand_controls=True)
+        assert got == decompose_diagonal(c, mode)
+        assert got == decompose_central(c, extract_phases)
 
 
 class TestDecomposeComplexD:

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from csdc import (cli, frobenius_distance, parse, program_to_matrix, quantum_fft_program,
-                  serialize)
+from csdc import (cli, expand_controls, frobenius_distance, parse, program_to_matrix,
+                  quantum_fft_program, serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
 from csdc.reference import dft_matrix
 
-from conftest import SIGMA_X, random_unitary
+from conftest import SIGMA_X, random_unitary, two_bit_rows
 
 
 def write_matrix(path, m):
@@ -37,6 +37,15 @@ class TestCompileCommand:
         assert report["original_dimension"] == 8
         assert report["reconstruction_error"] < 1e-10
         assert report["counts"]["CPHA"] == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--expand-controls"]], ids=["plain", "expand"])
+    def test_reports_two_qubit_gates_after_expansion(self, tmp_path, capsys, rng, flags):
+        inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 16))
+        out = tmp_path / "out.seo"
+        assert main(["compile", inp, "-o", str(out), "--report", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expanded = expand_controls(parse(out.read_text(), nb=4))
+        assert report["two_qubit_gates"] == two_bit_rows(expanded)
 
     def test_ragged_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build_tree,
-                  compile_unitary, direct_sum, frobenius_distance, hadamard_input,
-                  is_complex_d, pad_to_power_of_two, phase_factors_matrix, program_to_matrix)
+                  compile_unitary, compiler, direct_sum, expand_controls, frobenius_distance,
+                  hadamard_input, is_complex_d, pad_to_power_of_two, phase_factors_matrix,
+                  program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
+from csdc.cli import ROUND_TRIP_TOL
 from csdc.compiler import _split_level, program_for_tree
 from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
 
-from conftest import dense_central, random_phase_factors, random_unitary, rows, width
+from conftest import (dense_central, kron_program_matrix, random_phase_factors, random_unitary,
+                      rows, two_bit_rows, width)
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -147,6 +150,20 @@ class TestSplitLevel:
         plain = lighten_stack(csd_stack(mats[5:], self.TOL)).thetas
         assert np.array_equal(pf.thetas[5:], plain)
 
+    def test_phases_read_only_off_aborted_and_folded_blocks(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*blocks):
+            calls.append(blocks[0].shape[0])
+            return phase_parameters(*blocks)
+
+        phase_parameters = compiler.phase_parameters
+        monkeypatch.setattr(compiler, "phase_parameters", counted)
+        split = _split_level(np.stack([random_unitary(rng, 4) for _ in range(6)]), DEFAULTS)
+        assert calls == [] and not split.phased.any()
+        _split_level(np.stack([m for _, m, _ in self.level(rng)]), CompileOptions(tol=self.TOL))
+        assert calls == [5]   # the two aborted and three folded blocks, in one call
+
 
 class TestAssemble:
     def test_single_node(self):
@@ -242,3 +259,57 @@ class TestCompile:
         for nb in (4, 5):
             n = len(compile_unitary(random_unitary(rng, 1 << nb)))
             assert n <= c * (1 << (2 * nb)) * 1.25
+
+
+def _two_qubit_corpus() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20261018)
+    out = {}
+    for nb in range(2, 7):
+        out[f"haar-n{nb}"] = random_unitary(rng, 1 << nb)
+        out[f"hadamard-n{nb}"] = hadamard_input(nb)
+        out[f"qft-n{nb}"] = dft_input(nb)
+        out[f"dft-n{nb}"] = dft_matrix(nb)
+    for nb in range(3, 6):
+        n = 1 << nb
+        out[f"uxi-n{nb}"] = np.kron(random_unitary(rng, 4), np.eye(n // 4))
+        out[f"ixu-n{nb}"] = np.kron(np.eye(n // 4), random_unitary(rng, 4))
+        out[f"permutation-n{nb}"] = np.eye(n)[:, rng.permutation(n)]
+        out[f"diagonal-n{nb}"] = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+        out[f"controlled-u-n{nb}"] = direct_sum([np.eye(n // 2), random_unitary(rng, n // 2)])
+    return out
+
+
+TWO_QUBIT_CORPUS = _two_qubit_corpus()
+
+
+class TestTwoQubitEmission:
+    """With expand_controls, each diagonal takes the form that expands to fewer
+    two-qubit gates, so the program never has more of them than the expansion
+    of the program compiled without it."""
+
+    @pytest.mark.parametrize("extract_phases", [True, False], ids=["phases", "no-phases"])
+    @pytest.mark.parametrize("name", sorted(TWO_QUBIT_CORPUS))
+    def test_never_worse_than_expanding_afterwards(self, name, extract_phases):
+        u = TWO_QUBIT_CORPUS[name]
+        nb = u.shape[0].bit_length() - 1
+        prog = compile_unitary(u, CompileOptions(extract_phases=extract_phases,
+                                                 expand_controls=True))
+        after = expand_controls(compile_unitary(u, CompileOptions(extract_phases=extract_phases)))
+        assert two_bit_rows(prog) <= two_bit_rows(after)
+        assert all(width(r) <= 2 for r in rows(prog))
+        assert frobenius_distance(u, program_to_matrix(prog)) < ROUND_TRIP_TOL
+        if nb <= 4:
+            assert frobenius_distance(u, kron_program_matrix(prog)) < ROUND_TRIP_TOL
+
+    def test_haar_diagonals_take_the_rotz_chain(self, rng):
+        # A dense diagonal's controlled phases need a ladder per control
+        # subset; its rotz chain is one ladder.
+        u = random_unitary(rng, 32)
+        prog = compile_unitary(u, CompileOptions(expand_controls=True))
+        after = expand_controls(compile_unitary(u))
+        assert 3 * two_bit_rows(prog) < two_bit_rows(after)
+
+    def test_qft_keeps_its_controlled_phases(self):
+        # Two-control phases are already elementary: the textbook circuit stays.
+        u = dft_input(5)
+        assert compile_unitary(u, CompileOptions(expand_controls=True)) == compile_unitary(u)

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from csdc import (Program, apply_to_state, exchanger_program, expand_controls,
                   frobenius_distance, parse, program_to_matrix, serialize)
-from csdc.seo import CNOT, CPHA, PHAS, ROTY, SIGX, SeoParseError, _simulate, concat, rename_bits
+from csdc.seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, SIGX, SeoParseError, _simulate, concat,
+                      rename_bits, two_qubit_gates)
 
 from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
-                      random_program, rows, transposition_matrix, width)
+                      random_program, rows, transposition_matrix, two_bit_rows, width)
 
 
 def row_program(p: Program, i: int) -> Program:
@@ -389,6 +390,46 @@ class TestExpandControls:
             assert all(width(r) <= 2 for r in rows(ex))
             assert frobenius_distance(program_to_matrix(ex),
                                       program_to_matrix(p)) < 1e-10
+
+
+class TestTwoQubitGates:
+    """``two_qubit_gates`` counts the two-bit rows of ``expand_controls(p)``
+    without expanding p."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_two_bit_rows_of_expansion(self, seed):
+        rng = np.random.default_rng([20261018, seed])
+        nb = 6 + seed % 2
+        p = random_program(rng, nb, 40, max_controls=5)   # T and F controls, 0-5 of them
+        # CPHAs whose ladders are pruned (|angle| / 2**k <= PRUNE_TOL) or not
+        tiny = [("CPHA", -1, m, v, a) for m, v, a in [
+            (0b111, 0b101, 8 * PRUNE_TOL), (0b111, 0b111, -9 * PRUNE_TOL),
+            (0b11110, 0b00110, 16 * PRUNE_TOL), (0b11, 0b01, PRUNE_TOL / 2),
+            (0b11111, 0b11111, 32 * PRUNE_TOL), (0b11111, 0b01010, 40 * PRUNE_TOL)]]
+        p = concat(p, program_of_rows(nb, tiny))
+        assert two_qubit_gates(p) == two_bit_rows(expand_controls(p))
+
+    @pytest.mark.parametrize("kind", ["CNOT", "CPHA"])
+    @pytest.mark.parametrize("nctrl", range(1, 6))
+    def test_every_control_count(self, kind, nctrl):
+        bits = np.random.default_rng(nctrl).permutation(6)
+        mask = sum(1 << int(b) for b in bits[:nctrl])
+        for val in (mask, 0, mask & 0b10101):
+            row = (kind, int(bits[nctrl]) if kind == "CNOT" else -1, mask, val,
+                   0.0 if kind == "CNOT" else 33.0)
+            p = program_of_rows(6, [row])
+            assert two_qubit_gates(p) == two_bit_rows(expand_controls(p))
+
+    def test_elementary_program(self):
+        p = parse("ROTY 0 5\nCNOT 0 T 1\nCPHA 0 T 1 F 20\nCPHA 1 T 20\nPHAS 3\nSIGX 2")
+        assert two_qubit_gates(p) == 2
+
+    def test_pruned_cpha_costs_nothing(self):
+        assert two_qubit_gates(parse("CPHA 0 T 1 F 2 T 1e-11")) == 0
+        assert two_qubit_gates(parse("CPHA 0 T 1 F 2 T 40")) == 6
+
+    def test_empty_program(self):
+        assert two_qubit_gates(Program(3)) == 0
 
 
 class TestRenameBits:
