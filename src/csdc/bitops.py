@@ -2,13 +2,15 @@
 permutations.
 
 Bit positions increase from right to left: bit 0 is the least significant bit
-of a state index.  A :class:`BitPermutation` relabels bit *positions*; the
-induced permutation of the 2**nb state indices is materialized lazily via
-:func:`state_permutation` / :func:`permute_states`.
+of a state index.  A :class:`BitPermutation` relabels bit *positions*; its
+:meth:`~BitPermutation.state_map` is the induced permutation of the 2**nb
+state indices, one array pass per bit, which :func:`state_permutation` and
+:func:`apply_bit_permutation` index with.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +98,17 @@ def popcount(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BitPermutation:
-    """A bijection on bit positions {0..nb-1}; mapping[b] is where bit b goes."""
+    """A bijection on bit positions {0..nb-1}; mapping[b] is where bit b goes.
+    Any integer sequence is stored as a tuple of ints, so the value hashes."""
 
     nb: int
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.mapping) != list(range(self.nb)):
-            raise ValueError(f"mapping {self.mapping} is not a bijection on 0..{self.nb - 1}")
+        mapping = tuple(operator.index(b) for b in self.mapping)
+        if sorted(mapping) != list(range(self.nb)):
+            raise ValueError(f"mapping {mapping} is not a bijection on 0..{self.nb - 1}")
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def identity(cls, nb: int) -> "BitPermutation":
@@ -127,12 +132,12 @@ class BitPermutation:
     def is_identity(self) -> bool:
         return all(self.mapping[b] == b for b in range(self.nb))
 
-    def permute_index(self, state: int) -> int:
-        """Move each bit of a state index to its destination position."""
-        out = 0
-        for b in range(self.nb):
-            if state >> b & 1:
-                out |= 1 << self.mapping[b]
+    def state_map(self) -> np.ndarray:
+        """Entry s is the state index s with each bit b moved to mapping[b]."""
+        states = np.arange(1 << self.nb)
+        out = np.zeros_like(states)
+        for b, dest in enumerate(self.mapping):
+            out |= (states >> b & 1) << dest
         return out
 
 
@@ -146,9 +151,8 @@ def bit_reversal_permutation(nb: int) -> BitPermutation:
 def state_permutation(p: BitPermutation) -> np.ndarray:
     """The 2**nb 0/1 matrix G with G|s> = |p(s)>."""
     n = 1 << p.nb
-    targets = np.array([p.permute_index(s) for s in range(n)])
     out = np.zeros((n, n), dtype=np.complex128)
-    out[targets, np.arange(n)] = 1.0
+    out[p.state_map(), np.arange(n)] = 1.0
     return out
 
 
@@ -162,7 +166,7 @@ def apply_bit_permutation(p: BitPermutation, m) -> np.ndarray:
     n = 1 << p.nb
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match nb={p.nb}")
-    targets = np.array([p.permute_index(s) for s in range(n)])
+    targets = p.state_map()
     out = np.empty_like(a)
     out[np.ix_(targets, targets)] = a
     return out

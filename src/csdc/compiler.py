@@ -27,7 +27,7 @@ Optimizations (all per the compile options):
     and fold diagonal side matrices left over after lightening into the D
     factor, which keeps structured inputs on a single spine of nodes.
   * root-exhaustive permutation search: compile every bit relabeling of the
-    input and keep the shortest program.
+    input, rename each finished program back and keep the first shortest.
   * expand_controls: rewrite the program over instructions on at most two
     bits, each diagonal emitted in the form that expands to fewer two-qubit
     gates.
@@ -55,9 +55,10 @@ from .seo import Program, concat, expand_controls, rename_bits
 # round-trip budget, so lightened near-identities actually stop the recursion.
 IDENTITY_TOL = 1e-9
 
-# Root-exhaustive permutation search compiles nb! candidates; 8! = 40320 is
-# the most that stays reasonable.
-PERM_SEARCH_MAX_NB = 8
+# Root-exhaustive permutation search compiles nb! candidates.  On a Haar input
+# with one BLAS thread (shared 2-vCPU x86 host) the search took 1.7-2.0 s at
+# nb = 5 (120 compiles) and 24-28 s at nb = 6 (720); nb = 7 would be 5040.
+PERM_SEARCH_MAX_NB = 6
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class CompileOptions:
 class CsdNode:
     level: int
     central: CentralMatrix
-    perm: BitPermutation | None = None   # set on the root by permutation search
     left: "CsdNode | None" = None
     right: "CsdNode | None" = None
 
@@ -269,13 +269,7 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
 
 
 def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
-    """Build the CSD tree of a 2**nb unitary.
-
-    With perm_search="root-exhaustive", every bit permutation of the input is
-    compiled and the root of the shortest-program tree is returned.  The root
-    carries the winning permutation (None when it is the identity), and
-    ``program_for_tree`` undoes it by one rename of the finished program.
-    """
+    """Build the CSD tree of a 2**nb unitary, after checking that it is one."""
     a = as_matrix(u)
     dim = a.shape[0]
     nb = max(1, dim.bit_length() - 1)
@@ -284,28 +278,13 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     dev = unitarity_deviation(a)
     if dev > opts.tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
-    if opts.perm_search == "none":
-        return _build(a, nb, opts)
-    if nb > PERM_SEARCH_MAX_NB:
-        raise ValueError(f"root-exhaustive permutation search supports nb <= "
-                         f"{PERM_SEARCH_MAX_NB}, got nb={nb}")
-    best: CsdNode | None = None
-    best_len = -1
-    for mapping in itertools.permutations(range(nb)):
-        perm = BitPermutation(nb, mapping)
-        root = _build(apply_bit_permutation(perm, a), nb, opts)
-        root.perm = None if perm.is_identity() else perm
-        n = len(program_for_tree(root, opts))
-        if best is None or n < best_len:
-            best, best_len = root, n
-    return best
+    return _build(a, nb, opts)
 
 
 def assemble(root: CsdNode) -> list[CentralMatrix]:
     """Central matrices in application order: right subtree, node, left subtree.
 
-    The product of the entries, last applied leftmost, equals the tree's
-    input matrix, relabeled by ``root.perm`` when that is set.
+    The product of the entries, last applied leftmost, is the tree's input.
     """
     out: list[CentralMatrix] = []
 
@@ -321,13 +300,11 @@ def assemble(root: CsdNode) -> list[CentralMatrix]:
 
 
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
-    """Emit the program of an assembled tree, un-relabel it by the root's
-    permutation, and expand its controls if asked (each diagonal is then
-    emitted in the form that expands to fewer two-qubit gates)."""
+    """Emit the program of an assembled tree, and expand its controls if asked
+    (each diagonal is then emitted in the form that expands to fewer two-qubit
+    gates)."""
     program = concat(*(decompose_central(central, opts.extract_phases, opts.expand_controls)
                        for central in assemble(root)))
-    if root.perm is not None:
-        program = rename_bits(program, root.perm.inverse())
     if opts.expand_controls:
         program = expand_controls(program)
     return program
@@ -338,5 +315,21 @@ def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     into a gate program whose matrix reproduces the padded input.
 
     The input's unitarity is checked once, by ``build_tree`` on the padded
-    matrix u ⊕ I, whose deviation from unitarity is that of u."""
-    return program_for_tree(build_tree(_embed(as_matrix(u)), opts), opts)
+    matrix u ⊕ I, whose deviation from unitarity is that of u.  The
+    permutation search compiles the other relabelings of u ⊕ I too.
+    """
+    a = _embed(as_matrix(u))
+    best = program_for_tree(build_tree(a, opts), opts)
+    if opts.perm_search == "none":
+        return best
+    nb = best.nb
+    if nb > PERM_SEARCH_MAX_NB:
+        raise ValueError(f"root-exhaustive permutation search supports nb <= "
+                         f"{PERM_SEARCH_MAX_NB}, got nb={nb}")
+    for mapping in itertools.islice(itertools.permutations(range(nb)), 1, None):
+        perm = BitPermutation(nb, mapping)
+        tree = _build(apply_bit_permutation(perm, a), nb, opts)
+        program = rename_bits(program_for_tree(tree, opts), perm.inverse())
+        if len(program) < len(best):
+            best = program
+    return best

@@ -912,28 +912,19 @@ def expand_controls(p: Program) -> Program:
     return Program(p.nb, *out, validate=False)
 
 
-def rename_bits(p: Program, mapping) -> Program:
-    """Rewrite every bit index through ``mapping`` (callable or sequence),
-    which must be defined on every bit 0..nb-1.
+def rename_bits(p: Program, perm: bitops.BitPermutation) -> Program:
+    """Move every bit b of the program to ``perm(b)``; ``perm`` must permute
+    the program's nb bits.
 
     Targets go through a lookup table and masks through one shift per bit.
-    The result is checked only when the mapping is not injective into
-    0..nb-1; then two controls of one row that land on one bit raise
-    ValueError, as do a target and a control.
     """
-    get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
-    images = [int(get(b)) for b in range(p.nb)]
-    if min(images) < 0 or max(images) >= p.nb:
-        raise ValueError(f"bit mapping leaves 0..{p.nb - 1}: {images}")
+    if perm.nb != p.nb:
+        raise ValueError(f"a permutation of {perm.nb} bits cannot rename a program "
+                         f"on {p.nb} bits")
     mask = np.zeros_like(p.ctrl_mask)
     val = np.zeros_like(p.ctrl_val)
-    for b, dest in enumerate(images):
+    for b, dest in enumerate(perm.mapping):
         mask |= (p.ctrl_mask >> b & 1) << dest
         val |= (p.ctrl_val >> b & 1) << dest
-    lut = np.array(images + [-1])   # a target of -1 stays -1
-    out = Program(p.nb, p.kind, lut[p.target], mask, val, p.angle, validate=False)
-    if len(set(images)) != p.nb:
-        _reject(bitops.popcount(mask) != bitops.popcount(p.ctrl_mask), p.kind,
-                "{kind} bits must be distinct: two controls land on one bit")
-        out.validate()
-    return out
+    lut = np.array(perm.mapping + (-1,))   # a target of -1 stays -1
+    return Program(p.nb, p.kind, lut[p.target], mask, val, p.angle, validate=False)

@@ -121,6 +121,18 @@ class TestBitPermutation:
         with pytest.raises(ValueError):
             BitPermutation(2, (0, 0))
 
+    def test_mapping_stored_as_tuple_of_ints(self):
+        p = BitPermutation(2, [1, 0])
+        assert p.mapping == (1, 0) and all(type(b) is int for b in p.mapping)
+        assert p == BitPermutation(2, (1, 0)) == BitPermutation(2, np.array([1, 0]))
+        assert len({p, BitPermutation(2, (1, 0))}) == 1
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 5])
+    def test_state_map_moves_each_bit(self, rng, nb):
+        p = BitPermutation(nb, rng.permutation(nb))
+        want = [sum(1 << p(b) for b in range(nb) if s >> b & 1) for s in range(1 << nb)]
+        assert p.state_map().tolist() == want
+
     def test_compose_and_inverse(self, rng):
         p = BitPermutation(4, tuple(rng.permutation(4)))
         q = BitPermutation(4, tuple(rng.permutation(4)))

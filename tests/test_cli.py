@@ -80,6 +80,14 @@ class TestCompileCommand:
                      "--perm-search", "root", "--tol", "1e-9"]) == 0
         assert out.read_text()
 
+    def test_perm_search_over_cap_exits_2_and_non_unitary_exits_3(self, tmp_path, capsys):
+        argv = ["-o", str(tmp_path / "x.seo"), "--perm-search", "root"]
+        inp = write_matrix(tmp_path / "in.txt", np.eye(128))
+        assert main(["compile", inp] + argv) == 2
+        assert "nb <= 6, got nb=7" in capsys.readouterr().err
+        bad = write_matrix(tmp_path / "bad.txt", np.diag([2.0] + [1.0] * 127))
+        assert main(["compile", bad] + argv) == 3
+
 
 @pytest.mark.parametrize("argv", [
     ["compile", "{tmp}/none.txt", "-o", "{tmp}/x.seo"],

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (DenseTooLargeError, Program, central, cli, compiler, expand_controls,
-                  matrices, parse, program_to_matrix, seo, serialize)
+from csdc import (BitPermutation, DenseTooLargeError, Program, central, cli, compiler,
+                  expand_controls, matrices, parse, program_to_matrix, seo, serialize)
 from csdc.seo import KINDS, SeoParseError, concat, rename_bits
 
 from conftest import (concat_by_rows, kron_program_matrix, program_of_rows,
@@ -108,11 +108,13 @@ class TestColumnStages:
     def test_rename_matches_rows(self, p, rnd):
         mapping = list(range(p.nb))
         rnd.shuffle(mapping)
-        assert rename_bits(p, mapping) == rename_by_rows(p, mapping)
+        assert rename_bits(p, BitPermutation(p.nb, mapping)) == rename_by_rows(p, mapping)
 
+    # A map that lands two bits on one is not a BitPermutation, so a rename
+    # can never merge a target and a control, or two controls.
     def test_rename_rejects_colliding_bits(self):
-        with pytest.raises(ValueError, match="distinct"):
-            rename_bits(parse("CNOT 0 T 1"), [0, 0])
+        with pytest.raises(ValueError, match="not a bijection"):
+            rename_bits(parse("CNOT 0 T 1"), BitPermutation(2, [0, 0]))
 
     @pytest.mark.parametrize("text, mapping", [
         ("CNOT 0 T 1 F 2", [0, 0, 2]),
@@ -120,12 +122,13 @@ class TestColumnStages:
         ("ROTY 2 5\nCPHA 0 F 1 T 2 T 45", [0, 2, 2]),
     ])
     def test_rename_rejects_controls_landing_on_one_bit(self, text, mapping):
-        with pytest.raises(ValueError, match="bits must be distinct"):
-            rename_bits(parse(text), mapping)
+        with pytest.raises(ValueError, match="not a bijection"):
+            rename_bits(parse(text), BitPermutation(len(mapping), mapping))
 
-    def test_rename_accepts_non_injective_map_without_collision(self):
-        q = rename_bits(parse("ROTY 0 5\nROTY 1 6"), [1, 1])
-        assert serialize(q) == "ROTY 1 5\nROTY 1 6\n"
+    @pytest.mark.parametrize("nb", [2, 4])
+    def test_rename_rejects_permutation_of_other_size(self, nb):
+        with pytest.raises(ValueError, match=f"permutation of {nb} bits .* program on 3 bits"):
+            rename_bits(parse("CNOT 0 T 1\nROTY 2 5"), BitPermutation.identity(nb))
 
     @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -238,6 +241,10 @@ class TestUnitarityCheckedOnce:
                             lambda a: calls.append(a.shape) or original(a))
         compiler.compile_unitary(random_unitary(rng, 8))
         assert calls == [(8, 8)]
+        calls.clear()
+        compiler.compile_unitary(random_unitary(rng, 8),
+                                 compiler.CompileOptions(perm_search="root-exhaustive"))
+        assert calls == [(8, 8)]
 
     def test_cli_compile_checks_once(self, rng, tmp_path, monkeypatch):
         calls = []
@@ -260,16 +267,20 @@ class TestUnitarityCheckedOnce:
         assert calls == []
 
     def test_perm_search_renames_once_per_relabeled_program(self, rng, monkeypatch):
-        calls = []
+        renames, emissions = [], []
         monkeypatch.setattr(compiler, "rename_bits",
-                            lambda p, m: calls.append(len(p)) or rename_bits(p, m))
+                            lambda p, m: renames.append(m) or rename_bits(p, m))
+        emit = compiler.program_for_tree
+        monkeypatch.setattr(compiler, "program_for_tree",
+                            lambda root, opts: emissions.append(root) or emit(root, opts))
         opts = compiler.CompileOptions(perm_search="root-exhaustive")
         u = np.kron(np.eye(4), random_unitary(rng, 2))
-        root = compiler.build_tree(u, opts)
-        assert len(calls) == 5          # one per candidate other than the identity
-        program = compiler.program_for_tree(root, opts)
-        assert root.perm is not None and len(calls) == 6
-        assert root.perm.inverse() != root.perm   # a 3-cycle: the direction matters
+        program = compiler.compile_unitary(u, opts)
+        assert len(emissions) == 6      # one per candidate: 3!
+        assert len(renames) == 5        # one per candidate other than the identity
+        # the 3-cycles are among the candidates renamed back: the direction matters
+        assert any(p.inverse() != p for p in renames)
+        assert len(program) < len(compiler.compile_unitary(u))
         assert np.abs(program_to_matrix(program) - u).max() < 1e-10
 
     def test_build_tree_still_checks(self, monkeypatch):

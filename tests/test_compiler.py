@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,6 @@ class TestAssemble:
             u = random_unitary(rng, 1 << nb)
             for opts in (DEFAULTS, PLAIN):
                 root = build_tree(u, opts)
-                assert all(node.perm is None for node in tree_nodes(root))
                 prod = np.eye(1 << nb, dtype=complex)
                 for central in assemble(root):  # application order: multiply from the left
                     prod = dense_central(central) @ prod
@@ -230,11 +231,16 @@ class TestCompile:
             compile_unitary(np.diag([1.0, 3.0]))
 
     def test_perm_search_round_trip_and_no_worse(self, rng):
-        u = random_unitary(rng, 4)
-        opts = CompileOptions(perm_search="root-exhaustive")
-        prog = compile_unitary(u, opts)
-        assert frobenius_distance(u, program_to_matrix(prog)) < 1e-8
-        assert len(prog) <= len(compile_unitary(u))
+        for u in (random_unitary(rng, 4), random_unitary(rng, 8),
+                  np.kron(random_unitary(rng, 2), np.eye(4)), dft_matrix(3)):
+            for opts in (DEFAULTS, CompileOptions(expand_controls=True),
+                         CompileOptions(extract_phases=False)):
+                prog = compile_unitary(u, replace(opts, perm_search="root-exhaustive"))
+                assert frobenius_distance(u, program_to_matrix(prog)) < ROUND_TRIP_TOL
+                assert frobenius_distance(u, kron_program_matrix(prog)) < ROUND_TRIP_TOL
+                if opts.expand_controls:
+                    assert all(width(r) <= 2 for r in rows(prog))
+                assert len(prog) <= len(compile_unitary(u, opts))
 
     def test_perm_search_helps_on_permuted_structure(self, rng):
         # A matrix acting on one bit only: some relabeling compiles it as such.
@@ -248,10 +254,19 @@ class TestCompile:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             CompileOptions(tol=tol)
 
-    def test_perm_search_nb_cap(self):
+    def test_perm_search_nb_cap(self, monkeypatch):
+        builds = []
+        build = compiler._build
+        monkeypatch.setattr(compiler, "_build",
+                            lambda a, nb, opts: builds.append(nb) or build(a, nb, opts))
         opts = CompileOptions(perm_search="root-exhaustive")
-        with pytest.raises(ValueError, match="perm"):
-            build_tree(np.eye(1 << 9), opts)
+        assert compiler.PERM_SEARCH_MAX_NB == 6
+        with pytest.raises(ValueError, match="permutation search supports nb <= 6, got nb=7"):
+            compile_unitary(np.eye(1 << 7), opts)
+        assert builds == [7]   # the identity candidate only: no relabeling was compiled
+        with pytest.raises(NotUnitaryError):
+            compile_unitary(np.diag([2.0] + [1.0] * 127), opts)
+        assert builds == [7]
 
     def test_generic_length_scaling(self, rng):
         # Generic inputs stay within the quadratic-in-dimension budget.

@@ -5,9 +5,12 @@ A compile must reproduce its file's gate skeleton exactly (kinds, targets,
 controls, in order) and every angle within ANGLE_TOL degrees, taken modulo
 360 degrees, since every instruction kind is periodic in 360 degrees.
 
-Run ``PYTHONPATH=src python tests/test_golden.py`` to rewrite the files; do
+Run ``PYTHONPATH=src python tests/test_golden.py`` to rewrite the files of
+the cases whose comparison fails, or ``... tests/test_golden.py NAME...`` to
+rewrite the named cases only; either way it prints each file it writes.  Do
 that only when a change to the compiler's output is intended.
 """
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +70,29 @@ def test_matches_golden(name):
     assert diff.max(initial=0.0) <= ANGLE_TOL
 
 
-def write_golden() -> None:
+def _matches_golden(name: str) -> bool:
+    try:
+        test_matches_golden(name)
+    except (AssertionError, OSError, ValueError):   # differs, missing or unparsable
+        return False
+    return True
+
+
+def write_golden(names: list[str]) -> None:
+    """Rewrite the named cases, or with no names every case that fails."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, (u, opts) in CASES.items():
-        (GOLDEN / f"{name}.seo").write_text(serialize(compile_unitary(u, opts)))
+    todo = names or [n for n in sorted(CASES) if not _matches_golden(n)]
+    for name in todo:
+        u, opts = CASES[name]
+        path = GOLDEN / f"{name}.seo"
+        path.write_text(serialize(compile_unitary(u, opts)))
+        print(f"wrote {path}")
+    if not todo:
+        print("every golden matches; nothing written")
 
 
 if __name__ == "__main__":
-    write_golden()
+    write_golden(sys.argv[1:])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (Program, apply_to_state, exchanger_program, expand_controls,
+from csdc import (BitPermutation, Program, apply_to_state, exchanger_program, expand_controls,
                   frobenius_distance, parse, program_to_matrix, serialize)
 from csdc.seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, SIGX, SeoParseError, _simulate, concat,
                       rename_bits, two_qubit_gates)
@@ -435,5 +435,5 @@ class TestTwoQubitGates:
 class TestRenameBits:
     def test_rename_sequence(self):
         p = parse("CNOT 0 T 2\nROTY 1 5")
-        q = rename_bits(p, [2, 0, 1])
+        q = rename_bits(p, BitPermutation(3, (2, 0, 1)))
         assert serialize(q) == "CNOT 2 T 1\nROTY 0 5\n"
