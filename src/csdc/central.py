@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# basis_change_matrix, gray_sequence and rename_bits are not called here; they
-# stay importable from this module, where perfbench/spans.py traces them by name.
+# basis_change_matrix, gray_sequence, hadamard_transform and rename_bits are not
+# called here; they stay importable from this module, where perfbench/spans.py
+# traces them by name.
 from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
-                     hadamard_transform)
+                     hadamard_transform, kron_transform)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
                   rename_bits, rotation_ladder, two_qubit_gates, z_ladder)
@@ -110,7 +111,8 @@ def diagonal_central(nb: int, phases) -> CentralMatrix:
 
 
 def angles_to_theta(phi) -> np.ndarray:
-    """Hadamard-transformed rotation angles: theta = H_k phi / 2**k.
+    """Hadamard-transformed rotation angles: theta = H_k phi / 2**k, by
+    :func:`~csdc.bitops.kron_transform`'s ``walsh``.
 
     The inverse map is phi = H_k theta, so the round trip is exact up to
     floating point.
@@ -119,7 +121,7 @@ def angles_to_theta(phi) -> np.ndarray:
     n = len(v)
     if n == 0 or n & (n - 1):
         raise ValueError(f"angle vector length must be a power of two, got {n}")
-    return hadamard_transform(v) / n
+    return kron_transform(v, "walsh") / n
 
 
 def _program(nb: int, kind, target, mask, val, angle) -> Program:
@@ -148,19 +150,13 @@ def decompose_real_d(c: CentralMatrix) -> Program:
     return rotation_ladder(c.nb, ROTY, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
 
 
-def _number_coefficients(phases: np.ndarray, nb: int) -> np.ndarray:
+def _number_coefficients(phases: np.ndarray) -> np.ndarray:
     """Coefficients of a diagonal's phases over products of number operators:
     theta = M^T phi with M the projector-to-number basis change, that is
-    theta[b] = sum over the subsets a of b of (-1)**|b - a| phi[a].
-
-    One in-place butterfly per bit, O(nb 2**nb): the entries with bit b set
-    subtract their partners without it.
+    theta[b] = sum over the subsets a of b of (-1)**|b - a| phi[a], the
+    Möbius transform of :func:`~csdc.bitops.kron_transform`.
     """
-    t = np.array(phases, dtype=np.float64)
-    for b in range(nb):
-        pairs = t.reshape(-1, 2, 1 << b)
-        pairs[:, 1] -= pairs[:, 0]
-    return t
+    return kron_transform(np.asarray(phases, dtype=np.float64), "mobius")
 
 
 def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
@@ -183,7 +179,7 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
         return z_ladder(list(range(nb)), theta, PRUNE_TOL)
     if mode != "controlled-phase":
         raise ValueError(f"unknown diagonal mode {mode!r}")
-    theta = _wrap_deg(_number_coefficients(np.asarray(c.phases, dtype=np.float64), nb))
+    theta = _wrap_deg(_number_coefficients(c.phases))
     keep = np.abs(theta) > PRUNE_TOL
     # exp(i t n(beta)) = exp(i t/2) exp(-i (t/2) sigma_z(beta))
     rotz_bits = np.flatnonzero(keep[1 << np.arange(nb)])

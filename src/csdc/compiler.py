@@ -83,12 +83,17 @@ class CsdNode:
     right: "CsdNode | None" = None
 
 
-def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Embed a unitary into the next power-of-two dimension as u ⊕ I."""
-    a = as_matrix(u)
+def _check_unitary(a: np.ndarray, tol: float) -> None:
+    """Raise NotUnitaryError if a deviates from unitarity by more than tol."""
     dev = unitarity_deviation(a)
     if dev > tol:
         raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
+
+
+def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """Embed a unitary into the next power-of-two dimension as u ⊕ I."""
+    a = as_matrix(u)
+    _check_unitary(a, tol)
     return _embed(a), a.shape[0]
 
 
@@ -275,9 +280,7 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     nb = max(1, dim.bit_length() - 1)
     if a.shape[1] != dim or (1 << nb) != dim:
         raise ValueError(f"expected a square power-of-two matrix, got {a.shape}")
-    dev = unitarity_deviation(a)
-    if dev > opts.tol:
-        raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {opts.tol:.1e}")
+    _check_unitary(a, opts.tol)
     return _build(a, nb, opts)
 
 
@@ -314,18 +317,20 @@ def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     """Compile a unitary matrix (any dimension; padded to a power of two)
     into a gate program whose matrix reproduces the padded input.
 
-    The input's unitarity is checked once, by ``build_tree`` on the padded
-    matrix u ⊕ I, whose deviation from unitarity is that of u.  The
-    permutation search compiles the other relabelings of u ⊕ I too.
+    The input's unitarity is checked once, on the padded matrix u ⊕ I, whose
+    deviation from unitarity is that of u.  The permutation search compiles
+    every relabeling of u ⊕ I, the identity first; above PERM_SEARCH_MAX_NB
+    it is refused, after the unitarity check and before any build.
     """
     a = _embed(as_matrix(u))
-    best = program_for_tree(build_tree(a, opts), opts)
     if opts.perm_search == "none":
-        return best
-    nb = best.nb
+        return program_for_tree(build_tree(a, opts), opts)
+    nb = a.shape[0].bit_length() - 1
+    _check_unitary(a, opts.tol)
     if nb > PERM_SEARCH_MAX_NB:
         raise ValueError(f"root-exhaustive permutation search supports nb <= "
                          f"{PERM_SEARCH_MAX_NB}, got nb={nb}")
+    best = program_for_tree(_build(a, nb, opts), opts)
     for mapping in itertools.islice(itertools.permutations(range(nb)), 1, None):
         perm = BitPermutation(nb, mapping)
         tree = _build(apply_bit_permutation(perm, a), nb, opts)

@@ -33,7 +33,6 @@ operations.  Controls are written in increasing bit order.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import os
 
@@ -518,50 +517,19 @@ def _cpha_terms(mask: int, val: int, t: int, x: int, nb: int, angle: float):
     return idx, np.where(sign, -angle, angle) / len(sub)
 
 
-# The simulator's Walsh-Hadamard and subset-sum transforms are Kronecker powers
-# of these 2x2 factors, applied as one small matrix product per chunk of up to
-# _CHUNK_BITS bits: at the sizes simulated that is several times faster than a
-# butterfly pass per bit.  bitops.hadamard_transform keeps its butterfly, whose
-# sums set the angles that emission writes.
-_FACTORS = {"walsh": [[1.0, 1.0], [1.0, -1.0]],
-            "zeta": [[1.0, 1.0], [0.0, 1.0]]}   # row m, column d: m subset of d
-_CHUNK_BITS = 6
-
-
-@functools.cache
-def _kron_power(name: str, c: int) -> np.ndarray:
-    out = np.ones((1, 1))
-    for _ in range(c):
-        out = np.kron(out, _FACTORS[name])
-    out.flags.writeable = False
-    return out
-
-
-def _kron_transform(a: np.ndarray, name: str) -> np.ndarray:
-    """a @ factor**(⊗k) for a of length 2**k, as one small matrix product per
-    chunk of bits: each product acts on the lowest bits, and the transpose
-    after it rotates them to the top."""
-    k = a.size.bit_length() - 1
-    while k > 0:
-        c = min(_CHUNK_BITS, k)
-        a = (a.reshape(-1, 1 << c) @ _kron_power(name, c)).T.reshape(-1)
-        k -= c
-    return a
-
-
 def _walsh(idx: np.ndarray, deg: np.ndarray, size: int):
     """Radians of sum_j deg_j (-1)**|idx_j & d| for d < size; a scalar when
     every term sits at index 0."""
     a = np.bincount(idx, weights=deg, minlength=size)
     if not a[1:].any():
         return math.radians(a[0])
-    a = _kron_transform(a, "walsh")
+    a = bitops.kron_transform(a, "walsh")
     return np.radians(a, out=a)
 
 
 def _zeta(masks: np.ndarray, deg: np.ndarray, nb: int) -> np.ndarray:
     """Degrees sum_{m subset of d} deg[m] for every d: the subset-sum transform."""
-    return _kron_transform(np.bincount(masks, weights=deg, minlength=1 << nb), "zeta")
+    return bitops.kron_transform(np.bincount(masks, weights=deg, minlength=1 << nb), "zeta")
 
 
 def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
@@ -845,34 +813,27 @@ def _expanded_rows(kind: np.ndarray, nctrl: np.ndarray,
     return rows, pruned
 
 
-@functools.lru_cache(maxsize=None)
-def _expansion_two_qubit_gates(kind: int, nctrl: int) -> int:
-    """Two-bit instructions in the unpruned expansion of one ``kind`` gate
-    with ``nctrl`` controls; neither the bit positions nor the control values
-    (F controls add one-bit flips only) change the count."""
-    nb = nctrl + (kind == CNOT)
-    mask = (1 << nctrl) - 1
-    tpl = _expansion(nb, kind, nb - 1 if kind == CNOT else -1, mask, mask, False)
-    widths = bitops.popcount(tpl.ctrl_mask) + (tpl.target >= 0)
-    return int(np.count_nonzero(widths == 2))
-
-
 def two_qubit_gates(p: Program) -> int:
     """The number of instructions on exactly two bits in ``expand_controls(p)``,
-    read off the rows of ``p`` without expanding them: a row that stays counts
-    when it touches two bits, an expanded one by its template's cost (zero
-    for a pruned CPHA, whose expansion keeps only its F-control flips)."""
+    read off the rows of ``p`` without expanding them.
+
+    A row that stays counts when it touches two bits.  An expanded row on m
+    bits (its controls, and a CNOT's target) is one sigma_z ladder over all
+    subsets of those bits, whose 2**m - 2 c-nots are its only two-bit rows
+    (its F-control flips and the CNOT's ROTY wrap touch one bit each).  None
+    of its steps is pruned: a CPHA ladder is kept or dropped whole, and a
+    pruned one costs 0; a CNOT ladder's steps, +-180°/2**m, stay above
+    PRUNE_TOL up to m = 40, past any expansion that can be built.  The counts
+    are summed in Python ints, as 2**m outgrows int64 for m = 63.
+    """
     nctrl = bitops.popcount(p.ctrl_mask)
     rows, pruned = _expanded_rows(p.kind, nctrl, p.angle)
     two = nctrl + (p.target >= 0) == 2
     two[rows] = False
     live = rows[~pruned]
-    # (kind, control count) keys of the expanded rows; a count is below 64
-    per_key = np.bincount(p.kind[live] << 6 | nctrl[live])
-    keys = np.flatnonzero(per_key)
+    per_width = np.bincount(nctrl[live] + (p.kind[live] == CNOT)).tolist()
     return int(np.count_nonzero(two)) + sum(
-        _expansion_two_qubit_gates(key >> 6, key & 63) * n
-        for key, n in zip(keys.tolist(), per_key[keys].tolist()))
+        ((1 << m) - 2) * n for m, n in enumerate(per_width) if n)
 
 
 def expand_controls(p: Program) -> Program:

@@ -4,7 +4,8 @@ import pytest
 from csdc import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                   bit_reversal_permutation, frobenius_distance, gray_sequence,
                   hadamard_transform, sylvester_hadamard, tensor_product)
-from csdc.bitops import gray_codes, popcount, state_permutation
+from csdc.bitops import gray_codes, kron_transform, popcount, state_permutation
+from csdc.central import angles_to_theta
 
 from conftest import SIGMA_X, random_unitary, transposition_matrix
 
@@ -76,6 +77,59 @@ class TestHadamardTransform:
         assert np.allclose(hadamard_transform(v), sylvester_hadamard(3).real @ v)
 
 
+def popcount_sylvester(nb):
+    """The Sylvester-Hadamard matrix by its entries, (-1)**popcount(a & b)."""
+    idx = np.arange(1 << nb)
+    dots = popcount(idx[:, None] & idx[None, :])
+    return np.where(dots & 1, -1.0, 1.0).astype(np.complex128)
+
+
+def popcount_number_basis(nb):
+    """The projector-to-number basis change by its entries:
+    (-1)**popcount(a ^ b) where a is a subset of b, else 0."""
+    idx = np.arange(1 << nb)
+    a, b = idx[:, None], idx[None, :]
+    signs = np.where(popcount(a ^ b) & 1, -1.0, 1.0)
+    return np.where((a & b) == a, signs, 0.0).astype(np.complex128)
+
+
+class TestKronTransform:
+    """One, two and three chunks of bits run for k = 0..13."""
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_mobius_undoes_zeta(self, rng, k):
+        v = rng.integers(-9, 10, 1 << k)
+        assert np.array_equal(kron_transform(kron_transform(v, "zeta"), "mobius"), v)
+        x = rng.standard_normal(1 << k)
+        back = kron_transform(kron_transform(x, "zeta"), "mobius")
+        assert np.abs(back - x).max() <= (1 << k) * 1e-15
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_walsh_twice_scales_by_length(self, rng, k):
+        v = rng.integers(-9, 10, 1 << k)
+        assert np.array_equal(kron_transform(kron_transform(v, "walsh"), "walsh"), (1 << k) * v)
+        x = rng.standard_normal(1 << k)
+        twice = kron_transform(kron_transform(x, "walsh"), "walsh")
+        assert np.allclose(twice, (1 << k) * x, rtol=0, atol=(1 << k) * 1e-13)
+
+    @pytest.mark.parametrize("nb", range(1, 13))
+    def test_angles_to_theta_matches_butterfly(self, rng, nb):
+        v = rng.uniform(-180, 180, 1 << nb)
+        want = hadamard_transform(v) / len(v)
+        assert np.abs(angles_to_theta(v) - want).max() <= 1e-12 * np.abs(want).max()
+
+    # The kernel gives -0.0 where the entry construction gives 0.0;
+    # np.array_equal counts them equal.
+    @pytest.mark.parametrize("nb", range(1, 9))
+    def test_dense_matrices_equal_entry_construction(self, nb):
+        h = sylvester_hadamard(nb)
+        assert h.dtype == np.complex128 and np.array_equal(h, popcount_sylvester(nb))
+        assert np.array_equal(basis_change_matrix("projector-to-sigma-z", nb),
+                              popcount_sylvester(nb) / (1 << nb))
+        assert np.array_equal(basis_change_matrix("projector-to-number", nb),
+                              popcount_number_basis(nb))
+
+
 class TestSylvesterHadamard:
     def test_nb1(self):
         assert np.array_equal(sylvester_hadamard(1),
@@ -111,7 +165,7 @@ class TestBitPermutation:
         assert np.array_equal(g, transposition_matrix(8, [(1, 4), (3, 6)]))
 
     def test_bit_reversal_nb1_identity(self):
-        assert bit_reversal_permutation(1).is_identity()
+        assert bit_reversal_permutation(1).mapping == (0,)
 
     def test_bit_reversal_nb2_swaps_middle_states(self):
         g = state_permutation(bit_reversal_permutation(2))
@@ -137,7 +191,7 @@ class TestBitPermutation:
         p = BitPermutation(4, tuple(rng.permutation(4)))
         q = BitPermutation(4, tuple(rng.permutation(4)))
         p_inv = p.inverse()
-        assert BitPermutation(4, tuple(p(p_inv(b)) for b in range(4))).is_identity()
+        assert tuple(p(p_inv(b)) for b in range(4)) == (0, 1, 2, 3)
         pq = BitPermutation(4, tuple(p(q(b)) for b in range(4)))
         for b in range(4):
             assert pq(b) == p(q(b))
@@ -146,18 +200,18 @@ class TestBitPermutation:
 class TestApplyBitPermutation:
     def test_identity_permutation(self, rng):
         m = random_unitary(rng, 4)
-        assert np.array_equal(apply_bit_permutation(BitPermutation.identity(2), m), m)
+        assert np.array_equal(apply_bit_permutation(BitPermutation(2, (0, 1)), m), m)
 
     def test_swap_exchanges_tensor_factors(self, rng):
         x, y = random_unitary(rng, 2), random_unitary(rng, 2)
-        swapped = apply_bit_permutation(BitPermutation.transposition(2, 0, 1),
+        swapped = apply_bit_permutation(BitPermutation(2, (1, 0)),
                                         tensor_product(x, y))
         assert frobenius_distance(swapped, tensor_product(y, x)) < 1e-12
 
     def test_moves_single_bit_gate(self):
         sx0 = tensor_product(np.eye(4), SIGMA_X)
         sx2 = tensor_product(SIGMA_X, np.eye(4))
-        moved = apply_bit_permutation(BitPermutation.transposition(3, 0, 2), sx0)
+        moved = apply_bit_permutation(BitPermutation(3, (2, 1, 0)), sx0)
         assert np.array_equal(moved, sx2)
 
     def test_composes(self, rng):
@@ -171,7 +225,7 @@ class TestApplyBitPermutation:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_bit_permutation(BitPermutation.identity(2), np.eye(8))
+            apply_bit_permutation(BitPermutation(2, (0, 1)), np.eye(8))
 
 
 class TestBasisChangeMatrix:

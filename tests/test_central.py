@@ -90,7 +90,7 @@ class TestDecomposeRealD:
 
 class TestLevelAlias:
     def test_level1_identity(self):
-        assert level_alias(4, 1).is_identity()
+        assert level_alias(4, 1).mapping == (0, 1, 2, 3)
 
     def test_level_moves_rotation_bit(self):
         p = level_alias(3, 3)

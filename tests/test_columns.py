@@ -128,7 +128,7 @@ class TestColumnStages:
     @pytest.mark.parametrize("nb", [2, 4])
     def test_rename_rejects_permutation_of_other_size(self, nb):
         with pytest.raises(ValueError, match=f"permutation of {nb} bits .* program on 3 bits"):
-            rename_bits(parse("CNOT 0 T 1\nROTY 2 5"), BitPermutation.identity(nb))
+            rename_bits(parse("CNOT 0 T 1\nROTY 2 5"), BitPermutation(nb, range(nb)))
 
     @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -138,7 +138,7 @@ def test_subset_transform_matches_dense_basis_change(rng, nb):
     phi = rng.uniform(-180, 180, 1 << nb)
     dense = basis_change_matrix("projector-to-number", nb).real.T @ phi
     # |theta| <= 180 * 2**nb; the two summation orders differ by rounding.
-    assert np.abs(_number_coefficients(phi, nb) - dense).max() < 1e-9
+    assert np.abs(_number_coefficients(phi) - dense).max() < 1e-9
 
 
 @pytest.mark.parametrize("nb", range(1, 8))
@@ -153,7 +153,7 @@ def test_real_d_ladder_equals_loop(rng, nb):
 def test_controlled_phase_rows_equal_loop(rng, nb):
     for _ in range(10):
         phases = with_zeros(rng, 1 << nb, rng.uniform(-180, 180, 1 << nb))
-        theta = _wrap_deg(_number_coefficients(phases, nb))
+        theta = _wrap_deg(_number_coefficients(phases))
         got = decompose_diagonal(diagonal_central(nb, phases), mode="controlled-phase")
         assert got == controlled_phase_loop(nb, theta)
 

@@ -420,6 +420,29 @@ class TestTwoQubitGates:
             p = program_of_rows(6, [row])
             assert two_qubit_gates(p) == two_bit_rows(expand_controls(p))
 
+    @pytest.mark.parametrize("kind, nctrl", [("CNOT", n) for n in range(6, 11)]
+                             + [("CPHA", n) for n in range(6, 12)])
+    def test_many_controls(self, kind, nctrl):
+        """Mixed T and F controls on 12 bits: 2**m - 2 c-nots for a gate on
+        m bits, and none for a CPHA pruned at |angle| / 2**k = PRUNE_TOL."""
+        rng = np.random.default_rng([nctrl, kind == "CNOT"])
+        bits = rng.permutation(12)
+        mask = sum(1 << int(b) for b in bits[:nctrl])
+        val = mask & int(rng.integers(1 << 12))
+        target = int(bits[nctrl]) if kind == "CNOT" else -1
+        cost = 2 ** (nctrl + (kind == "CNOT")) - 2
+        cases = [(0.0, cost)] if kind == "CNOT" else [
+            (33.0, cost), (2.0 ** nctrl * PRUNE_TOL * 2, cost), (2.0 ** nctrl * PRUNE_TOL, 0)]
+        for angle, want in cases:
+            p = program_of_rows(12, [(kind, target, mask, val, angle)])
+            assert two_qubit_gates(p) == two_bit_rows(expand_controls(p)) == want
+
+    def test_count_beyond_int64(self):
+        # A CNOT with 62 controls expands to 2**63 - 2 c-nots: the count is
+        # read off the row, past what an int64 holds.
+        p = program_of_rows(63, [("CNOT", 62, (1 << 62) - 1, 0, 0.0)])
+        assert two_qubit_gates(p) == 2 ** 63 - 2
+
     def test_elementary_program(self):
         p = parse("ROTY 0 5\nCNOT 0 T 1\nCPHA 0 T 1 F 20\nCPHA 1 T 20\nPHAS 3\nSIGX 2")
         assert two_qubit_gates(p) == 2
