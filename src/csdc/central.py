@@ -8,15 +8,17 @@ order.  So one emission routine serves every level, and it writes the final
 bit positions directly: the rotation goes on bit nb-level, and the Gray
 sequence's control bits go, in increasing order, on the remaining bits.
 
-Rotation ladders, the ROTY core of a D matrix and the ROTZ chain of a
-rotz-chain diagonal, are both :func:`~csdc.seo.rotation_ladder`: the lazy
-(Gray) ordering, so that one c-not survives between adjacent rotations, with
-rotations of negligible angle dropped and their flanking c-nots merged.
+Rotation ladders, the ROTY core of a D matrix, a ROTZ multiplexor and the
+ROTZ chain of a rotz-chain diagonal, are all
+:func:`~csdc.seo.rotation_ladder`: the lazy (Gray) ordering, so that one
+c-not survives between adjacent rotations, with rotations of negligible angle
+dropped and their flanking c-nots merged.
 
-A diagonal has two forms, controlled phases and a ROTZ chain.  When the
-program is bound for :func:`~csdc.seo.expand_controls`, each diagonal takes
-the form whose expansion has fewer two-qubit gates, as counted by
-:func:`~csdc.seo.two_qubit_gates` on its unexpanded rows.
+A diagonal has two forms, controlled phases and a ROTZ chain.
+:func:`diagonal_costs` counts the two-qubit gates of each form's expansion
+in closed form, without emitting either; the compiler uses it, and the
+phase split of :func:`split_on_bit` and :func:`multiplexor`, to carry phases
+through the cores of a program bound for :func:`~csdc.seo.expand_controls`.
 
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
@@ -25,6 +27,7 @@ routine builds a 4**nb matrix.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +36,10 @@ import numpy as np
 # called here; they stay importable from this module, where perfbench/spans.py
 # traces them by name.
 from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
-                     hadamard_transform, kron_transform)
+                     hadamard_transform, kron_transform, popcount)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
-                  rename_bits, rotation_ladder, two_qubit_gates, z_ladder)
+                  cpha_ladder_pruned, rename_bits, rotation_ladder, z_ladder, z_ladder_cnots)
 
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
@@ -138,16 +141,22 @@ def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
     return rot, ctrl_bits + (ctrl_bits >= rot)
 
 
+def multiplexor(nb: int, level: int, kind: int, angles) -> Program:
+    """``kind`` (ROTY or ROTZ) rotations on a level's rotation bit, by
+    ``angles[i]`` where the other bits, in increasing order, hold i: one
+    :func:`~csdc.seo.rotation_ladder` over the Gray sequence of those bits,
+    each step rotating by the transformed angle at its Gray code."""
+    rot, ctrl_bits = _places(nb, level)
+    theta = _wrap_deg(angles_to_theta(angles))
+    seq = gray_codes(nb - 1)
+    return rotation_ladder(nb, kind, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
+
+
 def decompose_real_d(c: CentralMatrix) -> Program:
-    """ROTY ladder for a real D direct sum: one :func:`~csdc.seo.rotation_ladder`
-    on the rotation bit over the Gray sequence of the control bits, each step
-    rotating by the transformed angle at its Gray code."""
+    """ROTY ladder for a real D direct sum: its angles' :func:`multiplexor`."""
     if c.variant != "realD":
         raise ValueError("decompose_real_d needs a realD central matrix")
-    rot, ctrl_bits = _places(c.nb, c.level)
-    theta = _wrap_deg(angles_to_theta(c.angles))
-    seq = gray_codes(c.nb - 1)
-    return rotation_ladder(c.nb, ROTY, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
+    return multiplexor(c.nb, c.level, ROTY, c.angles)
 
 
 def _number_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -199,29 +208,84 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
     return _program(nb, kind, target, ctrl, ctrl, angle)
 
 
-def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True,
-                        expand_controls: bool = False) -> Program:
-    """Split a complex D direct sum into right diagonal, real core, left diagonal.
+def diagonal_costs(phases) -> tuple[int, int]:
+    """Two-qubit gates in the expansion of diag(exp(i phases)) emitted as a
+    rotz chain and as controlled phases, counted without emitting either.
 
-    Per block, the parameters give Δ_L = I ⊕ Γ_L and Δ_R = Γ ⊕ Γ Γ_R around a
-    real rotation core; the three pieces are emitted in application order
-    (right diagonal first), each by :func:`decompose_central` with
-    ``extract_phases`` and ``expand_controls``.
+    The chain's are the c-nots of its lazy ladder, read off the nonzero
+    pattern of its Walsh coefficients by :func:`~csdc.seo.z_ladder_cnots`.
+    The controlled phases cost, per kept Möbius coefficient, 1 on two bits
+    and 2**m - 2 on m >= 3 bits unless its expansion's ladder is pruned, as
+    :func:`~csdc.seo.two_qubit_gates` counts them.
     """
-    if c.variant != "complexD":
-        raise ValueError("decompose_complex_d needs a complexD central matrix")
-    nb, level, f = c.nb, c.level, c.factors
-    rot = nb - level                      # the rotation bit
+    chain = z_ladder_cnots(_wrap_deg(angles_to_theta(phases)), PRUNE_TOL)
+    theta = _wrap_deg(_number_coefficients(phases))
+    size, cost = _cpha_costs(len(theta).bit_length() - 1)
+    live = (np.abs(theta) > PRUNE_TOL) & ((size < 3) | ~cpha_ladder_pruned(theta, size))
+    return chain, int(cost[live].sum())
+
+
+@functools.cache
+def _cpha_costs(nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per subset of nb bits: its size m, and the two-qubit gates of its
+    expanded CPHA: 0 for m < 2, 1 for m = 2, 2**m - 2 above."""
+    size = popcount(np.arange(1 << nb))
+    cost = np.where(size < 3, size == 2, (1 << size) - 2)
+    size.flags.writeable = cost.flags.writeable = False   # shared by every caller
+    return size, cost
+
+
+def _default_mode(extract_phases: bool) -> str:
+    return "controlled-phase" if extract_phases else "rotz-chain"
+
+
+def cheaper_mode(costs: tuple[int, int], extract_phases: bool) -> str:
+    """The diagonal mode of fewer two-qubit gates, given ``diagonal_costs``;
+    a tie keeps the mode ``extract_phases`` picks."""
+    chain, cpha = costs
+    if chain == cpha:
+        return _default_mode(extract_phases)
+    return "rotz-chain" if chain < cpha else "controlled-phase"
+
+
+def cheaper_diagonal(c: CentralMatrix, extract_phases: bool = True) -> Program:
+    """A diagonal central in the form whose expansion has fewer two-qubit
+    gates; only that form is emitted."""
+    return decompose_diagonal(c, cheaper_mode(diagonal_costs(c.phases), extract_phases))
+
+
+def complex_d_pieces(c: CentralMatrix) -> tuple[np.ndarray, CentralMatrix, np.ndarray]:
+    """A complex D central as (right phases, real core, left phases) in
+    application order: per block, Δ_R = Γ ⊕ Γ Γ_R and Δ_L = I ⊕ Γ_L around the
+    real D core, each diagonal as 2**nb phases."""
+    nb, f = c.nb, c.factors
+    rot = nb - c.level                    # the rotation bit
     states = np.arange(1 << nb)
     blk = states >> (rot + 1)
     hi = (states >> rot) & 1
     j = states & ((1 << rot) - 1)
-    phi_r = f.omega[blk, j] + hi * f.omega_r[blk, j]
-    phi_l = hi * f.omega_l[blk, j]
-    pieces = (diagonal_central(nb, phi_r), real_d_central(nb, level, f.thetas.reshape(-1)),
-              diagonal_central(nb, phi_l))
-    return concat(*(decompose_central(piece, extract_phases, expand_controls)
-                    for piece in pieces))
+    core = real_d_central(nb, c.level, f.thetas.reshape(-1))
+    return f.omega[blk, j] + hi * f.omega_r[blk, j], core, hi * f.omega_l[blk, j]
+
+
+def split_on_bit(phases: np.ndarray, rot: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) with phases(x) = alpha(x) + (-1)**x_rot beta(x), neither
+    depending on bit ``rot``: alpha over all 2**nb states, beta over the other
+    bits in increasing order, as :func:`multiplexor` takes its angles."""
+    p = phases.reshape(-1, 2, 1 << rot)
+    return ((p + p[:, ::-1]) / 2).reshape(-1), ((p[:, 0] - p[:, 1]) / 2).reshape(-1)
+
+
+def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True) -> Program:
+    """Split a complex D direct sum into right diagonal, real core, left diagonal
+    (:func:`complex_d_pieces`), and emit the three in application order, each
+    by :func:`decompose_central` with ``extract_phases``.
+    """
+    if c.variant != "complexD":
+        raise ValueError("decompose_complex_d needs a complexD central matrix")
+    phi_r, core, phi_l = complex_d_pieces(c)
+    pieces = (diagonal_central(c.nb, phi_r), core, diagonal_central(c.nb, phi_l))
+    return concat(*(decompose_central(piece, extract_phases) for piece in pieces))
 
 
 def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL) -> bool:
@@ -261,26 +325,17 @@ def decompose_right_angle_case(c: CentralMatrix) -> Program:
     return decompose_real_d(c)
 
 
-def decompose_central(c: CentralMatrix, extract_phases: bool = True,
-                      expand_controls: bool = False) -> Program:
+def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
     """Dispatch a central matrix to its emission routine.
 
     ``extract_phases`` (the compile option) picks the emission: diagonals as
     controlled phases and real cores through the right-angle special case
-    when set; rotz-chain diagonals and the plain ladder otherwise.  With
-    ``expand_controls`` (the program is bound for the two-qubit gate set of
-    :func:`~csdc.seo.expand_controls`), each diagonal instead takes whichever
-    of its two forms expands to fewer two-qubit gates; a tie keeps the form
-    ``extract_phases`` picks.
+    when set; rotz-chain diagonals and the plain ladder otherwise.
     """
     if c.variant == "diagonal":
-        modes = (("controlled-phase", "rotz-chain") if extract_phases
-                 else ("rotz-chain", "controlled-phase"))
-        if not expand_controls:
-            return decompose_diagonal(c, modes[0])
-        return min((decompose_diagonal(c, mode) for mode in modes), key=two_qubit_gates)
+        return decompose_diagonal(c, _default_mode(extract_phases))
     if c.variant == "realD":
         if extract_phases and is_right_angle(c.angles):
             return decompose_right_angle_case(c)
         return decompose_real_d(c)
-    return decompose_complex_d(c, extract_phases, expand_controls)
+    return decompose_complex_d(c, extract_phases)

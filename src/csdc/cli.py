@@ -6,7 +6,8 @@ malformed input or options (a bad option, such as a --tol outside
 large to simulate (the dense 2**nb x 2**nb rebuild is refused up front when
 about 3 * 16 * 4**nb bytes exceed physical memory); 3 non-unitary matrix;
 4 internal tolerance failure (the compiled program fails to reproduce its
-input).  Failures map to exit codes by exception type, in ``main`` only.
+input; the report is printed and the SEO file is still written first).
+Failures map to exit codes by exception type, in ``main`` only.
 
 ``verify`` pads the matrix as ``compile`` does (u ⊕ I up to a power of two)
 and reads the SEO file on log2 of that dimension bits unless --nb is given.

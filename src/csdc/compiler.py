@@ -29,8 +29,9 @@ Optimizations (all per the compile options):
   * root-exhaustive permutation search: compile every bit relabeling of the
     input, rename each finished program back and keep the first shortest.
   * expand_controls: rewrite the program over instructions on at most two
-    bits, each diagonal emitted in the form that expands to fewer two-qubit
-    gates.
+    bits.  Emission then carries one pending phase vector through the cores
+    (``_carry_phases``): each core pays for at most one ROTZ multiplexor, and
+    the phases are emitted whole only where controlled phases are cheaper.
 """
 from __future__ import annotations
 
@@ -40,15 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import BitPermutation, apply_bit_permutation
-from .central import (CentralMatrix, complex_d_central, decompose_central, diagonal_central,
-                      real_d_central)
+from .central import (CentralMatrix, cheaper_diagonal, cheaper_mode, complex_d_central,
+                      complex_d_pieces, decompose_central, decompose_diagonal, diagonal_central,
+                      diagonal_costs, multiplexor, real_d_central, split_on_bit)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
 from .csd import (PhaseFactors, _block_diagonal_index, csd, csd_stack,  # noqa: F401
                   extract_phases, is_complex_d, is_complex_d_stack, lighten, lighten_stack,
                   phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
-from .seo import Program, concat, expand_controls, rename_bits
+from .seo import PRUNE_TOL, ROTZ, Program, concat, expand_controls, rename_bits
 
 # A side matrix whose max-entry deviation from the identity is below this
 # terminates its branch.  Looser than the csd tolerance, tighter than the
@@ -302,15 +304,55 @@ def assemble(root: CsdNode) -> list[CentralMatrix]:
     return out
 
 
+def _carry_phases(centrals: list[CentralMatrix], extract_phases: bool) -> list[Program]:
+    """The programs of ``centrals`` (in application order) for a program bound
+    for ``expand_controls``, with one pending phase vector carried through
+    their cores.
+
+    Diagonal centrals and both side diagonals of a complex D central join the
+    pending phases P and emit nothing.  At a core on bit w, with
+    P(x) = alpha(x) + (-1)**x_w beta(x) (``split_on_bit``):
+      * carry: if beta is within PRUNE_TOL, P passes the core as it is;
+      * split: else, if P as a rotz chain has fewer two-qubit gates than as
+        controlled phases, beta is emitted as one ROTZ multiplexor on w and
+        alpha, which commutes with the core, carries on;
+      * flush: else P is emitted in its cheaper form and zero carries on.
+    After the last central, P is emitted in its cheaper form.
+    """
+    nb = centrals[0].nb
+    pending = np.zeros(1 << nb)
+    out = []
+    for c in centrals:
+        if c.variant == "diagonal":
+            pending = pending + c.phases
+            continue
+        right = left = 0.0
+        if c.variant == "complexD":
+            right, c, left = complex_d_pieces(c)
+        pending = pending + right
+        alpha, beta = split_on_bit(pending, nb - c.level)
+        if np.abs(beta).max() > PRUNE_TOL:
+            costs = diagonal_costs(pending)
+            if costs[0] < costs[1]:
+                out.append(multiplexor(nb, c.level, ROTZ, beta))
+                pending = alpha
+            else:
+                out.append(decompose_diagonal(diagonal_central(nb, pending),
+                                              cheaper_mode(costs, extract_phases)))
+                pending = np.zeros(1 << nb)
+        out.append(decompose_central(c, extract_phases))
+        pending = pending + left
+    out.append(cheaper_diagonal(diagonal_central(nb, pending), extract_phases))
+    return out
+
+
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
     """Emit the program of an assembled tree, and expand its controls if asked
-    (each diagonal is then emitted in the form that expands to fewer two-qubit
-    gates)."""
-    program = concat(*(decompose_central(central, opts.extract_phases, opts.expand_controls)
-                       for central in assemble(root)))
-    if opts.expand_controls:
-        program = expand_controls(program)
-    return program
+    (the phases are then carried through the cores, ``_carry_phases``)."""
+    centrals = assemble(root)
+    if not opts.expand_controls:
+        return concat(*(decompose_central(c, opts.extract_phases) for c in centrals))
+    return expand_controls(concat(*_carry_phases(centrals, opts.extract_phases)))
 
 
 def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:

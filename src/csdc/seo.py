@@ -702,6 +702,29 @@ def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
     return Program(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl, [0.0] * 3)
 
 
+def _ladder_rows(target, steps, angles, w: int, prune_tol: float):
+    """The lazy ladder of :func:`rotation_ladder` as bit rows over its kept
+    steps, with control columns below bit ``w``: returns the mask of kept
+    steps, their targets and the rows.
+
+    Row 2i + 1 holds kept step i's c-nots and its rotation (bit w); row
+    2i + 2 holds the c-nots closing step i's run, none unless the run ends
+    there.  Row 0 is empty.
+    """
+    keep = np.abs(angles) > prune_tol
+    mask = np.asarray(steps, dtype=np.int64)[keep]
+    tgt = (np.zeros(len(angles), dtype=np.int64) + target)[keep]
+    k = len(mask)
+    # Step i's c-nots are m_i ^ m_(i-1) ^ (row 2i), m_-1 = 0: the XOR with
+    # the previous step inside a run, m_i alone after a closed one.
+    rows = np.zeros(2 * k + 2, dtype=np.int64)
+    rows[2::2] = mask
+    rows[1:-1:2] = mask ^ rows[:-2:2] | 1 << w
+    rows[2:-2:2] *= tgt[1:] != tgt[:-1]
+    rows[1:-1:2] ^= rows[:-2:2]
+    return keep, tgt, rows
+
+
 def rotation_ladder(nb: int, kind: int, target, ctrl_bits, steps, angles,
                     prune_tol: float) -> Program:
     """The lazy ladder of uncontrolled ``kind`` rotations (ROTY or ROTZ), each
@@ -718,27 +741,25 @@ def rotation_ladder(nb: int, kind: int, target, ctrl_bits, steps, angles,
     c-nots follow the order of ``ctrl_bits``.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    keep = np.abs(angles) > prune_tol
-    mask = np.asarray(steps, dtype=np.int64)[keep]
-    tgt = (np.zeros(len(angles), dtype=np.int64) + target)[keep]
-    k = len(mask)
-    # Row 2i + 1 holds step i's c-nots and its rotation (bit w of the row);
-    # row 2i + 2 holds the c-nots closing step i's run, none unless the run
-    # ends there.  Step i's c-nots are m_i ^ m_(i-1) ^ (row 2i), m_-1 = 0: the
-    # XOR with the previous step inside a run, m_i alone after a closed one.
     w = len(ctrl_bits)
-    rows = np.zeros(2 * k + 2, dtype=np.int64)
-    rows[2::2] = mask
-    rows[1:-1:2] = mask ^ rows[:-2:2] | 1 << w
-    rows[2:-2:2] *= tgt[1:] != tgt[:-1]
-    rows[1:-1:2] ^= rows[:-2:2]
-    row, col = np.nonzero((rows[:, None] >> np.arange(w + 1)) & 1)   # row 0 is empty
+    keep, tgt, rows = _ladder_rows(target, steps, angles, w, prune_tol)
+    row, col = np.nonzero((rows[:, None] >> np.arange(w + 1)) & 1)
     is_rot = col == w
     ctrl = np.concatenate((1 << np.asarray(ctrl_bits, dtype=np.int64), [0]))[col]
     angle = np.zeros(len(col))
     angle[is_rot] = angles[keep]
     return Program(nb, np.where(is_rot, kind, CNOT), tgt[(row - 1) >> 1], ctrl, ctrl, angle,
                    validate=False)
+
+
+def _z_steps(k: int):
+    """The steps of a sigma_z ladder over k bits: the nonzero Gray codes, the
+    index of each one's lowest selected bit (the bit it rotates) and its
+    other bits (its controls)."""
+    seq = bitops.gray_codes(k)[1:]
+    low = seq & -seq
+    # frexp gives the index of the lowest bit + 1
+    return seq, np.frexp(low)[1] - 1, seq ^ low
 
 
 def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
@@ -755,14 +776,22 @@ def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
     if len(thetas) != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
     nb = max(bits, default=0) + 1
-    seq = bitops.gray_codes(k)[1:]
-    low = seq & -seq
-    # each step rotates its lowest selected bit; frexp gives that bit's index + 1
-    ladder = rotation_ladder(nb, ROTZ, np.asarray(bits, dtype=np.int64)[np.frexp(low)[1] - 1],
-                             bits, seq ^ low, np.asarray(thetas)[seq], prune_tol)
+    seq, rot, ctrl = _z_steps(k)
+    ladder = rotation_ladder(nb, ROTZ, np.asarray(bits, dtype=np.int64)[rot], bits, ctrl,
+                             np.asarray(thetas)[seq], prune_tol)
     if abs(thetas[0]) <= prune_tol:
         return ladder
     return concat(Program(nb, [PHAS], [-1], [0], [0], [thetas[0]], validate=False), ladder)
+
+
+def z_ladder_cnots(thetas: np.ndarray, prune_tol: float) -> int:
+    """The number of c-nots in ``z_ladder(bits, thetas, prune_tol)``, for any
+    bits, read off the rows of its lazy ladder without emitting it."""
+    k = len(thetas).bit_length() - 1
+    seq, rot, ctrl = _z_steps(k)
+    _, _, rows = _ladder_rows(rot, ctrl, np.asarray(thetas, dtype=np.float64)[seq], k,
+                              prune_tol)
+    return int(np.count_nonzero((rows[:, None] >> np.arange(k)) & 1))   # bits below k
 
 
 def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
@@ -801,15 +830,20 @@ def _expansion(nb: int, kind: int, target: int, mask: int, val: int,
     return concat(*parts)
 
 
+def cpha_ladder_pruned(angle, nctrl) -> np.ndarray:
+    """Whether the expansion of a CPHA with ``nctrl`` controls drops its
+    ladder: every ladder angle, |angle| / 2**nctrl, is at most PRUNE_TOL."""
+    return np.ldexp(np.abs(angle), -nctrl) <= PRUNE_TOL
+
+
 def _expanded_rows(kind: np.ndarray, nctrl: np.ndarray,
                    angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``expand_controls`` rewrites (CNOT with >= 2 controls, CPHA
     with >= 3), given the control count of every row, and whether each is a
-    CPHA whose ladder is pruned: every ladder angle, |angle| / 2**k, at most
-    PRUNE_TOL."""
+    CPHA whose ladder is pruned."""
     cpha = kind == CPHA
     rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
-    pruned = cpha[rows] & (np.ldexp(np.abs(angle[rows]), -nctrl[rows]) <= PRUNE_TOL)
+    pruned = cpha[rows] & cpha_ladder_pruned(angle[rows], nctrl[rows])
     return rows, pruned
 
 

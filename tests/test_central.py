@@ -5,9 +5,9 @@ from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
                   complex_d_central, decompose_complex_d, decompose_diagonal,
                   decompose_real_d, decompose_right_angle_case, diagonal_central,
                   frobenius_distance, program_to_matrix, real_d_central, serialize)
-from csdc.bitops import hadamard_transform, state_permutation
-from csdc.central import decompose_central
-from csdc.seo import rename_bits
+from csdc.bitops import hadamard_transform, kron_transform, state_permutation
+from csdc.central import cheaper_diagonal, decompose_central, diagonal_costs
+from csdc.seo import PRUNE_TOL, rename_bits, two_qubit_gates
 
 from conftest import (bits_of, dense_central, dense_diagonal, dense_real_d_central,
                       level_alias, random_phase_factors, rows)
@@ -198,12 +198,12 @@ class TestDecomposeDiagonal:
         # gates once expanded (2, 3 and 4 controls); its rotz chain costs 14.
         c = diagonal_central(4, rng.uniform(-180, 180, 16))
         chain = decompose_diagonal(c, mode="rotz-chain")
-        assert decompose_central(c, extract_phases, expand_controls=True) == chain
+        assert cheaper_diagonal(c, extract_phases) == chain
         # One CPHA on two bits costs 1 as a controlled phase, 2 as a chain.
         phi = np.where(np.arange(16) & 0b1010 == 0b1010, 45.0, 0.0)
         c = diagonal_central(4, phi)
         cpha = decompose_diagonal(c, mode="controlled-phase")
-        assert decompose_central(c, extract_phases, expand_controls=True) == cpha
+        assert cheaper_diagonal(c, extract_phases) == cpha
 
     @pytest.mark.parametrize("extract_phases, mode", [(True, "controlled-phase"),
                                                       (False, "rotz-chain")])
@@ -213,9 +213,56 @@ class TestDecomposeDiagonal:
         phi = (rng.uniform(-90, 90, 4)[:, None] * ((np.arange(16) >> np.arange(4)[:, None]) & 1)
                ).sum(axis=0)
         c = diagonal_central(4, phi)
-        got = decompose_central(c, extract_phases, expand_controls=True)
+        got = cheaper_diagonal(c, extract_phases)
         assert got == decompose_diagonal(c, mode)
         assert got == decompose_central(c, extract_phases)
+
+
+class TestDiagonalCosts:
+    """The closed-form costs equal what two_qubit_gates counts on each form."""
+
+    @staticmethod
+    def emitted(phases):
+        c = diagonal_central(len(phases).bit_length() - 1, phases)
+        return tuple(two_qubit_gates(decompose_diagonal(c, mode))
+                     for mode in ("rotz-chain", "controlled-phase"))
+
+    @pytest.mark.parametrize("nb", range(1, 8))
+    def test_dense_and_sparse_diagonals(self, rng, nb):
+        n = 1 << nb
+        cases = [rng.uniform(-180, 180, n)]
+        for k in (1, 2, 3):
+            coef = np.zeros(n)
+            coef[rng.choice(n, size=min(k, n), replace=False)] = rng.uniform(-90, 90, min(k, n))
+            # a few number-operator terms, then a few sigma_z terms
+            cases += [kron_transform(coef, "zeta"), kron_transform(coef, "walsh")]
+        for phases in cases:
+            assert diagonal_costs(phases) == self.emitted(phases)
+        assert diagonal_costs(cases[0]) == (n - 2, self.emitted(cases[0])[1])
+
+    @pytest.mark.parametrize("scale", [-1.0, 1.0, 1.0 + 1e-3], ids=["-tol", "tol", "above"])
+    def test_coefficients_at_the_prune_tolerance(self, scale):
+        for nb in (2, 3, 4):
+            n = 1 << nb
+            for subset in range(1, n):
+                coef = np.zeros(n)
+                coef[subset] = scale * PRUNE_TOL
+                for kind in ("zeta", "walsh"):
+                    phases = kron_transform(coef, kind)
+                    assert diagonal_costs(phases) == self.emitted(phases)
+                if scale > 1.0 and bin(subset).count("1") == 2:
+                    assert diagonal_costs(kron_transform(coef, "zeta"))[1] == 1
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_cpha_pruned_at_its_ladder_angle(self, m):
+        n = 1 << m
+        for scale, cost in ((1.0 - 1e-3, 0), (1.0, None), (1.0 + 1e-3, n - 2)):
+            coef = np.zeros(n)
+            coef[n - 1] = scale * PRUNE_TOL * n   # |theta| / 2**m at PRUNE_TOL
+            phases = kron_transform(coef, "zeta")
+            got = diagonal_costs(phases)
+            assert got == self.emitted(phases)
+            assert cost is None or got[1] == cost
 
 
 class TestDecomposeComplexD:

@@ -72,6 +72,20 @@ class TestCompileCommand:
         inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 4))
         assert main(["compile", inp, "-o", str(tmp_path / "x.seo")]) == code
 
+    def test_program_that_misses_its_input_exits_4(self, tmp_path, rng, monkeypatch, capsys):
+        # A program that is not the input's: the report is printed and the SEO
+        # file is still written, then compile fails with exit 4.
+        wrong = quantum_fft_program(2)
+        monkeypatch.setattr(cli, "compile_unitary", lambda u, opts: wrong)
+        inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 4))
+        out = tmp_path / "out.seo"
+        assert main(["compile", inp, "-o", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "reconstruction error" in captured.err
+        assert "exceeds 1.0e-08" in captured.err
+        assert "reconstruction_error" in captured.out
+        assert parse(out.read_text(), nb=2) == wrong
+
     def test_option_flags_accepted(self, tmp_path, rng):
         inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, 4))
         out = tmp_path / "out.seo"

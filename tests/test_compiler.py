@@ -9,12 +9,15 @@ from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build
                   program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import ROUND_TRIP_TOL
-from csdc.compiler import _split_level, program_for_tree
+from csdc.central import (cheaper_diagonal, complex_d_central, decompose_central,
+                          diagonal_central, real_d_central)
+from csdc.compiler import _carry_phases, _split_level, program_for_tree
 from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
+from csdc.seo import CNOT, ROTZ, concat
 
-from conftest import (dense_central, kron_program_matrix, random_phase_factors, random_unitary,
-                      rows, two_bit_rows, width)
+from conftest import (bits_of, dense_central, kron_program_matrix, random_phase_factors,
+                      random_unitary, rows, two_bit_rows, width)
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -296,11 +299,53 @@ def _two_qubit_corpus() -> dict[str, np.ndarray]:
 
 TWO_QUBIT_CORPUS = _two_qubit_corpus()
 
+# Two-qubit gates of each corpus case with expand_controls, (extract_phases on,
+# off), when every diagonal was emitted on its own in its cheaper form, before
+# the phases were carried through the cores.
+PER_DIAGONAL_TWO_QUBIT = {
+    "controlled-u-n3": (36, 60),
+    "controlled-u-n4": (168, 280),
+    "controlled-u-n5": (720, 1200),
+    "dft-n2": (6, 6),
+    "dft-n3": (20, 20),
+    "dft-n4": (66, 67),
+    "dft-n5": (711, 741),
+    "dft-n6": (4510, 4578),
+    "diagonal-n3": (7, 48),
+    "diagonal-n4": (20, 224),
+    "diagonal-n5": (44, 960),
+    "haar-n2": (10, 10),
+    "haar-n3": (76, 76),
+    "haar-n4": (344, 344),
+    "haar-n5": (1456, 1456),
+    "haar-n6": (5984, 5984),
+    "hadamard-n2": (0, 0),
+    "hadamard-n3": (0, 0),
+    "hadamard-n4": (0, 0),
+    "hadamard-n5": (0, 0),
+    "hadamard-n6": (0, 0),
+    "ixu-n3": (72, 72),
+    "ixu-n4": (322, 320),
+    "ixu-n5": (1370, 1344),
+    "permutation-n3": (54, 52),
+    "permutation-n4": (284, 312),
+    "permutation-n5": (1366, 1305),
+    "qft-n2": (1, 1),
+    "qft-n3": (3, 5),
+    "qft-n4": (6, 103),
+    "qft-n5": (10, 552),
+    "qft-n6": (15, 2569),
+    "uxi-n3": (10, 54),
+    "uxi-n4": (10, 278),
+    "uxi-n5": (10, 1350),
+}
+
 
 class TestTwoQubitEmission:
-    """With expand_controls, each diagonal takes the form that expands to fewer
-    two-qubit gates, so the program never has more of them than the expansion
-    of the program compiled without it."""
+    """With expand_controls, the phases are carried through the cores and each
+    emitted diagonal takes the form that expands to fewer two-qubit gates, so
+    the program never has more of them than the expansion of the program
+    compiled without it, nor than when each diagonal was emitted on its own."""
 
     @pytest.mark.parametrize("extract_phases", [True, False], ids=["phases", "no-phases"])
     @pytest.mark.parametrize("name", sorted(TWO_QUBIT_CORPUS))
@@ -311,10 +356,66 @@ class TestTwoQubitEmission:
                                                  expand_controls=True))
         after = expand_controls(compile_unitary(u, CompileOptions(extract_phases=extract_phases)))
         assert two_bit_rows(prog) <= two_bit_rows(after)
+        assert two_bit_rows(prog) <= PER_DIAGONAL_TWO_QUBIT[name][0 if extract_phases else 1]
         assert all(width(r) <= 2 for r in rows(prog))
         assert frobenius_distance(u, program_to_matrix(prog)) < ROUND_TRIP_TOL
         if nb <= 4:
             assert frobenius_distance(u, kron_program_matrix(prog)) < ROUND_TRIP_TOL
+
+    @pytest.mark.parametrize("nb", range(3, 8))
+    def test_haar_costs_four_to_the_nb_minus_two(self, rng, nb):
+        prog = compile_unitary(random_unitary(rng, 1 << nb), CompileOptions(expand_controls=True))
+        two = [r for r in rows(prog) if width(r) == 2]
+        assert len(two) == 4 ** nb - 2
+        assert all(r[0] == "CNOT" and len(bits_of(r[2])) == 1 for r in two)
+
+    @staticmethod
+    def carried(centrals, extract_phases=True):
+        """The pieces ``_carry_phases`` emits, after checking that together
+        they are the product of the centrals (Kronecker oracle)."""
+        pieces = _carry_phases(centrals, extract_phases)
+        want = np.eye(1 << centrals[0].nb)
+        for c in centrals:
+            want = dense_central(c) @ want
+        got = kron_program_matrix(expand_controls(concat(*pieces)))
+        assert frobenius_distance(want, got) < 1e-12
+        return pieces
+
+    def test_each_branch_at_a_core(self, rng):
+        nb, states = 3, np.arange(8)
+        core = real_d_central(nb, 1, rng.uniform(1, 89, 4))   # rotates bit 2
+        core_rows = decompose_central(core)
+        # carry: phases free of bit 2 pass the core, which is emitted first
+        phi = 30.0 * (states & 1) + 50.0 * ((states & 3) == 3)
+        pieces = self.carried([diagonal_central(nb, phi), core])
+        assert len(pieces) == 2 and pieces[0] == core_rows
+        assert pieces[1] == cheaper_diagonal(diagonal_central(nb, phi))
+        # flush: a two-bit phase across bit 2 is one CPHA (a rotz chain needs 2
+        # c-nots), and nothing is left to carry
+        phi = np.where(states & 0b101 == 0b101, 45.0, 0.0)
+        pieces = self.carried([diagonal_central(nb, phi), core])
+        assert rows(pieces[0]) == [("CPHA", -1, 0b101, 0b101, 45.0)]
+        assert pieces[1] == core_rows and len(pieces[2]) == 0
+        # split: a dense phase leaves one ROTZ multiplexor on bit 2, and its
+        # mean over bit 2 carries on
+        phi = rng.uniform(-180, 180, 8)
+        pieces = self.carried([diagonal_central(nb, phi), core])
+        assert set(pieces[0].kind.tolist()) == {ROTZ, CNOT}
+        assert (pieces[0].target == 2).all() and two_bit_rows(pieces[0]) == 4
+        assert pieces[1] == core_rows
+        assert pieces[2] == cheaper_diagonal(diagonal_central(nb, (phi + phi[states ^ 4]) / 2))
+
+    @pytest.mark.parametrize("extract_phases", [True, False])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4])
+    def test_mixed_centrals_match_the_oracle(self, rng, nb, extract_phases):
+        centrals = [diagonal_central(nb, rng.uniform(-180, 180, 1 << nb))]
+        for level in range(nb, 0, -1):
+            angles = rng.uniform(0, 90, 1 << (nb - 1))
+            centrals += [real_d_central(nb, level, angles),
+                         complex_d_central(nb, level, [random_phase_factors(rng, 1 << (nb - level))
+                                                       for _ in range(1 << (level - 1))])]
+        centrals.append(diagonal_central(nb, rng.uniform(-180, 180, 1 << nb)))
+        self.carried(centrals, extract_phases)
 
     def test_haar_diagonals_take_the_rotz_chain(self, rng):
         # A dense diagonal's controlled phases need a ladder per control
