@@ -10,9 +10,9 @@ from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
                   lighten, normalize_angles, phase_factors_matrix, qr_nonneg)
 from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
                   expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
-from .central import (CentralMatrix, angles_to_theta, complex_d_central,
-                      decompose_complex_d, decompose_diagonal, decompose_real_d,
-                      decompose_right_angle_case, diagonal_central, real_d_central)
+from .central import (CentralMatrix, angles_to_theta, complex_d_central, decompose_central,
+                      decompose_diagonal, decompose_real_d, decompose_right_angle_case,
+                      diagonal_central, real_d_central)
 from .compiler import (CompileOptions, CsdNode, assemble, build_tree,
                        compile_unitary, pad_to_power_of_two)
 from .reference import dft_matrix, hadamard_input, quantum_fft_program
@@ -29,9 +29,9 @@ __all__ = [
     "lighten", "normalize_angles", "phase_factors_matrix", "qr_nonneg",
     "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
     "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
-    "CentralMatrix", "angles_to_theta", "complex_d_central",
-    "decompose_complex_d", "decompose_diagonal", "decompose_real_d",
-    "decompose_right_angle_case", "diagonal_central", "real_d_central",
+    "CentralMatrix", "angles_to_theta", "complex_d_central", "decompose_central",
+    "decompose_diagonal", "decompose_real_d", "decompose_right_angle_case",
+    "diagonal_central", "real_d_central",
     "CompileOptions", "CsdNode", "assemble", "build_tree", "compile_unitary",
     "pad_to_power_of_two",
     "dft_matrix", "hadamard_input", "quantum_fft_program",

@@ -84,7 +84,7 @@ def kron_transform(a, name: str) -> np.ndarray:
     k = n.bit_length() - 1
     while k > 0:
         c = min(_CHUNK_BITS, k)
-        a = (a.reshape(lead + (-1, 1 << c)) @ _kron_power(name, c)).swapaxes(-1, -2)
+        a = (a.reshape(lead + (n >> c, 1 << c)) @ _kron_power(name, c)).swapaxes(-1, -2)
         k -= c
     return a.reshape(lead + (n,))
 

@@ -17,13 +17,16 @@ dropped and their flanking c-nots merged.
 A diagonal has two forms, controlled phases and a ROTZ chain.
 :func:`diagonal_costs` counts the two-qubit gates of each form's expansion
 in closed form, without emitting either; the compiler uses it, and the
-phase split of :func:`split_on_bit` and :func:`multiplexor`, to carry phases
+phase split of :func:`split_on_bit` and :func:`multiplexors`, to carry phases
 through the cores of a program bound for :func:`~csdc.seo.expand_controls`.
 
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
 PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
-routine builds a 4**nb matrix.
+routine builds a 4**nb matrix.  The stack routines (:func:`multiplexors`,
+:func:`decompose_diagonals`, :func:`decompose_level`) emit many centrals in
+one pass and say which one owns each instruction; the single-central ones
+are a stack of one.
 """
 from __future__ import annotations
 
@@ -32,14 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# basis_change_matrix, gray_sequence, hadamard_transform and rename_bits are not
-# called here; they stay importable from this module, where perfbench/spans.py
-# traces them by name.
+# basis_change_matrix, gray_sequence, hadamard_transform, concat and rename_bits
+# are not called here; they stay importable from this module, where
+# perfbench/spans.py traces them by name.
 from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
                      hadamard_transform, kron_transform, popcount)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
-                  cpha_ladder_pruned, rename_bits, rotation_ladder, z_ladder, z_ladder_cnots)
+                  cpha_ladder_pruned, gather, rename_bits, rotation_ladder, z_ladder,
+                  z_ladder_cnots)
 
 # Angle tolerance for recognizing the {0deg, 90deg} special case.
 RIGHT_ANGLE_TOL = 1e-8
@@ -115,13 +119,13 @@ def diagonal_central(nb: int, phases) -> CentralMatrix:
 
 def angles_to_theta(phi) -> np.ndarray:
     """Hadamard-transformed rotation angles: theta = H_k phi / 2**k, by
-    :func:`~csdc.bitops.kron_transform`'s ``walsh``.
+    :func:`~csdc.bitops.kron_transform`'s ``walsh``, along the last axis.
 
     The inverse map is phi = H_k theta, so the round trip is exact up to
     floating point.
     """
     v = np.asarray(phi, dtype=np.float64)
-    n = len(v)
+    n = v.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"angle vector length must be a power of two, got {n}")
     return kron_transform(v, "walsh") / n
@@ -141,22 +145,27 @@ def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
     return rot, ctrl_bits + (ctrl_bits >= rot)
 
 
-def multiplexor(nb: int, level: int, kind: int, angles) -> Program:
-    """``kind`` (ROTY or ROTZ) rotations on a level's rotation bit, by
-    ``angles[i]`` where the other bits, in increasing order, hold i: one
-    :func:`~csdc.seo.rotation_ladder` over the Gray sequence of those bits,
-    each step rotating by the transformed angle at its Gray code."""
+def multiplexors(nb: int, level: int, kind: int, angles) -> tuple[Program, np.ndarray]:
+    """``kind`` (ROTY or ROTZ) rotations on a level's rotation bit, one
+    multiplexor per row r of the (n, 2**(nb-1)) stack ``angles``, side by
+    side, and the row r that owns each instruction.  Row r rotates by
+    ``angles[r, i]`` where the other bits, in increasing order, hold i: one
+    :func:`~csdc.seo.rotation_ladder` walks every row's Gray sequence of
+    those bits, each step rotating by the transformed angle at its Gray code.
+    """
     rot, ctrl_bits = _places(nb, level)
-    theta = _wrap_deg(angles_to_theta(angles))
     seq = gray_codes(nb - 1)
-    return rotation_ladder(nb, kind, rot, ctrl_bits, seq, theta[seq], PRUNE_TOL)
+    theta = _wrap_deg(angles_to_theta(angles))[:, seq]
+    n, m = theta.shape
+    return rotation_ladder(nb, kind, rot, ctrl_bits, np.tile(seq, n), theta.reshape(-1),
+                           PRUNE_TOL, np.repeat(np.arange(n), m))
 
 
 def decompose_real_d(c: CentralMatrix) -> Program:
-    """ROTY ladder for a real D direct sum: its angles' :func:`multiplexor`."""
+    """ROTY ladder for a real D direct sum: its angles' :func:`multiplexors`."""
     if c.variant != "realD":
         raise ValueError("decompose_real_d needs a realD central matrix")
-    return multiplexor(c.nb, c.level, ROTY, c.angles)
+    return multiplexors(c.nb, c.level, ROTY, c.angles[None])[0]
 
 
 def _number_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -169,7 +178,18 @@ def _number_coefficients(phases: np.ndarray) -> np.ndarray:
 
 
 def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
-    """Program for a diagonal unitary diag(exp(i phases)).
+    """Program for a diagonal unitary diag(exp(i phases)): its
+    :func:`decompose_diagonals`."""
+    if c.variant != "diagonal":
+        raise ValueError("decompose_diagonal needs a diagonal central matrix")
+    return decompose_diagonals(c.phases[None], mode)[0]
+
+
+def decompose_diagonals(phases, mode: str) -> tuple[Program, np.ndarray]:
+    """Programs for the diagonal unitaries diag(exp(i phases[r])) of every row
+    r of an (m, 2**nb) stack, side by side, and the row r that owns each
+    instruction; the instructions of one owner keep their order, those of
+    different owners interleave.  One transform serves every row.
 
     ``rotz-chain``: Hadamard-transform the phases and emit the sigma_z ladder
     (PHAS for the empty subset, ROTZ for single bits, c-not conjugated ROTZ
@@ -180,32 +200,32 @@ def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
     terms as one accumulated PHAS plus a ROTZ per bit.  Rows: the PHAS, then
     the ROTZs by bit, then the CPHAs by subset.
     """
-    if c.variant != "diagonal":
-        raise ValueError("decompose_diagonal needs a diagonal central matrix")
-    nb = c.nb
+    phases = np.asarray(phases, dtype=np.float64)
+    nb = phases.shape[1].bit_length() - 1
     if mode == "rotz-chain":
-        theta = _wrap_deg(angles_to_theta(c.phases))
-        return z_ladder(list(range(nb)), theta, PRUNE_TOL)
+        return z_ladder(list(range(nb)), _wrap_deg(angles_to_theta(phases)), PRUNE_TOL)
     if mode != "controlled-phase":
         raise ValueError(f"unknown diagonal mode {mode!r}")
-    theta = _wrap_deg(_number_coefficients(c.phases))
+    theta = _wrap_deg(_number_coefficients(phases))
     keep = np.abs(theta) > PRUNE_TOL
     # exp(i t n(beta)) = exp(i t/2) exp(-i (t/2) sigma_z(beta))
-    rotz_bits = np.flatnonzero(keep[1 << np.arange(nb)])
-    t_single = theta[1 << rotz_bits]
-    phas_total = float(theta[0])
-    for t in t_single.tolist():   # summed in bit order, one term at a time
-        phas_total += t / 2.0
-    phas_total = float(_wrap_deg(phas_total))
-    phas = [phas_total] if abs(phas_total) > PRUNE_TOL else []
+    single = 1 << np.arange(nb)
+    half = np.where(keep[:, single], theta[:, single] / 2.0, 0.0)
+    total = theta[:, 0].copy()
+    for b in range(nb):   # summed in bit order, one term at a time
+        total += half[:, b]
+    total = _wrap_deg(total)
+    p_own = np.flatnonzero(np.abs(total) > PRUNE_TOL)
+    z_own, z_bit = np.nonzero(keep[:, single])
     subsets = np.arange(1 << nb)
-    cpha = np.flatnonzero(keep & (subsets & (subsets - 1) != 0))
-    n_p, n_z, n_c = len(phas), len(rotz_bits), len(cpha)
+    c_own, cpha = np.nonzero(keep & (subsets & (subsets - 1) != 0))
+    n_p, n_z, n_c = len(p_own), len(z_own), len(c_own)
     kind = np.repeat([PHAS, ROTZ, CPHA], [n_p, n_z, n_c])
-    target = np.concatenate([np.full(n_p, -1), rotz_bits, np.full(n_c, -1)])
+    target = np.concatenate([np.full(n_p, -1), z_bit, np.full(n_c, -1)])
     ctrl = np.concatenate([np.zeros(n_p + n_z, dtype=np.int64), cpha])
-    angle = np.concatenate([phas, -t_single / 2.0, theta[cpha]])
-    return _program(nb, kind, target, ctrl, ctrl, angle)
+    angle = np.concatenate([total[p_own], -half[z_own, z_bit], theta[c_own, cpha]])
+    return (_program(nb, kind, target, ctrl, ctrl, angle),
+            np.concatenate([p_own, z_own, c_own]))
 
 
 def diagonal_costs(phases) -> tuple[int, int]:
@@ -248,50 +268,30 @@ def cheaper_mode(costs: tuple[int, int], extract_phases: bool) -> str:
     return "rotz-chain" if chain < cpha else "controlled-phase"
 
 
-def cheaper_diagonal(c: CentralMatrix, extract_phases: bool = True) -> Program:
-    """A diagonal central in the form whose expansion has fewer two-qubit
-    gates; only that form is emitted."""
-    return decompose_diagonal(c, cheaper_mode(diagonal_costs(c.phases), extract_phases))
-
-
-def complex_d_pieces(c: CentralMatrix) -> tuple[np.ndarray, CentralMatrix, np.ndarray]:
-    """A complex D central as (right phases, real core, left phases) in
-    application order: per block, Δ_R = Γ ⊕ Γ Γ_R and Δ_L = I ⊕ Γ_L around the
-    real D core, each diagonal as 2**nb phases."""
-    nb, f = c.nb, c.factors
-    rot = nb - c.level                    # the rotation bit
+def side_phases(nb: int, level: int, f: PhaseFactors) -> tuple[np.ndarray, np.ndarray]:
+    """The side diagonals of the complex D centrals of a level, one per row
+    of ``f`` (fields (n, 2**(nb-1)), block by block): per block,
+    Δ_R = Γ ⊕ Γ Γ_R and Δ_L = I ⊕ Γ_L around the real D core, each as an
+    (n, 2**nb) stack of phases."""
+    rot = nb - level                    # the rotation bit
     states = np.arange(1 << nb)
-    blk = states >> (rot + 1)
     hi = (states >> rot) & 1
-    j = states & ((1 << rot) - 1)
-    core = real_d_central(nb, c.level, f.thetas.reshape(-1))
-    return f.omega[blk, j] + hi * f.omega_r[blk, j], core, hi * f.omega_l[blk, j]
+    col = states >> (rot + 1) << rot | states & ((1 << rot) - 1)   # block, entry
+    return f.omega[:, col] + hi * f.omega_r[:, col], hi * f.omega_l[:, col]
 
 
 def split_on_bit(phases: np.ndarray, rot: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) with phases(x) = alpha(x) + (-1)**x_rot beta(x), neither
     depending on bit ``rot``: alpha over all 2**nb states, beta over the other
-    bits in increasing order, as :func:`multiplexor` takes its angles."""
+    bits in increasing order, as :func:`multiplexors` takes its angles."""
     p = phases.reshape(-1, 2, 1 << rot)
     return ((p + p[:, ::-1]) / 2).reshape(-1), ((p[:, 0] - p[:, 1]) / 2).reshape(-1)
 
 
-def decompose_complex_d(c: CentralMatrix, extract_phases: bool = True) -> Program:
-    """Split a complex D direct sum into right diagonal, real core, left diagonal
-    (:func:`complex_d_pieces`), and emit the three in application order, each
-    by :func:`decompose_central` with ``extract_phases``.
-    """
-    if c.variant != "complexD":
-        raise ValueError("decompose_complex_d needs a complexD central matrix")
-    phi_r, core, phi_l = complex_d_pieces(c)
-    pieces = (diagonal_central(c.nb, phi_r), core, diagonal_central(c.nb, phi_l))
-    return concat(*(decompose_central(piece, extract_phases) for piece in pieces))
-
-
-def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL) -> bool:
-    """True iff every angle is 0 or 90 degrees within tol."""
+def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL):
+    """Whether every angle (along the last axis) is 0 or 90 degrees within tol."""
     a = np.asarray(angles, dtype=np.float64)
-    return bool(np.all((np.abs(a) <= tol) | (np.abs(a - 90.0) <= tol)))
+    return np.all((np.abs(a) <= tol) | (np.abs(a - 90.0) <= tol), axis=-1)
 
 
 def decompose_right_angle_case(c: CentralMatrix) -> Program:
@@ -325,8 +325,39 @@ def decompose_right_angle_case(c: CentralMatrix) -> Program:
     return decompose_real_d(c)
 
 
+def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, phased,
+                    extract_phases: bool = True) -> list[tuple[Program, np.ndarray]]:
+    """The centrals of a tree level, one per row i of the (n, 2**(nb-1))
+    stack ``thetas``, as (program, owner of each instruction) pieces, the
+    owner 3i + s.
+
+    s = 1 marks central i's real D core: with ``extract_phases`` a core of
+    right angles only takes :func:`decompose_right_angle_case`, and one
+    :func:`multiplexors` call emits the others.  Given the level's
+    ``factors``, s = 0 and 2 mark the right and left side diagonals of each
+    ``phased`` central (:func:`side_phases`): one :func:`decompose_diagonals`
+    call per side, in the form ``extract_phases`` picks.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    special = is_right_angle(thetas) & extract_phases
+    rest = np.flatnonzero(~special)
+    program, owner = multiplexors(nb, level, ROTY, thetas[rest])
+    pieces = [(program, 3 * rest[owner] + 1)]
+    for i in np.flatnonzero(special).tolist():
+        program = decompose_right_angle_case(real_d_central(nb, level, thetas[i]))
+        pieces.append((program, np.full(len(program), 3 * i + 1)))
+    if factors is not None:
+        rows = np.flatnonzero(phased)
+        for s, phases in enumerate(side_phases(nb, level, factors)):
+            program, owner = decompose_diagonals(phases[rows], _default_mode(extract_phases))
+            pieces.append((program, 3 * rows[owner] + 2 * s))
+    return pieces
+
+
 def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
-    """Dispatch a central matrix to its emission routine.
+    """Dispatch a central matrix to its emission routine: a diagonal to
+    :func:`decompose_diagonal`, a real or complex D one as a level of one
+    central (:func:`decompose_level`).
 
     ``extract_phases`` (the compile option) picks the emission: diagonals as
     controlled phases and real cores through the right-angle special case
@@ -334,8 +365,7 @@ def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
     """
     if c.variant == "diagonal":
         return decompose_diagonal(c, _default_mode(extract_phases))
-    if c.variant == "realD":
-        if extract_phases and is_right_angle(c.angles):
-            return decompose_right_angle_case(c)
-        return decompose_real_d(c)
-    return decompose_complex_d(c, extract_phases)
+    f = c.factors.map(lambda x: x.reshape(1, -1)) if c.variant == "complexD" else None
+    thetas = (c.angles if f is None else f.thetas).reshape(1, -1)
+    pieces = decompose_level(c.nb, c.level, thetas, f, [True], extract_phases)
+    return gather(c.nb, [(program, owner, np.arange(3)) for program, owner in pieces])

@@ -1,6 +1,7 @@
 """Command-line front end: compile, decompile and verify.
 
-Exit codes: 0 success; 1 verify distance above tolerance; 2 unreadable or
+Exit codes: 0 success; 1 verify distance above --tol (by default
+ROUND_TRIP_TOL, the bound compile holds its own output to); 2 unreadable or
 malformed input or options (a bad option, such as a --tol outside
 0 < tol < inf, is argparse's exit 2), a dimension mismatch, or a program too
 large to simulate (the dense 2**nb x 2**nb rebuild is refused up front when
@@ -136,7 +137,7 @@ def run_verify(args) -> int:
         "phase_aligned_distance": aligned,
         "tolerance": args.tol,
     }, args.report)
-    return EXIT_OK if distance < args.tol else EXIT_VERIFY_FAILED
+    return EXIT_OK if distance <= args.tol else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("seo", help="SEO text file")
     pv.add_argument("--nb", type=int, default=None,
                     help="bit count (default: log2 of the padded matrix dimension)")
-    pv.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    pv.add_argument("--tol", type=_tolerance, default=ROUND_TRIP_TOL,
+                    help="largest Frobenius distance accepted (default: the bound compile "
+                         "checks its own output against)")
     add_report(pv)
     pv.set_defaults(func=run_verify)
     return parser

@@ -7,9 +7,9 @@ matrices are all identity spawns no child.  The product of the central
 matrices, read right subtree / node / left subtree in application order,
 rebuilds the input.
 
-The tree is built level by level.  Level L holds every side matrix of that
-depth, 2**(L-1) per node, as one (k, d, d) array with d = 2**(nb-L+1); a node
-is a slice of it, and each step below is one vectorised pass over the level:
+The tree is built and kept level by level.  Level L holds every side matrix
+of that depth, 2**(L-1) per node, as one (k, d, d) array with d = 2**(nb-L+1),
+and each step below is one vectorised pass over the level:
   * complex-D test (``is_complex_d_stack``); every 2x2 leaf is a complex D
     matrix;
   * CSD of the rest: ``csd_stack`` (an SVD-based CSD, in closed form where
@@ -20,6 +20,10 @@ is a slice of it, and each step below is one vectorised pass over the level:
   * identity-side and diagonal-side tests, as per-matrix reductions;
   * phase extraction: one ``phase_parameters`` call on the four block
     diagonals of every aborted or folded D block (none on a plain level).
+The level keeps its centrals as arrays (``TreeLevel``), and a ``CsdNode`` is
+a view of one row.  Emission is one ``decompose_level`` pass per level, and
+one sort by the keys of the centrals puts the instructions in application
+order.
 
 Optimizations (all per the compile options):
   * lighten: gauge-fix each CSD so the right sides drift toward identity.
@@ -41,16 +45,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import BitPermutation, apply_bit_permutation
-from .central import (CentralMatrix, cheaper_diagonal, cheaper_mode, complex_d_central,
-                      complex_d_pieces, decompose_central, decompose_diagonal, diagonal_central,
-                      diagonal_costs, multiplexor, real_d_central, split_on_bit)
+# decompose_central and concat are not called here; they stay importable from
+# this module, where perfbench/spans.py traces them by name.
+from .central import (CentralMatrix, _default_mode, cheaper_mode, complex_d_central,  # noqa: F401
+                      decompose_central, decompose_diagonals, decompose_level, diagonal_central,
+                      diagonal_costs, multiplexors, real_d_central, side_phases, split_on_bit)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
 from .csd import (PhaseFactors, _block_diagonal_index, csd, csd_stack,  # noqa: F401
                   extract_phases, is_complex_d, is_complex_d_stack, lighten, lighten_stack,
                   phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
-from .seo import PRUNE_TOL, ROTZ, Program, concat, expand_controls, rename_bits
+from .seo import (PRUNE_TOL, ROTZ, Program, concat, expand_controls, gather,  # noqa: F401
+                  rename_bits)
 
 # A side matrix whose max-entry deviation from the identity is below this
 # terminates its branch.  Looser than the csd tolerance, tighter than the
@@ -58,8 +65,9 @@ from .seo import PRUNE_TOL, ROTZ, Program, concat, expand_controls, rename_bits
 IDENTITY_TOL = 1e-9
 
 # Root-exhaustive permutation search compiles nb! candidates.  On a Haar input
-# with one BLAS thread (shared 2-vCPU x86 host) the search took 1.7-2.0 s at
-# nb = 5 (120 compiles) and 24-28 s at nb = 6 (720); nb = 7 would be 5040.
+# with one BLAS thread (shared 2-vCPU x86 host, three runs) the search takes
+# 0.7-0.9 s at nb = 5 (120 compiles) and 12-14 s at nb = 6 (720); nb = 7
+# would be 5040.
 PERM_SEARCH_MAX_NB = 6
 
 
@@ -75,14 +83,6 @@ class CompileOptions:
         if self.perm_search not in ("none", "root-exhaustive"):
             raise ValueError(f"unknown perm_search mode {self.perm_search!r}")
         check_tol(self.tol)
-
-
-@dataclass
-class CsdNode:
-    level: int
-    central: CentralMatrix
-    left: "CsdNode | None" = None
-    right: "CsdNode | None" = None
 
 
 def _check_unitary(a: np.ndarray, tol: float) -> None:
@@ -146,13 +146,6 @@ class _Split:
     rights: np.ndarray        # (k, 2, h, h)
     left_identity: np.ndarray   # (k,)
     right_identity: np.ndarray  # (k,)
-
-    def central(self, nb: int, level: int, rows: slice) -> CentralMatrix:
-        pf = self.phases
-        if not self.phased[rows].any():
-            return real_d_central(nb, level, pf.thetas[rows].reshape(-1))
-        return complex_d_central(nb, level, PhaseFactors(
-            pf.omega[rows], pf.omega_l[rows], pf.omega_r[rows], pf.thetas[rows]))
 
 
 def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
@@ -225,54 +218,87 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     return _Split(pf, phased, lefts, rights, left_identity, right_identity)
 
 
-def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
-    """Build the CSD tree of a 2**nb unitary level by level.
-
-    Level L is one (k, d, d) stack with d = 2**(nb-L+1); each of its nodes
-    owns 2**(L-1) consecutive matrices, and ``slots`` says where each node
-    hangs.  Level nb+1 holds 1x1 matrices: each node there is a diagonal.
+@dataclass
+class TreeLevel:
+    """The n centrals of one tree level, row i for central i: on a CSD level
+    the D angles ``thetas`` (n, 2**(nb-1)), block by block, and, if some
+    central is complex D (``phased``), the phase ``factors`` of all; on level
+    nb+1 the leaf diagonals' ``phases`` (n, 2**nb).  ``children`` holds the
+    index of each left and right child on the next level, -1 for none.  A
+    level-L node's children have its ``key`` + 2**(nb+2-L) (left) and
+    - 2**(nb+2-L) (right), so the keys sort the tree in application order.
     """
-    root: CsdNode | None = None
-    mats = a[None]
-    slots: list[tuple[CsdNode | None, str]] = [(None, "")]
+
+    key: np.ndarray
+    children: np.ndarray
+    thetas: np.ndarray | None = None
+    phased: np.ndarray | None = None
+    factors: PhaseFactors | None = None
+    phases: np.ndarray | None = None
+
+
+@dataclass(eq=False)   # compared by identity: its levels hold arrays
+class CsdNode:
+    """Central ``index`` of level ``level`` of the CSD tree on ``nb`` bits
+    whose levels are ``levels`` (level L is ``levels[L - 1]``)."""
+
+    nb: int
+    levels: list[TreeLevel]
+    level: int = 1
+    index: int = 0
+
+    def _child(self, side: int) -> "CsdNode | None":
+        j = int(self.levels[self.level - 1].children[self.index, side])
+        return None if j < 0 else CsdNode(self.nb, self.levels, self.level + 1, j)
+
+    left = property(lambda self: self._child(0))
+    right = property(lambda self: self._child(1))
+
+    @property
+    def central(self) -> CentralMatrix:
+        nb, level, lv, i = self.nb, self.level, self.levels[self.level - 1], self.index
+        if lv.phases is not None:
+            return diagonal_central(nb, lv.phases[i])
+        if not lv.phased[i]:
+            return real_d_central(nb, level, lv.thetas[i])
+        blocks = lv.factors.map(lambda x: x[i].reshape(1 << (level - 1), -1))
+        return complex_d_central(nb, level, blocks)
+
+
+def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
+    """Build the CSD tree of a 2**nb unitary level by level; return its root.
+
+    Level L is one (k, d, d) stack with d = 2**(nb-L+1); each of its n nodes
+    owns 2**(L-1) consecutive matrices.  The next level stacks the sides
+    that are not all identity, node by node, left before right.  Level nb+1
+    holds 1x1 matrices: each node there is a diagonal.
+    """
+    levels = []
+    mats, key = a[None], np.zeros(1, dtype=np.int64)
     for level in range(1, nb + 2):
-        per = 1 << (level - 1)
-        rows = [slice(j * per, (j + 1) * per) for j in range(len(slots))]
-        children: list[tuple[int, str]] = []   # (node index, side) per child
+        n = len(key)
         if level == nb + 1:
-            phases = np.degrees(np.angle(mats[:, 0, 0]))
-            centrals = [diagonal_central(nb, phases[r]) for r in rows]
-        else:
-            split = _split_level(mats, opts)
-            h = split.lefts.shape[-1]
-            parts = []
-            for j, r in enumerate(rows):
-                for side, sides, ident in (("left", split.lefts, split.left_identity),
-                                           ("right", split.rights, split.right_identity)):
-                    if not ident[r].all():
-                        children.append((j, side))
-                        parts.append(sides[r].reshape(-1, h, h))
-            # Assemble the next level, and drop this one and the sides no child
-            # takes, before the centrals are built: the leaf-level centrals are
-            # most of the tree's memory, and the level arrays would add to it.
-            if len(parts) == 1:
-                mats = parts[0]   # a view: a spine's one side is not copied
-            else:
-                mats = np.concatenate(parts) if parts else None
-            parts = split.lefts = split.rights = None
-            centrals = [split.central(nb, level, r) for r in rows]
-        nodes = []
-        for (parent, side), central in zip(slots, centrals):
-            node = CsdNode(level, central)
-            if parent is None:
-                root = node
-            else:
-                setattr(parent, side, node)
-            nodes.append(node)
-        slots = [(nodes[j], side) for j, side in children]
-        if not slots:
+            phases = np.degrees(np.angle(mats[:, 0, 0])).reshape(n, -1)
+            levels.append(TreeLevel(key, np.full((n, 2), -1), phases=phases))
             break
-    return root
+        split = _split_level(mats, opts)
+        h = split.lefts.shape[-1]
+        sides = [x.reshape(n, -1, h, h) for x in (split.lefts, split.rights)]
+        has = ~np.stack([split.left_identity, split.right_identity], 1).reshape(n, -1, 2).all(1)
+        picks = np.flatnonzero(has)   # 2 node + side, in the next level's order
+        # A spine's one side is a view, not a copy; the sides no child takes
+        # are dropped before the next level is split.
+        parts = [sides[p & 1][p >> 1] for p in picks.tolist()]
+        mats = parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else None
+        parts = sides = split.lefts = split.rights = None
+        phased = split.phased.reshape(n, -1).any(1)
+        factors = split.phases.map(lambda x: x.reshape(n, -1))
+        levels.append(TreeLevel(key, np.where(has, np.cumsum(has).reshape(n, 2) - 1, -1),
+                                factors.thetas, phased, factors if phased.any() else None))
+        key = key[picks >> 1] + (1 - 2 * (picks & 1)) * (1 << (nb + 2 - level))
+        if not len(key):
+            break
+    return CsdNode(nb, levels)
 
 
 def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
@@ -286,73 +312,94 @@ def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
     return _build(a, nb, opts)
 
 
+def _application_order(levels: list[TreeLevel]) -> list[tuple[int, int]]:
+    """(level, index) of every central of a tree, sorted by key."""
+    pairs = [(L, i) for L, lv in enumerate(levels, 1) for i in range(len(lv.key))]
+    return [pairs[j] for j in np.argsort(np.concatenate([lv.key for lv in levels])).tolist()]
+
+
 def assemble(root: CsdNode) -> list[CentralMatrix]:
     """Central matrices in application order: right subtree, node, left subtree.
 
     The product of the entries, last applied leftmost, is the tree's input.
     """
-    out: list[CentralMatrix] = []
-
-    def walk(node: CsdNode) -> None:
-        if node.right:
-            walk(node.right)
-        out.append(node.central)
-        if node.left:
-            walk(node.left)
-
-    walk(root)
-    return out
+    return [CsdNode(root.nb, root.levels, *at).central for at in _application_order(root.levels)]
 
 
-def _carry_phases(centrals: list[CentralMatrix], extract_phases: bool) -> list[Program]:
-    """The programs of ``centrals`` (in application order) for a program bound
-    for ``expand_controls``, with one pending phase vector carried through
-    their cores.
+def _carry_phases(nb: int, steps, extract_phases: bool) -> list[tuple]:
+    """What a program bound for ``expand_controls`` emits besides its cores,
+    as (program, owner of each instruction, key of each owner) pieces for
+    ``gather``, with one pending phase vector P carried through the cores.
 
-    Diagonal centrals and both side diagonals of a complex D central join the
-    pending phases P and emit nothing.  At a core on bit w, with
+    ``steps`` are the centrals in application order, (key, level, right,
+    left): the phases a central adds to P before and after its core, or for
+    a diagonal (key, nb + 1, its phases, unused).  At a core on bit w, with
     P(x) = alpha(x) + (-1)**x_w beta(x) (``split_on_bit``):
       * carry: if beta is within PRUNE_TOL, P passes the core as it is;
       * split: else, if P as a rotz chain has fewer two-qubit gates than as
-        controlled phases, beta is emitted as one ROTZ multiplexor on w and
-        alpha, which commutes with the core, carries on;
-      * flush: else P is emitted in its cheaper form and zero carries on.
-    After the last central, P is emitted in its cheaper form.
+        controlled phases, beta goes before the core as one ROTZ multiplexor
+        on w and alpha, which commutes with the core, carries on;
+      * flush: else P goes before the core in its cheaper form and zero
+        carries on.
+    After the last central, P is emitted in its cheaper form.  The walk
+    decides core by core; one ``multiplexors`` call per level and one
+    ``decompose_diagonals`` call per form then emit what it decided.
     """
-    nb = centrals[0].nb
     pending = np.zeros(1 << nb)
-    out = []
-    for c in centrals:
-        if c.variant == "diagonal":
-            pending = pending + c.phases
-            continue
-        right = left = 0.0
-        if c.variant == "complexD":
-            right, c, left = complex_d_pieces(c)
+    queued: dict[tuple, list] = {}   # (level, None) or (None, form) -> [(key, angles)]
+    for key, level, right, left in steps:
         pending = pending + right
-        alpha, beta = split_on_bit(pending, nb - c.level)
+        if level > nb:
+            continue
+        alpha, beta = split_on_bit(pending, nb - level)
         if np.abs(beta).max() > PRUNE_TOL:
             costs = diagonal_costs(pending)
             if costs[0] < costs[1]:
-                out.append(multiplexor(nb, c.level, ROTZ, beta))
+                queued.setdefault((level, None), []).append((key - 1, beta))
                 pending = alpha
             else:
-                out.append(decompose_diagonal(diagonal_central(nb, pending),
-                                              cheaper_mode(costs, extract_phases)))
+                mode = cheaper_mode(costs, extract_phases)
+                queued.setdefault((None, mode), []).append((key - 1, pending))
                 pending = np.zeros(1 << nb)
-        out.append(decompose_central(c, extract_phases))
         pending = pending + left
-    out.append(cheaper_diagonal(diagonal_central(nb, pending), extract_phases))
-    return out
+    mode = cheaper_mode(diagonal_costs(pending), extract_phases)
+    queued.setdefault((None, mode), []).append((1 << (nb + 2), pending))
+    pieces = []
+    for (level, mode), got in queued.items():
+        keys, rows = zip(*got)
+        rows = np.stack(rows)
+        emitted = (multiplexors(nb, level, ROTZ, rows) if mode is None
+                   else decompose_diagonals(rows, mode))
+        pieces.append((*emitted, np.array(keys)))
+    return pieces
 
 
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
-    """Emit the program of an assembled tree, and expand its controls if asked
-    (the phases are then carried through the cores, ``_carry_phases``)."""
-    centrals = assemble(root)
-    if not opts.expand_controls:
-        return concat(*(decompose_central(c, opts.extract_phases) for c in centrals))
-    return expand_controls(concat(*_carry_phases(centrals, opts.extract_phases)))
+    """Emit the program of a tree, one ``decompose_level`` pass per level,
+    and expand its controls if asked (the phases are then carried through
+    the cores, ``_carry_phases``).  An instruction takes its central's key,
+    less or plus 1 for a complex D central's right or left side diagonal;
+    one stable sort by key (``gather``) puts them in application order."""
+    nb, levels, ep, expand = root.nb, root.levels, opts.extract_phases, opts.expand_controls
+    pieces = []
+    for level, lv in enumerate(levels, start=1):
+        if lv.phases is None:
+            keys = (lv.key[:, None] + (-1, 0, 1)).ravel()   # of the owners 3i + s
+            pieces += [(*piece, keys) for piece in decompose_level(
+                nb, level, lv.thetas, None if expand else lv.factors, lv.phased, ep)]
+        elif not expand:
+            pieces.append((*decompose_diagonals(lv.phases, _default_mode(ep)), lv.key))
+    if not expand:
+        return gather(nb, pieces)
+    sides = []   # per level: the phases each central adds before and after its core
+    for level, lv in enumerate(levels, start=1):
+        zero = np.zeros((len(lv.key), 1))
+        sides.append(side_phases(nb, level, lv.factors) if lv.factors is not None
+                     else (zero if lv.phases is None else lv.phases, zero))
+    steps = [(levels[L - 1].key[i], L, sides[L - 1][0][i], sides[L - 1][1][i])
+             for L, i in _application_order(levels)]
+    pieces += _carry_phases(nb, steps, ep)
+    return expand_controls(gather(nb, pieces))
 
 
 def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:

@@ -368,6 +368,10 @@ class PhaseFactors:
     def half_dim(self) -> int:
         return self.omega.shape[-1]
 
+    def map(self, fn) -> "PhaseFactors":
+        """The parameters with ``fn`` applied to every field."""
+        return PhaseFactors(*map(fn, (self.omega, self.omega_l, self.omega_r, self.thetas)))
+
     def real_mask(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Per parameter set of a stack: every phase vanishes within tol radians."""
         scale = np.degrees(tol)

@@ -170,6 +170,27 @@ def concat(*programs: Program) -> Program:
     return Program(nb, *cols, validate=False)
 
 
+def gather(nb: int, pieces: list) -> Program:
+    """The instructions of ``pieces``, triples (program, owner of each of its
+    instructions, key of each owner), in the order of their keys; the sort is
+    stable, so the instructions of one key keep their order.  ``pieces`` is
+    emptied, and the result is built one column at a time, each column of
+    the pieces let go once it is gathered, so the pieces and the result are
+    not both held whole."""
+    cols = [list(p.columns) for p, _, _ in pieces]
+    key = np.concatenate([key[owner] for _, owner, key in pieces])
+    pieces.clear()
+    at = np.argsort(key, kind="stable")
+    del key
+    out = []
+    for i in range(5):
+        col = np.concatenate([c[i] for c in cols])
+        for c in cols:
+            c[i] = None
+        out.append(col[at])
+    return Program(nb, *out, validate=False)
+
+
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
@@ -702,10 +723,10 @@ def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
     return Program(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl, [0.0] * 3)
 
 
-def _ladder_rows(target, steps, angles, w: int, prune_tol: float):
+def _ladder_rows(target, steps, angles, w: int, prune_tol: float, owner=0):
     """The lazy ladder of :func:`rotation_ladder` as bit rows over its kept
     steps, with control columns below bit ``w``: returns the mask of kept
-    steps, their targets and the rows.
+    steps, their targets and owners, and the rows.
 
     Row 2i + 1 holds kept step i's c-nots and its rotation (bit w); row
     2i + 2 holds the c-nots closing step i's run, none unless the run ends
@@ -713,43 +734,48 @@ def _ladder_rows(target, steps, angles, w: int, prune_tol: float):
     """
     keep = np.abs(angles) > prune_tol
     mask = np.asarray(steps, dtype=np.int64)[keep]
-    tgt = (np.zeros(len(angles), dtype=np.int64) + target)[keep]
+    zero = np.zeros(len(angles), dtype=np.int64)
+    tgt, own = (zero + target)[keep], (zero + owner)[keep]
     k = len(mask)
     # Step i's c-nots are m_i ^ m_(i-1) ^ (row 2i), m_-1 = 0: the XOR with
     # the previous step inside a run, m_i alone after a closed one.
     rows = np.zeros(2 * k + 2, dtype=np.int64)
     rows[2::2] = mask
     rows[1:-1:2] = mask ^ rows[:-2:2] | 1 << w
-    rows[2:-2:2] *= tgt[1:] != tgt[:-1]
+    rows[2:-2:2] *= (tgt[1:] != tgt[:-1]) | (own[1:] != own[:-1])
     rows[1:-1:2] ^= rows[:-2:2]
-    return keep, tgt, rows
+    return keep, tgt, own, rows
 
 
 def rotation_ladder(nb: int, kind: int, target, ctrl_bits, steps, angles,
-                    prune_tol: float) -> Program:
+                    prune_tol: float, owner=0) -> tuple[Program, np.ndarray]:
     """The lazy ladder of uncontrolled ``kind`` rotations (ROTY or ROTZ), each
-    conjugated by c-nots from its controls, on ``nb`` bits.
+    conjugated by c-nots from its controls, on ``nb`` bits, and the owner of
+    each of its rows.
 
     Step i rotates ``target[i]`` (or the scalar ``target``) by ``angles[i]``;
     its controls are the bits that ``steps[i]`` selects from ``ctrl_bits``
     (bit j of the mask selects ``ctrl_bits[j]``).  Steps with
     |angle| <= prune_tol are dropped.  Over the kept steps, a run on one
-    target emits before each rotation the c-nots of the XOR of its control
-    set with the previous step's (all of its own for the first step of the
-    run), and closes with the c-nots of its last step; so adjacent
-    conjugations cancel except for one c-not per Gray step.  Within a step the
-    c-nots follow the order of ``ctrl_bits``.
+    target and one ``owner`` (per step, or a scalar) emits before each
+    rotation the c-nots of the XOR of its control set with the previous
+    step's (all of its own for the first step of the run), and closes with
+    the c-nots of its last step; so adjacent conjugations cancel except for
+    one c-not per Gray step.  Within a step the c-nots follow the order of
+    ``ctrl_bits``.  Owners never share a run, so one call emits the ladders
+    of several owners side by side.
     """
     angles = np.asarray(angles, dtype=np.float64)
     w = len(ctrl_bits)
-    keep, tgt, rows = _ladder_rows(target, steps, angles, w, prune_tol)
-    row, col = np.nonzero((rows[:, None] >> np.arange(w + 1)) & 1)
+    keep, tgt, own, rows = _ladder_rows(target, steps, angles, w, prune_tol, owner)
+    row, col = np.nonzero(rows[:, None] & 1 << np.arange(w + 1))
+    step = (row - 1) >> 1
     is_rot = col == w
     ctrl = np.concatenate((1 << np.asarray(ctrl_bits, dtype=np.int64), [0]))[col]
     angle = np.zeros(len(col))
     angle[is_rot] = angles[keep]
-    return Program(nb, np.where(is_rot, kind, CNOT), tgt[(row - 1) >> 1], ctrl, ctrl, angle,
-                   validate=False)
+    return Program(nb, np.where(is_rot, kind, CNOT), tgt[step], ctrl, ctrl, angle,
+                   validate=False), own[step]
 
 
 def _z_steps(k: int):
@@ -762,26 +788,31 @@ def _z_steps(k: int):
     return seq, np.frexp(low)[1] - 1, seq ^ low
 
 
-def z_ladder(bits: list[int], thetas: np.ndarray, prune_tol: float) -> Program:
+def z_ladder(bits: list[int], thetas, prune_tol: float) -> tuple[Program, np.ndarray]:
     """Program for prod_b exp(i theta_b Z_b) over subsets of ``bits``, on
-    max(bits) + 1 bits.
+    max(bits) + 1 bits, for ``thetas`` or for each row r of an (m, 2**k)
+    stack of them, side by side; and the row r that owns each instruction.
 
     ``thetas[m]`` (degrees) multiplies the product of sigma_z over the bits
-    selected by mask m; m = 0 contributes a global phase.  Factors are walked
-    in lazy (Gray) order, as one :func:`rotation_ladder`: each factor rotates
-    its lowest selected bit, conjugated by c-nots from the remaining selected
-    bits.
+    selected by mask m; m = 0 contributes a global phase, its row's first
+    instruction.  Factors are walked in lazy (Gray) order, as one
+    :func:`rotation_ladder` over every row: each factor rotates its lowest
+    selected bit, conjugated by c-nots from the remaining selected bits.
     """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+    m, size = thetas.shape
     k = len(bits)
-    if len(thetas) != 1 << k:
-        raise ValueError(f"need {1 << k} angles for {k} bits, got {len(thetas)}")
+    if size != 1 << k:
+        raise ValueError(f"need {1 << k} angles for {k} bits, got {size}")
     nb = max(bits, default=0) + 1
     seq, rot, ctrl = _z_steps(k)
-    ladder = rotation_ladder(nb, ROTZ, np.asarray(bits, dtype=np.int64)[rot], bits, ctrl,
-                             np.asarray(thetas)[seq], prune_tol)
-    if abs(thetas[0]) <= prune_tol:
-        return ladder
-    return concat(Program(nb, [PHAS], [-1], [0], [0], [thetas[0]], validate=False), ladder)
+    ladder, owner = rotation_ladder(
+        nb, ROTZ, np.tile(np.asarray(bits, dtype=np.int64)[rot], m), bits, np.tile(ctrl, m),
+        thetas[:, seq].reshape(-1), prune_tol, np.repeat(np.arange(m), len(seq)))
+    ph = np.flatnonzero(np.abs(thetas[:, 0]) > prune_tol)
+    none = np.zeros(len(ph), dtype=np.int64)
+    phas = Program(nb, none + PHAS, none - 1, none, none, thetas[ph, 0], validate=False)
+    return concat(phas, ladder), np.concatenate((ph, owner))
 
 
 def z_ladder_cnots(thetas: np.ndarray, prune_tol: float) -> int:
@@ -789,8 +820,7 @@ def z_ladder_cnots(thetas: np.ndarray, prune_tol: float) -> int:
     bits, read off the rows of its lazy ladder without emitting it."""
     k = len(thetas).bit_length() - 1
     seq, rot, ctrl = _z_steps(k)
-    _, _, rows = _ladder_rows(rot, ctrl, np.asarray(thetas, dtype=np.float64)[seq], k,
-                              prune_tol)
+    rows = _ladder_rows(rot, ctrl, np.asarray(thetas, dtype=np.float64)[seq], k, prune_tol)[3]
     return int(np.count_nonzero((rows[:, None] >> np.arange(k)) & 1))   # bits below k
 
 
@@ -825,7 +855,7 @@ def _expansion(nb: int, kind: int, target: int, mask: int, val: int,
         # coefficients angle * (-1)**|m| / 2**k over control-bit subsets m.
         k = len(involved)
         signs = np.where(bitops.popcount(np.arange(1 << k)) & 1, -1.0, 1.0)
-        parts.append(z_ladder(involved, angle * signs / (1 << k), tol))
+        parts.append(z_ladder(involved, angle * signs / (1 << k), tol)[0])
     parts.append(_uncontrolled(nb, closing + flips[::-1]))
     return concat(*parts)
 

@@ -129,6 +129,13 @@ def dense_central(c):
     return block_diag(blocks)
 
 
+def cheaper_diagonal(c, extract_phases=True):
+    """A diagonal central in the form whose expansion has fewer two-qubit
+    gates, as ``cheaper_mode`` picks it from ``diagonal_costs``."""
+    from csdc.central import cheaper_mode, decompose_diagonal, diagonal_costs
+    return decompose_diagonal(c, cheaper_mode(diagonal_costs(c.phases), extract_phases))
+
+
 def rows(program):
     """The instructions of a program as (kind name, target, ctrl_mask,
     ctrl_val, angle) tuples, read from its columns one row at a time."""

@@ -6,7 +6,7 @@ import numpy as np
 
 from csdc import (CompileOptions, build_tree,
                   compile_unitary, csd, decompose_diagonal, decompose_real_d,
-                  decompose_right_angle_case, decompose_complex_d,
+                  decompose_right_angle_case, decompose_central,
                   diagonal_central, expand_controls, frobenius_distance,
                   hadamard_input, parse, program_to_matrix,
                   quantum_fft_program, real_d_central, complex_d_central,
@@ -149,7 +149,7 @@ def test_criterion_6_central_decomposition_oracle():
                 blocks = [random_phase_factors(rng, 1 << (nb - level))
                           for _ in range(1 << (level - 1))]
                 cc = complex_d_central(nb, level, blocks)
-                err = frobenius_distance(program_to_matrix(decompose_complex_d(cc)),
+                err = frobenius_distance(program_to_matrix(decompose_central(cc)),
                                          dense_central(cc))
                 worst["complexD"] = max(worst["complexD"], err)
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
-                  complex_d_central, decompose_complex_d, decompose_diagonal,
+                  complex_d_central, decompose_central, decompose_diagonal,
                   decompose_real_d, decompose_right_angle_case, diagonal_central,
                   frobenius_distance, program_to_matrix, real_d_central, serialize)
 from csdc.bitops import hadamard_transform, kron_transform, state_permutation
-from csdc.central import cheaper_diagonal, decompose_central, diagonal_costs
+from csdc.central import diagonal_costs
 from csdc.seo import PRUNE_TOL, rename_bits, two_qubit_gates
 
-from conftest import (bits_of, dense_central, dense_diagonal, dense_real_d_central,
-                      level_alias, random_phase_factors, rows)
+from conftest import (bits_of, cheaper_diagonal, dense_central, dense_diagonal,
+                      dense_real_d_central, level_alias, random_phase_factors, rows)
 
 
 class TestAnglesToTheta:
@@ -271,12 +271,12 @@ class TestDecomposeComplexD:
         z = np.zeros(2)
         c = complex_d_central(2, 1, [PhaseFactors(z, z, z, thetas)])
         real = decompose_real_d(real_d_central(2, 1, thetas))
-        assert decompose_complex_d(c) == real
+        assert decompose_central(c) == real
 
     def test_pure_global_phase_block(self):
         pf = PhaseFactors(omega=np.array([90.0]), omega_l=np.zeros(1),
                           omega_r=np.zeros(1), thetas=np.zeros(1))
-        prog = decompose_complex_d(complex_d_central(1, 1, [pf]))
+        prog = decompose_central(complex_d_central(1, 1, [pf]))
         assert serialize(prog) == "PHAS 90\n"
 
     @pytest.mark.parametrize("nb,level", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
@@ -286,7 +286,7 @@ class TestDecomposeComplexD:
                       for _ in range(1 << (level - 1))]
             c = complex_d_central(nb, level, blocks)
             for extract_phases in (True, False):
-                got = program_to_matrix(decompose_complex_d(c, extract_phases))
+                got = program_to_matrix(decompose_central(c, extract_phases))
                 assert frobenius_distance(got, dense_central(c)) < 1e-10
 
 

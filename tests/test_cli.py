@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from csdc import (cli, expand_controls, frobenius_distance, parse, program_to_matrix,
-                  quantum_fft_program, serialize)
+from csdc import (Program, cli, expand_controls, frobenius_distance, parse,
+                  program_to_matrix, quantum_fft_program, serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
@@ -252,6 +252,20 @@ class TestVerifyCommand:
         want = frobenius_distance(shifted, rebuilt * np.conj(overlap / abs(overlap)))
         assert report["phase_aligned_distance"] == want
         assert report["distance"] == frobenius_distance(shifted, rebuilt)
+
+    def test_default_tolerance_accepts_what_compile_accepts(self, tmp_path):
+        # The DFT at nb = 5 rebuilds to about 2e-10, above the unitarity
+        # tolerance DEFAULT_TOL and within ROUND_TRIP_TOL.
+        inp = write_matrix(tmp_path / "dft.txt", dft_matrix(5))
+        seo = tmp_path / "dft.seo"
+        assert main(["compile", inp, "-o", str(seo)]) == 0
+        assert main(["verify", inp, str(seo)]) == 0
+        # one angle off by 1e-3 degrees is still rejected
+        p = parse(seo.read_text(), nb=5)
+        angle = p.angle.copy()
+        angle[np.flatnonzero(angle)[0]] += 1e-3
+        seo.write_text(serialize(Program(5, p.kind, p.target, p.ctrl_mask, p.ctrl_val, angle)))
+        assert main(["verify", inp, str(seo)]) == 1
 
     def test_quantum_fft_reference_verifies_against_dft(self, tmp_path):
         u = state_permutation(bit_reversal_permutation(3)) @ dft_matrix(3)

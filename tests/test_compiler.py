@@ -9,15 +9,15 @@ from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build
                   program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import ROUND_TRIP_TOL
-from csdc.central import (cheaper_diagonal, complex_d_central, decompose_central,
-                          diagonal_central, real_d_central)
+from csdc.central import (complex_d_central, decompose_central, decompose_level,
+                          diagonal_central, real_d_central, side_phases)
 from csdc.compiler import _carry_phases, _split_level, program_for_tree
 from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
-from csdc.seo import CNOT, ROTZ, concat
+from csdc.seo import concat, gather
 
-from conftest import (bits_of, dense_central, kron_program_matrix, random_phase_factors,
-                      random_unitary, rows, two_bit_rows, width)
+from conftest import (bits_of, cheaper_diagonal, dense_central, kron_program_matrix,
+                      random_phase_factors, random_unitary, rows, two_bit_rows, width)
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -371,15 +371,30 @@ class TestTwoQubitEmission:
 
     @staticmethod
     def carried(centrals, extract_phases=True):
-        """The pieces ``_carry_phases`` emits, after checking that together
-        they are the product of the centrals (Kronecker oracle)."""
-        pieces = _carry_phases(centrals, extract_phases)
-        want = np.eye(1 << centrals[0].nb)
+        """The program that ``_carry_phases`` and the cores emit for
+        ``centrals`` (in application order), after checking that it is their
+        product (Kronecker oracle)."""
+        nb = centrals[0].nb
+        steps, cores = [], []
+        for key, c in enumerate(centrals):
+            if c.variant == "diagonal":
+                steps.append((4 * key, nb + 1, c.phases, 0.0))
+                continue
+            right = left = 0.0
+            if c.variant == "complexD":
+                f = c.factors.map(lambda x: x.reshape(1, -1))
+                (right,), (left,) = side_phases(nb, c.level, f)
+                c = real_d_central(nb, c.level, f.thetas[0])
+            steps.append((4 * key, c.level, right, left))
+            cores += [(*piece, np.full(3, 4 * key)) for piece in decompose_level(
+                nb, c.level, c.angles[None], None, [False], extract_phases)]
+        program = gather(nb, cores + _carry_phases(nb, steps, extract_phases))
+        want = np.eye(1 << nb)
         for c in centrals:
             want = dense_central(c) @ want
-        got = kron_program_matrix(expand_controls(concat(*pieces)))
+        got = kron_program_matrix(expand_controls(program))
         assert frobenius_distance(want, got) < 1e-12
-        return pieces
+        return program
 
     def test_each_branch_at_a_core(self, rng):
         nb, states = 3, np.arange(8)
@@ -387,23 +402,23 @@ class TestTwoQubitEmission:
         core_rows = decompose_central(core)
         # carry: phases free of bit 2 pass the core, which is emitted first
         phi = 30.0 * (states & 1) + 50.0 * ((states & 3) == 3)
-        pieces = self.carried([diagonal_central(nb, phi), core])
-        assert len(pieces) == 2 and pieces[0] == core_rows
-        assert pieces[1] == cheaper_diagonal(diagonal_central(nb, phi))
+        program = self.carried([diagonal_central(nb, phi), core])
+        assert program == concat(core_rows, cheaper_diagonal(diagonal_central(nb, phi)))
         # flush: a two-bit phase across bit 2 is one CPHA (a rotz chain needs 2
         # c-nots), and nothing is left to carry
         phi = np.where(states & 0b101 == 0b101, 45.0, 0.0)
-        pieces = self.carried([diagonal_central(nb, phi), core])
-        assert rows(pieces[0]) == [("CPHA", -1, 0b101, 0b101, 45.0)]
-        assert pieces[1] == core_rows and len(pieces[2]) == 0
+        program = self.carried([diagonal_central(nb, phi), core])
+        assert rows(program) == [("CPHA", -1, 0b101, 0b101, 45.0)] + rows(core_rows)
         # split: a dense phase leaves one ROTZ multiplexor on bit 2, and its
         # mean over bit 2 carries on
         phi = rng.uniform(-180, 180, 8)
-        pieces = self.carried([diagonal_central(nb, phi), core])
-        assert set(pieces[0].kind.tolist()) == {ROTZ, CNOT}
-        assert (pieces[0].target == 2).all() and two_bit_rows(pieces[0]) == 4
-        assert pieces[1] == core_rows
-        assert pieces[2] == cheaper_diagonal(diagonal_central(nb, (phi + phi[states ^ 4]) / 2))
+        got = rows(self.carried([diagonal_central(nb, phi), core]))
+        tail = rows(core_rows) + rows(cheaper_diagonal(
+            diagonal_central(nb, (phi + phi[states ^ 4]) / 2)))
+        head = got[:len(got) - len(tail)]
+        assert got[len(head):] == tail
+        assert {r[0] for r in head} == {"ROTZ", "CNOT"}
+        assert all(r[1] == 2 for r in head) and sum(width(r) == 2 for r in head) == 4
 
     @pytest.mark.parametrize("extract_phases", [True, False])
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])

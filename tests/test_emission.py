@@ -168,7 +168,7 @@ def test_z_ladder_equals_loop(rng, k, prune_tol):
         bits = ctrl[-1:] + ctrl[:-1]
         thetas = with_zeros(rng, 1 << k, rng.uniform(-180, 180, 1 << k))
         thetas[rng.random(1 << k) < 0.2] = 0.2
-        assert z_ladder(bits, thetas, prune_tol) == z_ladder_loop(bits, thetas, prune_tol)
+        assert z_ladder(bits, thetas, prune_tol)[0] == z_ladder_loop(bits, thetas, prune_tol)
 
 
 def test_z_ladder_pruned_step_before_target_change():
@@ -177,7 +177,7 @@ def test_z_ladder_pruned_step_before_target_change():
     thetas = np.arange(1.0, 9.0)
     thetas[2] = 0.0
     bits = [5, 1, 3]
-    got = z_ladder(bits, thetas, PRUNE_TOL)
+    got = z_ladder(bits, thetas, PRUNE_TOL)[0]
     assert got == z_ladder_loop(bits, thetas, PRUNE_TOL)
     assert serialize(got).splitlines() == [
         "PHAS 1", "ROTZ 3 5", "CNOT 3 T 1", "ROTZ 1 7", "CNOT 3 T 1", "CNOT 1 T 5",

@@ -48,8 +48,8 @@ def test_unused_imports_are_traced_sites(path):
 # replaces the tracer with a stats object and drops these sites.  A site that
 # stops recording, or one that starts again, changes this set.
 STALE = {"bitops.basis_change_matrix", "bitops.gray_sequence", "bitops.hadamard_transform",
-         "compiler.pad_to_power_of_two", "csd.csd", "csd.extract_phases", "csd.is_complex_d",
-         "csd.lighten"}
+         "central.decompose_central", "compiler.pad_to_power_of_two", "csd.csd",
+         "csd.extract_phases", "csd.is_complex_d", "csd.lighten", "seo.concat"}
 
 
 def test_stale_spans_are_declared(rng, tmp_path, capsys):
