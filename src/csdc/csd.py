@@ -5,10 +5,12 @@
     U = (L0 ⊕ L1) · D · (R0 ⊕ R1),      D = [[C, S], [-S, C]]
 
 with C = diag(cos θ_i), S = diag(sin θ_i) and the angles canonical:
-non-decreasing and inside [0°, 90°].  It works from the SVD of one quadrant,
-or in closed form where the angles form one cluster.  ``csd`` computes the
-same factorization of one matrix with the LAPACK CSD (scipy ``cossin``); it
-is the fallback for the matrices ``csd_stack`` cannot factor accurately.
+non-decreasing and inside [0°, 90°].  It works from one SVD, of one quadrant,
+and gets the other two side matrices by a weighted polar correction and a
+Newton–Schulz step; or in closed form where the angles form one cluster.
+``csd`` computes the same factorization of one matrix with the LAPACK CSD
+(scipy ``cossin``); it is the fallback for the matrices ``csd_stack`` cannot
+factor accurately.
 ``lighten`` (``lighten_stack`` for a stack) applies the QR gauge fix that
 pushes the right side matrices toward the identity inside clusters of equal
 angles, and ``extract_phases`` peels a complex D matrix apart into a real
@@ -191,10 +193,10 @@ def _ct(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def _polar(x: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of each matrix of a stack."""
-    u, _, vh = np.linalg.svd(x)
-    return u @ vh
+def _newton_schulz(x: np.ndarray) -> np.ndarray:
+    """One Newton–Schulz step toward the unitary polar factor of each matrix
+    of a stack, X(3I − XᴴX)/2: where XᴴX = I + E, it makes E about -3E²/4."""
+    return x @ (1.5 * np.eye(x.shape[-1]) - 0.5 * (_ct(x) @ x))
 
 
 def _unitarity_deviations(x: np.ndarray) -> np.ndarray:
@@ -254,13 +256,30 @@ def _cluster_factors(q11, q12, q21, q22, c, s) -> tuple[np.ndarray, ...]:
 
 def _svd_factors(q11, q12, q21, q22) -> tuple[np.ndarray, ...]:
     """CSD from the SVD of Q11 (Paige & Wei, LAA 1994): Q11 = L0 C R0 gives
-    L0, C and R0; L1 is the polar factor of -Q21 R0ᴴ = L1 S; R1 is the polar
-    factor of ``_right_rows``, which restores its unitarity."""
+    L0, C and R0, and X = -Q21 R0ᴴ = L1 S gives S and L1, with no second SVD.
+
+    S holds the column norms of X, so G = XᴴX is S² up to rounding, and L1 is
+    the polar factor X G^(-1/2).  X·W, with W the first-order expansion of
+    G^(-1/2) about S² (W_ii = 1/s_i, W_ij = -G_ij / (s_i s_j (s_i + s_j))),
+    splits each orthogonality error between columns i and j as the polar
+    factor does; one Newton–Schulz step then makes L1 unitary to rounding
+    (Higham, *Functions of Matrices*, SIAM 2008, ch. 8; Björck & Bowie, SIAM
+    J. Numer. Anal. 1971).  R1 from ``_right_rows`` is unitary to rounding
+    already (each row is divided by max(s, c) >= 1/√2), and takes one step.
+    A zero s gives non-finite factors, which ``csd_stack``'s checks send to
+    ``csd``.
+    """
     l0, c, r0 = np.linalg.svd(q11)
     x = -q21 @ _ct(r0)
-    l1 = _polar(x)
-    s = np.einsum("kij,kij->kj", l1.conj(), x).real
-    return l0, l1, r0, _polar(_right_rows(l0, l1, q12, q22, c, s)), c, s
+    g = _ct(x) @ x
+    s = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        si, sj = s[:, :, None], s[:, None, :]
+        w = -g / (si * sj * (si + sj))
+        i = np.arange(s.shape[1])
+        w[:, i, i] = 1.0 / s
+        l1 = _newton_schulz(x @ w)
+    return l0, l1, r0, _newton_schulz(_right_rows(l0, l1, q12, q22, c, s)), c, s
 
 
 def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
@@ -272,9 +291,10 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     ``lighten``.  The angles come out canonical, since the singular values
     arrive in descending order.  A matrix is handed to ``csd`` instead
     when an angle is within _BATCHED_MIN_CS (as a cosine or sine) of 90° or
-    0°, when its factors fail the side-unitarity or block residual check, or
-    when the checks cannot vouch for its unitarity within tol; ``csd`` then
-    raises NotUnitaryError if the matrix is not unitary within tol.
+    0°, when its factors fail the side-unitarity or block residual check
+    (non-finite factors fail both), or when the checks cannot vouch for its
+    unitarity within tol; ``csd`` then raises NotUnitaryError if the matrix
+    is not unitary within tol.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
@@ -290,20 +310,25 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     else:
         l0, l1, r0, r1, c, s = _svd_factors(q11, q12, q21, q22)
     thetas = np.degrees(np.arctan2(s, c))
-    fallback = (np.minimum(c, s) < _BATCHED_MIN_CS).any(axis=1)
-    side_dev = np.max([_unitarity_deviations(x) for x in (l0, l1, r0, r1)], axis=0)
     cs, ss = c[:, None, :], s[:, None, :]
+    sides, rebuilt11, rebuilt21 = [l0, l1, r1], l0 * cs, -(l1 * ss)
+    if not one:     # the closed form's r0 is exactly I
+        sides.append(r0)
+        rebuilt11, rebuilt21 = rebuilt11 @ r0, rebuilt21 @ r0
+    side_dev = np.max([_unitarity_deviations(x) for x in sides], axis=0)
     residual = np.max([np.abs(rebuilt - block).max(axis=(1, 2)) for rebuilt, block in (
-        ((l0 * cs) @ r0, q11), ((l0 * ss) @ r1, q12),
-        (-(l1 * ss) @ r0, q21), ((l1 * cs) @ r1, q22))], axis=0)
-    fallback |= (side_dev > _BATCHED_CHECK_TOL) | (residual > _BATCHED_CHECK_TOL)
+        (rebuilt11, q11), ((l0 * ss) @ r1, q12), (rebuilt21, q21), ((l1 * cs) @ r1, q22))],
+        axis=0)
+    # Each test reads "not within limits", so NaN factors fall back too.
+    fallback = ~(np.minimum(c, s) >= _BATCHED_MIN_CS).all(axis=1)
+    fallback |= ~(side_dev <= _BATCHED_CHECK_TOL) | ~(residual <= _BATCHED_CHECK_TOL)
     # The product P of the factors is unitary within (m·side_dev)(2 + m·side_dev)
     # (max entry, through the spectral norm), and each column of U - P has
     # 2-norm at most sqrt(2m)·residual, so U is unitary within the bound below;
     # where that exceeds tol, ``csd`` checks U itself.
     fw = m * side_dev * (2.0 + m * side_dev)
     fe = np.sqrt(2 * m) * residual
-    fallback |= fw + 2.0 * np.sqrt(1.0 + fw) * fe + fe * fe > tol
+    fallback |= ~(fw + 2.0 * np.sqrt(1.0 + fw) * fe + fe * fe <= tol)
     out = CsdFactors(l0, l1, r0, r1, thetas)
     for i in np.flatnonzero(fallback):
         try:

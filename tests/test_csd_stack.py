@@ -33,6 +33,22 @@ def near_unitary(rng, dim, deviation):
     return u
 
 
+def _polar(x):
+    """Unitary polar factor of each matrix of a stack, by SVD."""
+    u, _, vh = np.linalg.svd(x)
+    return u @ vh
+
+
+def three_svd_factors(q11, q12, q21, q22):
+    """The kernel the weighted polar step replaced, as its oracle: the SVD of
+    Q11, then L1 and R1 as SVD polar factors of -Q21 R0ᴴ and ``_right_rows``."""
+    l0, c, r0 = np.linalg.svd(q11)
+    x = -q21 @ r0.conj().swapaxes(-1, -2)
+    l1 = _polar(x)
+    s = np.einsum("kij,kij->kj", l1.conj(), x).real
+    return l0, l1, r0, _polar(csd_module._right_rows(l0, l1, q12, q22, c, s)), c, s
+
+
 @pytest.fixture
 def csd_calls(monkeypatch):
     """Count the calls the stacked kernels hand to ``csd`` and ``lighten``."""
@@ -136,6 +152,7 @@ class TestBatchedCsd:
         mats = np.stack(order)
         got = csd_stack(mats)
         assert csd_calls["csd"] == len(hard)
+        assert all(np.isfinite(x).all() for x in factors(got, slice(None)))
         for i, u in enumerate(mats):
             if is_hard[i]:
                 want = csd(u)
@@ -150,6 +167,60 @@ class TestBatchedCsd:
                 before = csd_calls["csd"]
                 assert_csd_properties(one(csd_stack(u[None]), 0), u)
                 assert csd_calls["csd"] - before == hard_one
+
+    def test_zero_sine_column_goes_to_csd_alone(self, rng, csd_calls):
+        # With R0 = I and an exact 0° angle, -Q21 R0ᴴ has an exactly zero
+        # column: the weighted polar step divides by its zero norm.
+        zero = (block_diag([random_unitary(rng, 4), random_unitary(rng, 4)])
+                @ d_matrix([0.0, 20.0, 50.0, 80.0])
+                @ block_diag([np.eye(4), random_unitary(rng, 4)]))
+        mats = np.stack([random_unitary(rng, 8), random_unitary(rng, 8), zero,
+                         random_unitary(rng, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = csd_stack(mats)
+        assert csd_calls["csd"] == 1
+        assert all(np.isfinite(x).all() for x in factors(got, slice(None)))
+        want = csd(zero)
+        for a, b in zip(factors(got, 2), [want.l0, want.l1, want.r0, want.r1]):
+            assert np.array_equal(a, b)
+        for i, u in enumerate(mats):
+            assert_csd_properties(one(got, i), u)
+
+    @pytest.mark.parametrize("h", [1, 2, 4, 8, 16])
+    def test_polar_step_matches_three_svd_oracle(self, rng, monkeypatch, h):
+        # One angle within 3° of 0° and one within 3° of 90° (both at least
+        # 1e-4° inside); every fourth matrix has its small angle at 1e-5°,
+        # whose sine is below _BATCHED_MIN_CS, and so goes to csd.
+        mats = []
+        for k in range(24):
+            small = 1e-5 if k % 4 == 3 else rng.uniform(1e-4, 3.0)
+            edge = [small, rng.uniform(87.0, 90.0 - 1e-4)]
+            thetas = (edge + list(rng.uniform(0.0, 90.0, h - 2)) if h > 1
+                      else [edge[0] if k % 2 else edge[1]])
+            mats.append(with_angles(rng, rng.permutation(thetas)))
+        mats = np.stack(mats)
+        fn = csd_module.csd
+
+        def run():
+            sent = []
+
+            def recorded(u, *args):
+                sent.append(next(i for i, m in enumerate(mats) if np.array_equal(m, u)))
+                return fn(u, *args)
+            monkeypatch.setattr(csd_module, "csd", recorded)
+            return lighten_stack(csd_stack(mats)), sent
+
+        got, sent = run()
+        monkeypatch.setattr(csd_module, "_svd_factors", three_svd_factors)
+        want, want_sent = run()
+        assert sent == want_sent == list(range(3, 24, 4))
+        assert np.abs(got.thetas - want.thetas).max() < 1e-12
+        # The two agree to about 1e-14; splitting each error evenly between two
+        # columns, as plain Newton–Schulz on normalised columns does, misses
+        # by up to 4e-12 at h = 16.
+        for a, b in zip(factors(got, slice(None)), factors(want, slice(None))):
+            assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [64, 128, 256])
     def test_large_haar_and_clustered_matrices(self, rng, csd_calls, dim):
@@ -311,6 +382,14 @@ class TestLevelBuild:
                 prog = compile_unitary(u)
                 assert frobenius_distance(u, program_to_matrix(prog)) < 1e-10
         assert calls["n"] == 0
+
+    @pytest.mark.parametrize("nb, calls", [(5, 1), (6, 7), (7, 57)])
+    def test_plain_dft_fallback_counts(self, csd_calls, nb, calls):
+        # Most of these matrices have an angle at 0° or 90°; the others (4 of
+        # 57 at nb = 7) fail the 1e-12 side or residual checks, so a less
+        # accurate kernel sends more of them to csd.
+        compile_unitary(dft_matrix(nb))
+        assert csd_calls["csd"] == calls
 
     def test_near_degenerate_angles_round_trip_exactly(self):
         # Angles 2e-9 to 6e-9 degrees apart are not one cluster: mixing them
