@@ -11,7 +11,6 @@ from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
 from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
                   expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
 from .central import (CentralMatrix, angles_to_theta, complex_d_central, decompose_central,
-                      decompose_diagonal, decompose_real_d, decompose_right_angle_case,
                       diagonal_central, real_d_central)
 from .compiler import (CompileOptions, CsdNode, assemble, build_tree,
                        compile_unitary, pad_to_power_of_two)
@@ -30,7 +29,6 @@ __all__ = [
     "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
     "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
     "CentralMatrix", "angles_to_theta", "complex_d_central", "decompose_central",
-    "decompose_diagonal", "decompose_real_d", "decompose_right_angle_case",
     "diagonal_central", "real_d_central",
     "CompileOptions", "CsdNode", "assemble", "build_tree", "compile_unitary",
     "pad_to_power_of_two",

@@ -25,8 +25,10 @@ array operations: a ladder is a mask over the Gray sequence, and a diagonal's
 PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
 routine builds a 4**nb matrix.  The stack routines (:func:`multiplexors`,
 :func:`decompose_diagonals`, :func:`decompose_level`) emit many centrals in
-one pass and say which one owns each instruction; the single-central ones
-are a stack of one.
+one pass and say which one owns each instruction; :func:`decompose_central`
+emits a single central as a stack of one.  Every real D core is one ROTY
+ladder, whatever its angles; ``extract_phases`` only picks the form of the
+diagonals.
 """
 from __future__ import annotations
 
@@ -41,12 +43,9 @@ import numpy as np
 from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
                      hadamard_transform, kron_transform, popcount)
 from .csd import PhaseFactors, _wrap_deg
-from .seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
+from .seo import (CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
                   cpha_ladder_pruned, gather, rename_bits, rotation_ladder, z_ladder,
                   z_ladder_cnots)
-
-# Angle tolerance for recognizing the {0deg, 90deg} special case.
-RIGHT_ANGLE_TOL = 1e-8
 
 _PHASE_FIELDS = ("omega", "omega_l", "omega_r", "thetas")
 
@@ -131,11 +130,6 @@ def angles_to_theta(phi) -> np.ndarray:
     return kron_transform(v, "walsh") / n
 
 
-def _program(nb: int, kind, target, mask, val, angle) -> Program:
-    """A program from emitted columns, valid by construction."""
-    return Program(nb, kind, target, mask, val, angle, validate=False)
-
-
 def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
     """Where a level's D matrices sit: the rotation bit nb-level, and the bits
     that the control bits 0..nb-2 of the rotation-on-top form land on, which
@@ -161,13 +155,6 @@ def multiplexors(nb: int, level: int, kind: int, angles) -> tuple[Program, np.nd
                            PRUNE_TOL, np.repeat(np.arange(n), m))
 
 
-def decompose_real_d(c: CentralMatrix) -> Program:
-    """ROTY ladder for a real D direct sum: its angles' :func:`multiplexors`."""
-    if c.variant != "realD":
-        raise ValueError("decompose_real_d needs a realD central matrix")
-    return multiplexors(c.nb, c.level, ROTY, c.angles[None])[0]
-
-
 def _number_coefficients(phases: np.ndarray) -> np.ndarray:
     """Coefficients of a diagonal's phases over products of number operators:
     theta = M^T phi with M the projector-to-number basis change, that is
@@ -175,14 +162,6 @@ def _number_coefficients(phases: np.ndarray) -> np.ndarray:
     Möbius transform of :func:`~csdc.bitops.kron_transform`.
     """
     return kron_transform(np.asarray(phases, dtype=np.float64), "mobius")
-
-
-def decompose_diagonal(c: CentralMatrix, mode: str = "rotz-chain") -> Program:
-    """Program for a diagonal unitary diag(exp(i phases)): its
-    :func:`decompose_diagonals`."""
-    if c.variant != "diagonal":
-        raise ValueError("decompose_diagonal needs a diagonal central matrix")
-    return decompose_diagonals(c.phases[None], mode)[0]
 
 
 def decompose_diagonals(phases, mode: str) -> tuple[Program, np.ndarray]:
@@ -224,7 +203,7 @@ def decompose_diagonals(phases, mode: str) -> tuple[Program, np.ndarray]:
     target = np.concatenate([np.full(n_p, -1), z_bit, np.full(n_c, -1)])
     ctrl = np.concatenate([np.zeros(n_p + n_z, dtype=np.int64), cpha])
     angle = np.concatenate([total[p_own], -half[z_own, z_bit], theta[c_own, cpha]])
-    return (_program(nb, kind, target, ctrl, ctrl, angle),
+    return (Program(nb, kind, target, ctrl, ctrl, angle, validate=False),
             np.concatenate([p_own, z_own, c_own]))
 
 
@@ -288,64 +267,20 @@ def split_on_bit(phases: np.ndarray, rot: int) -> tuple[np.ndarray, np.ndarray]:
     return ((p + p[:, ::-1]) / 2).reshape(-1), ((p[:, 0] - p[:, 1]) / 2).reshape(-1)
 
 
-def is_right_angle(angles, tol: float = RIGHT_ANGLE_TOL):
-    """Whether every angle (along the last axis) is 0 or 90 degrees within tol."""
-    a = np.asarray(angles, dtype=np.float64)
-    return np.all((np.abs(a) <= tol) | (np.abs(a - 90.0) <= tol), axis=-1)
-
-
-def decompose_right_angle_case(c: CentralMatrix) -> Program:
-    """Special handling when every D angle is 0 or 90 degrees.
-
-    A bare 90-degree rotation stays a single ROTY; the one-control form (the
-    90s fill exactly the half selected by one control bit) becomes a c-not
-    followed by a two-control 180-degree phase; anything else falls back to
-    the generic ladder.
-    """
-    if c.variant != "realD":
-        raise ValueError("decompose_right_angle_case needs a realD central matrix")
-    if not is_right_angle(c.angles):
-        raise ValueError("decompose_right_angle_case needs angles in {0, 90} degrees")
-    nb = c.nb
-    on = np.abs(np.asarray(c.angles, dtype=np.float64) - 90.0) <= RIGHT_ANGLE_TOL
-    rot, ctrl_bits = _places(nb, c.level)
-    if not np.any(on):
-        return _program(nb, [], [], [], [], [])
-    if np.all(on):
-        return _program(nb, [ROTY], [rot], [0], [0], [90.0])
-    idx = np.arange(1 << (nb - 1))
-    top = 1 << rot
-    for delta in range(nb - 1):
-        for pol in (True, False):
-            if np.array_equal(on, ((idx >> delta) & 1) == (1 if pol else 0)):
-                ctrl = 1 << int(ctrl_bits[delta])
-                val = ctrl if pol else 0
-                return _program(nb, [CNOT, CPHA], [rot, -1], [ctrl, ctrl | top],
-                                [val, val | top], [0.0, 180.0])
-    return decompose_real_d(c)
-
-
 def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, phased,
                     extract_phases: bool = True) -> list[tuple[Program, np.ndarray]]:
     """The centrals of a tree level, one per row i of the (n, 2**(nb-1))
     stack ``thetas``, as (program, owner of each instruction) pieces, the
     owner 3i + s.
 
-    s = 1 marks central i's real D core: with ``extract_phases`` a core of
-    right angles only takes :func:`decompose_right_angle_case`, and one
-    :func:`multiplexors` call emits the others.  Given the level's
-    ``factors``, s = 0 and 2 mark the right and left side diagonals of each
-    ``phased`` central (:func:`side_phases`): one :func:`decompose_diagonals`
-    call per side, in the form ``extract_phases`` picks.
+    s = 1 marks central i's real D core; one :func:`multiplexors` call emits
+    every core.  Given the level's ``factors``, s = 0 and 2 mark the right
+    and left side diagonals of each ``phased`` central (:func:`side_phases`):
+    one :func:`decompose_diagonals` call per side.  ``extract_phases`` only
+    picks the form of these side diagonals.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    special = is_right_angle(thetas) & extract_phases
-    rest = np.flatnonzero(~special)
-    program, owner = multiplexors(nb, level, ROTY, thetas[rest])
-    pieces = [(program, 3 * rest[owner] + 1)]
-    for i in np.flatnonzero(special).tolist():
-        program = decompose_right_angle_case(real_d_central(nb, level, thetas[i]))
-        pieces.append((program, np.full(len(program), 3 * i + 1)))
+    program, owner = multiplexors(nb, level, ROTY, thetas)
+    pieces = [(program, 3 * owner + 1)]
     if factors is not None:
         rows = np.flatnonzero(phased)
         for s, phases in enumerate(side_phases(nb, level, factors)):
@@ -355,16 +290,17 @@ def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, p
 
 
 def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
-    """Dispatch a central matrix to its emission routine: a diagonal to
-    :func:`decompose_diagonal`, a real or complex D one as a level of one
+    """The program of one central matrix: a diagonal's
+    :func:`decompose_diagonals`, a real or complex D one as a level of one
     central (:func:`decompose_level`).
 
-    ``extract_phases`` (the compile option) picks the emission: diagonals as
-    controlled phases and real cores through the right-angle special case
-    when set; rotz-chain diagonals and the plain ladder otherwise.
+    ``extract_phases`` (the compile option) picks the form of the diagonals,
+    the central itself or a complex D one's sides: controlled phases when
+    set, a rotz chain otherwise.  The real D core is the same ROTY ladder
+    either way.
     """
     if c.variant == "diagonal":
-        return decompose_diagonal(c, _default_mode(extract_phases))
+        return decompose_diagonals(c.phases[None], _default_mode(extract_phases))[0]
     f = c.factors.map(lambda x: x.reshape(1, -1)) if c.variant == "complexD" else None
     thetas = (c.angles if f is None else f.thetas).reshape(1, -1)
     pieces = decompose_level(c.nb, c.level, thetas, f, [True], extract_phases)

@@ -132,8 +132,9 @@ def dense_central(c):
 def cheaper_diagonal(c, extract_phases=True):
     """A diagonal central in the form whose expansion has fewer two-qubit
     gates, as ``cheaper_mode`` picks it from ``diagonal_costs``."""
-    from csdc.central import cheaper_mode, decompose_diagonal, diagonal_costs
-    return decompose_diagonal(c, cheaper_mode(diagonal_costs(c.phases), extract_phases))
+    from csdc.central import cheaper_mode, decompose_diagonals, diagonal_costs
+    mode = cheaper_mode(diagonal_costs(c.phases), extract_phases)
+    return decompose_diagonals(c.phases[None], mode)[0]
 
 
 def rows(program):

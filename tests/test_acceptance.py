@@ -5,14 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import numpy as np
 
 from csdc import (CompileOptions, build_tree,
-                  compile_unitary, csd, decompose_diagonal, decompose_real_d,
-                  decompose_right_angle_case, decompose_central,
+                  compile_unitary, csd, decompose_central,
                   diagonal_central, expand_controls, frobenius_distance,
                   hadamard_input, parse, program_to_matrix,
                   quantum_fft_program, real_d_central, complex_d_central,
                   serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.central import is_right_angle
+from csdc.central import decompose_diagonals
 from csdc.reference import dft_matrix
 
 from conftest import (block_diag, dense_central, dense_diagonal, program_of_rows,
@@ -142,7 +141,7 @@ def test_criterion_6_central_decomposition_oracle():
         for level in range(1, nb + 1):
             for _ in range(10):
                 c = real_d_central(nb, level, rng.uniform(-180, 180, 1 << (nb - 1)))
-                err = frobenius_distance(program_to_matrix(decompose_real_d(c)),
+                err = frobenius_distance(program_to_matrix(decompose_central(c)),
                                          dense_central(c))
                 worst["realD"] = max(worst["realD"], err)
 
@@ -155,16 +154,15 @@ def test_criterion_6_central_decomposition_oracle():
 
                 phi = rng.choice([0.0, 90.0], size=1 << (nb - 1))
                 cr = real_d_central(nb, level, phi)
-                assert is_right_angle(cr.angles)
-                err = frobenius_distance(
-                    program_to_matrix(decompose_right_angle_case(cr)),
-                    dense_central(cr))
+                err = frobenius_distance(program_to_matrix(decompose_central(cr)),
+                                         dense_central(cr))
                 worst["right-angle"] = max(worst["right-angle"], err)
         for mode in ("rotz-chain", "controlled-phase"):
             for _ in range(17):
                 c = diagonal_central(nb, rng.uniform(-180, 180, 1 << nb))
-                err = frobenius_distance(program_to_matrix(decompose_diagonal(c, mode)),
-                                         dense_diagonal(c.phases))
+                err = frobenius_distance(
+                    program_to_matrix(decompose_diagonals(c.phases[None], mode)[0]),
+                    dense_diagonal(c.phases))
                 worst["diagonal"] = max(worst["diagonal"], err)
     ok = all(v < 1e-10 for v in worst.values())
     report("criterion 6: central decompositions match dense constructions", ok,

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
-                  complex_d_central, decompose_central, decompose_diagonal,
-                  decompose_real_d, decompose_right_angle_case, diagonal_central,
+                  complex_d_central, decompose_central, diagonal_central,
                   frobenius_distance, program_to_matrix, real_d_central, serialize)
 from csdc.bitops import hadamard_transform, kron_transform, state_permutation
-from csdc.central import diagonal_costs
-from csdc.seo import PRUNE_TOL, rename_bits, two_qubit_gates
+from csdc.central import decompose_diagonals, diagonal_costs, multiplexors
+from csdc.seo import PRUNE_TOL, ROTY, rename_bits, two_qubit_gates
 
 from conftest import (bits_of, cheaper_diagonal, dense_central, dense_diagonal,
                       dense_real_d_central, level_alias, random_phase_factors, rows)
@@ -38,7 +37,7 @@ class TestDecomposeRealD:
     def test_golden_sequence_nb3_level1(self, rng):
         phi = rng.uniform(5, 85, 4)  # distinct, far from zero
         c = real_d_central(3, 1, phi)
-        prog = decompose_real_d(c)
+        prog = decompose_central(c)
         theta = angles_to_theta(phi)
         kinds = [(k, t, tuple(bits_of(m))) for k, t, m, _v, _a in rows(prog)]
         assert kinds == [
@@ -52,15 +51,15 @@ class TestDecomposeRealD:
 
     def test_all_zero_angles_empty(self):
         c = real_d_central(3, 1, np.zeros(4))
-        assert len(decompose_real_d(c)) == 0
+        assert len(decompose_central(c)) == 0
 
     def test_equal_angles_single_rotation(self):
         c = real_d_central(3, 1, [25.0] * 4)
-        prog = decompose_real_d(c)
+        prog = decompose_central(c)
         assert serialize(prog) == "ROTY 2 25\n"
 
     def test_nb1(self):
-        prog = decompose_real_d(real_d_central(1, 1, [33.0]))
+        prog = decompose_central(real_d_central(1, 1, [33.0]))
         assert serialize(prog) == "ROTY 0 33\n"
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
@@ -69,21 +68,21 @@ class TestDecomposeRealD:
             for _ in range(5):
                 phi = rng.uniform(-180, 180, 1 << (nb - 1))
                 c = real_d_central(nb, level, phi)
-                got = program_to_matrix(decompose_real_d(c))
+                got = program_to_matrix(decompose_central(c))
                 assert frobenius_distance(got, dense_real_d_central(nb, level, phi)) < 1e-10
 
     def test_cnot_budget(self, rng):
         phi = rng.uniform(5, 85, 8)
-        prog = decompose_real_d(real_d_central(4, 1, phi))
+        prog = decompose_central(real_d_central(4, 1, phi))
         cnots = sum(1 for r in rows(prog) if r[0] == "CNOT")
         assert cnots <= 8
 
     def test_level_alias_equivalence(self, rng):
         nb = 3
         phi = rng.uniform(-90, 90, 4)
-        base = program_to_matrix(decompose_real_d(real_d_central(nb, 1, phi)))
+        base = program_to_matrix(decompose_central(real_d_central(nb, 1, phi)))
         for level in (2, 3):
-            aliased = program_to_matrix(decompose_real_d(real_d_central(nb, level, phi)))
+            aliased = program_to_matrix(decompose_central(real_d_central(nb, level, phi)))
             moved = apply_bit_permutation(level_alias(nb, level), base)
             assert frobenius_distance(aliased, moved) < 1e-12
 
@@ -114,16 +113,16 @@ def pruned_angles(rng, nb):
 
 
 def right_angle_patterns(nb):
-    """(branch, angles) for every branch of decompose_right_angle_case: none
-    at 90°, all at 90°, one control of either polarity at every delta, and a
-    pattern no single control selects (the ladder fallback)."""
+    """(pattern, angles) of cores whose angles are all 0° or 90°: none at 90°,
+    all at 90°, the half one control bit of either polarity selects at every
+    delta, and a pattern no single control selects."""
     idx = np.arange(1 << (nb - 1))
     out = [("none", np.zeros(idx.size)), ("all", np.full(idx.size, 90.0))]
     for delta in range(nb - 1):
         for pol in (1, 0):
             out.append(("one", np.where(((idx >> delta) & 1) == pol, 90.0, 0.0)))
     if nb >= 3:
-        out.append(("ladder", np.where(idx == 0, 90.0, 0.0)))
+        out.append(("other", np.where(idx == 0, 90.0, 0.0)))
     return out
 
 
@@ -133,26 +132,19 @@ class TestFinalBitPositions:
 
     @pytest.mark.parametrize("nb", range(1, 9))
     def test_real_d_equals_renamed_level_one(self, rng, nb):
-        for _ in range(3):
-            phi = pruned_angles(rng, nb)
-            top = decompose_real_d(real_d_central(nb, 1, phi))
+        """Random pruned angles, and cores of 0° and 90° only, which take the
+        same ladder."""
+        cases = [(None, pruned_angles(rng, nb)) for _ in range(3)]
+        for pattern, phi in cases + right_angle_patterns(nb):
+            top = decompose_central(real_d_central(nb, 1, phi))
+            if pattern == "none":
+                assert len(top) == 0
+            elif pattern == "all":
+                assert rows(top) == [("ROTY", nb - 1, 0, 0, 90.0)]
             for level in range(1, nb + 1):
-                got = decompose_real_d(real_d_central(nb, level, phi))
+                got = decompose_central(real_d_central(nb, level, phi))
                 assert got == rename_bits(top, level_alias(nb, level))
-
-    @pytest.mark.parametrize("nb", range(1, 9))
-    def test_right_angle_equals_renamed_level_one(self, nb):
-        for branch, phi in right_angle_patterns(nb):
-            top = decompose_right_angle_case(real_d_central(nb, 1, phi))
-            if branch == "ladder":
-                assert top == decompose_real_d(real_d_central(nb, 1, phi))
-            else:
-                assert len(top) == {"none": 0, "all": 1, "one": 2}[branch]
-            for level in range(1, nb + 1):
-                c = real_d_central(nb, level, phi)
-                got = decompose_right_angle_case(c)
-                assert got == rename_bits(top, level_alias(nb, level))
-                if nb <= 4:
+                if pattern is not None and nb <= 4:
                     assert frobenius_distance(program_to_matrix(got),
                                               dense_real_d_central(nb, level, phi)) < 1e-12
 
@@ -160,7 +152,7 @@ class TestFinalBitPositions:
 class TestDecomposeDiagonal:
     def test_nb2_rotz_chain_structure(self, rng):
         phi = rng.uniform(10, 170, 4)
-        prog = decompose_diagonal(diagonal_central(2, phi), mode="rotz-chain")
+        prog = decompose_diagonals(phi[None], "rotz-chain")[0]
         kinds = [(r[0], r[1]) for r in rows(prog)]
         assert kinds == [("PHAS", -1), ("ROTZ", 1), ("CNOT", 0), ("ROTZ", 0),
                          ("CNOT", 0), ("ROTZ", 0)]
@@ -168,41 +160,40 @@ class TestDecomposeDiagonal:
         assert frobenius_distance(got, dense_diagonal(phi)) < 1e-12
 
     def test_constant_phases_single_phas(self):
-        prog = decompose_diagonal(diagonal_central(2, [17.0] * 4))
+        prog = decompose_diagonals(np.full((1, 4), 17.0), "rotz-chain")[0]
         assert serialize(prog) == "PHAS 17\n"
 
     def test_fft_coupling_is_single_cpha(self):
         # diag phase 45deg exactly on states with bits 0 and 2 set.
         phi = np.array([45.0 if (s >> 0 & 1) and (s >> 2 & 1) else 0.0
                         for s in range(8)])
-        prog = decompose_diagonal(diagonal_central(3, phi), mode="controlled-phase")
+        prog = decompose_diagonals(phi[None], "controlled-phase")[0]
         assert serialize(prog) == "CPHA 0 T 2 T 45\n"
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_modes_agree(self, rng, nb):
         for _ in range(5):
             phi = rng.uniform(-180, 180, 1 << nb)
-            c = diagonal_central(nb, phi)
-            a = program_to_matrix(decompose_diagonal(c, mode="rotz-chain"))
-            b = program_to_matrix(decompose_diagonal(c, mode="controlled-phase"))
+            a = program_to_matrix(decompose_diagonals(phi[None], "rotz-chain")[0])
+            b = program_to_matrix(decompose_diagonals(phi[None], "controlled-phase")[0])
             assert frobenius_distance(a, dense_diagonal(phi)) < 1e-10
             assert frobenius_distance(b, dense_diagonal(phi)) < 1e-10
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            decompose_diagonal(diagonal_central(1, [0.0, 0.0]), mode="bogus")
+            decompose_diagonals(np.zeros((1, 2)), "bogus")
 
     @pytest.mark.parametrize("extract_phases", [True, False])
     def test_expansion_picks_the_cheaper_form(self, rng, extract_phases):
         # A dense diagonal's CPHAs cost 6 * 1 + 4 * 6 + 14 = 44 two-qubit
         # gates once expanded (2, 3 and 4 controls); its rotz chain costs 14.
         c = diagonal_central(4, rng.uniform(-180, 180, 16))
-        chain = decompose_diagonal(c, mode="rotz-chain")
+        chain = decompose_diagonals(c.phases[None], "rotz-chain")[0]
         assert cheaper_diagonal(c, extract_phases) == chain
         # One CPHA on two bits costs 1 as a controlled phase, 2 as a chain.
         phi = np.where(np.arange(16) & 0b1010 == 0b1010, 45.0, 0.0)
         c = diagonal_central(4, phi)
-        cpha = decompose_diagonal(c, mode="controlled-phase")
+        cpha = decompose_diagonals(c.phases[None], "controlled-phase")[0]
         assert cheaper_diagonal(c, extract_phases) == cpha
 
     @pytest.mark.parametrize("extract_phases, mode", [(True, "controlled-phase"),
@@ -214,7 +205,7 @@ class TestDecomposeDiagonal:
                ).sum(axis=0)
         c = diagonal_central(4, phi)
         got = cheaper_diagonal(c, extract_phases)
-        assert got == decompose_diagonal(c, mode)
+        assert got == decompose_diagonals(c.phases[None], mode)[0]
         assert got == decompose_central(c, extract_phases)
 
 
@@ -223,8 +214,7 @@ class TestDiagonalCosts:
 
     @staticmethod
     def emitted(phases):
-        c = diagonal_central(len(phases).bit_length() - 1, phases)
-        return tuple(two_qubit_gates(decompose_diagonal(c, mode))
+        return tuple(two_qubit_gates(decompose_diagonals(phases[None], mode)[0])
                      for mode in ("rotz-chain", "controlled-phase"))
 
     @pytest.mark.parametrize("nb", range(1, 8))
@@ -270,7 +260,7 @@ class TestDecomposeComplexD:
         thetas = rng.uniform(0, 90, 2)
         z = np.zeros(2)
         c = complex_d_central(2, 1, [PhaseFactors(z, z, z, thetas)])
-        real = decompose_real_d(real_d_central(2, 1, thetas))
+        real = multiplexors(2, 1, ROTY, thetas[None])[0]
         assert decompose_central(c) == real
 
     def test_pure_global_phase_block(self):
@@ -288,55 +278,6 @@ class TestDecomposeComplexD:
             for extract_phases in (True, False):
                 got = program_to_matrix(decompose_central(c, extract_phases))
                 assert frobenius_distance(got, dense_central(c)) < 1e-10
-
-
-class TestRightAngleCase:
-    def test_single_bit_90(self):
-        prog = decompose_right_angle_case(real_d_central(1, 1, [90.0]))
-        assert serialize(prog) == "ROTY 0 90\n"
-        assert np.allclose(program_to_matrix(prog), [[0, 1], [-1, 0]])
-
-    def test_one_control_form_true_polarity(self):
-        # 90s exactly where control bit 0 is one.
-        phi = [0.0, 90.0, 0.0, 90.0]
-        c = real_d_central(3, 1, phi)
-        prog = decompose_right_angle_case(c)
-        assert serialize(prog) == "CNOT 0 T 2\nCPHA 0 T 2 T 180\n"
-        assert frobenius_distance(program_to_matrix(prog),
-                                  dense_real_d_central(3, 1, phi)) < 1e-12
-
-    def test_one_control_form_false_polarity(self):
-        phi = [90.0, 0.0, 90.0, 0.0]
-        c = real_d_central(3, 1, phi)
-        prog = decompose_right_angle_case(c)
-        assert serialize(prog) == "CNOT 0 F 2\nCPHA 0 F 2 T 180\n"
-        assert frobenius_distance(program_to_matrix(prog),
-                                  dense_real_d_central(3, 1, phi)) < 1e-12
-
-    def test_all_zero_empty(self):
-        assert len(decompose_right_angle_case(real_d_central(2, 1, [0.0, 0.0]))) == 0
-
-    def test_all_90_single_rotation(self):
-        prog = decompose_right_angle_case(real_d_central(2, 1, [90.0, 90.0]))
-        assert serialize(prog) == "ROTY 1 90\n"
-
-    def test_generic_pattern_falls_back(self, rng):
-        phi = [0.0, 90.0, 90.0, 90.0]
-        c = real_d_central(3, 1, phi)
-        prog = decompose_right_angle_case(c)
-        assert frobenius_distance(program_to_matrix(prog),
-                                  dense_real_d_central(3, 1, phi)) < 1e-10
-
-    def test_rejects_other_angles(self):
-        with pytest.raises(ValueError):
-            decompose_right_angle_case(real_d_central(2, 1, [45.0, 90.0]))
-
-    def test_aliased_level(self):
-        phi = [0.0, 90.0, 0.0, 90.0]
-        c = real_d_central(3, 2, phi)
-        prog = decompose_right_angle_case(c)
-        assert frobenius_distance(program_to_matrix(prog),
-                                  dense_real_d_central(3, 2, phi)) < 1e-12
 
 
 class TestCentralMatrixValidation:

@@ -9,8 +9,7 @@ import pytest
 
 from csdc.bitops import basis_change_matrix, gray_sequence, hadamard_transform
 from csdc.central import (PRUNE_TOL, _number_coefficients, angles_to_theta,
-                          decompose_diagonal, decompose_real_d, diagonal_central,
-                          real_d_central)
+                          decompose_central, decompose_diagonals, real_d_central)
 from csdc.csd import _wrap_deg
 from csdc.seo import serialize, z_ladder
 
@@ -146,7 +145,7 @@ def test_real_d_ladder_equals_loop(rng, nb):
     for _ in range(10):
         theta = with_zeros(rng, 1 << (nb - 1), rng.uniform(-90, 90, 1 << (nb - 1)))
         c = real_d_central(nb, 1, hadamard_transform(theta))   # pruned rotations inside
-        assert decompose_real_d(c) == real_d_loop(nb, _wrap_deg(angles_to_theta(c.angles)))
+        assert decompose_central(c) == real_d_loop(nb, _wrap_deg(angles_to_theta(c.angles)))
 
 
 @pytest.mark.parametrize("nb", range(1, 8))
@@ -154,7 +153,7 @@ def test_controlled_phase_rows_equal_loop(rng, nb):
     for _ in range(10):
         phases = with_zeros(rng, 1 << nb, rng.uniform(-180, 180, 1 << nb))
         theta = _wrap_deg(_number_coefficients(phases))
-        got = decompose_diagonal(diagonal_central(nb, phases), mode="controlled-phase")
+        got = decompose_diagonals(phases[None], "controlled-phase")[0]
         assert got == controlled_phase_loop(nb, theta)
 
 

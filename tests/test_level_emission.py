@@ -16,7 +16,7 @@ import pytest
 from csdc import (CompileOptions, assemble, build_tree, direct_sum, expand_controls,
                   hadamard_input, pad_to_power_of_two, serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.central import (cheaper_mode, decompose_central, decompose_diagonal,
+from csdc.central import (cheaper_mode, decompose_central, decompose_diagonals,
                           diagonal_central, diagonal_costs, multiplexors, real_d_central,
                           split_on_bit)
 from csdc.compiler import program_for_tree
@@ -81,13 +81,13 @@ def carried(centrals, extract_phases, branches=None):
                 out.append(multiplexors(nb, c.level, ROTZ, beta[None])[0])
                 pending = alpha
             else:
-                out.append(decompose_diagonal(diagonal_central(nb, pending),
-                                              cheaper_mode(costs, extract_phases)))
+                out.append(decompose_diagonals(pending[None],
+                                               cheaper_mode(costs, extract_phases))[0])
                 pending = np.zeros(1 << nb)
         out.append(decompose_central(c, extract_phases))
         pending = pending + left
     mode = cheaper_mode(diagonal_costs(pending), extract_phases)
-    return out + [decompose_diagonal(diagonal_central(nb, pending), mode)]
+    return out + [decompose_diagonals(pending[None], mode)[0]]
 
 
 def node_by_node(root, opts):
