@@ -132,11 +132,19 @@ class TestFinalBitPositions:
 
     @pytest.mark.parametrize("nb", range(1, 9))
     def test_real_d_equals_renamed_level_one(self, rng, nb):
-        """Random pruned angles, and cores of 0° and 90° only, which take the
-        same ladder."""
-        cases = [(None, pruned_angles(rng, nb)) for _ in range(3)]
-        for pattern, phi in cases + right_angle_patterns(nb):
+        for _ in range(3):
+            phi = pruned_angles(rng, nb)
             top = decompose_central(real_d_central(nb, 1, phi))
+            for level in range(1, nb + 1):
+                got = decompose_central(real_d_central(nb, level, phi))
+                assert got == rename_bits(top, level_alias(nb, level))
+
+    @pytest.mark.parametrize("nb", range(1, 9))
+    def test_right_angle_equals_renamed_level_one(self, nb):
+        """Cores of 0° and 90° only take the same ladder as any other core."""
+        for pattern, phi in right_angle_patterns(nb):
+            top = decompose_central(real_d_central(nb, 1, phi))
+            assert top == multiplexors(nb, 1, ROTY, phi[None])[0]
             if pattern == "none":
                 assert len(top) == 0
             elif pattern == "all":
@@ -144,7 +152,7 @@ class TestFinalBitPositions:
             for level in range(1, nb + 1):
                 got = decompose_central(real_d_central(nb, level, phi))
                 assert got == rename_bits(top, level_alias(nb, level))
-                if pattern is not None and nb <= 4:
+                if nb <= 4:
                     assert frobenius_distance(program_to_matrix(got),
                                               dense_real_d_central(nb, level, phi)) < 1e-12
 
