@@ -13,7 +13,8 @@ and each step below is one vectorised pass over the level:
   * complex-D test (``is_complex_d_stack``); every 2x2 leaf is a complex D
     matrix;
   * CSD of the rest: ``csd_stack`` (an SVD-based CSD, in closed form where
-    the angles form one cluster) at every size, then ``lighten_stack``;
+    the angles form one cluster, with a closed-form 2x2 SVD at d = 4) at
+    every size, then ``lighten_stack``;
     ``csd_stack`` itself hands ``csd`` (LAPACK through scipy's ``cossin``)
     every matrix it cannot factor accurately (angles near 0° or 90°, failed
     side or residual checks);

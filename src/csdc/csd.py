@@ -8,6 +8,10 @@ with C = diag(cos θ_i), S = diag(sin θ_i) and the angles canonical:
 non-decreasing and inside [0°, 90°].  It works from one SVD, of one quadrant,
 and gets the other two side matrices by a weighted polar correction and a
 Newton–Schulz step; or in closed form where the angles form one cluster.
+For 4x4 matrices the SVD of the 2x2 quadrant is in closed form too
+(``_svd2``), and every product of its path with an inner dimension of at
+most 2 is a broadcast multiply-add (``_mm``), so a stack of them makes no
+LAPACK or BLAS call per matrix.
 ``csd`` computes the same factorization of one matrix with the LAPACK CSD
 (scipy ``cossin``); it is the fallback for the matrices ``csd_stack`` cannot
 factor accurately.
@@ -175,17 +179,31 @@ def lighten(f: CsdFactors) -> CsdFactors:
     unchanged.  Choosing G per cluster as the Q of a QR decomposition of the
     cluster's row block of r0 makes that block upper triangular with a real
     non-negative principal diagonal; a fully degenerate unitary r0 collapses
-    to the identity.  Angles are untouched.
+    to the identity.
+
+    Where the angles are all apart and every row of the new r0 has a real
+    positive first entry, that gauge is one phase per angle and unique.  It
+    leaves one more freedom where a sine vanishes (below _PHASE_MAG_TINY):
+    D does not couple L1 and R1 there, so a phase on that column of L1 and
+    its conjugate on that row of r1 leave the product unchanged too (to
+    within 2·sin θ per entry of Q12 and Q21).  That phase is fixed as
+    ``qr_nonneg`` fixes a one-row block of r1, so the factors do not depend
+    on the rounding that the CSD left in the row.  Angles are untouched.
     """
     gs = []
     new_r0 = np.empty_like(f.r0)
-    for start, stop in angle_clusters(f.thetas):
+    clusters = angle_clusters(f.thetas)
+    for start, stop in clusters:
         q, r = qr_nonneg(f.r0[start:stop, :])
         gs.append(q)
         new_r0[start:stop, :] = r
     g = direct_sum(gs) if len(gs) > 1 else gs[0]
-    return CsdFactors(l0=f.l0 @ g, l1=f.l1 @ g, r0=new_r0, r1=g.conj().T @ f.r1,
-                      thetas=f.thetas)
+    l1, r1 = f.l1 @ g, g.conj().T @ f.r1
+    if len(clusters) == len(f.thetas) and (np.abs(f.r0[:, 0]) >= _PHASE_MAG_TINY).all():
+        for j in np.flatnonzero(np.sin(np.radians(f.thetas)) < _PHASE_MAG_TINY):
+            q, r1[j:j + 1, :] = qr_nonneg(r1[j:j + 1, :])
+            l1[:, j] *= q[0, 0]
+    return CsdFactors(l0=f.l0 @ g, l1=l1, r0=new_r0, r1=r1, thetas=f.thetas)
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
@@ -193,15 +211,28 @@ def _ct(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices.  An inner dimension of at most 2 is
+    summed as broadcast products: ``@`` makes one BLAS call per matrix of a
+    stack, which costs more than the arithmetic of a 2x2 product."""
+    n = a.shape[-1]
+    if n > 2:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    if n == 2:
+        out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
 def _newton_schulz(x: np.ndarray) -> np.ndarray:
     """One Newton–Schulz step toward the unitary polar factor of each matrix
     of a stack, X(3I − XᴴX)/2: where XᴴX = I + E, it makes E about -3E²/4."""
-    return x @ (1.5 * np.eye(x.shape[-1]) - 0.5 * (_ct(x) @ x))
+    return _mm(x, 1.5 * np.eye(x.shape[-1]) - 0.5 * _mm(_ct(x), x))
 
 
 def _unitarity_deviations(x: np.ndarray) -> np.ndarray:
     """Max-entry deviation of XᴴX from the identity, per matrix of a stack."""
-    return np.abs(_ct(x) @ x - np.eye(x.shape[-1])).max(axis=(-2, -1))
+    return np.abs(_mm(_ct(x), x) - np.eye(x.shape[-1])).max(axis=(-2, -1))
 
 
 def _set_factors(out: CsdFactors, i: int, f: CsdFactors) -> None:
@@ -224,7 +255,7 @@ def _one_cluster(q11: np.ndarray, q21: np.ndarray) -> tuple[bool, np.ndarray, np
     if (np.ptp(c2, axis=1).max() > _BATCHED_CHECK_TOL
             or np.minimum(c, s).min() < _BATCHED_MIN_CS):
         return False, c, s
-    gram = _ct(q11) @ q11 - (c ** 2)[:, None, None] * np.eye(q11.shape[-1])
+    gram = _mm(_ct(q11), q11) - (c ** 2)[:, None, None] * np.eye(q11.shape[-1])
     return bool(np.abs(gram).max() <= _BATCHED_CHECK_TOL), c, s
 
 
@@ -233,11 +264,11 @@ def _right_rows(l0, l1, q12, q22, c, s) -> np.ndarray:
     two has the larger divisor, s_j or c_j."""
     top = s >= c
     if top.all():
-        rows = _ct(l0) @ q12
+        rows = _mm(_ct(l0), q12)
     elif not top.any():
-        rows = _ct(l1) @ q22
+        rows = _mm(_ct(l1), q22)
     else:
-        rows = np.where(top[:, :, None], _ct(l0) @ q12, _ct(l1) @ q22)
+        rows = np.where(top[:, :, None], _mm(_ct(l0), q12), _mm(_ct(l1), q22))
     return rows / np.maximum(s, c)[:, :, None]
 
 
@@ -254,6 +285,41 @@ def _cluster_factors(q11, q12, q21, q22, c, s) -> tuple[np.ndarray, ...]:
     return l0, l1, r0, _right_rows(l0, l1, q12, q22, c, s), c, s
 
 
+def _svd2(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD of every 2x2 matrix of a stack, Q = U diag(σ) Vᴴ, as
+    ``np.linalg.svd`` returns it: (U, σ descending, Vᴴ).
+
+    V is the Jacobi rotation that diagonalizes G = QᴴQ (Brent, Luk & Van
+    Loan, J. VLSI Comput. Syst. 1985): G = Φ J diag(λ) Jᴴ Φᴴ with
+    Φ = diag(1, e^(-iψ)), ψ = arg G₀₁, and J the real rotation by
+    t = atan2(2|G₀₁|, G₀₀ − G₁₁)/2, so v₁ belongs to the larger eigenvalue.
+    Then σ₁ = |Q v₁| and u₁ = Q v₁/σ₁.  u₂ is the orthogonal complement of
+    u₁, phased so that σ₂ = u₂ᴴ Q v₂ is real and non-negative; it is never
+    Q v₂/σ₂, which would divide a rounding error by a small σ₂.  A zero Q
+    gets u₁ = e₁, and a zero σ₂ leaves u₂ unphased.
+    """
+    q00, q01, q10, q11 = q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1]
+    g00 = q00.real ** 2 + q00.imag ** 2 + q10.real ** 2 + q10.imag ** 2
+    g11 = q01.real ** 2 + q01.imag ** 2 + q11.real ** 2 + q11.imag ** 2
+    g01 = q00.conj() * q01 + q10.conj() * q11
+    r = np.abs(g01)
+    t = 0.5 * np.arctan2(2.0 * r, g00 - g11)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    phi = np.where(r > 0.0, g01.conj() / np.where(r > 0.0, r, 1.0), 1.0)   # e^(-iψ)
+    v = np.empty_like(q)
+    v[:, 0, 0], v[:, 1, 0] = cos_t, phi * sin_t
+    v[:, 0, 1], v[:, 1, 1] = -sin_t, phi * cos_t
+    w1 = _mm(q, v[:, :, :1])[:, :, 0]                          # Q v₁
+    s1 = np.sqrt((w1.real ** 2 + w1.imag ** 2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = np.where(s1[:, None] > 0.0, w1 / s1[:, None], (1.0, 0.0))
+    u2 = np.stack([-u1[:, 1].conj(), u1[:, 0].conj()], axis=1)
+    p = (u2.conj() * _mm(q, v[:, :, 1:])[:, :, 0]).sum(axis=1)  # u₂ᴴ Q v₂
+    s2 = np.abs(p)
+    u2 *= np.where(s2 > 0.0, p / np.where(s2 > 0.0, s2, 1.0), 1.0)[:, None]
+    return np.stack([u1, u2], axis=2), np.stack([s1, s2], axis=1), _ct(v)
+
+
 def _svd_factors(q11, q12, q21, q22) -> tuple[np.ndarray, ...]:
     """CSD from the SVD of Q11 (Paige & Wei, LAA 1994): Q11 = L0 C R0 gives
     L0, C and R0, and X = -Q21 R0ᴴ = L1 S gives S and L1, with no second SVD.
@@ -268,17 +334,21 @@ def _svd_factors(q11, q12, q21, q22) -> tuple[np.ndarray, ...]:
     already (each row is divided by max(s, c) >= 1/√2), and takes one step.
     A zero s gives non-finite factors, which ``csd_stack``'s checks send to
     ``csd``.
+
+    For 2x2 quadrants (h = 2) the SVD is ``_svd2``'s closed form, not
+    LAPACK's, and the side and residual checks of ``csd_stack`` vouch for
+    its L0 and R0 as for the other factors.
     """
-    l0, c, r0 = np.linalg.svd(q11)
-    x = -q21 @ _ct(r0)
-    g = _ct(x) @ x
+    l0, c, r0 = _svd2(q11) if q11.shape[-1] == 2 else np.linalg.svd(q11)
+    x = -_mm(q21, _ct(r0))
+    g = _mm(_ct(x), x)
     s = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
     with np.errstate(divide="ignore", invalid="ignore"):
         si, sj = s[:, :, None], s[:, None, :]
         w = -g / (si * sj * (si + sj))
         i = np.arange(s.shape[1])
         w[:, i, i] = 1.0 / s
-        l1 = _newton_schulz(x @ w)
+        l1 = _newton_schulz(_mm(x, w))
     return l0, l1, r0, _newton_schulz(_right_rows(l0, l1, q12, q22, c, s)), c, s
 
 
@@ -314,10 +384,10 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     sides, rebuilt11, rebuilt21 = [l0, l1, r1], l0 * cs, -(l1 * ss)
     if not one:     # the closed form's r0 is exactly I
         sides.append(r0)
-        rebuilt11, rebuilt21 = rebuilt11 @ r0, rebuilt21 @ r0
+        rebuilt11, rebuilt21 = _mm(rebuilt11, r0), _mm(rebuilt21, r0)
     side_dev = np.max([_unitarity_deviations(x) for x in sides], axis=0)
     residual = np.max([np.abs(rebuilt - block).max(axis=(1, 2)) for rebuilt, block in (
-        (rebuilt11, q11), ((l0 * ss) @ r1, q12), (rebuilt21, q21), ((l1 * cs) @ r1, q22))],
+        (rebuilt11, q11), (_mm(l0 * ss, r1), q12), (rebuilt21, q21), (_mm(l1 * cs, r1), q22))],
         axis=0)
     # Each test reads "not within limits", so NaN factors fall back too.
     fallback = ~(np.minimum(c, s) >= _BATCHED_MIN_CS).all(axis=1)
@@ -338,28 +408,40 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     return out
 
 
+def _unit_phases(z: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """z/|z| where ``where`` holds (z must not vanish there), else 1."""
+    return np.where(where, z / np.where(where, np.abs(z), 1.0), 1.0)
+
+
 def lighten_stack(f: CsdFactors) -> CsdFactors:
     """``lighten`` of every factorization of a stack (fields with a leading axis).
 
     Where every angle cluster is a singleton, the gauge fix is one phase per
     angle: it makes the first entry of each row of r0 real and non-negative,
-    as ``qr_nonneg`` does for a one-row block.  An r0 that is the identity
-    (the closed form of a one-cluster CSD) is already lightened.  The other
-    factorizations, with a larger cluster or with a first entry of r0 below
-    the magnitude ``qr_nonneg`` leaves alone, go through ``lighten``.
+    as ``qr_nonneg`` does for a one-row block, and then, for an angle whose
+    sine vanishes, the first entry of its row of r1 too.  An r0 that is the
+    identity (the closed form of a one-cluster CSD) is already lightened.
+    The other factorizations, with a larger cluster or with a first entry of
+    r0 below the magnitude ``qr_nonneg`` leaves alone, go through ``lighten``.
     """
     done = (f.r0 == np.eye(f.half_dim)).all(axis=(1, 2))
-    if done.all():
+    flat = np.sin(np.radians(f.thetas)) < _PHASE_MAG_TINY
+    if done.all() and not flat.any():
         return f
     pivot = f.r0[:, :, 0]
-    mag = np.abs(pivot)
     singles = ((np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL).all(axis=1)
-               & (mag >= _PHASE_MAG_TINY).all(axis=1))
+               & (np.abs(pivot) >= _PHASE_MAG_TINY).all(axis=1))
     batched = singles | done   # disjoint but for half_dim 1, where both give g = 1
-    g = np.where(singles[:, None], pivot / np.where(singles[:, None], mag, 1.0), 1.0)
+    g = _unit_phases(pivot, singles[:, None])
     gh = g.conj()[:, :, None]
-    out = CsdFactors(l0=f.l0 * g[:, None, :], l1=f.l1 * g[:, None, :],
-                     r0=gh * f.r0, r1=gh * f.r1, thetas=f.thetas.copy())
+    l1, r1 = f.l1 * g[:, None, :], gh * f.r1
+    flat &= singles[:, None]
+    if flat.any():
+        pivot = r1[:, :, 0]
+        e = _unit_phases(pivot, flat & (np.abs(pivot) >= _PHASE_MAG_TINY))
+        l1, r1 = l1 * e[:, None, :], e.conj()[:, :, None] * r1
+    out = CsdFactors(l0=f.l0 * g[:, None, :], l1=l1, r0=gh * f.r0, r1=r1,
+                     thetas=f.thetas.copy())
     for i in np.flatnonzero(~batched):
         one = CsdFactors(f.l0[i], f.l1[i], f.r0[i], f.r1[i], f.thetas[i])
         _set_factors(out, i, lighten(one))
@@ -443,6 +525,9 @@ def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
     non-negative, as the 180°-shift rules demand); phases are read off the
     entries of largest magnitude so that degenerate angles stay stable: the
     off-diagonal entries vanish at θ ≈ 0°, the diagonal ones at θ ≈ 90°.
+    Where s < _BATCHED_MIN_CS, ω_L is read off d11 as arg d11 − Ω − ω_R: read
+    off the small d10, an error δ in it would move ω_L by δ/s and the
+    rebuilt d11 by c·δ/s.
     """
     c, s = np.abs(d00), np.abs(d01)
     thetas = np.degrees(np.arctan2(s, c))
@@ -451,7 +536,7 @@ def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
     a00, a01 = np.angle(d00), np.angle(d01)
     omega = np.where(right, a01, a00)
     omega_r = np.where(flat | right, 0.0, a01 - omega)
-    omega_l = np.where(flat, np.angle(d11), np.angle(-d10)) - omega
+    omega_l = np.where(s < _BATCHED_MIN_CS, np.angle(d11) - omega_r, np.angle(-d10)) - omega
     return PhaseFactors(omega=_wrap_deg(np.degrees(omega)),
                         omega_l=_wrap_deg(np.degrees(omega_l)),
                         omega_r=_wrap_deg(np.degrees(omega_r)),

@@ -6,17 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from csdc import (CsdFactors, NotUnitaryError, compile_unitary, csd, frobenius_distance,
-                  hadamard_input, lighten, phase_factors_matrix, program_to_matrix)
+from csdc import (CompileOptions, CsdFactors, NotUnitaryError, compile_unitary, csd,
+                  frobenius_distance, hadamard_input, lighten, phase_factors_matrix,
+                  program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.csd import (_PHASE_MAG_TINY, _wrap_deg, csd_stack, d_matrix, extract_phases,
-                      extract_phases_stack, is_complex_d, is_complex_d_stack, lighten_stack)
+from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, _svd2, _wrap_deg, csd_stack, d_matrix,
+                      extract_phases, extract_phases_stack, is_complex_d, is_complex_d_stack,
+                      lighten_stack)
 from csdc.reference import dft_matrix
 
-from conftest import block_diag, random_phase_factors, random_unitary
+from conftest import block_diag, random_phase_factors, random_unitary, two_bit_rows
 
-# The module: ``csdc.csd`` as a package attribute is the function.
+# The modules: ``csdc.csd`` as a package attribute is the function.
 csd_module = sys.modules["csdc.csd"]
+compiler_module = sys.modules["csdc.compiler"]
 
 
 def with_angles(rng, thetas_deg):
@@ -47,6 +50,43 @@ def three_svd_factors(q11, q12, q21, q22):
     l1 = _polar(x)
     s = np.einsum("kij,kij->kj", l1.conj(), x).real
     return l0, l1, r0, _polar(csd_module._right_rows(l0, l1, q12, q22, c, s)), c, s
+
+
+def lapack_svd_factors(q11, q12, q21, q22):
+    """``_svd_factors`` as it was before the closed form at h = 2, with the
+    SVD from LAPACK and every product through ``@``: the oracle of the
+    closed-form 2x2 SVD and of the broadcast small products."""
+    def ct(x):
+        return x.conj().swapaxes(-1, -2)
+
+    def newton_schulz(x):
+        return x @ (1.5 * np.eye(x.shape[-1]) - 0.5 * (ct(x) @ x))
+
+    l0, c, r0 = np.linalg.svd(q11)
+    x = -q21 @ ct(r0)
+    g = ct(x) @ x
+    s = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        si, sj = s[:, :, None], s[:, None, :]
+        w = -g / (si * sj * (si + sj))
+        i = np.arange(s.shape[1])
+        w[:, i, i] = 1.0 / s
+        l1 = newton_schulz(x @ w)
+    rows = np.where((s >= c)[:, :, None], ct(l0) @ q12, ct(l1) @ q22)
+    return l0, l1, r0, newton_schulz(rows / np.maximum(s, c)[:, :, None]), c, s
+
+
+def lightened_and_sent(monkeypatch, mats):
+    """``lighten_stack(csd_stack(mats))``, and the indices of the matrices
+    that ``csd_stack`` handed to ``csd``, in order."""
+    fn, sent = csd_module.csd, []
+
+    def recorded(u, *args):
+        sent.append(next(i for i, m in enumerate(mats) if np.array_equal(m, u)))
+        return fn(u, *args)
+    with monkeypatch.context() as m:
+        m.setattr(csd_module, "csd", recorded)
+        return lighten_stack(csd_stack(mats)), sent
 
 
 @pytest.fixture
@@ -200,20 +240,9 @@ class TestBatchedCsd:
                       else [edge[0] if k % 2 else edge[1]])
             mats.append(with_angles(rng, rng.permutation(thetas)))
         mats = np.stack(mats)
-        fn = csd_module.csd
-
-        def run():
-            sent = []
-
-            def recorded(u, *args):
-                sent.append(next(i for i, m in enumerate(mats) if np.array_equal(m, u)))
-                return fn(u, *args)
-            monkeypatch.setattr(csd_module, "csd", recorded)
-            return lighten_stack(csd_stack(mats)), sent
-
-        got, sent = run()
+        got, sent = lightened_and_sent(monkeypatch, mats)
         monkeypatch.setattr(csd_module, "_svd_factors", three_svd_factors)
-        want, want_sent = run()
+        want, want_sent = lightened_and_sent(monkeypatch, mats)
         assert sent == want_sent == list(range(3, 24, 4))
         assert np.abs(got.thetas - want.thetas).max() < 1e-12
         # The two agree to about 1e-14; splitting each error evenly between two
@@ -221,6 +250,65 @@ class TestBatchedCsd:
         # by up to 4e-12 at h = 16.
         for a, b in zip(factors(got, slice(None)), factors(want, slice(None))):
             assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("source", ["haar", "structured"])
+    def test_closed_form_matches_lapack_kernel_at_h2(self, monkeypatch, source):
+        # The d = 4 stacks that csd_stack gets while compiling Haar inputs at
+        # nb 3-6, or the structured inputs with and without phase extraction.
+        if source == "haar":
+            rng = np.random.default_rng(0xC5D)
+            runs = [(random_unitary(rng, 1 << nb), CompileOptions()) for nb in range(3, 7)]
+        else:
+            runs = [(u, CompileOptions(extract_phases=ep))
+                    for u in TestLevelBuild.structured_inputs().values() for ep in (True, False)]
+        stacks = []
+
+        def captured(mats, tol):
+            if mats.shape[1] == 4:
+                stacks.append(mats.copy())
+            return csd_stack(mats, tol)
+        with monkeypatch.context() as m:
+            m.setattr(compiler_module, "csd_stack", captured)
+            for u, opts in runs:
+                compile_unitary(u, opts)
+        assert sum(len(m) for m in stacks) >= (340 if source == "haar" else 100)
+        sends = 0
+        for mats in stacks:
+            got, sent = lightened_and_sent(monkeypatch, mats)
+            with monkeypatch.context() as m:
+                m.setattr(csd_module, "_svd_factors", lapack_svd_factors)
+                want, want_sent = lightened_and_sent(monkeypatch, mats)
+            assert sent == want_sent
+            sends += len(sent)
+            assert np.abs(got.thetas - want.thetas).max() < 1e-12
+            for a, b in zip(factors(got, slice(None)), factors(want, slice(None))):
+                assert np.abs(a - b).max() < 1e-12
+        # Haar inputs never fall back; most structured d = 4 matrices do.
+        assert (sends > 0) == (source == "structured")
+
+    def test_zero_sine_gauge_does_not_depend_on_the_csd(self, rng, csd_calls):
+        # At an angle of exactly 0° the D block does not couple L1 and R1: a
+        # phase on that column of L1 and its conjugate on that row of R1 give
+        # the same matrix, and the gauge fix takes out whichever the CSD chose.
+        mats = np.stack([with_angles(rng, [0.0, 30.0]) for _ in range(3)]
+                        + [random_unitary(rng, 4)])
+        f = csd_stack(mats)
+        assert csd_calls["csd"] == 3
+        e = np.ones(f.thetas.shape, dtype=complex)
+        e[:3, 0] = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+        moved = CsdFactors(f.l0, f.l1 * e[:, None, :], f.r0, e.conj()[:, :, None] * f.r1,
+                           f.thetas)
+        got, want = lighten_stack(moved), lighten_stack(f)
+        assert csd_calls["lighten"] == 0
+        for i, u in enumerate(mats):
+            for a, b in zip(factors(got, i), factors(want, i)):
+                assert np.abs(a - b).max() < 1e-14
+            ref = lighten(one(moved, i))
+            for a, b in zip(factors(got, i), [ref.l0, ref.l1, ref.r0, ref.r1]):
+                assert np.abs(a - b).max() < 1e-14
+            assert_csd_properties(one(got, i), u)
+        pivot = got.r1[:3, 0, 0]
+        assert np.abs(pivot.imag).max() < 1e-15 and (pivot.real > 0).all()
 
     @pytest.mark.parametrize("dim", [64, 128, 256])
     def test_large_haar_and_clustered_matrices(self, rng, csd_calls, dim):
@@ -283,6 +371,48 @@ class TestBatchedCsd:
             csd_stack(random_unitary(rng, 4))
         with pytest.raises(ValueError):
             csd_stack(np.zeros((2, 3, 3)))
+
+
+class TestClosedFormSvd2:
+    """``_svd2``, the closed-form SVD of 2x2 blocks, against LAPACK's."""
+
+    @staticmethod
+    def blocks(rng):
+        haar = [random_unitary(rng, 4)[:2, :2] for _ in range(64)]
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+        diagonal = [np.diag([0.8, 0.3]), np.diag([0.3, 0.8]) * phases, np.diag([0.5, 0.0])]
+        anti = [np.array([[0.0, 0.6j], [-0.2, 0.0]]), np.array([[0.0, 0.3], [0.9, 0.0]])]
+        rank1 = [np.outer([0.6, 0.8j], [0.28 - 0.96j, 0.0]) * 0.7,
+                 np.outer(random_unitary(rng, 2)[0], random_unitary(rng, 2)[1]) * 0.9]
+        degenerate = [0.6 * random_unitary(rng, 2), 0.6 * np.eye(2), 0.6 * np.fliplr(np.eye(2))]
+        # One or both cosines within a factor 2 of _BATCHED_MIN_CS.
+        edge = [with_angles(rng, [90.0 - np.degrees(t), small])[:2, :2]
+                for t in _BATCHED_MIN_CS * np.array([0.5, 1.0, 2.0])
+                for small in (30.0, 90.0 - np.degrees(1.5 * _BATCHED_MIN_CS))]
+        return np.stack(haar + diagonal + anti + rank1 + degenerate + edge + [np.zeros((2, 2))])
+
+    def test_matches_lapack(self, rng):
+        q = self.blocks(rng).astype(np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, sigma, vh = _svd2(q)
+        _, want, _ = np.linalg.svd(q)
+        assert np.abs(sigma - want).max() < 1e-15
+        assert (sigma[:, 0] >= sigma[:, 1]).all() and (sigma >= 0).all()
+        for side in (u, vh):
+            assert np.abs(side.conj().swapaxes(1, 2) @ side - np.eye(2)).max() < 1e-14
+        assert np.abs(u @ (sigma[:, :, None] * vh) - q).max() < 1e-14
+
+    def test_small_singular_value_is_not_a_quotient(self):
+        # u2 is the complement of u1, so a tiny sigma2 does not scale up the
+        # rounding of Q v2: the rebuild holds to rounding however small it is.
+        for s2 in (1e-8, 1e-12, 1e-16, 0.0):
+            q = (random_unitary(np.random.default_rng(3), 2) @ np.diag([0.7, s2])
+                 @ random_unitary(np.random.default_rng(4), 2))[None]
+            u, sigma, vh = _svd2(q)
+            assert abs(sigma[0, 1] - s2) < 1e-16
+            assert np.abs(u[0].conj().T @ u[0] - np.eye(2)).max() < 1e-15
+            assert np.abs(u @ (sigma[:, :, None] * vh) - q).max() < 1e-15
 
 
 def reference_extract_phases(a):
@@ -351,6 +481,16 @@ class TestStackedPhases:
         assert is_complex_d_stack(np.stack([random_unitary(rng, 2)] * 3)).all()
         assert not is_complex_d_stack(np.zeros((2, 3, 3))).any()
 
+    def test_small_sine_reads_omega_l_off_the_large_entry(self, rng):
+        # Where sin θ < _BATCHED_MIN_CS, a rounding error δ in the small d10
+        # must not move the rebuilt d11 by c·δ/s: ω_L is read off d11.
+        pf = random_phase_factors(rng, 4)
+        pf = type(pf)(pf.omega, pf.omega_l, pf.omega_r,
+                      np.degrees(np.arcsin([1e-11, 1e-9, 1e-7, 0.5])))
+        a = phase_factors_matrix(pf)
+        a[4:, :4] += np.diag(1e-17 * np.exp(1j * rng.uniform(-np.pi, np.pi, 4)))
+        assert np.abs(phase_factors_matrix(extract_phases(a)) - a).max() < 1e-15
+
     def test_extract_phases_stack_rejects_non_complex_d(self, rng):
         with pytest.raises(ValueError, match="not diagonal"):
             extract_phases_stack(np.stack([d_matrix([10.0, 20.0]), random_unitary(rng, 4)]))
@@ -390,6 +530,27 @@ class TestLevelBuild:
         # accurate kernel sends more of them to csd.
         compile_unitary(dft_matrix(nb))
         assert csd_calls["csd"] == calls
+
+    def test_phased_permutations_round_trip(self):
+        # The third of these 32x32 matrices once came back 1.4e-8 from its
+        # program: phase_parameters read ω_L off an entry with s ≈ 1e-8.
+        rng = np.random.default_rng(777)
+        for _ in range(4):
+            u = np.zeros((32, 32), dtype=complex)
+            u[rng.permutation(32), np.arange(32)] = np.exp(1j * rng.uniform(-np.pi, np.pi, 32))
+            rng.permutation(16)
+            for opts in (CompileOptions(), CompileOptions(lighten=False)):
+                assert frobenius_distance(u, program_to_matrix(compile_unitary(u, opts))) < 1e-10
+
+    def test_expanded_counts_do_not_depend_on_the_svd(self, monkeypatch):
+        # The last digits of the 2x2 SVD once decided the gauge of L1 and R1
+        # at zero sines, and with it the two-qubit count under expansion
+        # without phase extraction.
+        inputs = [dft_input(nb) for nb in (4, 5, 6)] + [np.diag(np.exp(1j * np.arange(16.0)))]
+        opts = CompileOptions(extract_phases=False, expand_controls=True)
+        got = [two_bit_rows(compile_unitary(u, opts)) for u in inputs]
+        monkeypatch.setattr(csd_module, "_svd2", np.linalg.svd)
+        assert [two_bit_rows(compile_unitary(u, opts)) for u in inputs] == got
 
     def test_near_degenerate_angles_round_trip_exactly(self):
         # Angles 2e-9 to 6e-9 degrees apart are not one cluster: mixing them
