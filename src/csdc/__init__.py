@@ -10,10 +10,9 @@ from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
                   lighten, normalize_angles, phase_factors_matrix, qr_nonneg)
 from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
                   expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
-from .central import (CentralMatrix, angles_to_theta, complex_d_central, decompose_central,
-                      diagonal_central, real_d_central)
-from .compiler import (CompileOptions, CsdNode, assemble, build_tree,
-                       compile_unitary, pad_to_power_of_two)
+from .central import angles_to_theta
+from .compiler import (CompileOptions, CsdNode, assemble, build_tree, compile_unitary,
+                       decompose_central, pad_to_power_of_two)
 from .reference import dft_matrix, hadamard_input, quantum_fft_program
 
 __version__ = "0.1.0"
@@ -28,9 +27,8 @@ __all__ = [
     "lighten", "normalize_angles", "phase_factors_matrix", "qr_nonneg",
     "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
     "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
-    "CentralMatrix", "angles_to_theta", "complex_d_central", "decompose_central",
-    "diagonal_central", "real_d_central",
+    "angles_to_theta",
     "CompileOptions", "CsdNode", "assemble", "build_tree", "compile_unitary",
-    "pad_to_power_of_two",
+    "decompose_central", "pad_to_power_of_two",
     "dft_matrix", "hadamard_input", "quantum_fft_program",
 ]

@@ -1,9 +1,10 @@
-"""Turn central matrices into gate programs.
+"""Turn the central matrices of a tree level into gate programs.
 
-A central matrix is the payload of one tree node: a direct sum of 2**(level-1)
-D matrices (real or complex), or a diagonal unitary.  A level-``level`` direct
-sum equals a bit relabeling of a single big D matrix whose rotation sits on
-bit nb-1: the rotation moves to bit nb-level and the other bits keep their
+A central matrix is the payload of one tree node, one row of its level's
+arrays (``compiler.TreeLevel``): a direct sum of 2**(level-1) D matrices
+(real or complex), or a diagonal unitary.  A level-``level`` direct sum
+equals a bit relabeling of a single big D matrix whose rotation sits on bit
+nb-1: the rotation moves to bit nb-level and the other bits keep their
 order.  So one emission routine serves every level, and it writes the final
 bit positions directly: the rotation goes on bit nb-level, and the Gray
 sequence's control bits go, in increasing order, on the remaining bits.
@@ -23,17 +24,16 @@ through the cores of a program bound for :func:`~csdc.seo.expand_controls`.
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
 PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
-routine builds a 4**nb matrix.  The stack routines (:func:`multiplexors`,
-:func:`decompose_diagonals`, :func:`decompose_level`) emit many centrals in
-one pass and say which one owns each instruction; :func:`decompose_central`
-emits a single central as a stack of one.  Every real D core is one ROTY
+routine builds a 4**nb matrix.  The routines (:func:`multiplexors`,
+:func:`decompose_diagonals`, :func:`decompose_level`) emit a stack of
+centrals, one per row, in one pass and say which row owns each instruction;
+a single central is a stack of one row.  Every real D core is one ROTY
 ladder, whatever its angles; ``extract_phases`` only picks the form of the
 diagonals.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,76 +44,7 @@ from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F4
                      hadamard_transform, kron_transform, popcount)
 from .csd import PhaseFactors, _wrap_deg
 from .seo import (CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
-                  cpha_ladder_pruned, gather, rename_bits, rotation_ladder, z_ladder,
-                  z_ladder_cnots)
-
-_PHASE_FIELDS = ("omega", "omega_l", "omega_r", "thetas")
-
-
-@dataclass(frozen=True)
-class CentralMatrix:
-    """Tagged central-matrix payload.
-
-    variant "realD":    ``angles`` holds the 2**(nb-1) rotation angles, block
-                        by block (level ``level`` means 2**(level-1) blocks).
-    variant "complexD": ``factors`` holds the parameters of every D block as
-                        one PhaseFactors whose four fields are
-                        (2**(level-1), 2**(nb-level)) arrays, a row per block.
-    variant "diagonal": ``phases`` holds the 2**nb diagonal phases; level is
-                        nb+1 by convention.
-    """
-
-    variant: str
-    nb: int
-    level: int
-    angles: np.ndarray | None = None
-    factors: PhaseFactors | None = None
-    phases: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.variant == "realD":
-            if self.angles is None or len(self.angles) != 1 << (self.nb - 1):
-                raise ValueError(f"realD central needs {1 << (self.nb - 1)} angles")
-            if not 1 <= self.level <= self.nb:
-                raise ValueError(f"realD level must be in [1, nb], got {self.level}")
-        elif self.variant == "complexD":
-            if not 1 <= self.level <= self.nb:
-                raise ValueError(f"complexD level must be in [1, nb], got {self.level}")
-            shape = (1 << (self.level - 1), 1 << (self.nb - self.level))
-            for name in _PHASE_FIELDS:
-                got = np.shape(getattr(self.factors, name, None))
-                if got != shape:
-                    raise ValueError(f"complexD central at level {self.level} needs "
-                                     f"{shape[0]} blocks of size {shape[1]}, "
-                                     f"got {name} of shape {got}")
-        elif self.variant == "diagonal":
-            if self.phases is None or len(self.phases) != 1 << self.nb:
-                raise ValueError(f"diagonal central needs {1 << self.nb} phases")
-        else:
-            raise ValueError(f"unknown central-matrix variant {self.variant!r}")
-
-
-def real_d_central(nb: int, level: int, angles) -> CentralMatrix:
-    return CentralMatrix("realD", nb, level, angles=np.asarray(angles, dtype=np.float64))
-
-
-def complex_d_central(nb: int, level: int, blocks) -> CentralMatrix:
-    """``blocks``: one PhaseFactors per D block, or one whose fields hold a
-    row per block."""
-    if isinstance(blocks, PhaseFactors):
-        fields = [getattr(blocks, name) for name in _PHASE_FIELDS]
-    else:
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("complexD central needs at least one block")
-        fields = [np.stack([getattr(pf, name) for pf in blocks]) for name in _PHASE_FIELDS]
-    factors = PhaseFactors(*(np.asarray(x, dtype=np.float64) for x in fields))
-    return CentralMatrix("complexD", nb, level, factors=factors)
-
-
-def diagonal_central(nb: int, phases) -> CentralMatrix:
-    return CentralMatrix("diagonal", nb, nb + 1,
-                         phases=np.asarray(phases, dtype=np.float64))
+                  cpha_ladder_pruned, rename_bits, rotation_ladder, z_ladder, z_ladder_cnots)
 
 
 def angles_to_theta(phi) -> np.ndarray:
@@ -287,21 +218,3 @@ def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, p
             program, owner = decompose_diagonals(phases[rows], _default_mode(extract_phases))
             pieces.append((program, 3 * rows[owner] + 2 * s))
     return pieces
-
-
-def decompose_central(c: CentralMatrix, extract_phases: bool = True) -> Program:
-    """The program of one central matrix: a diagonal's
-    :func:`decompose_diagonals`, a real or complex D one as a level of one
-    central (:func:`decompose_level`).
-
-    ``extract_phases`` (the compile option) picks the form of the diagonals,
-    the central itself or a complex D one's sides: controlled phases when
-    set, a rotz chain otherwise.  The real D core is the same ROTY ladder
-    either way.
-    """
-    if c.variant == "diagonal":
-        return decompose_diagonals(c.phases[None], _default_mode(extract_phases))[0]
-    f = c.factors.map(lambda x: x.reshape(1, -1)) if c.variant == "complexD" else None
-    thetas = (c.angles if f is None else f.thetas).reshape(1, -1)
-    pieces = decompose_level(c.nb, c.level, thetas, f, [True], extract_phases)
-    return gather(c.nb, [(program, owner, np.arange(3)) for program, owner in pieces])

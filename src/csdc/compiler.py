@@ -46,17 +46,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import BitPermutation, apply_bit_permutation
-# decompose_central and concat are not called here; they stay importable from
-# this module, where perfbench/spans.py traces them by name.
-from .central import (CentralMatrix, _default_mode, cheaper_mode, complex_d_central,  # noqa: F401
-                      decompose_central, decompose_diagonals, decompose_level, diagonal_central,
-                      diagonal_costs, multiplexors, real_d_central, side_phases, split_on_bit)
+from .central import (_default_mode, cheaper_mode, decompose_diagonals, decompose_level,
+                      diagonal_costs, multiplexors, side_phases, split_on_bit)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
 from .csd import (PhaseFactors, _block_diagonal_index, csd, csd_stack,  # noqa: F401
                   extract_phases, is_complex_d, is_complex_d_stack, lighten, lighten_stack,
                   phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
+# concat is not called here; it stays importable from this module, where
+# perfbench/spans.py traces it by name.
 from .seo import (PRUNE_TOL, ROTZ, Program, concat, expand_controls, gather,  # noqa: F401
                   rename_bits)
 
@@ -255,16 +254,6 @@ class CsdNode:
     left = property(lambda self: self._child(0))
     right = property(lambda self: self._child(1))
 
-    @property
-    def central(self) -> CentralMatrix:
-        nb, level, lv, i = self.nb, self.level, self.levels[self.level - 1], self.index
-        if lv.phases is not None:
-            return diagonal_central(nb, lv.phases[i])
-        if not lv.phased[i]:
-            return real_d_central(nb, level, lv.thetas[i])
-        blocks = lv.factors.map(lambda x: x[i].reshape(1 << (level - 1), -1))
-        return complex_d_central(nb, level, blocks)
-
 
 def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
     """Build the CSD tree of a 2**nb unitary level by level; return its root.
@@ -319,12 +308,33 @@ def _application_order(levels: list[TreeLevel]) -> list[tuple[int, int]]:
     return [pairs[j] for j in np.argsort(np.concatenate([lv.key for lv in levels])).tolist()]
 
 
-def assemble(root: CsdNode) -> list[CentralMatrix]:
-    """Central matrices in application order: right subtree, node, left subtree.
+def assemble(root: CsdNode) -> list[CsdNode]:
+    """The nodes of a tree in application order: right subtree, node, left
+    subtree.
 
-    The product of the entries, last applied leftmost, is the tree's input.
+    The product of their central matrices, last applied leftmost, is the
+    tree's input.
     """
-    return [CsdNode(root.nb, root.levels, *at).central for at in _application_order(root.levels)]
+    return [CsdNode(root.nb, root.levels, *at) for at in _application_order(root.levels)]
+
+
+def decompose_central(node: CsdNode, extract_phases: bool = True) -> Program:
+    """The program of one node's central matrix: the level pass of
+    ``program_for_tree`` without expansion (``decompose_level``, or
+    ``decompose_diagonals`` on the leaf level) run on the node's row alone.
+
+    ``extract_phases`` (the compile option) picks the form of the diagonals,
+    the central itself or a complex D one's sides: controlled phases when
+    set, a rotz chain otherwise.  The real D core is the same ROTY ladder
+    either way.
+    """
+    nb, level, lv, i = node.nb, node.level, node.levels[node.level - 1], node.index
+    row = slice(i, i + 1)
+    if lv.phases is not None:
+        return decompose_diagonals(lv.phases[row], _default_mode(extract_phases))[0]
+    f = None if lv.factors is None else lv.factors.map(lambda x: x[row])
+    pieces = decompose_level(nb, level, lv.thetas[row], f, lv.phased[row], extract_phases)
+    return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
 
 
 def _carry_phases(nb: int, steps, extract_phases: bool) -> list[tuple]:

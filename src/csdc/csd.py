@@ -139,6 +139,11 @@ def normalize_angles(f: CsdFactors) -> CsdFactors:
     return CsdFactors(l0, l1, r0, r1, th)
 
 
+def _unit_phases(z: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """z/|z| where ``where`` holds (z must not vanish there), else 1."""
+    return np.where(where, z / np.where(where, np.abs(z), 1.0), 1.0)
+
+
 def qr_nonneg(m) -> tuple[np.ndarray, np.ndarray]:
     """QR decomposition with a real non-negative principal diagonal of R.
 
@@ -150,8 +155,7 @@ def qr_nonneg(m) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"qr_nonneg needs d <= n, got {a.shape}")
     q, r = np.linalg.qr(a, mode="reduced")
     d = np.diag(r).copy()
-    small = np.abs(d) < _PHASE_MAG_TINY
-    phases = np.where(small, 1.0, d / np.where(small, 1.0, np.abs(d)))
+    phases = _unit_phases(d, np.abs(d) >= _PHASE_MAG_TINY)
     q = q * phases[None, :]
     r = phases.conj()[:, None] * r
     return q, r
@@ -305,7 +309,7 @@ def _svd2(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = np.abs(g01)
     t = 0.5 * np.arctan2(2.0 * r, g00 - g11)
     cos_t, sin_t = np.cos(t), np.sin(t)
-    phi = np.where(r > 0.0, g01.conj() / np.where(r > 0.0, r, 1.0), 1.0)   # e^(-iψ)
+    phi = _unit_phases(g01.conj(), r > 0.0)   # e^(-iψ)
     v = np.empty_like(q)
     v[:, 0, 0], v[:, 1, 0] = cos_t, phi * sin_t
     v[:, 0, 1], v[:, 1, 1] = -sin_t, phi * cos_t
@@ -316,7 +320,7 @@ def _svd2(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u2 = np.stack([-u1[:, 1].conj(), u1[:, 0].conj()], axis=1)
     p = (u2.conj() * _mm(q, v[:, :, 1:])[:, :, 0]).sum(axis=1)  # u₂ᴴ Q v₂
     s2 = np.abs(p)
-    u2 *= np.where(s2 > 0.0, p / np.where(s2 > 0.0, s2, 1.0), 1.0)[:, None]
+    u2 *= _unit_phases(p, s2 > 0.0)[:, None]
     return np.stack([u1, u2], axis=2), np.stack([s1, s2], axis=1), _ct(v)
 
 
@@ -408,11 +412,6 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     return out
 
 
-def _unit_phases(z: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """z/|z| where ``where`` holds (z must not vanish there), else 1."""
-    return np.where(where, z / np.where(where, np.abs(z), 1.0), 1.0)
-
-
 def lighten_stack(f: CsdFactors) -> CsdFactors:
     """``lighten`` of every factorization of a stack (fields with a leading axis).
 
@@ -462,8 +461,8 @@ class PhaseFactors:
          [ -s e^{i(Ω+ωL)}, c e^{i(Ω+ωL+ωR)}      ]]
 
     with c = cos θ_j >= 0 and s = sin θ_j >= 0, θ_j in [0°, 90°].
-    ``extract_phases_stack`` returns k parameter sets at once: every field
-    then has a leading axis of length k.
+    ``phase_parameters`` of stacked diagonals returns k parameter sets at
+    once: every field then has a leading axis of length k.
     """
 
     omega: np.ndarray
@@ -543,24 +542,16 @@ def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
                         thetas=thetas)
 
 
-def extract_phases_stack(mats, tol: float = DEFAULT_TOL) -> PhaseFactors:
-    """Solve every complex D matrix of a (k, n, n) stack for its phase and
-    angle parameters; each field of the result has shape (k, n/2)."""
-    a = np.asarray(mats, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
-        raise ValueError(f"extract_phases needs square even-dimensional matrices, got {a.shape}")
-    if not is_complex_d_stack(a, tol).all():
-        raise ValueError("extract_phases input blocks are not diagonal")
-    h = a.shape[1] // 2
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    return phase_parameters(diag[:, :h], np.diagonal(a[:, :h, h:], axis1=1, axis2=2),
-                            np.diagonal(a[:, h:, :h], axis1=1, axis2=2), diag[:, h:])
-
-
 def extract_phases(d, tol: float = DEFAULT_TOL) -> PhaseFactors:
-    """Solve a complex D matrix for its phase and angle parameters."""
-    pf = extract_phases_stack(as_matrix(d)[None], tol)
-    return PhaseFactors(pf.omega[0], pf.omega_l[0], pf.omega_r[0], pf.thetas[0])
+    """Solve a complex D matrix for its phase and angle parameters, read off
+    the diagonals of its four blocks by ``phase_parameters``."""
+    a = as_matrix(d)
+    n = a.shape[0]
+    if a.shape[1] != n or n % 2:
+        raise ValueError(f"extract_phases needs a square even-dimensional matrix, got {a.shape}")
+    if not is_complex_d(a, tol):
+        raise ValueError("extract_phases input blocks are not diagonal")
+    return phase_parameters(*a[_block_diagonal_index(n)].reshape(4, -1))
 
 
 def phase_factors_matrix(pf: PhaseFactors) -> np.ndarray:

@@ -125,14 +125,9 @@ def format_matrix_text(m) -> str:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise MatrixFormatError(f"matrix text format requires a square matrix, got {a.shape}")
-    lines = [str(a.shape[0])]
-    for row in a:
-        parts = []
-        for z in row:
-            parts.append(f"{z.real:.17g}")
-            parts.append(f"{z.imag:.17g}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    n = a.shape[0]
+    rows = np.stack([a.real, a.imag], axis=-1).reshape(n, 2 * n).tolist()   # re, im, ...
+    return "\n".join([str(n)] + [" ".join(map("{:.17g}".format, row)) for row in rows]) + "\n"
 
 
 def read_matrix_file(f: TextIO | str) -> np.ndarray:

@@ -117,24 +117,50 @@ def random_phase_factors(rng, h):
     )
 
 
-def dense_central(c):
-    """Dense matrix of a CentralMatrix, straight from the definitions."""
-    if c.variant == "realD":
-        return dense_real_d_central(c.nb, c.level, np.asarray(c.angles))
-    if c.variant == "diagonal":
-        return dense_diagonal(np.asarray(c.phases))
-    f = c.factors
-    blocks = [dense_complex_d_block(*rows)
-              for rows in zip(f.omega, f.omega_l, f.omega_r, f.thetas)]
-    return block_diag(blocks)
+def random_complex_d(rng, nb, level):
+    """Parameters of a random complex D central on a level: one
+    ``random_phase_factors`` per block, joined block by block."""
+    from csdc import PhaseFactors
+    blocks = [random_phase_factors(rng, 1 << (nb - level)) for _ in range(1 << (level - 1))]
+    return PhaseFactors(*(np.concatenate([getattr(b, name) for b in blocks])
+                          for name in ("omega", "omega_l", "omega_r", "thetas")))
 
 
-def cheaper_diagonal(c, extract_phases=True):
-    """A diagonal central in the form whose expansion has fewer two-qubit
-    gates, as ``cheaper_mode`` picks it from ``diagonal_costs``."""
+def dense_complex_d_central(nb, level, f):
+    """Direct sum of 2**(level-1) complex D matrices; the fields of the
+    PhaseFactors ``f`` hold their 2**(nb-1) parameters, block by block."""
+    fields = (f.omega, f.omega_l, f.omega_r, f.thetas)
+    return block_diag([dense_complex_d_block(*rows) for rows in
+                       zip(*(np.reshape(x, (1 << (level - 1), -1)) for x in fields))])
+
+
+def dense_central(node):
+    """Dense matrix of a tree node's central, read off its level row,
+    straight from the definitions."""
+    lv, i = node.levels[node.level - 1], node.index
+    if lv.phases is not None:
+        return dense_diagonal(lv.phases[i])
+    if not lv.phased[i]:
+        return dense_real_d_central(node.nb, node.level, lv.thetas[i])
+    return dense_complex_d_central(node.nb, node.level, lv.factors.map(lambda x: x[i]))
+
+
+def complex_d_program(nb, level, f, extract_phases=True):
+    """The program of one complex D central, the level pass on one row; the
+    fields of the PhaseFactors ``f`` hold its 2**(nb-1) parameters."""
+    from csdc.central import decompose_level
+    from csdc.seo import gather
+    pieces = decompose_level(nb, level, f.thetas[None], f.map(lambda x: x[None]), [True],
+                             extract_phases)
+    return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
+
+
+def cheaper_diagonal(phases, extract_phases=True):
+    """The diagonal diag(exp(i phases)) in the form whose expansion has fewer
+    two-qubit gates, as ``cheaper_mode`` picks it from ``diagonal_costs``."""
     from csdc.central import cheaper_mode, decompose_diagonals, diagonal_costs
-    mode = cheaper_mode(diagonal_costs(c.phases), extract_phases)
-    return decompose_diagonals(c.phases[None], mode)[0]
+    mode = cheaper_mode(diagonal_costs(phases), extract_phases)
+    return decompose_diagonals(phases[None], mode)[0]
 
 
 def rows(program):

@@ -4,18 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import numpy as np
 
-from csdc import (CompileOptions, build_tree,
-                  compile_unitary, csd, decompose_central,
-                  diagonal_central, expand_controls, frobenius_distance,
-                  hadamard_input, parse, program_to_matrix,
-                  quantum_fft_program, real_d_central, complex_d_central,
-                  serialize)
+from csdc import (CompileOptions, build_tree, compile_unitary, csd, expand_controls,
+                  frobenius_distance, hadamard_input, parse, program_to_matrix,
+                  quantum_fft_program, serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.central import decompose_diagonals
+from csdc.central import decompose_diagonals, multiplexors
 from csdc.reference import dft_matrix
+from csdc.seo import ROTY
 
-from conftest import (block_diag, dense_central, dense_diagonal, program_of_rows,
-                      random_phase_factors, random_program, random_unitary, rows, width)
+from conftest import (block_diag, complex_d_program, dense_complex_d_central, dense_diagonal,
+                      dense_real_d_central, program_of_rows, random_complex_d, random_program,
+                      random_unitary, rows, width)
 
 SEED = 0xC5D
 
@@ -140,29 +139,27 @@ def test_criterion_6_central_decomposition_oracle():
     for nb in (2, 3, 4):
         for level in range(1, nb + 1):
             for _ in range(10):
-                c = real_d_central(nb, level, rng.uniform(-180, 180, 1 << (nb - 1)))
-                err = frobenius_distance(program_to_matrix(decompose_central(c)),
-                                         dense_central(c))
+                phi = rng.uniform(-180, 180, 1 << (nb - 1))
+                err = frobenius_distance(program_to_matrix(multiplexors(nb, level, ROTY,
+                                                                        phi[None])[0]),
+                                         dense_real_d_central(nb, level, phi))
                 worst["realD"] = max(worst["realD"], err)
 
-                blocks = [random_phase_factors(rng, 1 << (nb - level))
-                          for _ in range(1 << (level - 1))]
-                cc = complex_d_central(nb, level, blocks)
-                err = frobenius_distance(program_to_matrix(decompose_central(cc)),
-                                         dense_central(cc))
+                f = random_complex_d(rng, nb, level)
+                err = frobenius_distance(program_to_matrix(complex_d_program(nb, level, f)),
+                                         dense_complex_d_central(nb, level, f))
                 worst["complexD"] = max(worst["complexD"], err)
 
                 phi = rng.choice([0.0, 90.0], size=1 << (nb - 1))
-                cr = real_d_central(nb, level, phi)
-                err = frobenius_distance(program_to_matrix(decompose_central(cr)),
-                                         dense_central(cr))
+                err = frobenius_distance(program_to_matrix(multiplexors(nb, level, ROTY,
+                                                                        phi[None])[0]),
+                                         dense_real_d_central(nb, level, phi))
                 worst["right-angle"] = max(worst["right-angle"], err)
         for mode in ("rotz-chain", "controlled-phase"):
             for _ in range(17):
-                c = diagonal_central(nb, rng.uniform(-180, 180, 1 << nb))
-                err = frobenius_distance(
-                    program_to_matrix(decompose_diagonals(c.phases[None], mode)[0]),
-                    dense_diagonal(c.phases))
+                phi = rng.uniform(-180, 180, 1 << nb)
+                err = frobenius_distance(program_to_matrix(decompose_diagonals(phi[None], mode)[0]),
+                                         dense_diagonal(phi))
                 worst["diagonal"] = max(worst["diagonal"], err)
     ok = all(v < 1e-10 for v in worst.values())
     report("criterion 6: central decompositions match dense constructions", ok,

@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
 
-from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation,
-                  complex_d_central, decompose_central, diagonal_central,
-                  frobenius_distance, program_to_matrix, real_d_central, serialize)
+from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation, build_tree,
+                  decompose_central, frobenius_distance, program_to_matrix, serialize)
 from csdc.bitops import hadamard_transform, kron_transform, state_permutation
 from csdc.central import decompose_diagonals, diagonal_costs, multiplexors
+from csdc.compiler import CsdNode, TreeLevel
+from csdc.csd import d_matrix
 from csdc.seo import PRUNE_TOL, ROTY, rename_bits, two_qubit_gates
 
-from conftest import (bits_of, cheaper_diagonal, dense_central, dense_diagonal,
-                      dense_real_d_central, level_alias, random_phase_factors, rows)
+from conftest import (bits_of, cheaper_diagonal, complex_d_program, dense_complex_d_central,
+                      dense_diagonal, dense_real_d_central, level_alias, random_complex_d, rows)
+
+
+def real_d(nb, level, phi):
+    """The ROTY ladder of one real D central: the core kernel on a stack of
+    one row."""
+    return multiplexors(nb, level, ROTY, np.asarray(phi, dtype=np.float64)[None])[0]
+
+
+def diagonal_node(phases):
+    """A tree node whose central is diag(exp(i phases)): row 0 of the leaf
+    level nb + 1 (the levels above it are not read)."""
+    nb = len(phases).bit_length() - 1
+    leaf = TreeLevel(np.zeros(1, dtype=np.int64), np.full((1, 2), -1), phases=phases[None])
+    return CsdNode(nb, [None] * nb + [leaf], nb + 1)
 
 
 class TestAnglesToTheta:
@@ -36,8 +51,7 @@ class TestAnglesToTheta:
 class TestDecomposeRealD:
     def test_golden_sequence_nb3_level1(self, rng):
         phi = rng.uniform(5, 85, 4)  # distinct, far from zero
-        c = real_d_central(3, 1, phi)
-        prog = decompose_central(c)
+        prog = real_d(3, 1, phi)
         theta = angles_to_theta(phi)
         kinds = [(k, t, tuple(bits_of(m))) for k, t, m, _v, _a in rows(prog)]
         assert kinds == [
@@ -50,16 +64,14 @@ class TestDecomposeRealD:
         assert np.allclose(angles, [theta[0b00], theta[0b10], theta[0b11], theta[0b01]])
 
     def test_all_zero_angles_empty(self):
-        c = real_d_central(3, 1, np.zeros(4))
-        assert len(decompose_central(c)) == 0
+        assert len(real_d(3, 1, np.zeros(4))) == 0
 
     def test_equal_angles_single_rotation(self):
-        c = real_d_central(3, 1, [25.0] * 4)
-        prog = decompose_central(c)
+        prog = real_d(3, 1, [25.0] * 4)
         assert serialize(prog) == "ROTY 2 25\n"
 
     def test_nb1(self):
-        prog = decompose_central(real_d_central(1, 1, [33.0]))
+        prog = real_d(1, 1, [33.0])
         assert serialize(prog) == "ROTY 0 33\n"
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
@@ -67,22 +79,21 @@ class TestDecomposeRealD:
         for level in range(1, nb + 1):
             for _ in range(5):
                 phi = rng.uniform(-180, 180, 1 << (nb - 1))
-                c = real_d_central(nb, level, phi)
-                got = program_to_matrix(decompose_central(c))
+                got = program_to_matrix(real_d(nb, level, phi))
                 assert frobenius_distance(got, dense_real_d_central(nb, level, phi)) < 1e-10
 
     def test_cnot_budget(self, rng):
         phi = rng.uniform(5, 85, 8)
-        prog = decompose_central(real_d_central(4, 1, phi))
+        prog = real_d(4, 1, phi)
         cnots = sum(1 for r in rows(prog) if r[0] == "CNOT")
         assert cnots <= 8
 
     def test_level_alias_equivalence(self, rng):
         nb = 3
         phi = rng.uniform(-90, 90, 4)
-        base = program_to_matrix(decompose_central(real_d_central(nb, 1, phi)))
+        base = program_to_matrix(real_d(nb, 1, phi))
         for level in (2, 3):
-            aliased = program_to_matrix(decompose_central(real_d_central(nb, level, phi)))
+            aliased = program_to_matrix(real_d(nb, level, phi))
             moved = apply_bit_permutation(level_alias(nb, level), base)
             assert frobenius_distance(aliased, moved) < 1e-12
 
@@ -134,23 +145,25 @@ class TestFinalBitPositions:
     def test_real_d_equals_renamed_level_one(self, rng, nb):
         for _ in range(3):
             phi = pruned_angles(rng, nb)
-            top = decompose_central(real_d_central(nb, 1, phi))
+            top = real_d(nb, 1, phi)
             for level in range(1, nb + 1):
-                got = decompose_central(real_d_central(nb, level, phi))
+                got = real_d(nb, level, phi)
                 assert got == rename_bits(top, level_alias(nb, level))
 
     @pytest.mark.parametrize("nb", range(1, 9))
     def test_right_angle_equals_renamed_level_one(self, nb):
-        """Cores of 0° and 90° only take the same ladder as any other core."""
+        """Cores of 0° and 90° only take the same ladder as any other core:
+        the compiled D matrix of these angles is one tree node, whose
+        program is the ladder."""
         for pattern, phi in right_angle_patterns(nb):
-            top = decompose_central(real_d_central(nb, 1, phi))
-            assert top == multiplexors(nb, 1, ROTY, phi[None])[0]
+            top = decompose_central(build_tree(d_matrix(phi)))
+            assert top == real_d(nb, 1, phi)
             if pattern == "none":
                 assert len(top) == 0
             elif pattern == "all":
                 assert rows(top) == [("ROTY", nb - 1, 0, 0, 90.0)]
             for level in range(1, nb + 1):
-                got = decompose_central(real_d_central(nb, level, phi))
+                got = real_d(nb, level, phi)
                 assert got == rename_bits(top, level_alias(nb, level))
                 if nb <= 4:
                     assert frobenius_distance(program_to_matrix(got),
@@ -195,14 +208,13 @@ class TestDecomposeDiagonal:
     def test_expansion_picks_the_cheaper_form(self, rng, extract_phases):
         # A dense diagonal's CPHAs cost 6 * 1 + 4 * 6 + 14 = 44 two-qubit
         # gates once expanded (2, 3 and 4 controls); its rotz chain costs 14.
-        c = diagonal_central(4, rng.uniform(-180, 180, 16))
-        chain = decompose_diagonals(c.phases[None], "rotz-chain")[0]
-        assert cheaper_diagonal(c, extract_phases) == chain
+        phi = rng.uniform(-180, 180, 16)
+        chain = decompose_diagonals(phi[None], "rotz-chain")[0]
+        assert cheaper_diagonal(phi, extract_phases) == chain
         # One CPHA on two bits costs 1 as a controlled phase, 2 as a chain.
         phi = np.where(np.arange(16) & 0b1010 == 0b1010, 45.0, 0.0)
-        c = diagonal_central(4, phi)
-        cpha = decompose_diagonals(c.phases[None], "controlled-phase")[0]
-        assert cheaper_diagonal(c, extract_phases) == cpha
+        cpha = decompose_diagonals(phi[None], "controlled-phase")[0]
+        assert cheaper_diagonal(phi, extract_phases) == cpha
 
     @pytest.mark.parametrize("extract_phases, mode", [(True, "controlled-phase"),
                                                       (False, "rotz-chain")])
@@ -211,10 +223,9 @@ class TestDecomposeDiagonal:
         # Single-bit terms only: neither form has a two-qubit gate.
         phi = (rng.uniform(-90, 90, 4)[:, None] * ((np.arange(16) >> np.arange(4)[:, None]) & 1)
                ).sum(axis=0)
-        c = diagonal_central(4, phi)
-        got = cheaper_diagonal(c, extract_phases)
-        assert got == decompose_diagonals(c.phases[None], mode)[0]
-        assert got == decompose_central(c, extract_phases)
+        got = cheaper_diagonal(phi, extract_phases)
+        assert got == decompose_diagonals(phi[None], mode)[0]
+        assert got == decompose_central(diagonal_node(phi), extract_phases)
 
 
 class TestDiagonalCosts:
@@ -267,36 +278,20 @@ class TestDecomposeComplexD:
     def test_zero_phases_reduces_to_real_output(self, rng):
         thetas = rng.uniform(0, 90, 2)
         z = np.zeros(2)
-        c = complex_d_central(2, 1, [PhaseFactors(z, z, z, thetas)])
         real = multiplexors(2, 1, ROTY, thetas[None])[0]
-        assert decompose_central(c) == real
+        assert complex_d_program(2, 1, PhaseFactors(z, z, z, thetas)) == real
 
     def test_pure_global_phase_block(self):
         pf = PhaseFactors(omega=np.array([90.0]), omega_l=np.zeros(1),
                           omega_r=np.zeros(1), thetas=np.zeros(1))
-        prog = decompose_central(complex_d_central(1, 1, [pf]))
+        prog = complex_d_program(1, 1, pf)
         assert serialize(prog) == "PHAS 90\n"
 
     @pytest.mark.parametrize("nb,level", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
     def test_dense_oracle(self, rng, nb, level):
         for _ in range(5):
-            blocks = [random_phase_factors(rng, 1 << (nb - level))
-                      for _ in range(1 << (level - 1))]
-            c = complex_d_central(nb, level, blocks)
+            f = random_complex_d(rng, nb, level)
             for extract_phases in (True, False):
-                got = program_to_matrix(decompose_central(c, extract_phases))
-                assert frobenius_distance(got, dense_central(c)) < 1e-10
+                got = program_to_matrix(complex_d_program(nb, level, f, extract_phases))
+                assert frobenius_distance(got, dense_complex_d_central(nb, level, f)) < 1e-10
 
-
-class TestCentralMatrixValidation:
-    def test_wrong_angle_count(self):
-        with pytest.raises(ValueError):
-            real_d_central(3, 1, [1.0, 2.0])
-
-    def test_wrong_block_count(self, rng):
-        with pytest.raises(ValueError):
-            complex_d_central(2, 2, [random_phase_factors(rng, 1)])
-
-    def test_wrong_phase_count(self):
-        with pytest.raises(ValueError):
-            diagonal_central(2, [0.0, 0.0])

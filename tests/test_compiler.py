@@ -9,14 +9,14 @@ from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build
                   program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import ROUND_TRIP_TOL
-from csdc.central import (complex_d_central, decompose_central, decompose_level,
-                          diagonal_central, real_d_central, side_phases)
+from csdc.central import decompose_level, multiplexors, side_phases
 from csdc.compiler import _carry_phases, _split_level, program_for_tree
 from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
-from csdc.seo import concat, gather
+from csdc.seo import ROTY, concat, gather
 
-from conftest import (bits_of, cheaper_diagonal, dense_central, kron_program_matrix,
+from conftest import (bits_of, cheaper_diagonal, dense_central, dense_complex_d_central,
+                      dense_diagonal, kron_program_matrix, random_complex_d,
                       random_phase_factors, random_unitary, rows, two_bit_rows, width)
 
 DEFAULTS = CompileOptions()
@@ -72,8 +72,9 @@ class TestBuildTree:
     def test_identity_single_node_empty_program(self):
         root = build_tree(np.eye(8), DEFAULTS)
         assert root.left is None and root.right is None
-        assert root.central.variant == "realD"
-        assert np.allclose(root.central.angles, 0, atol=1e-9)
+        lv = root.levels[0]
+        assert lv.phases is None and not lv.phased[root.index]
+        assert np.allclose(lv.thetas[root.index], 0, atol=1e-9)
         assert len(program_for_tree(root, DEFAULTS)) == 0
 
     def test_real_d_input_root_only(self):
@@ -185,8 +186,8 @@ class TestAssemble:
             for opts in (DEFAULTS, PLAIN):
                 root = build_tree(u, opts)
                 prod = np.eye(1 << nb, dtype=complex)
-                for central in assemble(root):  # application order: multiply from the left
-                    prod = dense_central(central) @ prod
+                for node in assemble(root):  # application order: multiply from the left
+                    prod = dense_central(node) @ prod
                 assert frobenius_distance(prod, u) < 1e-9
 
 
@@ -412,51 +413,49 @@ class TestTwoQubitEmission:
         assert all(r[0] == "CNOT" and len(bits_of(r[2])) == 1 for r in two)
 
     @staticmethod
-    def carried(centrals, extract_phases=True):
+    def carried(nb, centrals, extract_phases=True):
         """The program that ``_carry_phases`` and the cores emit for
         ``centrals`` (in application order), after checking that it is their
-        product (Kronecker oracle)."""
-        nb = centrals[0].nb
+        product (Kronecker oracle).  A central is (level, p): on level nb + 1
+        p holds a diagonal's phases, else the PhaseFactors of a D central's
+        2**(nb-1) parameters, block by block."""
         steps, cores = [], []
-        for key, c in enumerate(centrals):
-            if c.variant == "diagonal":
-                steps.append((4 * key, nb + 1, c.phases, 0.0))
-                continue
-            right = left = 0.0
-            if c.variant == "complexD":
-                f = c.factors.map(lambda x: x.reshape(1, -1))
-                (right,), (left,) = side_phases(nb, c.level, f)
-                c = real_d_central(nb, c.level, f.thetas[0])
-            steps.append((4 * key, c.level, right, left))
-            cores += [(*piece, np.full(3, 4 * key)) for piece in decompose_level(
-                nb, c.level, c.angles[None], None, [False], extract_phases)]
-        program = gather(nb, cores + _carry_phases(nb, steps, extract_phases))
         want = np.eye(1 << nb)
-        for c in centrals:
-            want = dense_central(c) @ want
+        for key, (level, p) in enumerate(centrals):
+            if level > nb:
+                steps.append((4 * key, level, p, 0.0))
+                want = dense_diagonal(p) @ want
+                continue
+            f = p.map(lambda x: x[None])
+            (right,), (left,) = side_phases(nb, level, f)
+            steps.append((4 * key, level, right, left))
+            cores += [(*piece, np.full(3, 4 * key)) for piece in decompose_level(
+                nb, level, f.thetas, None, [False], extract_phases)]
+            want = dense_complex_d_central(nb, level, p) @ want
+        program = gather(nb, cores + _carry_phases(nb, steps, extract_phases))
         got = kron_program_matrix(expand_controls(program))
         assert frobenius_distance(want, got) < 1e-12
         return program
 
     def test_each_branch_at_a_core(self, rng):
         nb, states = 3, np.arange(8)
-        core = real_d_central(nb, 1, rng.uniform(1, 89, 4))   # rotates bit 2
-        core_rows = decompose_central(core)
+        angles = rng.uniform(1, 89, 4)
+        core = (1, PhaseFactors(*np.zeros((3, 4)), angles))   # rotates bit 2
+        core_rows = multiplexors(nb, 1, ROTY, angles[None])[0]
         # carry: phases free of bit 2 pass the core, which is emitted first
         phi = 30.0 * (states & 1) + 50.0 * ((states & 3) == 3)
-        program = self.carried([diagonal_central(nb, phi), core])
-        assert program == concat(core_rows, cheaper_diagonal(diagonal_central(nb, phi)))
+        program = self.carried(nb, [(nb + 1, phi), core])
+        assert program == concat(core_rows, cheaper_diagonal(phi))
         # flush: a two-bit phase across bit 2 is one CPHA (a rotz chain needs 2
         # c-nots), and nothing is left to carry
         phi = np.where(states & 0b101 == 0b101, 45.0, 0.0)
-        program = self.carried([diagonal_central(nb, phi), core])
+        program = self.carried(nb, [(nb + 1, phi), core])
         assert rows(program) == [("CPHA", -1, 0b101, 0b101, 45.0)] + rows(core_rows)
         # split: a dense phase leaves one ROTZ multiplexor on bit 2, and its
         # mean over bit 2 carries on
         phi = rng.uniform(-180, 180, 8)
-        got = rows(self.carried([diagonal_central(nb, phi), core]))
-        tail = rows(core_rows) + rows(cheaper_diagonal(
-            diagonal_central(nb, (phi + phi[states ^ 4]) / 2)))
+        got = rows(self.carried(nb, [(nb + 1, phi), core]))
+        tail = rows(core_rows) + rows(cheaper_diagonal((phi + phi[states ^ 4]) / 2))
         head = got[:len(got) - len(tail)]
         assert got[len(head):] == tail
         assert {r[0] for r in head} == {"ROTZ", "CNOT"}
@@ -465,14 +464,14 @@ class TestTwoQubitEmission:
     @pytest.mark.parametrize("extract_phases", [True, False])
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_mixed_centrals_match_the_oracle(self, rng, nb, extract_phases):
-        centrals = [diagonal_central(nb, rng.uniform(-180, 180, 1 << nb))]
+        centrals = [(nb + 1, rng.uniform(-180, 180, 1 << nb))]
+        zero = np.zeros(1 << (nb - 1))
         for level in range(nb, 0, -1):
             angles = rng.uniform(0, 90, 1 << (nb - 1))
-            centrals += [real_d_central(nb, level, angles),
-                         complex_d_central(nb, level, [random_phase_factors(rng, 1 << (nb - level))
-                                                       for _ in range(1 << (level - 1))])]
-        centrals.append(diagonal_central(nb, rng.uniform(-180, 180, 1 << nb)))
-        self.carried(centrals, extract_phases)
+            centrals += [(level, PhaseFactors(zero, zero, zero, angles)),
+                         (level, random_complex_d(rng, nb, level))]
+        centrals.append((nb + 1, rng.uniform(-180, 180, 1 << nb)))
+        self.carried(nb, centrals, extract_phases)
 
     def test_haar_diagonals_take_the_rotz_chain(self, rng):
         # A dense diagonal's controlled phases need a ladder per control

@@ -10,9 +10,9 @@ from csdc import (CompileOptions, CsdFactors, NotUnitaryError, compile_unitary, 
                   frobenius_distance, hadamard_input, lighten, phase_factors_matrix,
                   program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, _svd2, _wrap_deg, csd_stack, d_matrix,
-                      extract_phases, extract_phases_stack, is_complex_d, is_complex_d_stack,
-                      lighten_stack)
+from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, _block_diagonal_index, _svd2, _wrap_deg,
+                      csd_stack, d_matrix, extract_phases, is_complex_d, is_complex_d_stack,
+                      lighten_stack, phase_parameters)
 from csdc.reference import dft_matrix
 
 from conftest import block_diag, random_phase_factors, random_unitary, two_bit_rows
@@ -453,7 +453,8 @@ class TestStackedPhases:
     @pytest.mark.parametrize("h", [1, 2, 4, 8])
     def test_extract_phases_equal_loop_entry_by_entry(self, rng, h):
         mats = self.complex_d_stack(rng, h, 10)
-        pf = extract_phases_stack(mats)
+        rows, cols = _block_diagonal_index(2 * h)   # the four block diagonals of each matrix
+        pf = phase_parameters(*mats[:, rows, cols].reshape(-1, 4, h).swapaxes(0, 1))
         for i, a in enumerate(mats):
             want = reference_extract_phases(a)
             for got, ref in zip((pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i]),
@@ -491,9 +492,10 @@ class TestStackedPhases:
         a[4:, :4] += np.diag(1e-17 * np.exp(1j * rng.uniform(-np.pi, np.pi, 4)))
         assert np.abs(phase_factors_matrix(extract_phases(a)) - a).max() < 1e-15
 
-    def test_extract_phases_stack_rejects_non_complex_d(self, rng):
+    def test_extract_phases_rejects_non_complex_d(self, rng):
+        extract_phases(d_matrix([10.0, 20.0]))
         with pytest.raises(ValueError, match="not diagonal"):
-            extract_phases_stack(np.stack([d_matrix([10.0, 20.0]), random_unitary(rng, 4)]))
+            extract_phases(random_unitary(rng, 4))
 
 
 def dft_input(nb):

@@ -9,9 +9,9 @@ import pytest
 
 from csdc.bitops import basis_change_matrix, gray_sequence, hadamard_transform
 from csdc.central import (PRUNE_TOL, _number_coefficients, angles_to_theta,
-                          decompose_central, decompose_diagonals, real_d_central)
+                          decompose_diagonals, multiplexors)
 from csdc.csd import _wrap_deg
-from csdc.seo import serialize, z_ladder
+from csdc.seo import ROTY, serialize, z_ladder
 
 from conftest import program_of_rows
 
@@ -144,8 +144,9 @@ def test_subset_transform_matches_dense_basis_change(rng, nb):
 def test_real_d_ladder_equals_loop(rng, nb):
     for _ in range(10):
         theta = with_zeros(rng, 1 << (nb - 1), rng.uniform(-90, 90, 1 << (nb - 1)))
-        c = real_d_central(nb, 1, hadamard_transform(theta))   # pruned rotations inside
-        assert decompose_central(c) == real_d_loop(nb, _wrap_deg(angles_to_theta(c.angles)))
+        phi = hadamard_transform(theta)   # pruned rotations inside
+        assert (multiplexors(nb, 1, ROTY, phi[None])[0]
+                == real_d_loop(nb, _wrap_deg(angles_to_theta(phi))))
 
 
 @pytest.mark.parametrize("nb", range(1, 8))

@@ -13,88 +13,98 @@ import itertools
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, assemble, build_tree, direct_sum, expand_controls,
-                  hadamard_input, pad_to_power_of_two, serialize)
+from csdc import (CompileOptions, assemble, build_tree, decompose_central, direct_sum,
+                  expand_controls, hadamard_input, pad_to_power_of_two, serialize)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.central import (cheaper_mode, decompose_central, decompose_diagonals,
-                          diagonal_central, diagonal_costs, multiplexors, real_d_central,
-                          split_on_bit)
+from csdc.central import (_default_mode, cheaper_mode, decompose_diagonals, diagonal_costs,
+                          multiplexors, split_on_bit)
 from csdc.compiler import program_for_tree
 from csdc.reference import dft_matrix
-from csdc.seo import PRUNE_TOL, ROTZ, concat
+from csdc.seo import PRUNE_TOL, ROTY, ROTZ, concat
 
 from conftest import random_unitary
 
 
 def walk(node):
-    """The centrals of a tree in application order, by recursion."""
+    """The nodes of a tree in application order, by recursion."""
     out = walk(node.right) if node.right else []
-    out.append(node.central)
+    out.append(node)
     return out + (walk(node.left) if node.left else [])
 
 
-def complex_d_pieces(c):
-    """A complex D central as (right phases, real core, left phases) in
-    application order, each diagonal as 2**nb phases."""
-    nb, f = c.nb, c.factors
-    rot = nb - c.level
+def variant(node):
+    """What a node's level row holds: a diagonal, a complex or a real D."""
+    lv = node.levels[node.level - 1]
+    return ("diagonal" if lv.phases is not None
+            else "complexD" if lv.phased[node.index] else "realD")
+
+
+def complex_d_pieces(node):
+    """A complex D node as (right phases, program of its real core, left
+    phases) in application order, each diagonal as 2**nb phases."""
+    nb, level, lv = node.nb, node.level, node.levels[node.level - 1]
+    f = lv.factors.map(lambda x: x[node.index].reshape(1 << (level - 1), -1))
+    rot = nb - level
     states = np.arange(1 << nb)
     blk, hi, j = states >> (rot + 1), (states >> rot) & 1, states & ((1 << rot) - 1)
-    core = real_d_central(nb, c.level, f.thetas.reshape(-1))
+    core = multiplexors(nb, level, ROTY, f.thetas.reshape(1, -1))[0]
     return f.omega[blk, j] + hi * f.omega_r[blk, j], core, hi * f.omega_l[blk, j]
 
 
-def one_by_one(c, extract_phases):
+def one_by_one(node, extract_phases):
     """The program of one central; a complex D one as its three pieces."""
-    if c.variant != "complexD":
-        return decompose_central(c, extract_phases)
-    right, core, left = complex_d_pieces(c)
-    return concat(decompose_central(diagonal_central(c.nb, right), extract_phases),
-                  decompose_central(core, extract_phases),
-                  decompose_central(diagonal_central(c.nb, left), extract_phases))
+    if variant(node) != "complexD":
+        return decompose_central(node, extract_phases)
+    right, core, left = complex_d_pieces(node)
+    mode = _default_mode(extract_phases)
+    return concat(decompose_diagonals(right[None], mode)[0], core,
+                  decompose_diagonals(left[None], mode)[0])
 
 
-def carried(centrals, extract_phases, branches=None):
-    """The programs of ``centrals`` for a program bound for expand_controls,
-    one pending phase vector carried through their cores, each piece
-    emitted on its own as soon as it is decided; the branch taken at each
-    core is added to ``branches``."""
+def carried(nodes, extract_phases, branches=None):
+    """The programs of the centrals of ``nodes`` for a program bound for
+    expand_controls, one pending phase vector carried through their cores,
+    each piece emitted on its own as soon as it is decided; the branch taken
+    at each core is added to ``branches``."""
     branches = set() if branches is None else branches
-    nb = centrals[0].nb
+    nb = nodes[0].nb
     pending = np.zeros(1 << nb)
     out = []
-    for c in centrals:
-        if c.variant == "diagonal":
-            pending = pending + c.phases
+    for node in nodes:
+        kind = variant(node)
+        if kind == "diagonal":
+            pending = pending + node.levels[node.level - 1].phases[node.index]
             continue
         right = left = 0.0
-        if c.variant == "complexD":
-            right, c, left = complex_d_pieces(c)
+        if kind == "complexD":
+            right, core, left = complex_d_pieces(node)
+        else:
+            core = decompose_central(node, extract_phases)
         pending = pending + right
-        alpha, beta = split_on_bit(pending, nb - c.level)
+        alpha, beta = split_on_bit(pending, nb - node.level)
         if np.abs(beta).max() <= PRUNE_TOL:
             branches.add("carry")
         else:
             costs = diagonal_costs(pending)
             branches.add("split" if costs[0] < costs[1] else "flush")
             if costs[0] < costs[1]:
-                out.append(multiplexors(nb, c.level, ROTZ, beta[None])[0])
+                out.append(multiplexors(nb, node.level, ROTZ, beta[None])[0])
                 pending = alpha
             else:
                 out.append(decompose_diagonals(pending[None],
                                                cheaper_mode(costs, extract_phases))[0])
                 pending = np.zeros(1 << nb)
-        out.append(decompose_central(c, extract_phases))
+        out.append(core)
         pending = pending + left
     mode = cheaper_mode(diagonal_costs(pending), extract_phases)
     return out + [decompose_diagonals(pending[None], mode)[0]]
 
 
 def node_by_node(root, opts):
-    centrals = walk(root)
+    nodes = walk(root)
     if not opts.expand_controls:
-        return concat(*(one_by_one(c, opts.extract_phases) for c in centrals))
-    return expand_controls(concat(*carried(centrals, opts.extract_phases)))
+        return concat(*(one_by_one(node, opts.extract_phases) for node in nodes))
+    return expand_controls(concat(*carried(nodes, opts.extract_phases)))
 
 
 def _corpus():
@@ -121,20 +131,14 @@ OPTIONS = [CompileOptions(lighten=lighten, extract_phases=phases, expand_control
            for lighten, phases, expand in itertools.product((True, False), repeat=3)]
 
 
-def payload(c):
-    """A central's variant, level and parameters, comparable with ==."""
-    arrays = (c.angles, c.phases) if c.factors is None else (
-        c.factors.omega, c.factors.omega_l, c.factors.omega_r, c.factors.thetas)
-    return c.variant, c.level, [a.tolist() for a in arrays if a is not None]
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_same_text_as_node_by_node(name):
     for opts in OPTIONS:
         root = build_tree(CORPUS[name], opts)
         assert serialize(program_for_tree(root, opts)) == serialize(node_by_node(root, opts)), opts
         # the order of the keys is the order of the child links
-        assert [payload(c) for c in assemble(root)] == [payload(c) for c in walk(root)]
+        assert [(n.level, n.index) for n in assemble(root)] == \
+            [(n.level, n.index) for n in walk(root)]
 
 
 def test_corpus_reaches_every_central_and_carry_branch():
@@ -143,8 +147,8 @@ def test_corpus_reaches_every_central_and_carry_branch():
     kinds, branches = set(), set()
     for u in (u for u in CORPUS.values() if len(u) <= 16):
         for opts in OPTIONS[::2]:
-            centrals = walk(build_tree(u, opts))
-            kinds |= {c.variant for c in centrals}
-            carried(centrals, opts.extract_phases, branches)
+            nodes = walk(build_tree(u, opts))
+            kinds |= {variant(node) for node in nodes}
+            carried(nodes, opts.extract_phases, branches)
     assert kinds == {"realD", "complexD", "diagonal"}
     assert branches == {"carry", "split", "flush"}

@@ -117,6 +117,23 @@ class TestMatrixTextFormat:
         again = parse_matrix_text(format_matrix_text(m))
         assert np.array_equal(m, again)  # 17 digits round-trips doubles exactly
 
+    def test_text_equals_entry_by_entry_formatting(self, rng):
+        def by_entry(m):
+            lines = [str(len(m))]
+            for row in m:
+                lines.append(" ".join(f"{x:.17g}" for z in row for x in (z.real, z.imag)))
+            return "\n".join(lines) + "\n"
+
+        cases = [np.array([[complex(-0.0, 0.5)]]), np.array([[1.0]]), random_unitary(rng, 5).T]
+        for n in (1, 2, 7, 16):
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-20, 20, (n, n)) \
+                + 1j * rng.standard_normal((n, n))
+            m.real[0, 0], m.imag[-1, -1] = -0.0, -0.0
+            cases.append(m)
+        for m in cases:
+            assert format_matrix_text(m) == by_entry(m)
+        assert format_matrix_text(cases[0]) == "1\n-0 0.5\n"
+
     def test_parse_tolerates_whitespace(self):
         text = "2\n 1 0   0 0\n0 0\t1 0\n"
         assert np.array_equal(parse_matrix_text(text), np.eye(2).astype(complex))
