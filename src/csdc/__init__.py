@@ -7,7 +7,7 @@ from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                      bit_reversal_permutation, gray_sequence, hadamard_transform,
                      sylvester_hadamard)
 from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
-                  lighten, normalize_angles, phase_factors_matrix, qr_nonneg)
+                  lighten, phase_factors_matrix, qr_nonneg)
 from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
                   expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
 from .central import angles_to_theta
@@ -24,7 +24,7 @@ __all__ = [
     "bit_reversal_permutation", "gray_sequence", "hadamard_transform",
     "sylvester_hadamard",
     "CsdFactors", "PhaseFactors", "csd", "extract_phases", "is_complex_d",
-    "lighten", "normalize_angles", "phase_factors_matrix", "qr_nonneg",
+    "lighten", "phase_factors_matrix", "qr_nonneg",
     "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
     "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
     "angles_to_theta",

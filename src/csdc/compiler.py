@@ -15,9 +15,9 @@ and each step below is one vectorised pass over the level:
   * CSD of the rest: ``csd_stack`` (an SVD-based CSD, in closed form where
     the angles form one cluster, with a closed-form 2x2 SVD at d = 4) at
     every size, then ``lighten_stack``;
-    ``csd_stack`` itself hands ``csd`` (LAPACK through scipy's ``cossin``)
-    every matrix it cannot factor accurately (angles near 0° or 90°, failed
-    side or residual checks);
+    ``csd_stack`` itself sends the matrices it cannot factor accurately
+    (angles near 0° or 90°, failed side or residual checks) to the LAPACK
+    CSD (scipy's ``cossin``) in one call;
   * identity-side and diagonal-side tests, as per-matrix reductions;
   * phase extraction: one ``phase_parameters`` call on the four block
     diagonals of every aborted or folded D block (none on a plain level).

@@ -12,13 +12,13 @@ For 4x4 matrices the SVD of the 2x2 quadrant is in closed form too
 (``_svd2``), and every product of its path with an inner dimension of at
 most 2 is a broadcast multiply-add (``_mm``), so a stack of them makes no
 LAPACK or BLAS call per matrix.
-``csd`` computes the same factorization of one matrix with the LAPACK CSD
-(scipy ``cossin``); it is the fallback for the matrices ``csd_stack`` cannot
-factor accurately.
-``lighten`` (``lighten_stack`` for a stack) applies the QR gauge fix that
-pushes the right side matrices toward the identity inside clusters of equal
-angles, and ``extract_phases`` peels a complex D matrix apart into a real
-rotation core and diagonal phase factors.
+The matrices it cannot factor accurately go, all in one call, to the LAPACK
+CSD (scipy ``cossin``), whose angles come out canonical too.
+``lighten_stack`` applies the QR gauge fix that pushes the right side
+matrices toward the identity inside clusters of equal angles, and
+``extract_phases`` peels a complex D matrix apart into a real rotation core
+and diagonal phase factors.  ``csd`` (the LAPACK CSD alone) and ``lighten``
+are the same kernels on one matrix.
 
 All angles in this package are degrees.
 """
@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .matrices import (DEFAULT_TOL, NotUnitaryError, as_matrix, direct_sum,
-                       unitarity_deviation)
+# unitarity_deviation is not called here; it stays importable from this
+# module, where perfbench/spans.py traces it by name.
+from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation  # noqa: F401
 
 # Two CSD angles count as degenerate when closer than this (degrees).  The
 # exactly degenerate clusters of U⊗I (U on 1-4 qubits, d up to 1024) come out
 # with an in-cluster spread of at most 1.4e-13° from ``csd_stack`` and 7.1e-13°
-# from ``csd``, a margin of 14 or more.  Mixing two angles that are merely
+# from the LAPACK CSD, a margin of 14 or more.  Mixing two angles that are merely
 # close is exact only to within their gap, so the tolerance is no looser.
 ANGLE_CLUSTER_TOL = 1e-11
 
@@ -44,7 +45,7 @@ ANGLE_CLUSTER_TOL = 1e-11
 _PHASE_MAG_TINY = 1e-12
 
 # The batched pass divides by the sines and cosines, so a matrix with
-# min(cos, sin) below this goes to ``csd``; so does one whose sides are not
+# min(cos, sin) below this goes to the LAPACK CSD; so does one whose sides are not
 # unitary, or whose blocks are not reproduced, within _BATCHED_CHECK_TOL.
 _BATCHED_MIN_CS = 1e-6
 _BATCHED_CHECK_TOL = 1e-12
@@ -68,11 +69,12 @@ class CsdFactors:
     def half_dim(self) -> int:
         return self.l0.shape[-1]
 
-    def d_matrix(self) -> np.ndarray:
-        return d_matrix(self.thetas)
+    def fields(self) -> tuple[np.ndarray, ...]:
+        return self.l0, self.l1, self.r0, self.r1, self.thetas
 
-    def reconstruct(self) -> np.ndarray:
-        return direct_sum([self.l0, self.l1]) @ self.d_matrix() @ direct_sum([self.r0, self.r1])
+    def map(self, fn) -> "CsdFactors":
+        """The factors with ``fn`` applied to every field."""
+        return CsdFactors(*map(fn, self.fields()))
 
 
 def d_matrix(thetas_deg) -> np.ndarray:
@@ -83,60 +85,32 @@ def d_matrix(thetas_deg) -> np.ndarray:
 
 
 def csd(u, tol: float = DEFAULT_TOL) -> CsdFactors:
-    """Cosine-sine decomposition with canonical angles.
-
-    Computed by the LAPACK CSD (scipy ``cossin``), then rotated into the
-    [[C, S], [-S, C]] sign convention and angle-normalized.
-    """
+    """Cosine-sine decomposition of one matrix by the LAPACK CSD alone, in
+    the convention and with the canonical angles of ``csd_stack``."""
     a = as_matrix(u)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n % 2:
+    if a.shape[0] != a.shape[1] or a.shape[0] % 2:
         raise ValueError(f"csd needs a square even-dimensional matrix, got {a.shape}")
-    dev = unitarity_deviation(a)
-    if dev > tol:
-        raise NotUnitaryError(f"csd input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
-    m = n // 2
-    lr, cs, rr = cossin(a, p=m, q=m)
-    # cossin returns (U1 ⊕ U2) [[C, -S], [S, C]] (V1 ⊕ V2)†; flipping the sign
-    # of the lower-right factors moves the minus onto the lower-left block.
-    c = np.diag(cs[:m, :m]).real
-    s = np.diag(cs[m:, :m]).real
-    thetas = np.degrees(np.arctan2(s, c))
-    f = CsdFactors(l0=lr[:m, :m], l1=-lr[m:, m:], r0=rr[:m, :m], r1=-rr[m:, m:],
-                   thetas=thetas)
-    return normalize_angles(f)
+    return _lapack_csd(a[None], tol).map(lambda x: x[0])
 
 
-def normalize_angles(f: CsdFactors) -> CsdFactors:
-    """Equivalent factorization with angles non-decreasing in [0°, 90°].
-
-    Negative cosines and sines are repaired by sign flips absorbed into the
-    side matrices; ordering is restored by permuting side columns and rows.
-    The reconstruction is unchanged.
-    """
-    th = np.asarray(f.thetas, dtype=np.float64).copy()
-    l0, l1 = f.l0.copy(), f.l1.copy()
-    r0, r1 = f.r0.copy(), f.r1.copy()
-
-    th = np.mod(th + 180.0, 360.0) - 180.0
-    # cos < 0: shift by 180 degrees, negating the matching column of both L's.
-    wide = np.abs(th) > 90.0
-    if np.any(wide):
-        th[wide] -= 180.0 * np.sign(th[wide])
-        l0[:, wide] *= -1.0
-        l1[:, wide] *= -1.0
-    # sin < 0: negate the angle, the matching column of L1 and row of R1.
-    neg = th < 0.0
-    if np.any(neg):
-        th[neg] *= -1.0
-        l1[:, neg] *= -1.0
-        r1[neg, :] *= -1.0
-    order = np.argsort(th, kind="stable")
-    if not np.array_equal(order, np.arange(len(th))):
-        th = th[order]
-        l0, l1 = l0[:, order], l1[:, order]
-        r0, r1 = r0[order, :], r1[order, :]
-    return CsdFactors(l0, l1, r0, r1, th)
+def _lapack_csd(a: np.ndarray, tol: float, rows=None) -> CsdFactors:
+    """The LAPACK CSD (scipy ``cossin``, xUNCSD) of every matrix of a
+    (k, n, n) stack, in one call.  xUNCSD returns θ non-decreasing in
+    [0, π/2] (Sutton, arXiv:0707.1838), and (U1 ⊕ U2) [[C, -S], [S, C]]
+    (V1 ⊕ V2)ᴴ, whose minus moves to the lower-left block when the
+    lower-right factors are negated.  Raises NotUnitaryError if a matrix is
+    not unitary within tol, naming it by its entry of ``rows`` if given."""
+    dev = _unitarity_deviations(a)
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        i = bad[0]
+        which = "" if rows is None else f" {rows[i]} of the stack"
+        raise NotUnitaryError(f"csd input{which} is not unitary: "
+                              f"max deviation {dev[i]:.3e} > {tol:.1e}")
+    m = a.shape[-1] // 2
+    u, theta, vh = cossin(a, p=m, q=m, separate=True)   # u[:, 0] is U1, u[:, 1] U2
+    return CsdFactors(l0=u[:, 0], l1=-u[:, 1], r0=vh[:, 0], r1=-vh[:, 1],
+                      thetas=np.degrees(theta))
 
 
 def _unit_phases(z: np.ndarray, where: np.ndarray) -> np.ndarray:
@@ -145,69 +119,24 @@ def _unit_phases(z: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 
 def qr_nonneg(m) -> tuple[np.ndarray, np.ndarray]:
-    """QR decomposition with a real non-negative principal diagonal of R.
+    """QR decomposition with a real non-negative principal diagonal of R, of
+    one d x n block or of every block of a (k, d, n) stack.
 
-    Accepts d x n blocks with d <= n (q is then d x d).  Zero diagonal entries
-    are left alone, so rank deficiency is permitted.
+    Needs d <= n (q is then d x d).  Zero diagonal entries are left alone,
+    so rank deficiency is permitted.
     """
-    a = as_matrix(m)
-    if a.shape[0] > a.shape[1]:
-        raise ValueError(f"qr_nonneg needs d <= n, got {a.shape}")
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-2] > a.shape[-1] or not np.isfinite(a).all():
+        raise ValueError(f"qr_nonneg needs finite d x n blocks with d <= n, got {a.shape}")
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diag(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = _unit_phases(d, np.abs(d) >= _PHASE_MAG_TINY)
-    q = q * phases[None, :]
-    r = phases.conj()[:, None] * r
-    return q, r
-
-
-def angle_clusters(thetas) -> list[tuple[int, int]]:
-    """Half-open [start, stop) runs of degenerate angles (gaps at most
-    ANGLE_CLUSTER_TOL) in a sorted vector."""
-    th = np.asarray(thetas, dtype=np.float64)
-    clusters = []
-    start = 0
-    for i in range(1, len(th)):
-        if th[i] - th[i - 1] > ANGLE_CLUSTER_TOL:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, len(th)))
-    return clusters
+    return q * phases[..., None, :], phases.conj()[..., :, None] * r
 
 
 def lighten(f: CsdFactors) -> CsdFactors:
-    """Gauge-fix the factorization so r0 is as close to identity as the angles allow.
-
-    Within each cluster of degenerate angles, any shared unitary G commutes
-    through the D matrix, so L_j -> L_j G and R_j -> G† R_j leave the product
-    unchanged.  Choosing G per cluster as the Q of a QR decomposition of the
-    cluster's row block of r0 makes that block upper triangular with a real
-    non-negative principal diagonal; a fully degenerate unitary r0 collapses
-    to the identity.
-
-    Where the angles are all apart and every row of the new r0 has a real
-    positive first entry, that gauge is one phase per angle and unique.  It
-    leaves one more freedom where a sine vanishes (below _PHASE_MAG_TINY):
-    D does not couple L1 and R1 there, so a phase on that column of L1 and
-    its conjugate on that row of r1 leave the product unchanged too (to
-    within 2·sin θ per entry of Q12 and Q21).  That phase is fixed as
-    ``qr_nonneg`` fixes a one-row block of r1, so the factors do not depend
-    on the rounding that the CSD left in the row.  Angles are untouched.
-    """
-    gs = []
-    new_r0 = np.empty_like(f.r0)
-    clusters = angle_clusters(f.thetas)
-    for start, stop in clusters:
-        q, r = qr_nonneg(f.r0[start:stop, :])
-        gs.append(q)
-        new_r0[start:stop, :] = r
-    g = direct_sum(gs) if len(gs) > 1 else gs[0]
-    l1, r1 = f.l1 @ g, g.conj().T @ f.r1
-    if len(clusters) == len(f.thetas) and (np.abs(f.r0[:, 0]) >= _PHASE_MAG_TINY).all():
-        for j in np.flatnonzero(np.sin(np.radians(f.thetas)) < _PHASE_MAG_TINY):
-            q, r1[j:j + 1, :] = qr_nonneg(r1[j:j + 1, :])
-            l1[:, j] *= q[0, 0]
-    return CsdFactors(l0=f.l0 @ g, l1=l1, r0=new_r0, r1=r1, thetas=f.thetas)
+    """``lighten_stack`` of one factorization."""
+    return lighten_stack(f.map(lambda x: np.asarray(x)[None])).map(lambda x: x[0])
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
@@ -239,9 +168,10 @@ def _unitarity_deviations(x: np.ndarray) -> np.ndarray:
     return np.abs(_mm(_ct(x), x) - np.eye(x.shape[-1])).max(axis=(-2, -1))
 
 
-def _set_factors(out: CsdFactors, i: int, f: CsdFactors) -> None:
-    for name in ("l0", "l1", "r0", "r1", "thetas"):
-        getattr(out, name)[i] = getattr(f, name)
+def _set_rows(out: CsdFactors, rows: np.ndarray, f: CsdFactors) -> None:
+    """Overwrite the factorizations ``rows`` of the stack ``out`` with ``f``."""
+    for dst, src in zip(out.fields(), f.fields()):
+        dst[rows] = src
 
 
 def _column_norms_sq(x: np.ndarray) -> np.ndarray:
@@ -337,38 +267,38 @@ def _svd_factors(q11, q12, q21, q22) -> tuple[np.ndarray, ...]:
     J. Numer. Anal. 1971).  R1 from ``_right_rows`` is unitary to rounding
     already (each row is divided by max(s, c) >= 1/√2), and takes one step.
     A zero s gives non-finite factors, which ``csd_stack``'s checks send to
-    ``csd``.
+    the LAPACK CSD; no floating-point warning is raised on the way.
 
     For 2x2 quadrants (h = 2) the SVD is ``_svd2``'s closed form, not
     LAPACK's, and the side and residual checks of ``csd_stack`` vouch for
     its L0 and R0 as for the other factors.
     """
-    l0, c, r0 = _svd2(q11) if q11.shape[-1] == 2 else np.linalg.svd(q11)
-    x = -_mm(q21, _ct(r0))
-    g = _mm(_ct(x), x)
-    s = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        l0, c, r0 = _svd2(q11) if q11.shape[-1] == 2 else np.linalg.svd(q11)
+        x = -_mm(q21, _ct(r0))
+        g = _mm(_ct(x), x)
+        s = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
         si, sj = s[:, :, None], s[:, None, :]
         w = -g / (si * sj * (si + sj))
         i = np.arange(s.shape[1])
         w[:, i, i] = 1.0 / s
         l1 = _newton_schulz(_mm(x, w))
-    return l0, l1, r0, _newton_schulz(_right_rows(l0, l1, q12, q22, c, s)), c, s
+        return l0, l1, r0, _newton_schulz(_right_rows(l0, l1, q12, q22, c, s)), c, s
 
 
 def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
-    """``csd`` of every matrix of a (k, n, n) stack, in the same convention.
+    """Cosine-sine decomposition of every matrix of a (k, n, n) stack.
 
     A stack in which the angles of each matrix form one cluster gets the
     closed form of ``_cluster_factors``; any other stack is factored at once
     by ``_svd_factors``, and a one-cluster matrix in it gets its gauge from
-    ``lighten``.  The angles come out canonical, since the singular values
-    arrive in descending order.  A matrix is handed to ``csd`` instead
-    when an angle is within _BATCHED_MIN_CS (as a cosine or sine) of 90° or
-    0°, when its factors fail the side-unitarity or block residual check
-    (non-finite factors fail both), or when the checks cannot vouch for its
-    unitarity within tol; ``csd`` then raises NotUnitaryError if the matrix
-    is not unitary within tol.
+    ``lighten_stack``.  The angles come out canonical, since the singular
+    values arrive in descending order.  The matrices with an angle within
+    _BATCHED_MIN_CS (as a cosine or sine) of 90° or 0°, whose factors fail
+    the side-unitarity or block residual check (non-finite factors fail
+    both), or whose unitarity within tol the checks cannot vouch for, are
+    factored instead by one ``_lapack_csd`` call, which raises
+    NotUnitaryError if one of them is not unitary within tol.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
@@ -399,29 +329,33 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     # The product P of the factors is unitary within (m·side_dev)(2 + m·side_dev)
     # (max entry, through the spectral norm), and each column of U - P has
     # 2-norm at most sqrt(2m)·residual, so U is unitary within the bound below;
-    # where that exceeds tol, ``csd`` checks U itself.
+    # where that exceeds tol, ``_lapack_csd`` checks U itself.
     fw = m * side_dev * (2.0 + m * side_dev)
     fe = np.sqrt(2 * m) * residual
     fallback |= ~(fw + 2.0 * np.sqrt(1.0 + fw) * fe + fe * fe <= tol)
     out = CsdFactors(l0, l1, r0, r1, thetas)
-    for i in np.flatnonzero(fallback):
-        try:
-            _set_factors(out, i, csd(a[i], tol))
-        except NotUnitaryError as exc:
-            raise NotUnitaryError(f"csd input {i} of the stack: {exc}") from None
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        _set_rows(out, rows, _lapack_csd(a[rows], tol, rows))
     return out
 
 
 def lighten_stack(f: CsdFactors) -> CsdFactors:
-    """``lighten`` of every factorization of a stack (fields with a leading axis).
+    """Gauge-fix every factorization of a stack (fields with a leading axis)
+    so that r0 is as close to the identity as the angles allow.
 
-    Where every angle cluster is a singleton, the gauge fix is one phase per
-    angle: it makes the first entry of each row of r0 real and non-negative,
-    as ``qr_nonneg`` does for a one-row block, and then, for an angle whose
-    sine vanishes, the first entry of its row of r1 too.  An r0 that is the
-    identity (the closed form of a one-cluster CSD) is already lightened.
-    The other factorizations, with a larger cluster or with a first entry of
-    r0 below the magnitude ``qr_nonneg`` leaves alone, go through ``lighten``.
+    Within a cluster of degenerate angles (gaps at most ANGLE_CLUSTER_TOL)
+    a shared unitary G commutes through D, so L_j -> L_j G, R_j -> G† R_j
+    leave the product unchanged.  G is the Q of the QR of the cluster's row
+    block of r0 (``_qr_gauge``), so a unitary r0 that is one cluster becomes
+    the identity, and an identity r0 (``_cluster_factors``) stays.  Where
+    every cluster is a singleton and every first entry of r0 is at least
+    _PHASE_MAG_TINY, G is one phase per angle, which makes those entries real
+    and positive.  Where a sine vanishes too (below _PHASE_MAG_TINY), D does
+    not couple L1 and R1 (to within 2·sin θ per entry of Q12 and Q21), so
+    one more phase, on that column of L1 and that row of r1, makes the first
+    entry of the row of r1 real and non-negative: the factors then do not
+    depend on the rounding the CSD left there.  Angles are untouched.
     """
     done = (f.r0 == np.eye(f.half_dim)).all(axis=(1, 2))
     flat = np.sin(np.radians(f.thetas)) < _PHASE_MAG_TINY
@@ -430,7 +364,6 @@ def lighten_stack(f: CsdFactors) -> CsdFactors:
     pivot = f.r0[:, :, 0]
     singles = ((np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL).all(axis=1)
                & (np.abs(pivot) >= _PHASE_MAG_TINY).all(axis=1))
-    batched = singles | done   # disjoint but for half_dim 1, where both give g = 1
     g = _unit_phases(pivot, singles[:, None])
     gh = g.conj()[:, :, None]
     l1, r1 = f.l1 * g[:, None, :], gh * f.r1
@@ -441,10 +374,29 @@ def lighten_stack(f: CsdFactors) -> CsdFactors:
         l1, r1 = l1 * e[:, None, :], e.conj()[:, :, None] * r1
     out = CsdFactors(l0=f.l0 * g[:, None, :], l1=l1, r0=gh * f.r0, r1=r1,
                      thetas=f.thetas.copy())
-    for i in np.flatnonzero(~batched):
-        one = CsdFactors(f.l0[i], f.l1[i], f.r0[i], f.r1[i], f.thetas[i])
-        _set_factors(out, i, lighten(one))
+    # singles and done are disjoint but for half_dim 1, where both give G = 1.
+    rows = np.flatnonzero(~(singles | done))
+    if rows.size:
+        _set_rows(out, rows, _qr_gauge(f.map(lambda x: x[rows])))
     return out
+
+
+def _qr_gauge(f: CsdFactors) -> CsdFactors:
+    """``lighten_stack``'s gauge fix of every factorization of a stack, with
+    G the direct sum of the Q factors of ``qr_nonneg`` on the row blocks of
+    r0 of its angle clusters: one stacked QR per distinct cluster size."""
+    k, h = f.thetas.shape
+    first = np.ones((k, h), dtype=bool)
+    first[:, 1:] = np.diff(f.thetas, axis=1) > ANGLE_CLUSTER_TOL
+    row, start = np.nonzero(first)
+    size = np.diff(np.append(row * h + start, k * h))   # every row starts a cluster
+    g = np.zeros((k, h, h), dtype=np.complex128)
+    r0 = np.empty_like(f.r0)
+    for n in np.unique(size):
+        rr, idx = row[size == n][:, None], start[size == n][:, None] + np.arange(n)
+        q, r0[rr, idx] = qr_nonneg(f.r0[rr, idx])
+        g[rr[:, :, None], idx[:, :, None], idx[:, None, :]] = q
+    return CsdFactors(l0=f.l0 @ g, l1=f.l1 @ g, r0=r0, r1=_ct(g) @ f.r1, thetas=f.thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from csdc import (CsdFactors, NotUnitaryError, csd, extract_phases, frobenius_distance,
-                  is_complex_d, is_unitary, lighten, normalize_angles,
-                  phase_factors_matrix, qr_nonneg)
+                  is_complex_d, is_unitary, lighten, phase_factors_matrix, qr_nonneg)
 from csdc.csd import d_matrix
 
 from conftest import block_diag, random_unitary
@@ -87,40 +86,6 @@ class TestCsd:
         assert frobenius_distance(reconstruct(f), u) < 1e-10
 
 
-class TestNormalizeAngles:
-    def _factors_with_angles(self, rng, thetas):
-        sides = [random_unitary(rng, len(thetas)) for _ in range(4)]
-        return CsdFactors(sides[0], sides[1], sides[2], sides[3],
-                          np.asarray(thetas, dtype=float))
-
-    def test_negative_angle_flipped(self, rng):
-        f = self._factors_with_angles(rng, [-30.0, 45.0])
-        before = reconstruct(f)
-        g = normalize_angles(f)
-        assert np.allclose(g.thetas, [30.0, 45.0])
-        assert frobenius_distance(reconstruct(g), before) < 1e-12
-
-    def test_out_of_order_swapped(self, rng):
-        f = self._factors_with_angles(rng, [60.0, 30.0])
-        before = reconstruct(f)
-        g = normalize_angles(f)
-        assert np.allclose(g.thetas, [30.0, 60.0])
-        assert frobenius_distance(reconstruct(g), before) < 1e-12
-
-    def test_canonical_unchanged(self, rng):
-        f = self._factors_with_angles(rng, [10.0, 80.0])
-        g = normalize_angles(f)
-        assert np.array_equal(g.thetas, f.thetas)
-        assert np.array_equal(g.l0, f.l0) and np.array_equal(g.r1, f.r1)
-
-    def test_obtuse_and_wrapped_angles(self, rng):
-        f = self._factors_with_angles(rng, [150.0, -260.0, 400.0])
-        before = reconstruct(f)
-        g = normalize_angles(f)
-        assert_canonical(g.thetas)
-        assert frobenius_distance(reconstruct(g), before) < 1e-12
-
-
 class TestQrNonneg:
     def test_identity(self):
         q, r = qr_nonneg(np.eye(2))
@@ -145,6 +110,25 @@ class TestQrNonneg:
         q, r = qr_nonneg(m)
         assert q.shape == (2, 2) and r.shape == (2, 4)
         assert frobenius_distance(q @ r, m) < 1e-12
+
+    def test_stack_matches_each_block(self, rng):
+        # A stack of wide blocks, one of them rank-deficient with a zero
+        # first diagonal entry of R, is factored block by block.
+        m = np.stack([random_unitary(rng, 4)[:2, :] for _ in range(3)])
+        m[1, :, 0] = 0.0
+        q, r = qr_nonneg(m)
+        assert q.shape == (3, 2, 2) and r.shape == (3, 2, 4)
+        for i in range(3):
+            qi, ri = qr_nonneg(m[i])
+            assert np.abs(q[i] - qi).max() < 1e-15 and np.abs(r[i] - ri).max() < 1e-15
+            assert frobenius_distance(q[i] @ r[i], m[i]) < 1e-12
+        assert r[1, 0, 0] == 0.0
+
+    def test_rejects_tall_and_non_finite_blocks(self, rng):
+        with pytest.raises(ValueError):
+            qr_nonneg(random_unitary(rng, 4)[:, :2])
+        with pytest.raises(ValueError):
+            qr_nonneg(np.full((2, 2), np.nan))
 
 
 class TestLighten:

@@ -10,10 +10,12 @@ from csdc import (CompileOptions, CsdFactors, NotUnitaryError, compile_unitary, 
                   frobenius_distance, hadamard_input, lighten, phase_factors_matrix,
                   program_to_matrix)
 from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, _block_diagonal_index, _svd2, _wrap_deg,
-                      csd_stack, d_matrix, extract_phases, is_complex_d, is_complex_d_stack,
-                      lighten_stack, phase_parameters)
+from csdc.compiler import _embed
+from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, ANGLE_CLUSTER_TOL, _block_diagonal_index,
+                      _svd2, _wrap_deg, csd_stack, d_matrix, extract_phases, is_complex_d,
+                      is_complex_d_stack, lighten_stack, phase_parameters, qr_nonneg)
 from csdc.reference import dft_matrix
+from scipy.linalg import cossin
 
 from conftest import block_diag, random_phase_factors, random_unitary, two_bit_rows
 
@@ -78,33 +80,90 @@ def lapack_svd_factors(q11, q12, q21, q22):
 
 def lightened_and_sent(monkeypatch, mats):
     """``lighten_stack(csd_stack(mats))``, and the indices of the matrices
-    that ``csd_stack`` handed to ``csd``, in order."""
-    fn, sent = csd_module.csd, []
+    that ``csd_stack`` handed to the LAPACK CSD, in order."""
+    fn, sent = csd_module._lapack_csd, []
 
-    def recorded(u, *args):
-        sent.append(next(i for i, m in enumerate(mats) if np.array_equal(m, u)))
-        return fn(u, *args)
+    def recorded(a, *args):
+        sent.extend(next(i for i, m in enumerate(mats) if np.array_equal(m, u)) for u in a)
+        return fn(a, *args)
     with monkeypatch.context() as m:
-        m.setattr(csd_module, "csd", recorded)
+        m.setattr(csd_module, "_lapack_csd", recorded)
         return lighten_stack(csd_stack(mats)), sent
 
 
 @pytest.fixture
 def csd_calls(monkeypatch):
-    """Count the calls the stacked kernels hand to ``csd`` and ``lighten``."""
+    """Count the matrices the stacked kernels send to the LAPACK CSD
+    (``_lapack_csd``) and the factorizations they send to the per-cluster
+    QR gauge fix (``_qr_gauge``)."""
     calls = {"csd": 0, "lighten": 0}
 
-    def counted(name):
-        fn = getattr(csd_module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(stack, *args):
+            calls[name] += len(stack.thetas if name == "lighten" else stack)
+            return fn(stack, *args)
         return wrapper
 
-    monkeypatch.setattr(csd_module, "csd", counted("csd"))
-    monkeypatch.setattr(csd_module, "lighten", counted("lighten"))
+    monkeypatch.setattr(csd_module, "_lapack_csd", counted("csd", csd_module._lapack_csd))
+    monkeypatch.setattr(csd_module, "_qr_gauge", counted("lighten", csd_module._qr_gauge))
     return calls
+
+
+def reference_csd(u):
+    """The per-matrix LAPACK path that the stacked fallback replaced, as its
+    oracle: a non-separate ``cossin``, the angles read off its C and S
+    blocks, then the sign flips and the sort that once normalized them."""
+    m = u.shape[0] // 2
+    lr, cs, rr = cossin(u, p=m, q=m)
+    c, s = np.diag(cs[:m, :m]).real, np.diag(cs[m:, :m]).real
+    th = np.mod(np.degrees(np.arctan2(s, c)) + 180.0, 360.0) - 180.0
+    l0, l1, r0, r1 = lr[:m, :m], -lr[m:, m:], rr[:m, :m], -rr[m:, m:]
+    wide = np.abs(th) > 90.0            # cos < 0
+    th[wide] -= 180.0 * np.sign(th[wide])
+    l0[:, wide] *= -1.0
+    l1[:, wide] *= -1.0
+    neg = th < 0.0                      # sin < 0
+    th[neg] *= -1.0
+    l1[:, neg] *= -1.0
+    r1[neg, :] *= -1.0
+    order = np.argsort(th, kind="stable")
+    return CsdFactors(l0[:, order], l1[:, order], r0[order], r1[order], th[order])
+
+
+def reference_lighten(f):
+    """The per-cluster gauge fix of one factorization that ``_qr_gauge``
+    replaced, as its oracle: one ``qr_nonneg`` per cluster of r0's rows."""
+    cuts = [0, *(np.flatnonzero(np.diff(f.thetas) > ANGLE_CLUSTER_TOL) + 1), len(f.thetas)]
+    gs, r0 = [], np.empty_like(f.r0)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        q, r0[start:stop] = qr_nonneg(f.r0[start:stop])
+        gs.append(q)
+    g = block_diag(gs)
+    return CsdFactors(f.l0 @ g, f.l1 @ g, r0, g.conj().T @ f.r1, f.thetas)
+
+
+def stacked(fn):
+    """A kernel on stacks that applies the one-matrix ``fn`` to each member."""
+    def on_stack(stack, *args):
+        items = list(stack) if isinstance(stack, np.ndarray) else [
+            one(stack, i) for i in range(len(stack.thetas))]
+        return CsdFactors(*map(np.stack, zip(*(fn(x).fields() for x in items))))
+    return on_stack
+
+
+def captured_stacks(monkeypatch, runs):
+    """Every stack that ``csd_stack`` gets while compiling ``runs``, a list
+    of (input, options) pairs."""
+    stacks = []
+
+    def captured(mats, tol):
+        stacks.append(mats.copy())
+        return csd_stack(mats, tol)
+    with monkeypatch.context() as m:
+        m.setattr(compiler_module, "csd_stack", captured)
+        for u, opts in runs:
+            compile_unitary(u, opts)
+    return stacks
 
 
 def assert_csd_properties(f, u):
@@ -261,16 +320,7 @@ class TestBatchedCsd:
         else:
             runs = [(u, CompileOptions(extract_phases=ep))
                     for u in TestLevelBuild.structured_inputs().values() for ep in (True, False)]
-        stacks = []
-
-        def captured(mats, tol):
-            if mats.shape[1] == 4:
-                stacks.append(mats.copy())
-            return csd_stack(mats, tol)
-        with monkeypatch.context() as m:
-            m.setattr(compiler_module, "csd_stack", captured)
-            for u, opts in runs:
-                compile_unitary(u, opts)
+        stacks = [m for m in captured_stacks(monkeypatch, runs) if m.shape[1] == 4]
         assert sum(len(m) for m in stacks) >= (340 if source == "haar" else 100)
         sends = 0
         for mats in stacks:
@@ -327,7 +377,7 @@ class TestBatchedCsd:
                 assert_csd_properties(one(got, i), u)
             for i in ones:
                 assert np.abs(got.r0[i] - np.eye(h)).max() < 1e-12
-                want = lighten(csd(mats[i]))
+                want = reference_lighten(reference_csd(mats[i]))
                 for a, b in zip(factors(got, i), [want.l0, want.l1, want.r0, want.r1]):
                     assert np.abs(a - b).max() < 1e-11
         assert (lighten_stack(csd_stack(np.stack(one_cluster))).r0 == np.eye(h)).all()
@@ -608,3 +658,111 @@ class TestLevelBuild:
         got = {name: {k: n for k, n in compile_unitary(u).count_by_kind().items() if n}
                for name, u in self.structured_inputs().items()}
         assert got == self.STRUCTURED_COUNTS
+
+
+class TestLapackFallback:
+    """The matrices ``csd_stack`` cannot factor go to the LAPACK CSD in one
+    stacked call, and the clustered factorizations to one stacked QR per
+    cluster size; both take the place of per-matrix paths."""
+
+    def test_cossin_angles_are_canonical(self, monkeypatch):
+        # The fallback takes xUNCSD's angles as they come, with no sign flip
+        # and no sort, so it relies on them being non-decreasing in [0, π/2].
+        rng = np.random.default_rng(0xC0DE)
+        stacks = captured_stacks(monkeypatch, [(dft_matrix(nb), CompileOptions(extract_phases=ep))
+                                               for nb in range(2, 7) for ep in (True, False)])
+        for h in (2, 4, 8, 16, 32):
+            d = 2 * h
+            perms = np.stack([np.eye(d)[rng.permutation(d)] for _ in range(6)])
+            stacks += [perms, perms * np.exp(1j * rng.uniform(-np.pi, np.pi, (6, 1, d))),
+                       np.stack([np.kron(random_unitary(rng, k), np.eye(d // k)) for k in (2, h)]),
+                       np.stack([np.kron(np.eye(d // k), random_unitary(rng, k)) for k in (2, h)]),
+                       np.stack([_embed(random_unitary(rng, n)) for n in (h + 1, d - 1)])]
+        sizes = set()
+        for mats in stacks:
+            m = mats.shape[1] // 2
+            sizes.add(2 * m)
+            _, theta, _ = cossin(np.asarray(mats, dtype=np.complex128), p=m, q=m, separate=True)
+            assert theta.shape == (len(mats), m)
+            assert (theta >= 0.0).all() and (theta <= np.pi / 2).all()
+            assert (np.diff(theta, axis=1) >= 0.0).all()
+        assert sizes >= {4, 8, 16, 32, 64}
+
+    @staticmethod
+    def mixed_stack(rng, h):
+        """Batched rows, fallback rows (angles at 0° or 90°, permutations),
+        angle clusters with and without fallback, and a singleton whose r0
+        has a zero first entry."""
+        d = 2 * h
+        r0 = block_diag([np.eye(1), random_unitary(rng, h - 1) if h > 2 else np.eye(1)])
+        pivot = (block_diag([random_unitary(rng, h), random_unitary(rng, h)])
+                 @ d_matrix(np.linspace(10.0, 70.0, h))
+                 @ block_diag([r0[:, [1, 0, *range(2, h)]], random_unitary(rng, h)]))
+        phased = np.eye(d)[rng.permutation(d)] * np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+        return np.stack([
+            random_unitary(rng, d),
+            with_angles(rng, [0.0] + [40.0] * (h - 1)),                  # fallback, cluster
+            with_angles(rng, [20.0] * (h // 2) + [60.0] * (h - h // 2)),  # clusters
+            np.eye(d)[rng.permutation(d)],
+            pivot,
+            with_angles(rng, np.linspace(15.0, 90.0, h)),                # fallback at 90°
+            np.kron(random_unitary(rng, h), np.eye(2)),                  # pairs
+            random_unitary(rng, d),
+            phased,
+            with_angles(rng, [35.0] * h),                                # one cluster
+        ])
+
+    @pytest.mark.parametrize("h", [2, 4, 8])
+    def test_matches_per_matrix_oracle(self, rng, monkeypatch, h):
+        mats = self.mixed_stack(rng, h)
+        gauged = []
+        gauge = csd_module._qr_gauge
+
+        def recorded(f):
+            gauged.append(len(f.thetas))
+            return gauge(f)
+        monkeypatch.setattr(csd_module, "_qr_gauge", recorded)
+        plain = csd_stack(mats)
+        got, sent = lightened_and_sent(monkeypatch, mats)
+        assert abs(plain.r0[4, 0, 0]) < _PHASE_MAG_TINY
+        monkeypatch.setattr(csd_module, "_lapack_csd", stacked(reference_csd))
+        monkeypatch.setattr(csd_module, "_qr_gauge", stacked(reference_lighten))
+        want_plain = csd_stack(mats)
+        want, want_sent = lightened_and_sent(monkeypatch, mats)
+        assert sent == want_sent and set(sent) >= {1, 3, 5, 8}
+        assert gauged[0] >= 3      # the pivot row, the pairs and the one cluster at least
+        for a, b in ((plain, want_plain), (got, want)):
+            assert np.abs(a.thetas - b.thetas).max() < 1e-12
+            for x, y in zip(factors(a, slice(None)), factors(b, slice(None))):
+                assert np.abs(x - y).max() < 1e-12
+        for i, u in enumerate(mats):
+            assert_csd_properties(one(got, i), u)
+
+    def test_csd_and_lighten_are_stacks_of_one(self, rng):
+        u = with_angles(rng, [0.0, 20.0, 20.0, 90.0])
+        f, stack = csd(u), csd_stack(u[None])
+        assert all(np.array_equal(a, b[0]) for a, b in zip(f.fields(), stack.fields()))
+        g, lit = lighten(f), lighten_stack(stack)
+        assert all(np.array_equal(a, b[0]) for a, b in zip(g.fields(), lit.fields()))
+        assert_csd_properties(g, u)
+
+
+class TestNoWarnings:
+    """A compile never lets a floating-point warning reach its caller: the
+    batched CSD meets zero sines and cosines on these inputs, and its
+    checks send the non-finite factors to the LAPACK CSD."""
+
+    @pytest.mark.parametrize("nb", [5, 6, 7, 8])
+    def test_permutations(self, nb):
+        rng = np.random.default_rng(nb)
+        inputs = [np.eye(1 << nb)[rng.permutation(1 << nb)] for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in inputs:
+                compile_unitary(u)
+
+    def test_dft(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nb in range(2, 9):
+                compile_unitary(dft_matrix(nb))
