@@ -121,25 +121,9 @@ def sylvester_hadamard(nb: int) -> np.ndarray:
     return kron_transform(np.eye(1 << nb), "walsh").astype(np.complex128)
 
 
-# Set bits of every byte value.
-_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-
 def popcount(a) -> np.ndarray:
-    """Number of set bits, elementwise, for non-negative integer arrays (int64).
-
-    One table lookup per byte, stopping once no bits are left.
-    """
-    shape = np.shape(a)
-    x = np.array(a, dtype=np.uint64).reshape(-1)  # a copy: shifted in place below
-    byte = x & np.uint64(0xFF)
-    count = _BYTE_POPCOUNT[byte]
-    x >>= np.uint64(8)
-    while np.any(x):
-        np.bitwise_and(x, np.uint64(0xFF), out=byte)
-        count += _BYTE_POPCOUNT[byte]
-        x >>= np.uint64(8)
-    return count.astype(np.int64).reshape(shape)
+    """Number of set bits, elementwise, for non-negative integer arrays (int64)."""
+    return np.bitwise_count(a).astype(np.int64)
 
 
 @dataclass(frozen=True)

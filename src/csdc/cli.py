@@ -11,7 +11,7 @@ input; the report is printed and the SEO file is still written first).
 Failures map to exit codes by exception type, in ``main`` only.
 
 ``verify`` pads the matrix as ``compile`` does (u ⊕ I up to a power of two)
-and reads the SEO file on log2 of that dimension bits unless --nb is given.
+and reads the SEO file on log2 of that dimension bits.
 """
 from __future__ import annotations
 
@@ -118,11 +118,7 @@ def run_verify(args) -> int:
     u = _embed(read_matrix_file(args.matrix))   # u ⊕ I, as compile pads it
     nb = u.shape[0].bit_length() - 1
     with open(args.seo, "r", encoding="utf-8") as fh:
-        program = parse(fh.read(), nb=nb if args.nb is None else args.nb)
-    if u.shape[0] != (1 << program.nb):
-        return _fail(EXIT_BAD_INPUT,
-                     f"dimension mismatch: matrix is {u.shape[0]}, "
-                     f"program needs {1 << program.nb}")
+        program = parse(fh.read(), nb=nb)
     rebuilt = program_to_matrix(program)
     distance = frobenius_distance(u, rebuilt)
     # Distance once an optimal global phase is removed, reported so a phase
@@ -165,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--perm-search", dest="perm_search",
                     choices=("none", "root"), default="none",
                     help="try all bit relabelings at the root, keep the shortest")
-    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                    help="largest max-entry deviation of UᴴU from I accepted")
     add_report(pc)
     pc.set_defaults(func=run_compile)
 
@@ -180,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="check a matrix/SEO pair")
     pv.add_argument("matrix", help="matrix text file")
     pv.add_argument("seo", help="SEO text file")
-    pv.add_argument("--nb", type=int, default=None,
-                    help="bit count (default: log2 of the padded matrix dimension)")
     pv.add_argument("--tol", type=_tolerance, default=ROUND_TRIP_TOL,
                     help="largest Frobenius distance accepted (default: the bound compile "
                          "checks its own output against)")

@@ -21,6 +21,8 @@ and each step below is one vectorised pass over the level:
   * identity-side and diagonal-side tests, as per-matrix reductions;
   * phase extraction: one ``phase_parameters`` call on the four block
     diagonals of every aborted or folded D block (none on a plain level).
+The complex-D, diagonal-side and real-phase tests read the fixed
+``STRUCTURE_TOL``; ``opts.tol`` only decides whether the input is unitary.
 The level keeps its centrals as arrays (``TreeLevel``), and a ``CsdNode`` is
 a view of one row.  Emission is one ``decompose_level`` pass per level, and
 one sort by the keys of the centrals puts the instructions in application
@@ -50,9 +52,9 @@ from .central import (_default_mode, cheaper_mode, decompose_diagonals, decompos
                       diagonal_costs, multiplexors, side_phases, split_on_bit)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
-from .csd import (PhaseFactors, _block_diagonal_index, csd, csd_stack,  # noqa: F401
-                  extract_phases, is_complex_d, is_complex_d_stack, lighten, lighten_stack,
-                  phase_parameters)
+from .csd import (STRUCTURE_TOL, PhaseFactors, _block_diagonal_index, csd,  # noqa: F401
+                  csd_stack, extract_phases, is_complex_d, is_complex_d_stack, lighten,
+                  lighten_stack, phase_parameters)
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
 # concat is not called here; it stays importable from this module, where
 # perfbench/spans.py traces it by name.
@@ -60,7 +62,7 @@ from .seo import (PRUNE_TOL, ROTZ, Program, concat, expand_controls, gather,  # 
                   rename_bits)
 
 # A side matrix whose max-entry deviation from the identity is below this
-# terminates its branch.  Looser than the csd tolerance, tighter than the
+# terminates its branch.  Looser than STRUCTURE_TOL, tighter than the
 # round-trip budget, so lightened near-identities actually stop the recursion.
 IDENTITY_TOL = 1e-9
 
@@ -73,6 +75,10 @@ PERM_SEARCH_MAX_NB = 6
 
 @dataclass(frozen=True)
 class CompileOptions:
+    """``tol`` is the largest max-entry deviation of UᴴU from I accepted as
+    unitary, by ``build_tree`` and ``compile_unitary`` and in ``csd_stack``'s
+    bound; what counts as structure does not depend on it."""
+
     lighten: bool = True
     extract_phases: bool = True
     expand_controls: bool = False
@@ -122,13 +128,13 @@ def _identity_mask(sides: np.ndarray) -> np.ndarray:
     return np.abs(sides - np.eye(sides.shape[-1])).max(axis=(1, 2, 3)) <= IDENTITY_TOL
 
 
-def _diagonal_mask(sides: np.ndarray, tol: float) -> np.ndarray:
+def _diagonal_mask(sides: np.ndarray) -> np.ndarray:
     """Per leading index of a (k, 2, h, h) side stack: both sides are diagonal
-    within tol."""
+    within STRUCTURE_TOL."""
     mag = np.abs(sides)
     j = np.arange(sides.shape[-1])
     mag[..., j, j] = 0.0
-    return mag.max(axis=(1, 2, 3)) <= tol
+    return mag.max(axis=(1, 2, 3)) <= STRUCTURE_TOL
 
 
 @dataclass
@@ -162,7 +168,7 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     """
     k, d, _ = mats.shape
     h = d // 2
-    aborted = (is_complex_d_stack(mats, opts.tol) if opts.extract_phases
+    aborted = (is_complex_d_stack(mats) if opts.extract_phases
                else np.zeros(k, dtype=bool))
     rest = np.flatnonzero(~aborted)
     # Factored before the level's side arrays exist, so that a large CSD does
@@ -184,8 +190,8 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         rights[rest, 0], rights[rest, 1] = f.r0, f.r1
         left_identity, right_identity = _identity_mask(lefts), _identity_mask(rights)
         if opts.extract_phases:
-            lfold = ~aborted & ~left_identity & _diagonal_mask(lefts, opts.tol)
-            rfold = ~aborted & ~right_identity & _diagonal_mask(rights, opts.tol)
+            lfold = ~aborted & ~left_identity & _diagonal_mask(lefts)
+            rfold = ~aborted & ~right_identity & _diagonal_mask(rights)
     folded = lfold | rfold
     phased = folded.copy()
     pf = PhaseFactors(np.zeros((k, h)), np.zeros((k, h)), np.zeros((k, h)), thetas)
@@ -209,8 +215,8 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         left_identity |= lfold
         right_identity |= rfold
         got = phase_parameters(*blocks)
-        # an aborted block that is real within tol keeps zero phases
-        keep = folded[read] | ~got.real_mask(opts.tol)
+        # an aborted block that is real within STRUCTURE_TOL keeps zero phases
+        keep = folded[read] | ~got.real_mask()
         phased[read] = keep
         thetas[read] = got.thetas
         for name in ("omega", "omega_l", "omega_r"):

@@ -18,7 +18,8 @@ CSD (scipy ``cossin``), whose angles come out canonical too.
 matrices toward the identity inside clusters of equal angles, and
 ``extract_phases`` peels a complex D matrix apart into a real rotation core
 and diagonal phase factors.  ``csd`` (the LAPACK CSD alone) and ``lighten``
-are the same kernels on one matrix.
+are the same kernels on one matrix.  The ``tol`` of ``csd_stack`` and ``csd``
+is the unitarity tolerance of the input; structure reads STRUCTURE_TOL.
 
 All angles in this package are degrees.
 """
@@ -39,6 +40,12 @@ from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviati
 # from the LAPACK CSD, a margin of 14 or more.  Mixing two angles that are merely
 # close is exact only to within their gap, so the tolerance is no looser.
 ANGLE_CLUSTER_TOL = 1e-11
+
+# Off-structure entries up to this size are rounding: blocks diagonal within it
+# make a complex D matrix, a side diagonal within it folds into D, and phases
+# within it (radians) are real.  Fixed, so that a looser unitarity tolerance
+# does not drop entries the round trip needs.
+STRUCTURE_TOL = 1e-10
 
 # Magnitudes below this are treated as structurally zero when solving for
 # phases; a wrong phase on such an entry perturbs the matrix by < 1e-11.
@@ -430,9 +437,9 @@ class PhaseFactors:
         """The parameters with ``fn`` applied to every field."""
         return PhaseFactors(*map(fn, (self.omega, self.omega_l, self.omega_r, self.thetas)))
 
-    def real_mask(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Per parameter set of a stack: every phase vanishes within tol radians."""
-        scale = np.degrees(tol)
+    def real_mask(self) -> np.ndarray:
+        """Per parameter set of a stack: every phase is within STRUCTURE_TOL rad of 0."""
+        scale = np.degrees(STRUCTURE_TOL)
         phases = np.stack([self.omega, self.omega_l, self.omega_r])
         return np.all(np.abs(_wrap_deg(phases)) <= scale, axis=(0, -1))
 
@@ -449,9 +456,9 @@ def _block_diagonal_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([j, j, k, k]), np.concatenate([j, k, j, k])
 
 
-def is_complex_d_stack(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+def is_complex_d_stack(mats) -> np.ndarray:
     """Per matrix of a (k, n, n) stack: True iff all four half-size blocks are
-    diagonal within tol (max entry off the block diagonals)."""
+    diagonal within STRUCTURE_TOL (max entry off the block diagonals)."""
     a = np.asarray(mats)
     if a.ndim != 3:
         raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
@@ -460,12 +467,12 @@ def is_complex_d_stack(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     mag = np.abs(a)
     rows, cols = _block_diagonal_index(a.shape[1])
     mag[:, rows, cols] = 0.0
-    return mag.max(axis=(1, 2)) <= tol
+    return mag.max(axis=(1, 2)) <= STRUCTURE_TOL
 
 
-def is_complex_d(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all four half-size blocks of m are diagonal within tol."""
-    return bool(is_complex_d_stack(as_matrix(m)[None], tol)[0])
+def is_complex_d(m) -> bool:
+    """True iff all four half-size blocks of m are diagonal within STRUCTURE_TOL."""
+    return bool(is_complex_d_stack(as_matrix(m)[None])[0])
 
 
 def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
@@ -494,14 +501,14 @@ def phase_parameters(d00, d01, d10, d11) -> PhaseFactors:
                         thetas=thetas)
 
 
-def extract_phases(d, tol: float = DEFAULT_TOL) -> PhaseFactors:
+def extract_phases(d) -> PhaseFactors:
     """Solve a complex D matrix for its phase and angle parameters, read off
     the diagonals of its four blocks by ``phase_parameters``."""
     a = as_matrix(d)
     n = a.shape[0]
     if a.shape[1] != n or n % 2:
         raise ValueError(f"extract_phases needs a square even-dimensional matrix, got {a.shape}")
-    if not is_complex_d(a, tol):
+    if not is_complex_d(a):
         raise ValueError("extract_phases input blocks are not diagonal")
     return phase_parameters(*a[_block_diagonal_index(n)].reshape(4, -1))
 

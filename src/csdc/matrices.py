@@ -113,7 +113,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         raise MatrixFormatError(
             f"expected {2 * n * n} numbers for a {n}x{n} matrix, got {len(values)}")
     try:
-        flat = np.array([float(v) for v in values], dtype=np.float64)
+        flat = np.array(values, dtype=np.float64)
     except ValueError as exc:
         raise MatrixFormatError(f"bad number in matrix file: {exc}") from None
     if not np.all(np.isfinite(flat)):

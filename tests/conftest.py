@@ -107,6 +107,32 @@ def dense_diagonal(phases_deg):
     return np.diag(np.exp(1j * np.radians(phases_deg)))
 
 
+def near_structure_inputs():
+    """Inputs unitary to rounding whose off-structure entries or phases are
+    about 1e-7, so that a structure threshold of 1e-6 would drop them: a
+    16x16 diagonal unitary times exp(i·1e-7·H); (D1 ⊕ D2)·D(20°, 35°, 50°, 65°)
+    ·(U1 ⊕ U2) with D1 and D2 near-diagonal in the same way; and an 8x8 real D
+    between diagonals whose phases are about 1e-7 rad."""
+    rng = np.random.default_rng(7)
+
+    def near_diagonal(n):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        return np.diag(phases) @ expm(0.5e-7j * (h + h.conj().T))
+
+    def small_phases(n):
+        return np.diag(np.exp(1e-7j * rng.uniform(-1, 1, n)))
+
+    return {
+        "near-diagonal-n4": near_diagonal(16),
+        "near-diagonal-sides-n3": (block_diag([near_diagonal(4), near_diagonal(4)])
+                                   @ dense_real_d_block([20.0, 35.0, 50.0, 65.0])
+                                   @ block_diag([random_unitary(rng, 4), random_unitary(rng, 4)])),
+        "near-real-d-n3": (small_phases(8) @ dense_real_d_block([10.0, 40.0, 55.0, 80.0])
+                           @ small_phases(8)),
+    }
+
+
 def random_phase_factors(rng, h):
     from csdc import PhaseFactors
     return PhaseFactors(

@@ -11,7 +11,7 @@ from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
 from csdc.reference import dft_matrix
 
-from conftest import SIGMA_X, random_unitary, two_bit_rows
+from conftest import SIGMA_X, near_structure_inputs, random_unitary, two_bit_rows
 
 
 def write_matrix(path, m):
@@ -46,6 +46,16 @@ class TestCompileCommand:
         report = json.loads(capsys.readouterr().out)
         expanded = expand_controls(parse(out.read_text(), nb=4))
         assert report["two_qubit_gates"] == two_bit_rows(expanded)
+
+    @pytest.mark.parametrize("name", sorted(near_structure_inputs()))
+    def test_loose_tol_compiles_near_structure_to_the_default_program(self, tmp_path, name):
+        # --tol is the unitarity tolerance only: entries of about 1e-7 off
+        # the structure are not dropped at --tol 1e-6.
+        inp = write_matrix(tmp_path / "in.txt", near_structure_inputs()[name])
+        default, loose = tmp_path / "default.seo", tmp_path / "loose.seo"
+        assert main(["compile", inp, "-o", str(default)]) == 0
+        assert main(["compile", inp, "-o", str(loose), "--tol", "1e-6"]) == 0
+        assert loose.read_text() == default.read_text()
 
     def test_ragged_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -194,11 +204,16 @@ class TestVerifyCommand:
         assert main(["verify", inp, str(seo)]) == 2
         assert "out of range for nb=1" in capsys.readouterr().err
 
-    def test_nb_option_overrides_matrix_dimension(self, tmp_path):
+    def test_nb_option_is_refused(self, tmp_path, capsys):
+        # The bit count is log2 of the padded matrix dimension: any other
+        # value could only end in a dimension mismatch, so there is no option.
         inp = write_matrix(tmp_path / "id.txt", np.eye(4))
         seo = tmp_path / "p.seo"
         seo.write_text("")
-        assert main(["verify", inp, str(seo), "--nb", "3"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", inp, str(seo), "--nb", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nb" in capsys.readouterr().err
 
     def test_identity_verifies_against_its_empty_program(self, tmp_path, capsys):
         inp = write_matrix(tmp_path / "id.txt", np.eye(4))

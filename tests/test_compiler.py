@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,12 @@ from csdc.central import decompose_level, multiplexors, side_phases
 from csdc.compiler import _carry_phases, _split_level, program_for_tree
 from csdc.csd import csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
-from csdc.seo import ROTY, concat, gather
+from csdc.seo import ROTY, concat, gather, serialize
 
 from conftest import (bits_of, cheaper_diagonal, dense_central, dense_complex_d_central,
-                      dense_diagonal, kron_program_matrix, random_complex_d,
-                      random_phase_factors, random_unitary, rows, two_bit_rows, width)
+                      dense_diagonal, kron_program_matrix, near_structure_inputs,
+                      random_complex_d, random_phase_factors, random_unitary, rows,
+                      two_bit_rows, width)
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
@@ -109,8 +111,13 @@ class TestBuildTree:
 
 class TestSplitLevel:
     # Below the 8e-14 off-diagonal entries of the both-folded matrix's sides,
-    # which the matrix sums to more than that: it is not complex D within tol.
-    TOL = 1e-13
+    # which the matrix sums to more than that: it is not complex D within it.
+    STRUCTURE_TOL = 1e-13
+
+    @pytest.fixture(autouse=True)
+    def tight_structure(self, monkeypatch):
+        for module in (sys.modules["csdc.csd"], compiler):
+            monkeypatch.setattr(module, "STRUCTURE_TOL", self.STRUCTURE_TOL)
 
     def level(self, rng):
         """4x4 matrices, one per D-block path and eight plain ones, each with
@@ -140,10 +147,10 @@ class TestSplitLevel:
     def test_every_path_rebuilds_its_matrix(self, rng):
         cases = self.level(rng)
         mats = np.stack([m for _, m, _ in cases])
-        split = _split_level(mats, CompileOptions(tol=self.TOL))
+        split = _split_level(mats, DEFAULTS)
         pf = split.phases
         for i, (name, m, want) in enumerate(cases):
-            got = (is_complex_d(m, self.TOL), bool(split.phased[i]),
+            got = (is_complex_d(m), bool(split.phased[i]),
                    bool(split.left_identity[i]), bool(split.right_identity[i]))
             assert got == want, name
             row = PhaseFactors(pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i])
@@ -153,7 +160,7 @@ class TestSplitLevel:
                        @ direct_sum(split.rights[i]))
             assert np.abs(rebuilt - m).max() < 1e-12, name
         # plain CSD blocks keep the factorization's angles, bit for bit
-        plain = lighten_stack(csd_stack(mats[5:], self.TOL)).thetas
+        plain = lighten_stack(csd_stack(mats[5:])).thetas
         assert np.array_equal(pf.thetas[5:], plain)
 
     def test_phases_read_only_off_aborted_and_folded_blocks(self, rng, monkeypatch):
@@ -167,8 +174,40 @@ class TestSplitLevel:
         monkeypatch.setattr(compiler, "phase_parameters", counted)
         split = _split_level(np.stack([random_unitary(rng, 4) for _ in range(6)]), DEFAULTS)
         assert calls == [] and not split.phased.any()
-        _split_level(np.stack([m for _, m, _ in self.level(rng)]), CompileOptions(tol=self.TOL))
+        _split_level(np.stack([m for _, m, _ in self.level(rng)]), DEFAULTS)
         assert calls == [5]   # the two aborted and three folded blocks, in one call
+
+
+def _loose_tol_corpus() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20261020)
+    phased = np.eye(32)[:, rng.permutation(32)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 32))
+    return {"haar-n4": random_unitary(rng, 16), "dft-n5": dft_matrix(5),
+            "dft-n6": dft_matrix(6), "phased-permutation-n5": phased,
+            **near_structure_inputs()}
+
+
+LOOSE_TOL_CORPUS = _loose_tol_corpus()
+
+
+class TestStructureIgnoresTol:
+    """``tol`` decides only whether the input is unitary; structure is read
+    against the fixed STRUCTURE_TOL, so a looser ``tol`` gives every input
+    the default program."""
+
+    @pytest.mark.parametrize("name", sorted(near_structure_inputs()))
+    def test_near_structure_round_trips_at_loose_tol(self, name):
+        u = LOOSE_TOL_CORPUS[name]
+        prog = compile_unitary(u, CompileOptions(tol=1e-6))
+        assert frobenius_distance(u, program_to_matrix(prog)) < ROUND_TRIP_TOL
+
+    @pytest.mark.parametrize("expand", [False, True], ids=["plain", "expand"])
+    @pytest.mark.parametrize("name", sorted(LOOSE_TOL_CORPUS))
+    def test_looser_tol_gives_the_default_program(self, name, expand):
+        u = LOOSE_TOL_CORPUS[name]
+        want = serialize(compile_unitary(u, CompileOptions(expand_controls=expand)))
+        for tol in (1e-8, 1e-6):
+            opts = CompileOptions(expand_controls=expand, tol=tol)
+            assert serialize(compile_unitary(u, opts)) == want, tol
 
 
 class TestAssemble:
