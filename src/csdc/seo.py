@@ -57,13 +57,12 @@ MAX_NB = 63
 # c-nots merged; this is what lets structured inputs collapse to short programs.
 PRUNE_TOL = 1e-10
 
-# A dense simulation holds about this many 2**nb x 2**nb complex128 arrays at
-# its peak: the matrix and the four half-size work arrays of a dense run.
-# Measured with tracemalloc on program_to_matrix at nb = 7, the peak also holds
-# vectors over the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB) and
-# the segment plan, at most 64 bytes per instruction (about 19 for a Haar
-# program, 46 expanded); the guard counts the dense arrays only.
-DENSE_PEAK_ARRAYS = 3
+# A dense flush works through its row pairs in chunks, so that each of its four
+# work arrays holds at most this many bytes (at least one row pair).  On a Xeon
+# with 2 MB of L2 per core, 128-192 KB rebuilt Hadamard nb = 10 and Haar nb = 8
+# and 9 programs fastest, 5-10 % ahead of 96 and 256 KB and 2x ahead of one
+# chunk of all row pairs at nb = 10.
+FLUSH_CHUNK_BYTES = 128 << 10
 
 
 class SeoParseError(ValueError):
@@ -351,10 +350,31 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def _chunk_pairs(row_bytes: int, pairs: int) -> int:
+    """Row pairs per chunk of a dense flush over rows of row_bytes bytes."""
+    return min(pairs, max(1, FLUSH_CHUNK_BYTES // row_bytes)) if row_bytes else pairs
+
+
+def dense_peak_bytes(nb: int) -> int:
+    """Bytes of the dense arrays program_to_matrix holds at its peak on nb bits.
+
+    That is the 2**nb x 2**nb complex128 matrix plus the larger of the final
+    gather's copy (one more matrix) and the four work arrays of one flush chunk:
+    three matrices up to nb = 7, where a chunk takes every row pair, and two
+    from nb = 8 on.  Measured with tracemalloc, the peak also holds vectors over
+    the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB) and the segment
+    plan, at most 64 bytes per instruction (about 19 for a Haar program, 46
+    expanded); the guard counts the dense arrays only.
+    """
+    n = 1 << nb
+    row = 16 * n
+    return n * row + max(n * row, 4 * row * _chunk_pairs(row, n >> 1))
+
+
 def _check_dense(nb: int) -> None:
     """Raise DenseTooLargeError if a dense simulation on nb bits would need
-    more than the physical memory: about DENSE_PEAK_ARRAYS * 16 * 4**nb bytes."""
-    need = DENSE_PEAK_ARRAYS * 16 * 4 ** nb
+    more than the physical memory: about dense_peak_bytes(nb) bytes."""
+    need = dense_peak_bytes(nb)
     limit = physical_memory_bytes()
     if limit is not None and need > limit:
         raise DenseTooLargeError(
@@ -576,8 +596,10 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     O(nb 2**nb) transforms and O(2**nb) frame updates, and only a dense run
     touches arr.  There are at most as many dense runs as ladder segments:
     consecutive ladders on one target, with phase segments and multi-control
-    CNOTs between them, are one run.  Every dense run reuses the same four
-    half-size work arrays.  arr may be overwritten; the result is returned.
+    CNOTs between them, are one run.  A dense run goes through its row pairs
+    in chunks of at most FLUSH_CHUNK_BYTES per work array, and every chunk
+    reuses the same four work arrays.  arr may be overwritten; the result is
+    returned.
     """
     if not len(p):
         return arr
@@ -591,25 +613,33 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     parity = None
     pairs: dict = {}   # (lo, hi) rows of the w-pairs, by w
     run = None  # pending R: (rows a, their partners b, partner, coef)
-    bufs: list[np.ndarray] = []   # four (2**nb / 2, m) work arrays, shared by the flushes
+    # Per chunk of row pairs, the same in every flush: its slice and four views
+    # of the four (chunk, m) work arrays that all flushes share.
+    chunks: list[tuple[slice, list[np.ndarray]]] = []
 
     def flush(arr, run):
-        # Two half-row passes: the lo rows of every pair, then the hi rows.
+        # Chunk by chunk, two passes: the lo rows of its pairs, then the hi
+        # rows.  A chunk reads and writes only the rows of its own pairs, and
+        # every step is element-wise, so chunking leaves the result unchanged.
         a, b, _, coef = run
-        if not bufs:
-            bufs.extend(np.empty((len(a),) + arr.shape[1:], dtype=arr.dtype) for _ in range(4))
-        xa, xb, out, tmp = bufs
+        if not chunks:
+            step = _chunk_pairs(arr[0].nbytes, len(a))
+            bufs = [np.empty((step,) + arr.shape[1:], dtype=arr.dtype) for _ in range(4)]
+            chunks.extend((slice(j, j + step), [x[:len(a) - j] for x in bufs])
+                          for j in range(0, len(a), step))
         ca, cb = coef[a], coef[b]
-        # mode="clip" (the rows are in range) keeps take from buffering its output
-        np.take(arr, a, axis=0, out=xa, mode="clip")
-        np.take(arr, b, axis=0, out=xb, mode="clip")
-        np.multiply(xa, ca[:, :1], out=out)
-        out += np.multiply(xb, ca[:, 1:], out=tmp)
-        arr[a] = out
-        xb *= cb[:, :1]
-        xa *= cb[:, 1:]
-        xb += xa
-        arr[b] = xb
+        for k, (xa, xb, out, tmp) in chunks:
+            sa, sb = a[k], b[k]
+            # mode="clip" (the rows are in range) keeps take from buffering its output
+            np.take(arr, sa, axis=0, out=xa, mode="clip")
+            np.take(arr, sb, axis=0, out=xb, mode="clip")
+            np.multiply(xa, ca[k, :1], out=out)
+            out += np.multiply(xb, ca[k, 1:], out=tmp)
+            arr[sa] = out
+            xb *= cb[k, :1]
+            xa *= cb[k, 1:]
+            xb += xa
+            arr[sb] = xb
 
     w_off, z_off = plan.w_off.tolist(), plan.z_off.tolist()
     low = n - 1
@@ -674,7 +704,7 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
             ph = ph[q]
     if run is not None:
         flush(arr, run)
-    bufs.clear()   # before the gather below, which allocates a full copy
+    chunks.clear()   # frees the work arrays before the gather below, which allocates a full copy
     if not (pos == rows).all():
         arr = arr[pos]
     ph *= g
@@ -689,10 +719,12 @@ def program_to_matrix(p: Program) -> np.ndarray:
     Costs O(#dense runs * 4**nb + len * log(len) + #segments * nb * 2**nb):
     the program is simulated one segment at a time (a ROTY ladder, a phase
     run or a multi-control CNOT, see ``_Plan``), and only the ladders touch
-    the dense matrix, once per run of ladders on one target; everything else
-    is tracked as a permutation and phases.  Raises DenseTooLargeError,
-    before allocating, when about DENSE_PEAK_ARRAYS * 16 * 4**nb bytes exceed
-    the physical memory.
+    the dense matrix, once per run of ladders on one target, a cache-sized
+    chunk of row pairs at a time; everything else is tracked as a permutation
+    and phases.  The peak holds three dense matrices up to nb = 7 and two from
+    nb = 8 on (:func:`dense_peak_bytes`).  Raises DenseTooLargeError, before
+    allocating, when about dense_peak_bytes(nb) bytes exceed the physical
+    memory.
     """
     _check_dense(p.nb)
     return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p)

@@ -207,10 +207,12 @@ class TestValidation:
 
 
 class TestDenseGuard:
-    """The guard refuses a dense simulation when 3 * 16 * 4**nb bytes exceed
-    the memory probe; the probe is patched, so nothing large is allocated."""
+    """The guard refuses a dense simulation when seo.dense_peak_bytes(nb) bytes
+    exceed the memory probe; the probe is patched, so nothing large is allocated."""
 
-    @pytest.mark.parametrize("limit, ok", [(3 * 16 * 16, True), (3 * 16 * 16 - 1, False)])
+    NEED = seo.dense_peak_bytes(2)   # 3 * 16 * 4**2: at nb = 2 a flush chunk takes both row pairs
+
+    @pytest.mark.parametrize("limit, ok", [(NEED, True), (NEED - 1, False)])
     def test_boundary(self, monkeypatch, limit, ok):
         monkeypatch.setattr(seo, "physical_memory_bytes", lambda: limit)
         p = parse("SIGX 1\nROTY 0 30")
@@ -219,6 +221,12 @@ class TestDenseGuard:
         else:
             with pytest.raises(DenseTooLargeError, match="768 bytes, more than the 767"):
                 program_to_matrix(p)
+
+    def test_bound_below_three_dense_arrays(self):
+        # the bound before chunked flushes was 3 * 16 * 4**nb; from nb = 8 a
+        # flush chunk's work arrays fit in one dense array
+        for nb in range(1, 31):
+            assert seo.dense_peak_bytes(nb) == (3 if nb <= 7 else 2) * 16 * 4 ** nb, nb
 
     def test_unknown_memory_does_not_guard(self, monkeypatch):
         monkeypatch.setattr(seo, "physical_memory_bytes", lambda: None)

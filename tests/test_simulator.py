@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csdc import (Program, apply_to_state, compile_unitary, expand_controls, parse,
-                  program_to_matrix)
+from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, dft_matrix,
+                  expand_controls, parse, program_to_matrix, seo)
+from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.reference import hadamard_input
-from csdc.seo import CNOT, CPHA, DENSE_PEAK_ARRAYS, PHAS, ROTZ, SIGX, _Plan
+from csdc.seo import CNOT, CPHA, PHAS, ROTZ, SIGX, _Plan, dense_peak_bytes
 
 from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
                       random_unitary, rows)
@@ -304,7 +305,8 @@ def traced_peak(p: Program) -> int:
 
 
 class TestDensePeak:
-    """The peak that DENSE_PEAK_ARRAYS states, measured with tracemalloc at nb = 7.
+    """The peak that dense_peak_bytes states, measured with tracemalloc at nb = 7
+    and, where flushes run in chunks, at nb = 9.
 
     Besides its dense arrays a simulation holds vectors over the 2**nb rows
     (frame, pairing, coefficients), numpy's fixed-size ufunc buffer (for the
@@ -313,9 +315,8 @@ class TestDensePeak:
 
     NB = 7
 
-    def dense_bound(self):
-        return (DENSE_PEAK_ARRAYS * 16 * 4 ** self.NB + 16 * np.getbufsize()
-                + 512 * 2 ** self.NB)
+    def dense_bound(self, nb=NB):
+        return dense_peak_bytes(nb) + 16 * np.getbufsize() + 512 * 2 ** nb
 
     def test_short_program(self):
         p = compile_unitary(hadamard_input(self.NB))   # a ROTY on every bit: seven dense runs
@@ -325,3 +326,56 @@ class TestDensePeak:
     def test_plan_bytes_per_instruction(self, expand):
         p = haar_program(self.NB, expand)
         assert traced_peak(p) <= self.dense_bound() + 64 * len(p)
+
+    def test_chunked_flushes(self):
+        nb = 9   # 16 row pairs per chunk, 16 chunks per flush
+        assert seo._chunk_pairs(16 << nb, 1 << nb - 1) < 1 << nb - 1
+        peak = traced_peak(compile_unitary(hadamard_input(nb)))
+        assert peak <= self.dense_bound(nb)
+        assert peak < 3 * 16 * 4 ** nb   # the peak of one flush over all row pairs
+
+
+def bit_reversed_qft(nb: int) -> np.ndarray:
+    return state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
+
+
+class TestChunkedFlush:
+    """With the chunk budget cut to three rows and a half, every flush runs in
+    many chunks of three row pairs and ends on a partial one; the results are
+    bit-identical to those of a flush over all row pairs at once."""
+
+    NB = 6
+
+    @staticmethod
+    def chunked(monkeypatch, columns: int):
+        row = 16 * columns
+        monkeypatch.setattr(seo, "FLUSH_CHUNK_BYTES", 3 * row + row // 2)
+        if columns:
+            assert seo._chunk_pairs(row, 1 << TestChunkedFlush.NB - 1) == 3
+
+    @pytest.mark.parametrize("name", ["haar", "haar-expanded", "hadamard", "qft", "permutation"])
+    def test_program_to_matrix(self, monkeypatch, name):
+        nb = self.NB
+        rng = np.random.default_rng([20261020, nb])
+        u = {"haar": lambda: random_unitary(rng, 1 << nb),
+             "haar-expanded": lambda: random_unitary(rng, 1 << nb),
+             "hadamard": lambda: hadamard_input(nb),
+             "qft": lambda: bit_reversed_qft(nb),
+             "permutation": lambda: np.eye(1 << nb)[rng.permutation(1 << nb)]}[name]()
+        p = compile_unitary(u, CompileOptions(expand_controls=name == "haar-expanded"))
+        want = program_to_matrix(p)
+        self.chunked(monkeypatch, 1 << nb)
+        assert np.array_equal(program_to_matrix(p), want)
+
+    @pytest.mark.parametrize("columns", [0, 1, 3])
+    def test_apply_to_state(self, monkeypatch, columns):
+        nb = self.NB
+        p = haar_program(nb, expand=False)
+        rng = np.random.default_rng(columns)
+        block = rng.standard_normal((1 << nb, columns)) + 1j * rng.standard_normal((1 << nb, columns))
+        want = apply_to_state(p, block)
+        self.chunked(monkeypatch, columns)
+        got = apply_to_state(p, block)
+        assert got.shape == (1 << nb, columns) and np.array_equal(got, want)
+        if columns == 1:
+            assert np.array_equal(apply_to_state(p, block[:, 0]), want[:, 0])
