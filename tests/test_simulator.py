@@ -335,10 +335,6 @@ class TestDensePeak:
         assert peak < 3 * 16 * 4 ** nb   # the peak of one flush over all row pairs
 
 
-def bit_reversed_qft(nb: int) -> np.ndarray:
-    return state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
-
-
 class TestChunkedFlush:
     """With the chunk budget cut to three rows and a half, every flush runs in
     many chunks of three row pairs and ends on a partial one; the results are
@@ -360,7 +356,7 @@ class TestChunkedFlush:
         u = {"haar": lambda: random_unitary(rng, 1 << nb),
              "haar-expanded": lambda: random_unitary(rng, 1 << nb),
              "hadamard": lambda: hadamard_input(nb),
-             "qft": lambda: bit_reversed_qft(nb),
+             "qft": lambda: state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
              "permutation": lambda: np.eye(1 << nb)[rng.permutation(1 << nb)]}[name]()
         p = compile_unitary(u, CompileOptions(expand_controls=name == "haar-expanded"))
         want = program_to_matrix(p)
