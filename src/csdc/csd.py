@@ -13,7 +13,12 @@ For 4x4 matrices the SVD of the 2x2 quadrant is in closed form too
 most 2 is a broadcast multiply-add (``_mm``), so a stack of them makes no
 LAPACK or BLAS call per matrix.
 The matrices it cannot factor accurately go, all in one call, to the LAPACK
-CSD (scipy ``cossin``), whose angles come out canonical too.
+CSD (scipy ``cossin``), whose angles come out canonical too.  Every check
+that reads XᴴX only against a threshold (the sides' unitarity, the
+one-cluster test Q11ᴴQ11 = c²I, the fallback's input check) is one call of
+``matrices.gram_deviations``: ZHERK from side GRAM_HERK_MIN_N (128) on, one
+batched product below.  Products whose values go into the factors stay
+products.
 ``lighten_stack`` applies the QR gauge fix that pushes the right side
 matrices toward the identity inside clusters of equal angles, and
 ``extract_phases`` peels a complex D matrix apart into a real rotation core
@@ -32,7 +37,8 @@ from scipy.linalg import cossin
 
 # unitarity_deviation is not called here; it stays importable from this
 # module, where perfbench/spans.py traces it by name.
-from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, unitarity_deviation  # noqa: F401
+from .matrices import (DEFAULT_TOL, NotUnitaryError, _ct, _mm, as_matrix,  # noqa: F401
+                       gram_deviations, unitarity_deviation)
 
 # Two CSD angles count as degenerate when closer than this (degrees).  The
 # exactly degenerate clusters of U⊗I (U on 1-4 qubits, d up to 1024) come out
@@ -107,7 +113,7 @@ def _lapack_csd(a: np.ndarray, tol: float, rows=None) -> CsdFactors:
     (V1 ⊕ V2)ᴴ, whose minus moves to the lower-left block when the
     lower-right factors are negated.  Raises NotUnitaryError if a matrix is
     not unitary within tol, naming it by its entry of ``rows`` if given."""
-    dev = _unitarity_deviations(a)
+    dev = gram_deviations(a)
     bad = np.flatnonzero(dev > tol)
     if bad.size:
         i = bad[0]
@@ -146,33 +152,10 @@ def lighten(f: CsdFactors) -> CsdFactors:
     return lighten_stack(f.map(lambda x: np.asarray(x)[None])).map(lambda x: x[0])
 
 
-def _ct(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack."""
-    return np.conj(np.swapaxes(x, -1, -2))
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of matrices.  An inner dimension of at most 2 is
-    summed as broadcast products: ``@`` makes one BLAS call per matrix of a
-    stack, which costs more than the arithmetic of a 2x2 product."""
-    n = a.shape[-1]
-    if n > 2:
-        return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
-    if n == 2:
-        out += a[..., :, 1:] * b[..., 1:, :]
-    return out
-
-
 def _newton_schulz(x: np.ndarray) -> np.ndarray:
     """One Newton–Schulz step toward the unitary polar factor of each matrix
     of a stack, X(3I − XᴴX)/2: where XᴴX = I + E, it makes E about -3E²/4."""
     return _mm(x, 1.5 * np.eye(x.shape[-1]) - 0.5 * _mm(_ct(x), x))
-
-
-def _unitarity_deviations(x: np.ndarray) -> np.ndarray:
-    """Max-entry deviation of XᴴX from the identity, per matrix of a stack."""
-    return np.abs(_mm(_ct(x), x) - np.eye(x.shape[-1])).max(axis=(-2, -1))
 
 
 def _set_rows(out: CsdFactors, rows: np.ndarray, f: CsdFactors) -> None:
@@ -196,8 +179,7 @@ def _one_cluster(q11: np.ndarray, q21: np.ndarray) -> tuple[bool, np.ndarray, np
     if (np.ptp(c2, axis=1).max() > _BATCHED_CHECK_TOL
             or np.minimum(c, s).min() < _BATCHED_MIN_CS):
         return False, c, s
-    gram = _mm(_ct(q11), q11) - (c ** 2)[:, None, None] * np.eye(q11.shape[-1])
-    return bool(np.abs(gram).max() <= _BATCHED_CHECK_TOL), c, s
+    return bool(gram_deviations(q11, c ** 2).max() <= _BATCHED_CHECK_TOL), c, s
 
 
 def _right_rows(l0, l1, q12, q22, c, s) -> np.ndarray:
@@ -305,7 +287,8 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     the side-unitarity or block residual check (non-finite factors fail
     both), or whose unitarity within tol the checks cannot vouch for, are
     factored instead by one ``_lapack_csd`` call, which raises
-    NotUnitaryError if one of them is not unitary within tol.
+    NotUnitaryError if one of them is not unitary within tol.  The side and
+    input checks, and the one-cluster test, are ``gram_deviations`` calls.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
@@ -326,7 +309,7 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     if not one:     # the closed form's r0 is exactly I
         sides.append(r0)
         rebuilt11, rebuilt21 = _mm(rebuilt11, r0), _mm(rebuilt21, r0)
-    side_dev = np.max([_unitarity_deviations(x) for x in sides], axis=0)
+    side_dev = np.max([gram_deviations(x) for x in sides], axis=0)
     residual = np.max([np.abs(rebuilt - block).max(axis=(1, 2)) for rebuilt, block in (
         (rebuilt11, q11), (_mm(l0 * ss, r1), q12), (rebuilt21, q21), (_mm(l1 * cs, r1), q22))],
         axis=0)

@@ -7,12 +7,17 @@ Conventions used throughout the package:
     (rightmost) bit.  ``tensor_product(a, b)`` therefore places ``a`` on the
     high bits and ``b`` on the low bits.
   * Angle and tolerance defaults live here so every module shares them.
+  * A check that XᴴX is the identity, or c²·I, goes through one kernel,
+    ``gram_deviations``, which forms XᴴX by ZHERK (its upper triangle, half
+    the flops of a product) from side GRAM_HERK_MIN_N on, and by one batched
+    product below.  Products whose values feed a result stay products.
 """
 from __future__ import annotations
 
 from typing import Iterable, TextIO
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 # Default comparison threshold: double precision leaves ~5 digits of headroom
 # at dimension 1024, so 1e-10 is safe for every desk-scale dimension.
@@ -76,7 +81,60 @@ def unitarity_deviation(m) -> float:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"unitarity needs a square matrix, got {a.shape}")
-    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    return float(gram_deviations(a[None])[0])
+
+
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices.  An inner dimension of at most 2 is
+    summed as broadcast products: ``@`` makes one BLAS call per matrix of a
+    stack, which costs more than the arithmetic of a 2x2 product."""
+    n = a.shape[-1]
+    if n > 2:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    if n == 2:
+        out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
+# gram_deviations forms XᴴX by ZHERK from this side on, by one batched product
+# below.  Measured with 1 BLAS thread on a shared 2-vCPU Xeon host: 32 matrices
+# of 32x32 took 0.41 ms as one product and 0.46 ms as 32 ZHERK calls; 8 of
+# 128x128, 4.8 against 2.1 ms; one 1024x1024, 151 against 86 ms.  At 64x64
+# ZHERK saves about 0.03 ms a matrix, but a process's first ZHERK call raises
+# its peak RSS by about 0.4 MB: a 64x64 compile would trade 0.4 MB for 0.03 ms.
+GRAM_HERK_MIN_N = 128
+
+
+def gram_deviations(x: np.ndarray, shift=None) -> np.ndarray:
+    """Max-entry deviation of XᴴX from shift·I, per matrix of a (k, n, n)
+    stack: shift is one value, one value per matrix, or None for 1.
+    A non-finite entry of X makes its deviation non-finite, so that
+    ``dev <= tol`` is false.
+
+    From n = GRAM_HERK_MIN_N on, each XᴴX is one ZHERK (Dongarra et al.,
+    ACM TOMS 16, 1990) on X.T, a Fortran-ordered view of a C-ordered X: it
+    returns the upper triangle of conj(XᴴX) with zeros below, at half the
+    flops of a product, and since XᴴX is Hermitian that triangle holds the
+    max.  Below, where a loop of BLAS calls saves little or nothing, XᴴX is
+    one batched ``_mm`` product.
+    """
+    n = x.shape[-1]
+    if n < GRAM_HERK_MIN_N:
+        eye = np.eye(n) if shift is None else np.reshape(shift, (-1, 1, 1)) * np.eye(n)
+        return np.abs(_mm(_ct(x), x) - eye).max(axis=(-2, -1))
+    diag = np.arange(n)
+    out = np.empty(len(x))
+    for k, s in enumerate(np.broadcast_to(1.0 if shift is None else shift, len(x))):
+        g = zherk(1.0, x[k].T, trans=0)
+        g[diag, diag] -= s
+        out[k] = np.abs(g).max()
+    return out
 
 
 def frobenius_distance(a, b) -> float:

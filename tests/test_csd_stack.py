@@ -14,6 +14,7 @@ from csdc.compiler import _embed
 from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, ANGLE_CLUSTER_TOL, _block_diagonal_index,
                       _svd2, _wrap_deg, csd_stack, d_matrix, extract_phases, is_complex_d,
                       is_complex_d_stack, lighten_stack, phase_parameters, qr_nonneg)
+from csdc.matrices import GRAM_HERK_MIN_N
 from csdc.reference import dft_matrix
 from scipy.linalg import cossin
 
@@ -286,6 +287,27 @@ class TestBatchedCsd:
         for i, u in enumerate(mats):
             assert_csd_properties(one(got, i), u)
 
+    def test_non_finite_side_falls_back_above_the_gram_crossover(self, rng, csd_calls,
+                                                                monkeypatch):
+        h = GRAM_HERK_MIN_N     # the side checks run by ZHERK
+        mats = np.stack([random_unitary(rng, 2 * h) for _ in range(3)])
+        factor = csd_module._svd_factors
+
+        def broken(*quadrants):
+            l0, l1, *rest = factor(*quadrants)
+            l1 = l1.copy()
+            l1[1, h // 2, h - 1] = np.nan
+            return (l0, l1, *rest)
+
+        monkeypatch.setattr(csd_module, "_svd_factors", broken)
+        got = csd_stack(mats)
+        assert csd_calls["csd"] == 1
+        want = csd(mats[1])
+        for a, b in zip(factors(got, 1), [want.l0, want.l1, want.r0, want.r1]):
+            assert np.array_equal(a, b)
+        for i, u in enumerate(mats):
+            assert_csd_properties(one(got, i), u)
+
     @pytest.mark.parametrize("h", [1, 2, 4, 8, 16])
     def test_polar_step_matches_three_svd_oracle(self, rng, monkeypatch, h):
         # One angle within 3° of 0° and one within 3° of 90° (both at least
@@ -407,7 +429,7 @@ class TestBatchedCsd:
             csd_stack(mats)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("dim", [8, 64, 2 * GRAM_HERK_MIN_N])
     def test_raises_at_twice_tol(self, rng, tol, dim):
         mats = np.stack([random_unitary(rng, dim), near_unitary(rng, dim, 2 * tol)])
         with pytest.raises(NotUnitaryError, match="input 1"):

@@ -38,12 +38,15 @@ def _cases() -> dict[str, tuple[np.ndarray, CompileOptions]]:
         out[f"haar-n{nb}"] = (_haar(nb), default)
     for nb in range(1, 5):
         out[f"haar-n{nb}-expand"] = (_haar(nb), CompileOptions(expand_controls=True))
-    for nb in range(2, 7):
+    # at nb = 8 the input check (256) and the root's side checks (128) run by ZHERK
+    for nb in (2, 3, 4, 5, 6, 8):
         out[f"qft-n{nb}"] = (state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
                              default)
         out[f"hadamard-n{nb}"] = (hadamard_input(nb), default)
     u = unitary_group.rvs(4, random_state=np.random.default_rng([SEED, 99]))
     out["u-kron-i-n4"] = (tensor_product(u, np.eye(4)), default)
+    u = unitary_group.rvs(16, random_state=np.random.default_rng([SEED, 98]))
+    out["u-kron-i-n8"] = (tensor_product(u, np.eye(16)), default)
     for nb in (3, 4):
         out[f"haar-n{nb}-no-phases"] = (_haar(nb), CompileOptions(extract_phases=False))
     return out

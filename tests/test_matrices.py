@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from csdc import direct_sum, frobenius_distance, is_unitary, tensor_product
-from csdc.matrices import (MatrixFormatError, format_matrix_text,
-                           parse_matrix_text, unitarity_deviation)
+from csdc import direct_sum, frobenius_distance, is_unitary, matrices, tensor_product
+from csdc.matrices import (GRAM_HERK_MIN_N, MatrixFormatError, format_matrix_text,
+                           gram_deviations, parse_matrix_text, unitarity_deviation)
 
 from conftest import SIGMA_X, random_unitary
 
@@ -88,6 +88,73 @@ class TestIsUnitary:
     def test_deviation_names_a_non_square_input(self):
         with pytest.raises(ValueError, match="square matrix, got \\(2, 3\\)"):
             unitarity_deviation(np.ones((2, 3)))
+
+
+class TestGramDeviations:
+    """gram_deviations against the dense max |XᴴX - shift·I| on both sides of
+    its crossover from one batched product to one ZHERK per matrix."""
+
+    SIZES = [1, 2, 4, 32, 64, 128, 256]
+
+    @staticmethod
+    def dense(x, shift):
+        shift = np.broadcast_to(shift, len(x))
+        return np.array([np.abs(m.conj().T @ m - s * np.eye(m.shape[1])).max()
+                         for m, s in zip(x, shift)])
+
+    @staticmethod
+    def perturbed(rng, k, n):
+        """k Haar unitaries plus entries of about 1e-4: Gram deviations far
+        above the rounding in which the two products may differ."""
+        x = np.stack([random_unitary(rng, n) for _ in range(k)])
+        return x + 1e-4 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+    def test_one_herk_per_matrix_from_the_crossover_on(self, rng, monkeypatch):
+        calls = []
+        herk = matrices.zherk
+        monkeypatch.setattr(matrices, "zherk",
+                            lambda alpha, a, **kw: calls.append(a.shape) or herk(alpha, a, **kw))
+        for n in (GRAM_HERK_MIN_N - 1, GRAM_HERK_MIN_N):
+            gram_deviations(np.stack([random_unitary(rng, n)] * 2))
+        assert calls == [(GRAM_HERK_MIN_N, GRAM_HERK_MIN_N)] * 2
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_dense_formula(self, rng, k, n):
+        x = self.perturbed(rng, k, n)
+        got = gram_deviations(x)
+        assert got.shape == (k,)
+        assert np.allclose(got, self.dense(x, 1.0), rtol=1e-9, atol=0)
+        exact = np.stack([random_unitary(rng, n) for _ in range(k)])
+        assert (gram_deviations(exact) <= 1e-13).all()
+
+    @pytest.mark.parametrize("n", [4, 32, 64, 128])
+    def test_non_contiguous_view_and_per_matrix_shift(self, rng, n):
+        c = np.array([0.3, 0.6, 0.9])
+        a = np.stack([random_unitary(rng, 2 * n) for _ in range(3)])
+        a[:, :n, :n] = c[:, None, None] * self.perturbed(rng, 3, n)
+        view = a[:, :n, :n]
+        assert not view.flags.c_contiguous
+        got = gram_deviations(view, c ** 2)
+        assert np.allclose(got, self.dense(view, c ** 2), rtol=1e-9, atol=0)
+        assert np.array_equal(got, gram_deviations(view.copy(), c ** 2))
+        scalar = gram_deviations(view, 0.25)
+        assert np.allclose(scalar, self.dense(view, 0.25), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [4, 64, 128, 256])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_non_finite_entry_fails_every_tolerance(self, rng, n, bad):
+        x = np.stack([random_unitary(rng, n) for _ in range(3)])
+        x[1, n // 2, n - 1] = bad
+        with np.errstate(invalid="ignore"):    # inf * 0 in the batched product
+            dev = gram_deviations(x)
+        assert not dev[1] <= 1e300
+        assert (dev[[0, 2]] <= 1e-13).all()
+
+    def test_unitarity_deviation_is_the_one_matrix_case(self, rng):
+        for n in (2, 32, 64, 128):
+            u = self.perturbed(rng, 1, n)[0]
+            assert unitarity_deviation(u) == gram_deviations(u[None])[0]
 
 
 class TestFrobeniusDistance:

@@ -322,6 +322,14 @@ class TestDensePeak:
         p = compile_unitary(hadamard_input(self.NB))   # a ROTY on every bit: seven dense runs
         assert traced_peak(p) <= self.dense_bound()
 
+    def test_work_arrays_are_freed_before_the_final_gather(self):
+        # SIGX leaves the frame moved, so the matrix is gathered into a new
+        # array at the end; the flush's work arrays must be gone by then.
+        ladder = "".join(f"ROTY {b} 45\n" for b in range(self.NB))
+        moved = traced_peak(parse(ladder + "SIGX 0\n", nb=self.NB))
+        assert moved <= self.dense_bound()
+        assert moved <= traced_peak(parse(ladder, nb=self.NB)) + 512 * 2 ** self.NB
+
     @pytest.mark.parametrize("expand", [False, True])
     def test_plan_bytes_per_instruction(self, expand):
         p = haar_program(self.NB, expand)
