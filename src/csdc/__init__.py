@@ -8,8 +8,8 @@ from .bitops import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                      sylvester_hadamard)
 from .csd import (CsdFactors, PhaseFactors, csd, extract_phases, is_complex_d,
                   lighten, phase_factors_matrix, qr_nonneg)
-from .seo import (DenseTooLargeError, Program, apply_to_state, exchanger_program,
-                  expand_controls, parse, program_to_matrix, serialize, two_qubit_gates)
+from .seo import (DenseTooLargeError, Program, apply_to_state, expand_controls, parse,
+                  program_to_matrix, serialize, two_qubit_gates)
 from .central import angles_to_theta
 from .compiler import (CompileOptions, CsdNode, assemble, build_tree, compile_unitary,
                        decompose_central, pad_to_power_of_two)
@@ -25,8 +25,8 @@ __all__ = [
     "sylvester_hadamard",
     "CsdFactors", "PhaseFactors", "csd", "extract_phases", "is_complex_d",
     "lighten", "phase_factors_matrix", "qr_nonneg",
-    "DenseTooLargeError", "Program", "apply_to_state", "exchanger_program",
-    "expand_controls", "parse", "program_to_matrix", "serialize", "two_qubit_gates",
+    "DenseTooLargeError", "Program", "apply_to_state", "expand_controls", "parse",
+    "program_to_matrix", "serialize", "two_qubit_gates",
     "angles_to_theta",
     "CompileOptions", "CsdNode", "assemble", "build_tree", "compile_unitary",
     "decompose_central", "pad_to_power_of_two",

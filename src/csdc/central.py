@@ -11,9 +11,12 @@ sequence's control bits go, in increasing order, on the remaining bits.
 
 Rotation ladders, the ROTY core of a D matrix, a ROTZ multiplexor and the
 ROTZ chain of a rotz-chain diagonal, are all
-:func:`~csdc.seo.rotation_ladder`: the lazy (Gray) ordering, so that one
-c-not survives between adjacent rotations, with rotations of negligible angle
-dropped and their flanking c-nots merged.
+:func:`~csdc.seo.rotation_ladder`, as are the sigma_z ladders of
+:func:`~csdc.seo.expand_controls`: the lazy (Gray) ordering, so that one
+c-not survives between adjacent rotations, with rotations of at most
+``PRUNE_TOL`` degrees dropped and their flanking c-nots merged.  Its steps
+name their control bits as masks, and a step's c-nots fire in increasing
+bit order.
 
 A diagonal has two forms, controlled phases and a ROTZ chain.
 :func:`diagonal_costs` counts the two-qubit gates of each form's expansion
@@ -61,29 +64,23 @@ def angles_to_theta(phi) -> np.ndarray:
     return kron_transform(v, "walsh") / n
 
 
-def _places(nb: int, level: int) -> tuple[int, np.ndarray]:
-    """Where a level's D matrices sit: the rotation bit nb-level, and the bits
-    that the control bits 0..nb-2 of the rotation-on-top form land on, which
-    are the other bits in increasing order."""
-    rot = nb - level
-    ctrl_bits = np.arange(nb - 1)
-    return rot, ctrl_bits + (ctrl_bits >= rot)
-
-
 def multiplexors(nb: int, level: int, kind: int, angles) -> tuple[Program, np.ndarray]:
     """``kind`` (ROTY or ROTZ) rotations on a level's rotation bit, one
     multiplexor per row r of the (n, 2**(nb-1)) stack ``angles``, side by
     side, and the row r that owns each instruction.  Row r rotates by
     ``angles[r, i]`` where the other bits, in increasing order, hold i: one
     :func:`~csdc.seo.rotation_ladder` walks every row's Gray sequence of
-    those bits, each step rotating by the transformed angle at its Gray code.
+    those bits, each step rotating by the transformed angle at its Gray code
+    and controlled by the bits that code lands on.
     """
-    rot, ctrl_bits = _places(nb, level)
+    rot = nb - level
     seq = gray_codes(nb - 1)
+    below = (1 << rot) - 1
+    steps = seq & below | (seq & ~below) << 1   # Gray code bits >= rot move past rot
     theta = _wrap_deg(angles_to_theta(angles))[:, seq]
     n, m = theta.shape
-    return rotation_ladder(nb, kind, rot, ctrl_bits, np.tile(seq, n), theta.reshape(-1),
-                           PRUNE_TOL, np.repeat(np.arange(n), m))
+    return rotation_ladder(nb, kind, rot, np.tile(steps, n), theta.reshape(-1),
+                           np.repeat(np.arange(n), m))
 
 
 def _number_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -113,7 +110,7 @@ def decompose_diagonals(phases, mode: str) -> tuple[Program, np.ndarray]:
     phases = np.asarray(phases, dtype=np.float64)
     nb = phases.shape[1].bit_length() - 1
     if mode == "rotz-chain":
-        return z_ladder(list(range(nb)), _wrap_deg(angles_to_theta(phases)), PRUNE_TOL)
+        return z_ladder(list(range(nb)), _wrap_deg(angles_to_theta(phases)))
     if mode != "controlled-phase":
         raise ValueError(f"unknown diagonal mode {mode!r}")
     theta = _wrap_deg(_number_coefficients(phases))
@@ -148,7 +145,7 @@ def diagonal_costs(phases) -> tuple[int, int]:
     and 2**m - 2 on m >= 3 bits unless its expansion's ladder is pruned, as
     :func:`~csdc.seo.two_qubit_gates` counts them.
     """
-    chain = z_ladder_cnots(_wrap_deg(angles_to_theta(phases)), PRUNE_TOL)
+    chain = z_ladder_cnots(_wrap_deg(angles_to_theta(phases)))
     theta = _wrap_deg(_number_coefficients(phases))
     size, cost = _cpha_costs(len(theta).bit_length() - 1)
     live = (np.abs(theta) > PRUNE_TOL) & ((size < 3) | ~cpha_ladder_pruned(theta, size))

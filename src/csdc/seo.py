@@ -747,63 +747,56 @@ def apply_to_state(p: Program, state) -> np.ndarray:
 # Derived constructions
 # ---------------------------------------------------------------------------
 
-def exchanger_program(alpha: int, beta: int, nb: int) -> Program:
-    """Three c-nots realizing the transposition of bit positions alpha and beta."""
-    if alpha == beta:
-        raise ValueError("exchanger needs two distinct bits")
-    ctrl = [1 << beta, 1 << alpha, 1 << beta]
-    return Program(nb, [CNOT] * 3, [alpha, beta, alpha], ctrl, ctrl, [0.0] * 3)
+def _ladder_rows(target, steps, angles, owner=0):
+    """The lazy ladder of :func:`rotation_ladder` as rows of c-not control
+    masks over its kept steps: returns the mask of kept steps, their targets
+    and owners, and the rows.
 
-
-def _ladder_rows(target, steps, angles, w: int, prune_tol: float, owner=0):
-    """The lazy ladder of :func:`rotation_ladder` as bit rows over its kept
-    steps, with control columns below bit ``w``: returns the mask of kept
-    steps, their targets and owners, and the rows.
-
-    Row 2i + 1 holds kept step i's c-nots and its rotation (bit w); row
+    Row 2i + 1 holds kept step i's c-nots, followed by its rotation; row
     2i + 2 holds the c-nots closing step i's run, none unless the run ends
     there.  Row 0 is empty.
     """
-    keep = np.abs(angles) > prune_tol
+    keep = np.abs(angles) > PRUNE_TOL
     mask = np.asarray(steps, dtype=np.int64)[keep]
     zero = np.zeros(len(angles), dtype=np.int64)
     tgt, own = (zero + target)[keep], (zero + owner)[keep]
     k = len(mask)
     # Step i's c-nots are m_i ^ m_(i-1) ^ (row 2i), m_-1 = 0: the XOR with
     # the previous step inside a run, m_i alone after a closed one.
-    rows = np.zeros(2 * k + 2, dtype=np.int64)
+    rows = np.zeros(2 * k + 1, dtype=np.int64)
     rows[2::2] = mask
-    rows[1:-1:2] = mask ^ rows[:-2:2] | 1 << w
-    rows[2:-2:2] *= (tgt[1:] != tgt[:-1]) | (own[1:] != own[:-1])
-    rows[1:-1:2] ^= rows[:-2:2]
+    rows[1::2] = mask ^ rows[:-1:2]
+    rows[2:-1:2] *= (tgt[1:] != tgt[:-1]) | (own[1:] != own[:-1])
+    rows[1::2] ^= rows[:-1:2]
     return keep, tgt, own, rows
 
 
-def rotation_ladder(nb: int, kind: int, target, ctrl_bits, steps, angles,
-                    prune_tol: float, owner=0) -> tuple[Program, np.ndarray]:
+def rotation_ladder(nb: int, kind: int, target, steps, angles,
+                    owner=0) -> tuple[Program, np.ndarray]:
     """The lazy ladder of uncontrolled ``kind`` rotations (ROTY or ROTZ), each
     conjugated by c-nots from its controls, on ``nb`` bits, and the owner of
     each of its rows.
 
     Step i rotates ``target[i]`` (or the scalar ``target``) by ``angles[i]``;
-    its controls are the bits that ``steps[i]`` selects from ``ctrl_bits``
-    (bit j of the mask selects ``ctrl_bits[j]``).  Steps with
-    |angle| <= prune_tol are dropped.  Over the kept steps, a run on one
+    its controls are the bits set in ``steps[i]``.  Steps with
+    |angle| <= PRUNE_TOL are dropped.  Over the kept steps, a run on one
     target and one ``owner`` (per step, or a scalar) emits before each
     rotation the c-nots of the XOR of its control set with the previous
     step's (all of its own for the first step of the run), and closes with
     the c-nots of its last step; so adjacent conjugations cancel except for
-    one c-not per Gray step.  Within a step the c-nots follow the order of
-    ``ctrl_bits``.  Owners never share a run, so one call emits the ladders
-    of several owners side by side.
+    one c-not per Gray step.  Within a step the c-nots follow increasing bit
+    order.  Owners never share a run, so one call emits the ladders of
+    several owners side by side.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    w = len(ctrl_bits)
-    keep, tgt, own, rows = _ladder_rows(target, steps, angles, w, prune_tol, owner)
-    row, col = np.nonzero(rows[:, None] & 1 << np.arange(w + 1))
+    keep, tgt, own, rows = _ladder_rows(target, steps, angles, owner)
+    bit = np.concatenate((1 << np.arange(nb, dtype=np.int64), [0]))
+    hit = rows[:, None] & bit != 0   # each row's c-nots by bit,
+    hit[1::2, nb] = True             # then an odd row's rotation
+    row, col = np.nonzero(hit)
     step = (row - 1) >> 1
-    is_rot = col == w
-    ctrl = np.concatenate((1 << np.asarray(ctrl_bits, dtype=np.int64), [0]))[col]
+    is_rot = col == nb
+    ctrl = bit[col]
     angle = np.zeros(len(col))
     angle[is_rot] = angles[keep]
     return Program(nb, np.where(is_rot, kind, CNOT), tgt[step], ctrl, ctrl, angle,
@@ -820,76 +813,52 @@ def _z_steps(k: int):
     return seq, np.frexp(low)[1] - 1, seq ^ low
 
 
-def z_ladder(bits: list[int], thetas, prune_tol: float) -> tuple[Program, np.ndarray]:
+def z_ladder(bits, thetas) -> tuple[Program, np.ndarray]:
     """Program for prod_b exp(i theta_b Z_b) over subsets of ``bits``, on
-    max(bits) + 1 bits, for ``thetas`` or for each row r of an (m, 2**k)
+    1 + the largest bit, for ``thetas`` or for each row r of an (m, 2**k)
     stack of them, side by side; and the row r that owns each instruction.
+    ``bits`` is one list of k bits for every row, or an (m, k) array of each
+    row's own.
 
     ``thetas[m]`` (degrees) multiplies the product of sigma_z over the bits
-    selected by mask m; m = 0 contributes a global phase, its row's first
-    instruction.  Factors are walked in lazy (Gray) order, as one
-    :func:`rotation_ladder` over every row: each factor rotates its lowest
-    selected bit, conjugated by c-nots from the remaining selected bits.
+    selected by mask m (bit j of m selects ``bits[j]``); m = 0 contributes a
+    global phase, its row's first instruction.  Factors are walked in lazy
+    (Gray) order, as one :func:`rotation_ladder` over every row: each factor
+    rotates its lowest selected bit, conjugated by c-nots from the remaining
+    selected bits, which fire in increasing bit order, whatever their order
+    in ``bits``.  Every caller passes bits whose c-nots come in the order of
+    ``bits`` anyway: ``range(nb)``, or a CNOT's target (only ever rotated)
+    followed by its controls in increasing order.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     m, size = thetas.shape
-    k = len(bits)
+    bits = np.asarray(bits, dtype=np.int64)
+    k = bits.shape[-1]
     if size != 1 << k:
         raise ValueError(f"need {1 << k} angles for {k} bits, got {size}")
-    nb = max(bits, default=0) + 1
+    nb = int(bits.max(initial=0)) + 1
     seq, rot, ctrl = _z_steps(k)
+    # each step's target and control mask, for the one row of bits or each
+    target = bits[..., rot]
+    steps = (1 << bits) @ (ctrl[:, None] >> np.arange(k) & 1).T
+    shape = (m, len(seq))
     ladder, owner = rotation_ladder(
-        nb, ROTZ, np.tile(np.asarray(bits, dtype=np.int64)[rot], m), bits, np.tile(ctrl, m),
-        thetas[:, seq].reshape(-1), prune_tol, np.repeat(np.arange(m), len(seq)))
-    ph = np.flatnonzero(np.abs(thetas[:, 0]) > prune_tol)
+        nb, ROTZ, np.broadcast_to(target, shape).reshape(-1),
+        np.broadcast_to(steps, shape).reshape(-1), thetas[:, seq].reshape(-1),
+        np.repeat(np.arange(m), len(seq)))
+    ph = np.flatnonzero(np.abs(thetas[:, 0]) > PRUNE_TOL)
     none = np.zeros(len(ph), dtype=np.int64)
     phas = Program(nb, none + PHAS, none - 1, none, none, thetas[ph, 0], validate=False)
     return concat(phas, ladder), np.concatenate((ph, owner))
 
 
-def z_ladder_cnots(thetas: np.ndarray, prune_tol: float) -> int:
-    """The number of c-nots in ``z_ladder(bits, thetas, prune_tol)``, for any
-    bits, read off the rows of its lazy ladder without emitting it."""
+def z_ladder_cnots(thetas: np.ndarray) -> int:
+    """The number of c-nots in ``z_ladder(bits, thetas)``, for any bits, read
+    off the rows of its lazy ladder without emitting it."""
     k = len(thetas).bit_length() - 1
     seq, rot, ctrl = _z_steps(k)
-    rows = _ladder_rows(rot, ctrl, np.asarray(thetas, dtype=np.float64)[seq], k, prune_tol)[3]
-    return int(np.count_nonzero((rows[:, None] >> np.arange(k)) & 1))   # bits below k
-
-
-def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
-    """Program of (kind, target, angle) rows without controls."""
-    kinds, targets, angles = zip(*rows) if rows else ((), (), ())
-    zeros = [0] * len(kinds)
-    return Program(nb, kinds, targets, zeros, zeros, angles, validate=False)
-
-
-def _expansion(nb: int, kind: int, target: int, mask: int, val: int,
-               pruned: bool) -> Program:
-    """The expansion of one multi-control gate over instructions touching <= 2
-    bits.  For CPHA it is built for angle 1 and scales linearly in the angle:
-    every ladder angle is +-angle / 2**k, exact in floating point, so the
-    caller multiplies the angle column by the gate's angle, and ``pruned``
-    drops the whole ladder."""
-    ctrl_bits = _bits_of(mask)
-    # Normalize F controls by conjugating with SIGX on those bits.
-    flips = [(SIGX, b, 0.0) for b in ctrl_bits if not val >> b & 1]
-    if kind == CPHA:
-        involved = ctrl_bits
-        wrap, closing = [], []
-        angle, tol = 1.0, -1.0
-    else:  # CNOT: sigma_x(t)^P = V sigma_z(t)^P V*, V = exp(-i 45deg sigma_y(t))
-        involved = [target] + ctrl_bits
-        wrap, closing = [(ROTY, target, 45.0)], [(ROTY, target, -45.0)]
-        angle, tol = 180.0, PRUNE_TOL
-    parts = [_uncontrolled(nb, flips + wrap)]
-    if not pruned:
-        # sigma_z powers: exp(i angle n...n) has Hadamard-transformed z-string
-        # coefficients angle * (-1)**|m| / 2**k over control-bit subsets m.
-        k = len(involved)
-        signs = np.where(bitops.popcount(np.arange(1 << k)) & 1, -1.0, 1.0)
-        parts.append(z_ladder(involved, angle * signs / (1 << k), tol)[0])
-    parts.append(_uncontrolled(nb, closing + flips[::-1]))
-    return concat(*parts)
+    rows = _ladder_rows(rot, ctrl, np.asarray(thetas, dtype=np.float64)[seq])[3]
+    return int(bitops.popcount(rows).sum())
 
 
 def cpha_ladder_pruned(angle, nctrl) -> np.ndarray:
@@ -898,15 +867,10 @@ def cpha_ladder_pruned(angle, nctrl) -> np.ndarray:
     return np.ldexp(np.abs(angle), -nctrl) <= PRUNE_TOL
 
 
-def _expanded_rows(kind: np.ndarray, nctrl: np.ndarray,
-                   angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``expand_controls`` rewrites (CNOT with >= 2 controls, CPHA
-    with >= 3), given the control count of every row, and whether each is a
-    CPHA whose ladder is pruned."""
-    cpha = kind == CPHA
-    rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
-    pruned = cpha[rows] & cpha_ladder_pruned(angle[rows], nctrl[rows])
-    return rows, pruned
+def _expanded_rows(kind: np.ndarray, nctrl: np.ndarray) -> np.ndarray:
+    """The rows ``expand_controls`` rewrites, CNOT with >= 2 controls and
+    CPHA with >= 3, given the control count of every row."""
+    return np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | ((kind == CPHA) & (nctrl >= 3)))
 
 
 def two_qubit_gates(p: Program) -> int:
@@ -916,17 +880,18 @@ def two_qubit_gates(p: Program) -> int:
     A row that stays counts when it touches two bits.  An expanded row on m
     bits (its controls, and a CNOT's target) is one sigma_z ladder over all
     subsets of those bits, whose 2**m - 2 c-nots are its only two-bit rows
-    (its F-control flips and the CNOT's ROTY wrap touch one bit each).  None
-    of its steps is pruned: a CPHA ladder is kept or dropped whole, and a
-    pruned one costs 0; a CNOT ladder's steps, +-180°/2**m, stay above
-    PRUNE_TOL up to m = 40, past any expansion that can be built.  The counts
-    are summed in Python ints, as 2**m outgrows int64 for m = 63.
+    (its F-control flips and the CNOT's ROTY wrap touch one bit each).  Every
+    step of a ladder has the same |angle|, |gate angle| / 2**m, so the
+    ladder is kept or pruned whole: a CPHA's when :func:`cpha_ladder_pruned`
+    says so, costing 0; a CNOT's, at 180°/2**m, stays above PRUNE_TOL up to
+    m = 40, past any expansion that can be built.  The counts are summed in
+    Python ints, as 2**m outgrows int64 for m = 63.
     """
     nctrl = bitops.popcount(p.ctrl_mask)
-    rows, pruned = _expanded_rows(p.kind, nctrl, p.angle)
+    rows = _expanded_rows(p.kind, nctrl)
     two = nctrl + (p.target >= 0) == 2
     two[rows] = False
-    live = rows[~pruned]
+    live = rows[~((p.kind[rows] == CPHA) & cpha_ladder_pruned(p.angle[rows], nctrl[rows]))]
     per_width = np.bincount(nctrl[live] + (p.kind[live] == CNOT)).tolist()
     return int(np.count_nonzero(two)) + sum(
         ((1 << m) - 2) * n for m, n in enumerate(per_width) if n)
@@ -937,36 +902,56 @@ def expand_controls(p: Program) -> Program:
 
     CNOT with >= 2 controls and CPHA with >= 3 controls are rewritten in the
     sigma_z basis; everything already elementary passes through unchanged.
-    Each distinct (kind, target, controls) is expanded once per call.  A CPHA
-    expansion is then scaled by the gate's angle, or its ladder is dropped
-    whole (its F-control flips stay) when every ladder angle, |angle| / 2**k,
-    is at most PRUNE_TOL.
+    An expanded row becomes: SIGX on each F control, in increasing bit order;
+    for a CNOT, ROTY(target, 45°); the sigma_z ladder (:func:`z_ladder`) over
+    its bits, the CNOT's target first, then its controls in increasing order,
+    whose coefficients over the bit subsets s are angle * (-1)**|s| / 2**k,
+    angle being 180° for a CNOT and the gate's own for a CPHA; for a CNOT,
+    ROTY(target, -45°); the SIGX flips again, in decreasing bit order.  Every
+    ladder angle of a row has the same size, so a CPHA whose
+    |angle| / 2**k is at most PRUNE_TOL keeps only its flips.
+
+    One :func:`z_ladder` call per ladder width and kind emits the ladders of
+    all rows of that shape side by side, and one :func:`gather` puts every
+    piece in row order.
     """
     kind, target, mask, val, angle = p.columns
-    rows, pruned = _expanded_rows(kind, bitops.popcount(mask), angle)
+    nctrl = bitops.popcount(mask)
+    rows = _expanded_rows(kind, nctrl)
     if not rows.size:
         return p
-    keys = np.stack([kind[rows], target[rows], mask[rows], val[rows], pruned], axis=1)
-    uniq, which = np.unique(keys, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    templates = [_expansion(p.nb, *key) for key in uniq.tolist()]
-    # Output slots: every row keeps one, an expanded row takes its template's.
-    lens = np.ones(len(p), dtype=np.int64)
-    lens[rows] = np.array([len(t) for t in templates])[which]
-    start = np.cumsum(lens) - lens
-    out = [np.empty(int(lens.sum()), dtype=c.dtype) for c in p.columns]
-    kept = np.ones(len(p), dtype=bool)
-    kept[rows] = False
-    for o, c in zip(out, p.columns):
-        o[start[kept]] = c[kept]
-    groups = np.split(rows[np.argsort(which, kind="stable")],
-                      np.cumsum(np.bincount(which))[:-1])
-    for key, tpl, group in zip(uniq.tolist(), templates, groups):
-        slots = start[group][:, None] + np.arange(len(tpl))
-        for o, c in zip(out, tpl.columns[:4]):
-            o[slots] = c
-        out[4][slots] = tpl.angle * angle[group][:, None] if key[0] == CPHA else tpl.angle
-    return Program(p.nb, *out, validate=False)
+    nb = p.nb
+    at = np.arange(len(p))
+
+    def uncontrolled(kinds, targets, angles):
+        none = np.zeros(len(targets), dtype=np.int64)
+        return Program(nb, none + kinds, targets, none, none, none + angles, validate=False)
+
+    kept = np.delete(at, rows)
+    # Within a row, the pieces keep the order of this list (gather is stable).
+    pieces = [(Program(nb, *(c[kept] for c in p.columns), validate=False), kept, at)]
+    flip, bit = np.nonzero((mask[rows] & ~val[rows])[:, None] >> np.arange(nb) & 1)
+    flip = rows[flip]
+    pieces.append((uncontrolled(SIGX, bit, 0.0), flip, at))
+    cnot = kind[rows] == CNOT
+    wrapped = rows[cnot]
+    pieces.append((uncontrolled(ROTY, target[wrapped], 45.0), wrapped, at))
+    width = nctrl[rows] + cnot
+    for k in np.unique(width).tolist():
+        signs = np.where(bitops.popcount(np.arange(1 << k)) & 1, -1.0, 1.0)
+        for is_cnot in (True, False):
+            grp = rows[(width == k) & (cnot == is_cnot)]
+            if not grp.size:
+                continue
+            bits = np.nonzero(mask[grp, None] >> np.arange(nb) & 1)[1].reshape(len(grp), -1)
+            if is_cnot:   # sigma_x(t)^P = V sigma_z(t)^P V*, V = exp(-i 45° sigma_y(t))
+                bits = np.column_stack((target[grp], bits))
+            scale = np.where(is_cnot, 180.0, angle[grp, None])
+            ladder, owner = z_ladder(bits, scale * signs / (1 << k))
+            pieces.append((ladder, grp[owner], at))
+    pieces.append((uncontrolled(ROTY, target[wrapped], -45.0), wrapped, at))
+    pieces.append((uncontrolled(SIGX, bit[::-1], 0.0), flip[::-1], at))
+    return gather(nb, pieces)
 
 
 def rename_bits(p: Program, perm: bitops.BitPermutation) -> Program:

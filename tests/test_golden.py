@@ -49,6 +49,10 @@ def _cases() -> dict[str, tuple[np.ndarray, CompileOptions]]:
     out["u-kron-i-n8"] = (tensor_product(u, np.eye(16)), default)
     for nb in (3, 4):
         out[f"haar-n{nb}-no-phases"] = (_haar(nb), CompileOptions(extract_phases=False))
+    # the Haar -expand cases expand no gate; these expand 4 and 11 distinct ones
+    out["dft-n4-expand"] = (dft_matrix(4), CompileOptions(expand_controls=True))
+    out["dft-n5-no-phases-expand"] = (dft_matrix(5), CompileOptions(extract_phases=False,
+                                                                    expand_controls=True))
     return out
 
 

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdc import (BitPermutation, Program, apply_to_state, exchanger_program, expand_controls,
-                  frobenius_distance, parse, program_to_matrix, serialize)
+from csdc import (BitPermutation, Program, apply_to_state, expand_controls, frobenius_distance,
+                  parse, program_to_matrix, serialize)
+from csdc.bitops import popcount
 from csdc.seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, SIGX, SeoParseError, _simulate, concat,
-                      rename_bits, two_qubit_gates)
+                      cpha_ladder_pruned, rename_bits, two_qubit_gates, z_ladder)
 
 from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
                       random_program, rows, transposition_matrix, two_bit_rows, width)
@@ -322,35 +325,123 @@ class TestSimulator:
         assert np.array_equal(block, before)
 
 
-class TestExchanger:
-    def test_three_cnots(self):
-        p = exchanger_program(0, 1, 2)
-        assert serialize(p) == "CNOT 1 T 0\nCNOT 0 T 1\nCNOT 1 T 0\n"
+def _uncontrolled(nb: int, rows: list[tuple[int, int, float]]) -> Program:
+    """Program of (kind, target, angle) rows without controls."""
+    kinds, targets, angles = zip(*rows) if rows else ((), (), ())
+    zeros = [0] * len(kinds)
+    return Program(nb, kinds, targets, zeros, zeros, angles, validate=False)
 
-    def test_matrix_is_exchanger(self):
-        m = program_to_matrix(exchanger_program(0, 1, 2))
-        assert np.array_equal(m, transposition_matrix(4, [(1, 2)]))
 
-    def test_squares_to_identity(self):
-        p = exchanger_program(1, 2, 3)
-        twice = concat(p, p)
-        assert np.array_equal(program_to_matrix(twice), np.eye(8).astype(complex))
+def _expansion(nb: int, kind: int, target: int, mask: int, val: int, pruned: bool) -> Program:
+    """The expansion of one multi-control gate, a CPHA's built for angle 1:
+    every ladder angle is +-angle / 2**k, exact in floating point, so the
+    caller scales the angle column, or ``pruned`` drops the whole ladder.
+    The ladder of angle 1 prunes no step for k <= 33."""
+    ctrl_bits = [b for b in range(nb) if mask >> b & 1]
+    flips = [(SIGX, b, 0.0) for b in ctrl_bits if not val >> b & 1]
+    if kind == CPHA:
+        involved, wrap, closing, angle = ctrl_bits, [], [], 1.0
+    else:  # sigma_x(t)^P = V sigma_z(t)^P V*, V = exp(-i 45deg sigma_y(t))
+        involved = [target] + ctrl_bits
+        wrap, closing, angle = [(ROTY, target, 45.0)], [(ROTY, target, -45.0)], 180.0
+    parts = [_uncontrolled(nb, flips + wrap)]
+    if not pruned:
+        k = len(involved)
+        signs = np.where(popcount(np.arange(1 << k)) & 1, -1.0, 1.0)
+        parts.append(z_ladder(involved, angle * signs / (1 << k))[0])
+    parts.append(_uncontrolled(nb, closing + flips[::-1]))
+    return concat(*parts)
 
-    def test_conjugation_moves_gates(self):
-        e = program_to_matrix(exchanger_program(0, 2, 3))
-        sx0 = program_to_matrix(parse("SIGX 0", nb=3))
-        sx2 = program_to_matrix(parse("SIGX 2", nb=3))
-        assert np.array_equal(e @ sx0 @ e.conj().T, sx2)
 
-    def test_symmetric_in_arguments(self):
-        a = program_to_matrix(exchanger_program(0, 2, 3))
-        b = program_to_matrix(exchanger_program(2, 0, 3))
-        assert np.array_equal(a, b)
-        assert serialize(exchanger_program(0, 2, 3)) != serialize(exchanger_program(2, 0, 3))
+def expand_controls_by_template(p: Program) -> Program:
+    """``expand_controls`` as it was built before it became one z_ladder pass
+    per width: each distinct (kind, target, controls, pruned) is expanded
+    once into a template, which is copied into the slots of its rows, a
+    CPHA's angles scaled by the row's angle."""
+    kind, target, mask, val, angle = p.columns
+    nctrl = popcount(mask)
+    cpha = kind == CPHA
+    rows = np.flatnonzero(((kind == CNOT) & (nctrl >= 2)) | (cpha & (nctrl >= 3)))
+    if not rows.size:
+        return p
+    pruned = cpha[rows] & cpha_ladder_pruned(angle[rows], nctrl[rows])
+    keys = np.stack([kind[rows], target[rows], mask[rows], val[rows], pruned], axis=1)
+    uniq, which = np.unique(keys, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    templates = [_expansion(p.nb, *key) for key in uniq.tolist()]
+    # Output slots: every row keeps one, an expanded row takes its template's.
+    lens = np.ones(len(p), dtype=np.int64)
+    lens[rows] = np.array([len(t) for t in templates])[which]
+    start = np.cumsum(lens) - lens
+    out = [np.empty(int(lens.sum()), dtype=c.dtype) for c in p.columns]
+    kept = np.ones(len(p), dtype=bool)
+    kept[rows] = False
+    for o, c in zip(out, p.columns):
+        o[start[kept]] = c[kept]
+    groups = np.split(rows[np.argsort(which, kind="stable")],
+                      np.cumsum(np.bincount(which))[:-1])
+    for key, tpl, group in zip(uniq.tolist(), templates, groups):
+        slots = start[group][:, None] + np.arange(len(tpl))
+        for o, c in zip(out, tpl.columns[:4]):
+            o[slots] = c
+        out[4][slots] = tpl.angle * angle[group][:, None] if key[0] == CPHA else tpl.angle
+    return Program(p.nb, *out, validate=False)
 
-    def test_rejects_equal_bits(self):
-        with pytest.raises(ValueError):
-            exchanger_program(1, 1, 2)
+
+@st.composite
+def expandable_programs(draw):
+    """Programs on 3-7 bits mixing elementary rows with CNOTs of >= 2 and
+    CPHAs of >= 3 controls, T and F; a CPHA's angle is 0, exactly
+    PRUNE_TOL * 2**k (its ladder pruned), just above that, or any."""
+    nb = draw(st.integers(3, 7))
+    out = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["CNOT", "CPHA", "CNOT", "CPHA", "ROTY", "SIGX", "PHAS"]))
+        bits = draw(st.permutations(range(nb)))
+        angle = draw(st.floats(-360, 360))
+        if kind == "ROTY":
+            out.append((kind, bits[0], 0, 0, angle))
+        elif kind == "SIGX":
+            out.append((kind, bits[0], 0, 0, 0.0))
+        elif kind == "PHAS":
+            out.append((kind, -1, 0, 0, angle))
+        else:
+            k = draw(st.integers(1, nb - 1) if kind == "CNOT" else st.integers(2, nb))
+            ctrl = bits[:k]
+            mask = sum(1 << b for b in ctrl)
+            val = sum(1 << b for b in ctrl if draw(st.booleans()))
+            if kind == "CNOT":
+                out.append((kind, bits[k], mask, val, 0.0))
+            else:
+                edge = math.ldexp(PRUNE_TOL, k)
+                angle = draw(st.sampled_from([0.0, edge, -edge, math.nextafter(edge, 1.0),
+                                              -math.nextafter(edge, 1.0), angle]))
+                out.append((kind, -1, mask, val, angle))
+    return program_of_rows(nb, out)
+
+
+class TestExpandByLadder:
+    """``expand_controls`` against the template expansion it replaced."""
+
+    @given(expandable_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_template_expansion(self, p):
+        assert expand_controls(p) == expand_controls_by_template(p)
+
+    def test_per_row_bits_equal_one_call_per_row(self, rng):
+        # rows of their own bits, unsorted, with zeros and sub-PRUNE_TOL
+        # angles that prune steps and whole runs
+        m, k = 6, 3
+        bits = np.array([rng.choice(7, size=k, replace=False) for _ in range(m)])
+        thetas = rng.uniform(-180, 180, (m, 1 << k))
+        thetas[rng.random(thetas.shape) < 0.3] = 0.0
+        thetas[rng.random(thetas.shape) < 0.2] = 1e-11
+        ladder, owner = z_ladder(bits, thetas)
+        for r in range(m):
+            one, own = z_ladder(bits[r].tolist(), thetas[r])
+            assert (own == 0).all()
+            assert Program(ladder.nb, *(c[owner == r] for c in ladder.columns)) == Program(
+                ladder.nb, *one.columns)
 
 
 class TestExpandControls:
