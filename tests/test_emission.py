@@ -159,14 +159,17 @@ def test_controlled_phase_rows_equal_loop(rng, nb):
         assert got == controlled_phase_loop(nb, theta)
 
 
+@pytest.mark.parametrize("planted", [-1.0, 1e-10, 0.3])
 @pytest.mark.parametrize("k", range(0, 7))
-def test_z_ladder_equals_loop(rng, k):
+def test_z_ladder_equals_loop(rng, k, planted):
     """Bits in any order; zeros and sub-PRUNE_TOL angles prune steps, among
-    them steps between two rotation bits."""
+    them steps between two rotation bits.  About a fifth of the angles is
+    ``planted``: kept at -1.0 and 0.3, pruned at exactly PRUNE_TOL (1e-10)."""
     for _ in range(20):
         bits = rng.choice(8, size=k, replace=False).tolist()
         thetas = with_zeros(rng, 1 << k, rng.uniform(-180, 180, 1 << k))
         thetas[rng.random(1 << k) < 0.2] = 1e-11
+        thetas[rng.random(1 << k) < 0.2] = planted
         assert z_ladder(bits, thetas)[0] == z_ladder_loop(bits, thetas, PRUNE_TOL)
 
 
