@@ -18,11 +18,14 @@ and each step below is one vectorised pass over the level:
     ``csd_stack`` itself sends the matrices it cannot factor accurately
     (angles near 0° or 90°, failed side or residual checks) to the LAPACK
     CSD (scipy's ``cossin``) in one call;
-  * identity-side and diagonal-side tests, as per-matrix reductions;
+  * identity-side and diagonal-side tests, as per-matrix reductions of one
+    |x| pass per side stack;
   * phase extraction: one ``phase_parameters`` call on the four block
     diagonals of every aborted or folded D block (none on a plain level).
 The complex-D, diagonal-side and real-phase tests read the fixed
-``STRUCTURE_TOL``; ``opts.tol`` only decides whether the input is unitary.
+``STRUCTURE_TOL``; ``opts.tol`` only decides whether the input is unitary,
+which the root's ``csd_stack`` decides (no dense check runs beside it), or
+the exact check where the root is complex D.
 The level keeps its centrals as arrays (``TreeLevel``), and a ``CsdNode`` is
 a view of one row.  Emission is one ``decompose_level`` pass per level, and
 one sort by the keys of the centrals puts the instructions in application
@@ -91,50 +94,53 @@ class CompileOptions:
         check_tol(self.tol)
 
 
+def _not_unitary(dev: float, tol: float) -> NotUnitaryError:
+    """The error that rejects an input deviating from unitarity by dev > tol."""
+    return NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}", dev)
+
+
 def _check_unitary(a: np.ndarray, tol: float) -> None:
     """Raise NotUnitaryError if a deviates from unitarity by more than tol."""
     dev = unitarity_deviation(a)
     if dev > tol:
-        raise NotUnitaryError(f"input is not unitary: max deviation {dev:.3e} > {tol:.1e}")
+        raise _not_unitary(dev, tol)
 
 
 def pad_to_power_of_two(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Embed a unitary into the next power-of-two dimension as u ⊕ I."""
+    """Embed a unitary into the next power-of-two dimension as u ⊕ I; a
+    complex128 u of such a dimension comes back itself, not a copy."""
     a = as_matrix(u)
     _check_unitary(a, tol)
     return _embed(a), a.shape[0]
 
 
-def _embed(a: np.ndarray) -> np.ndarray:
-    """a ⊕ I in the next power-of-two dimension (at least 2), as a new array;
-    a must be square, and is not checked to be unitary."""
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
+def _embed(u) -> np.ndarray:
+    """u ⊕ I in the next power-of-two dimension (at least 2): a new array, or
+    u itself, not a copy, where u is a complex128 matrix of that dimension.
+    u must be a square matrix; it is not checked to be finite or unitary."""
+    a = np.asarray(u, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dim = a.shape[0]
-    n = 1
-    while (1 << n) < dim:
-        n += 1
-    full = 1 << n
+    full = 1 << max(1, (dim - 1).bit_length())
     if full == dim:
-        return a.copy()
+        return a
     out = np.eye(full, dtype=np.complex128)
     out[:dim, :dim] = a
     return out
 
 
-def _identity_mask(sides: np.ndarray) -> np.ndarray:
-    """Per leading index of a (k, 2, h, h) side stack: both sides are the
-    identity within IDENTITY_TOL."""
-    return np.abs(sides - np.eye(sides.shape[-1])).max(axis=(1, 2, 3)) <= IDENTITY_TOL
-
-
-def _diagonal_mask(sides: np.ndarray) -> np.ndarray:
-    """Per leading index of a (k, 2, h, h) side stack: both sides are diagonal
-    within STRUCTURE_TOL."""
+def _side_masks(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per leading index of a (k, 2, h, h) side stack: whether both sides are
+    the identity within IDENTITY_TOL, and whether both are diagonal within
+    STRUCTURE_TOL.  One |x| pass serves both, since off the diagonal
+    |x - 0| is |x|."""
     mag = np.abs(sides)
     j = np.arange(sides.shape[-1])
     mag[..., j, j] = 0.0
-    return mag.max(axis=(1, 2, 3)) <= STRUCTURE_TOL
+    off = mag.max(axis=(1, 2, 3))
+    on = np.abs(sides[..., j, j] - 1.0).max(axis=(1, 2))
+    return np.maximum(off, on) <= IDENTITY_TOL, off <= STRUCTURE_TOL
 
 
 @dataclass
@@ -154,7 +160,7 @@ class _Split:
     right_identity: np.ndarray  # (k,)
 
 
-def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
+def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> _Split:
     """CSD every matrix of a (k, d, d) level stack.
 
     Complex D matrices are kept whole (aborted CSD, identity sides).  The
@@ -165,16 +171,27 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
     four block diagonals; a plain CSD block keeps the angles of ``csd_stack``
     and zero phases, so a level without aborted or folded blocks makes no
     call.
+
+    ``root`` marks an unchecked input, the one matrix of the first level: if
+    it is aborted, no CSD vouches for its unitarity, so it gets the exact
+    check; else ``csd_stack`` accepts it or rejects it as the input.
     """
     k, d, _ = mats.shape
     h = d // 2
     aborted = (is_complex_d_stack(mats) if opts.extract_phases
                else np.zeros(k, dtype=bool))
     rest = np.flatnonzero(~aborted)
+    if root and aborted[0]:
+        _check_unitary(mats[0], opts.tol)
     # Factored before the level's side arrays exist, so that a large CSD does
     # not run beside them.
     if rest.size:
-        f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
+        try:
+            f = csd_stack(mats if rest.size == k else mats[rest], opts.tol)
+        except NotUnitaryError as exc:
+            if not root:
+                raise
+            raise _not_unitary(exc.deviation, opts.tol) from None
         if opts.lighten:
             f = lighten_stack(f)   # rebinding frees the unlightened factors
     thetas = np.zeros((k, h))
@@ -188,10 +205,10 @@ def _split_level(mats: np.ndarray, opts: CompileOptions) -> _Split:
         thetas[rest] = f.thetas
         lefts[rest, 0], lefts[rest, 1] = f.l0, f.l1
         rights[rest, 0], rights[rest, 1] = f.r0, f.r1
-        left_identity, right_identity = _identity_mask(lefts), _identity_mask(rights)
+        (left_identity, ldiag), (right_identity, rdiag) = _side_masks(lefts), _side_masks(rights)
         if opts.extract_phases:
-            lfold = ~aborted & ~left_identity & _diagonal_mask(lefts)
-            rfold = ~aborted & ~right_identity & _diagonal_mask(rights)
+            lfold = ~aborted & ~left_identity & ldiag
+            rfold = ~aborted & ~right_identity & rdiag
     folded = lfold | rfold
     phased = folded.copy()
     pf = PhaseFactors(np.zeros((k, h)), np.zeros((k, h)), np.zeros((k, h)), thetas)
@@ -261,13 +278,15 @@ class CsdNode:
     right = property(lambda self: self._child(1))
 
 
-def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
-    """Build the CSD tree of a 2**nb unitary level by level; return its root.
+def _build(a: np.ndarray, nb: int, opts: CompileOptions, check: bool = True) -> CsdNode:
+    """Build the CSD tree of a 2**nb matrix level by level; return its root.
 
     Level L is one (k, d, d) stack with d = 2**(nb-L+1); each of its n nodes
     owns 2**(L-1) consecutive matrices.  The next level stacks the sides
     that are not all identity, node by node, left before right.  Level nb+1
-    holds 1x1 matrices: each node there is a diagonal.
+    holds 1x1 matrices: each node there is a diagonal.  The first level's
+    split checks that a is unitary within opts.tol (``_split_level``'s
+    ``root``), unless ``check`` is False: a is then known to be unitary.
     """
     levels = []
     mats, key = a[None], np.zeros(1, dtype=np.int64)
@@ -277,7 +296,7 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
             phases = np.degrees(np.angle(mats[:, 0, 0])).reshape(n, -1)
             levels.append(TreeLevel(key, np.full((n, 2), -1), phases=phases))
             break
-        split = _split_level(mats, opts)
+        split = _split_level(mats, opts, root=check and level == 1)
         h = split.lefts.shape[-1]
         sides = [x.reshape(n, -1, h, h) for x in (split.lefts, split.rights)]
         has = ~np.stack([split.left_identity, split.right_identity], 1).reshape(n, -1, 2).all(1)
@@ -298,13 +317,19 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions) -> CsdNode:
 
 
 def build_tree(u, opts: CompileOptions = CompileOptions()) -> CsdNode:
-    """Build the CSD tree of a 2**nb unitary, after checking that it is one."""
+    """Build the CSD tree of a 2**nb unitary, rejecting it with
+    NotUnitaryError if it is not unitary within opts.tol.
+
+    The root's ``csd_stack`` bounds its deviation from unitarity and checks
+    it exactly (``_lapack_csd``) where the bound cannot vouch for it; a
+    complex D root, which no CSD factors, gets the exact check alone.  No
+    dense check runs beside them.
+    """
     a = as_matrix(u)
     dim = a.shape[0]
     nb = max(1, dim.bit_length() - 1)
     if a.shape[1] != dim or (1 << nb) != dim:
         raise ValueError(f"expected a square power-of-two matrix, got {a.shape}")
-    _check_unitary(a, opts.tol)
     return _build(a, nb, opts)
 
 
@@ -423,12 +448,14 @@ def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     """Compile a unitary matrix (any dimension; padded to a power of two)
     into a gate program whose matrix reproduces the padded input.
 
-    The input's unitarity is checked once, on the padded matrix u ⊕ I, whose
-    deviation from unitarity is that of u.  The permutation search compiles
-    every relabeling of u ⊕ I, the identity first; above PERM_SEARCH_MAX_NB
-    it is refused, after the unitarity check and before any build.
+    The input's unitarity is checked on the padded matrix u ⊕ I, whose
+    deviation from unitarity is that of u: by ``build_tree``, or, under the
+    permutation search, once up front by the exact dense check.  The search
+    compiles every relabeling of u ⊕ I, the identity first; above
+    PERM_SEARCH_MAX_NB it is refused, after the unitarity check and before
+    any build.  u is not copied where it needs no padding.
     """
-    a = _embed(as_matrix(u))
+    a = _embed(u)
     if opts.perm_search == "none":
         return program_for_tree(build_tree(a, opts), opts)
     nb = a.shape[0].bit_length() - 1
@@ -436,10 +463,10 @@ def compile_unitary(u, opts: CompileOptions = CompileOptions()) -> Program:
     if nb > PERM_SEARCH_MAX_NB:
         raise ValueError(f"root-exhaustive permutation search supports nb <= "
                          f"{PERM_SEARCH_MAX_NB}, got nb={nb}")
-    best = program_for_tree(_build(a, nb, opts), opts)
+    best = program_for_tree(_build(a, nb, opts, check=False), opts)
     for mapping in itertools.islice(itertools.permutations(range(nb)), 1, None):
         perm = BitPermutation(nb, mapping)
-        tree = _build(apply_bit_permutation(perm, a), nb, opts)
+        tree = _build(apply_bit_permutation(perm, a), nb, opts, check=False)
         program = rename_bits(program_for_tree(tree, opts), perm.inverse())
         if len(program) < len(best):
             best = program

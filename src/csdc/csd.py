@@ -13,12 +13,15 @@ For 4x4 matrices the SVD of the 2x2 quadrant is in closed form too
 most 2 is a broadcast multiply-add (``_mm``), so a stack of them makes no
 LAPACK or BLAS call per matrix.
 The matrices it cannot factor accurately go, all in one call, to the LAPACK
-CSD (scipy ``cossin``), whose angles come out canonical too.  Every check
-that reads XᴴX only against a threshold (the sides' unitarity, the
-one-cluster test Q11ᴴQ11 = c²I, the fallback's input check) is one call of
-``matrices.gram_deviations``: ZHERK from side GRAM_HERK_MIN_N (128) on, one
-batched product below.  Products whose values go into the factors stay
-products.
+CSD (scipy ``cossin``), whose angles come out canonical too.  The checks
+of the factors bound the input's deviation from unitarity, and the
+fallback checks it exactly where the bound exceeds tol, so ``csd_stack``
+accepts only inputs unitary within tol.  Every check that reads XᴴX only
+against a threshold (the sides' unitarity, the one-cluster test, whose
+Gram of L0 = Q11/c is L0's side check too, the fallback's input check) is
+one call of ``matrices.gram_deviations``: ZHERK from side GRAM_HERK_MIN_N
+(128) on, one batched product below.  Products whose values go into the
+factors stay products.
 ``lighten_stack`` applies the QR gauge fix that pushes the right side
 matrices toward the identity inside clusters of equal angles, and
 ``extract_phases`` peels a complex D matrix apart into a real rotation core
@@ -119,7 +122,7 @@ def _lapack_csd(a: np.ndarray, tol: float, rows=None) -> CsdFactors:
         i = bad[0]
         which = "" if rows is None else f" {rows[i]} of the stack"
         raise NotUnitaryError(f"csd input{which} is not unitary: "
-                              f"max deviation {dev[i]:.3e} > {tol:.1e}")
+                              f"max deviation {dev[i]:.3e} > {tol:.1e}", dev[i])
     m = a.shape[-1] // 2
     u, theta, vh = cossin(a, p=m, q=m, separate=True)   # u[:, 0] is U1, u[:, 1] U2
     return CsdFactors(l0=u[:, 0], l1=-u[:, 1], r0=vh[:, 0], r1=-vh[:, 1],
@@ -169,17 +172,22 @@ def _column_norms_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->kj", x.conj(), x).real
 
 
-def _one_cluster(q11: np.ndarray, q21: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+def _one_cluster(q11: np.ndarray, q21: np.ndarray) -> tuple[tuple | None, np.ndarray, np.ndarray]:
     """Whether the angles of each matrix of a stack form one cluster away from
     0° and 90°, that is Q11ᴴQ11 = c²I within _BATCHED_CHECK_TOL; with c and s
-    per matrix.  Equal column norms of Q11 are necessary, and cheap to test,
-    so a stack without them does not pay for the Gram product."""
+    per matrix.  The test forms L0 = Q11/c, contiguous, and takes its Gram
+    deviation once: c² times it is Q11's, and it is L0's side check too.
+    Where the test holds, the first item is (L0, that deviation), else None.
+    Equal column norms of Q11 are necessary, and cheap to test, so a stack
+    without them does not pay for the Gram."""
     c2 = _column_norms_sq(q11)
     c, s = np.sqrt(c2.mean(axis=1)), np.sqrt(_column_norms_sq(q21).mean(axis=1))
     if (np.ptp(c2, axis=1).max() > _BATCHED_CHECK_TOL
             or np.minimum(c, s).min() < _BATCHED_MIN_CS):
-        return False, c, s
-    return bool(gram_deviations(q11, c ** 2).max() <= _BATCHED_CHECK_TOL), c, s
+        return None, c, s
+    l0 = q11 / c[:, None, None]
+    dev = gram_deviations(l0)
+    return ((l0, dev) if (c * c * dev).max() <= _BATCHED_CHECK_TOL else None), c, s
 
 
 def _right_rows(l0, l1, q12, q22, c, s) -> np.ndarray:
@@ -195,14 +203,14 @@ def _right_rows(l0, l1, q12, q22, c, s) -> np.ndarray:
     return rows / np.maximum(s, c)[:, :, None]
 
 
-def _cluster_factors(q11, q12, q21, q22, c, s) -> tuple[np.ndarray, ...]:
+def _cluster_factors(l0, q12, q21, q22, c, s) -> tuple[np.ndarray, ...]:
     """Closed-form CSD of matrices whose angles form one cluster: Q11 = c·L0
-    with L0 unitary, so R0 = I, L0 = Q11/c, L1 = -Q21/s, and R1 as in
+    with L0 unitary (``_one_cluster``), so R0 = I, L1 = -Q21/s, and R1 as in
     ``_right_rows``.  This is what ``lighten`` makes of any CSD of such a
     matrix, since the QR of a unitary r0 that is one cluster is the identity.
     No SVD and no QR is needed."""
-    m = q11.shape[-1]
-    l0, l1 = q11 / c[:, None, None], -q21 / s[:, None, None]
+    m = l0.shape[-1]
+    l1 = -q21 / s[:, None, None]
     c, s = np.repeat(c[:, None], m, axis=1), np.repeat(s[:, None], m, axis=1)
     r0 = np.broadcast_to(np.eye(m, dtype=np.complex128), l0.shape).copy()
     return l0, l1, r0, _right_rows(l0, l1, q12, q22, c, s), c, s
@@ -287,8 +295,10 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
     the side-unitarity or block residual check (non-finite factors fail
     both), or whose unitarity within tol the checks cannot vouch for, are
     factored instead by one ``_lapack_csd`` call, which raises
-    NotUnitaryError if one of them is not unitary within tol.  The side and
-    input checks, and the one-cluster test, are ``gram_deviations`` calls.
+    NotUnitaryError if one of them is not unitary within tol.  So every
+    matrix is accepted only if unitary within tol, up to rounding: a caller
+    needs no unitarity check of its own.  The side and input checks, and the
+    one-cluster test, are ``gram_deviations`` calls.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] % 2:
@@ -298,29 +308,38 @@ def csd_stack(mats, tol: float = DEFAULT_TOL) -> CsdFactors:
         raise ValueError("matrix entries must be finite")
     m = a.shape[1] // 2
     q11, q12, q21, q22 = a[:, :m, :m], a[:, :m, m:], a[:, m:, :m], a[:, m:, m:]
-    one, c1, s1 = _one_cluster(q11, q21)
+    cluster, c, s = _one_cluster(q11, q21)
+    one = cluster is not None
     if one:
-        l0, l1, r0, r1, c, s = _cluster_factors(q11, q12, q21, q22, c1, s1)
+        l0, l1, r0, r1, c, s = _cluster_factors(cluster[0], q12, q21, q22, c, s)
     else:
         l0, l1, r0, r1, c, s = _svd_factors(q11, q12, q21, q22)
     thetas = np.degrees(np.arctan2(s, c))
     cs, ss = c[:, None, :], s[:, None, :]
-    sides, rebuilt11, rebuilt21 = [l0, l1, r1], l0 * cs, -(l1 * ss)
-    if not one:     # the closed form's r0 is exactly I
-        sides.append(r0)
+    rebuilt11, rebuilt21 = l0 * cs, -(l1 * ss)
+    if one:     # _one_cluster checked L0, and the closed form's r0 is exactly I
+        side_dev = np.max([cluster[1], gram_deviations(l1), gram_deviations(r1)], axis=0)
+    else:
+        side_dev = np.max([gram_deviations(x) for x in (l0, l1, r1, r0)], axis=0)
         rebuilt11, rebuilt21 = _mm(rebuilt11, r0), _mm(rebuilt21, r0)
-    side_dev = np.max([gram_deviations(x) for x in sides], axis=0)
     residual = np.max([np.abs(rebuilt - block).max(axis=(1, 2)) for rebuilt, block in (
         (rebuilt11, q11), (_mm(l0 * ss, r1), q12), (rebuilt21, q21), (_mm(l1 * cs, r1), q22))],
         axis=0)
     # Each test reads "not within limits", so NaN factors fall back too.
     fallback = ~(np.minimum(c, s) >= _BATCHED_MIN_CS).all(axis=1)
     fallback |= ~(side_dev <= _BATCHED_CHECK_TOL) | ~(residual <= _BATCHED_CHECK_TOL)
-    # The product P of the factors is unitary within (m·side_dev)(2 + m·side_dev)
-    # (max entry, through the spectral norm), and each column of U - P has
-    # 2-norm at most sqrt(2m)·residual, so U is unitary within the bound below;
-    # where that exceeds tol, ``_lapack_csd`` checks U itself.
+    # The sides' Grams are within m·side_dev of I in the spectral norm, and
+    # DᴴD = diag(c² + s²) within dd = max |c² + s² - 1| (c and s are not
+    # normalized: a U scaled by 1 + δ has exactly unitary sides and no
+    # residual), so the product P of the factors is unitary within
+    # fw = (1 + m·side_dev)²(1 + dd) - 1 (max entry, through the spectral
+    # norm).  Each column of U - P has 2-norm at most sqrt(2m)·residual, so U
+    # is unitary within the bound below; where that exceeds tol,
+    # ``_lapack_csd`` checks U itself.  Computed in floating point, the bound
+    # is off by rounding of order m·ε (ε = 2**-52), as is the exact check:
+    # about 1e-13 at m = 512, three orders below DEFAULT_TOL.
     fw = m * side_dev * (2.0 + m * side_dev)
+    fw += (1.0 + fw) * np.abs(c * c + s * s - 1.0).max(axis=1)
     fe = np.sqrt(2 * m) * residual
     fallback |= ~(fw + 2.0 * np.sqrt(1.0 + fw) * fe + fe * fe <= tol)
     out = CsdFactors(l0, l1, r0, r1, thetas)

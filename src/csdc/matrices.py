@@ -33,7 +33,12 @@ def check_tol(tol: float) -> float:
 
 
 class NotUnitaryError(ValueError):
-    """Raised when an input that must be unitary is not, within tolerance."""
+    """Raised when an input that must be unitary is not, within tolerance;
+    ``deviation`` is its max-entry deviation of UᴴU from I, where known."""
+
+    def __init__(self, message: str, deviation: float | None = None):
+        super().__init__(message)
+        self.deviation = deviation
 
 
 def as_matrix(m) -> np.ndarray:

@@ -1,16 +1,20 @@
 """The column representation of a program: its rows, text I/O, the column
 stages against per-instruction definitions, validation and the dense guard."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdc import (BitPermutation, DenseTooLargeError, Program, central, cli, compiler,
-                  expand_controls, matrices, parse, program_to_matrix, seo, serialize)
+                  expand_controls, hadamard_input, matrices, parse, phase_factors_matrix,
+                  program_to_matrix, seo, serialize)
 from csdc.seo import KINDS, SeoParseError, concat, rename_bits
 
 from conftest import (concat_by_rows, kron_program_matrix, program_of_rows,
-                      random_program, random_unitary, rename_by_rows, rows, width)
+                      random_phase_factors, random_program, random_unitary, rename_by_rows,
+                      rows, width)
 
 ANGLES = st.floats(-720, 720, allow_nan=False, allow_infinity=False)
 
@@ -242,28 +246,78 @@ class TestDenseGuard:
 
 
 class TestUnitarityCheckedOnce:
-    def test_compile_unitary_checks_once(self, rng, monkeypatch):
-        calls = []
-        original = compiler.unitarity_deviation
-        monkeypatch.setattr(compiler, "unitarity_deviation",
-                            lambda a: calls.append(a.shape) or original(a))
-        compiler.compile_unitary(random_unitary(rng, 8))
-        assert calls == [(8, 8)]
-        calls.clear()
-        compiler.compile_unitary(random_unitary(rng, 8),
-                                 compiler.CompileOptions(perm_search="root-exhaustive"))
-        assert calls == [(8, 8)]
+    """The dense UᴴU check runs only where no CSD vouches for the input: on a
+    complex D root, which no CSD factors, and once up front under the
+    permutation search.  Any other root is accepted or rejected by its own
+    ``csd_stack``, and a one-cluster CSD reuses the Gram of its L0 = Q11/c
+    test as L0's side check."""
 
-    def test_cli_compile_checks_once(self, rng, tmp_path, monkeypatch):
+    @staticmethod
+    def dense_checks(monkeypatch):
         calls = []
         original = matrices.unitarity_deviation
         for mod in (compiler, cli):
             monkeypatch.setattr(mod, "unitarity_deviation",
                                 lambda a: calls.append(a.shape) or original(a))
+        return calls
+
+    def test_haar_and_spine_roots_take_no_dense_check(self, rng, monkeypatch):
+        calls = self.dense_checks(monkeypatch)
+        for ep in (True, False):
+            opts = compiler.CompileOptions(extract_phases=ep)
+            for u in (random_unitary(rng, 8), hadamard_input(3), hadamard_input(8),
+                      random_unitary(rng, 6)):
+                compiler.compile_unitary(u, opts)
+        assert calls == []
+
+    def test_complex_d_root_checked_once(self, rng, monkeypatch):
+        calls = self.dense_checks(monkeypatch)
+        u = phase_factors_matrix(random_phase_factors(rng, 4))
+        compiler.compile_unitary(u)
+        assert calls == [(8, 8)]
+        calls.clear()
+        # without extract_phases the root is factored, and vouched for, by csd_stack
+        compiler.compile_unitary(u, compiler.CompileOptions(extract_phases=False))
+        assert calls == []
+
+    def test_perm_search_checks_once(self, rng, monkeypatch):
+        calls = self.dense_checks(monkeypatch)
+        opts = compiler.CompileOptions(perm_search="root-exhaustive")
+        for u in (random_unitary(rng, 8), phase_factors_matrix(random_phase_factors(rng, 4))):
+            compiler.compile_unitary(u, opts)
+            assert calls == [(8, 8)]
+            calls.clear()
+
+    def test_cli_compile_takes_no_dense_check(self, rng, tmp_path, monkeypatch):
+        calls = self.dense_checks(monkeypatch)
         src = str(tmp_path / "u.txt")
         matrices.write_matrix_file(src, random_unitary(rng, 8))
         assert cli.main(["compile", src, "-o", str(tmp_path / "u.seo")]) == 0
-        assert calls == [(8, 8)]
+        assert calls == []
+
+    def test_one_cluster_level_makes_three_gram_calls(self, monkeypatch):
+        grams, verdicts, per_level = [], [], []
+        csd = sys.modules["csdc.csd"]
+        gram, one_cluster, csd_stack = csd.gram_deviations, csd._one_cluster, compiler.csd_stack
+        monkeypatch.setattr(csd, "gram_deviations",
+                            lambda x, shift=None: grams.append(x.shape) or gram(x, shift))
+
+        def one_cluster_counted(q11, q21):
+            got = one_cluster(q11, q21)
+            verdicts.append(got[0] is not None)
+            return got
+
+        def counted(mats, tol):
+            before = len(grams)
+            out = csd_stack(mats, tol)
+            per_level.append(len(grams) - before)
+            return out
+        monkeypatch.setattr(csd, "_one_cluster", one_cluster_counted)
+        monkeypatch.setattr(compiler, "csd_stack", counted)
+        for nb in (3, 8):     # 8 reaches the ZHERK path
+            compiler.compile_unitary(hadamard_input(nb))
+        assert all(verdicts) and len(verdicts) == len(per_level) == 2 + 7
+        assert per_level == [3] * 9
 
     def test_default_compile_renames_nothing(self, rng, monkeypatch):
         calls = []
@@ -291,6 +345,8 @@ class TestUnitarityCheckedOnce:
         assert len(program) < len(compiler.compile_unitary(u))
         assert np.abs(program_to_matrix(program) - u).max() < 1e-10
 
-    def test_build_tree_still_checks(self, monkeypatch):
-        with pytest.raises(ValueError, match="not unitary"):
-            compiler.build_tree(np.diag([1.0, 2.0]))
+    def test_build_tree_still_checks(self):
+        for ep in (True, False):    # an aborted root, and one csd_stack rejects
+            opts = compiler.CompileOptions(extract_phases=ep)
+            with pytest.raises(matrices.NotUnitaryError, match="^input is not unitary"):
+                compiler.build_tree(np.diag([1.0, 2.0]), opts)

@@ -11,8 +11,8 @@ from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build
 from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import ROUND_TRIP_TOL
 from csdc.central import decompose_level, multiplexors, side_phases
-from csdc.compiler import _carry_phases, _split_level, program_for_tree
-from csdc.csd import csd_stack, d_matrix, lighten_stack
+from csdc.compiler import IDENTITY_TOL, _carry_phases, _split_level, program_for_tree
+from csdc.csd import STRUCTURE_TOL, csd_stack, d_matrix, lighten_stack
 from csdc.reference import dft_matrix
 from csdc.seo import ROTY, concat, gather, serialize
 
@@ -176,6 +176,46 @@ class TestSplitLevel:
         assert calls == [] and not split.phased.any()
         _split_level(np.stack([m for _, m, _ in self.level(rng)]), DEFAULTS)
         assert calls == [5]   # the two aborted and three folded blocks, in one call
+
+
+class TestSideMasks:
+    @staticmethod
+    def two_formulas(sides):
+        """The identity mask as max |x - δ| and the diagonal mask as max |x|
+        off the diagonal, each from its own pass."""
+        identity = np.abs(sides - np.eye(sides.shape[-1])).max(axis=(1, 2, 3)) <= IDENTITY_TOL
+        mag = np.abs(sides)
+        j = np.arange(sides.shape[-1])
+        mag[..., j, j] = 0.0
+        return identity, mag.max(axis=(1, 2, 3)) <= STRUCTURE_TOL
+
+    def test_one_pass_equals_the_two_formulas(self, rng):
+        seen = set()
+        for h in (1, 2, 4, 16):
+            k = 200
+            shape = (k, 2, h, h)
+
+            def noise(tol):
+                scale = tol * rng.uniform(0.3, 1.2, (k, 1, 1, 1))
+                return scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+            phases = np.exp(1j * rng.uniform(-np.pi, np.pi, (k, 2, h)))
+            stacks = [
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                np.eye(h) + noise(IDENTITY_TOL),
+                phases[..., None] * np.eye(h) + noise(STRUCTURE_TOL),
+                np.eye(h) + noise(STRUCTURE_TOL),
+            ]
+            edge = np.broadcast_to(np.eye(h, dtype=complex), shape).copy()
+            edge[:k // 2, 0, -1, 0] += IDENTITY_TOL    # exactly at the tolerances
+            edge[k // 2:, 1, 0, -1] -= STRUCTURE_TOL
+            edge[::7, 0, 0, 0] = np.nan
+            stacks.append(edge)
+            for sides in stacks:
+                got, want = compiler._side_masks(sides), self.two_formulas(sides)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                seen |= {(i, bool(v)) for i, mask in enumerate(got) for v in np.unique(mask)}
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def _loose_tol_corpus() -> dict[str, np.ndarray]:
