@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -143,11 +144,25 @@ def gram_deviations(x: np.ndarray, shift=None) -> np.ndarray:
 
 
 def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b; zero iff the matrices are equal."""
+    """Frobenius norm of a - b; zero iff the matrices are equal.
+
+    The squares are summed a chunk of rows at a time, each chunk's difference
+    at most ``seo.FLUSH_CHUNK_BYTES`` (at least one row) in one reused
+    buffer, so no difference of the whole matrices is formed: at nb = 10 that
+    would be 16 MB.
+    """
+    from .seo import FLUSH_CHUNK_BYTES   # seo imports this module
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.norm(ma - mb))
+    step = max(1, FLUSH_CHUNK_BYTES // ma[0].nbytes)
+    buf = np.empty((min(step, len(ma)), ma.shape[1]), dtype=np.complex128)
+    total = 0.0
+    for i in range(0, len(ma), step):
+        d = np.subtract(ma[i:i + step], mb[i:i + step], out=buf[:len(ma) - i])
+        v = d.reshape(-1).view(np.float64)   # real and imaginary parts
+        total += float(v @ v)
+    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

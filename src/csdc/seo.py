@@ -64,6 +64,14 @@ PRUNE_TOL = 1e-10
 # chunk of all row pairs at nb = 10.
 FLUSH_CHUNK_BYTES = 128 << 10
 
+# The simulator finds the angles of its segments in batches of at most this
+# many bytes of phase rows, 16 * 2**nb bytes per segment: 128 segments at
+# nb = 6, so all 127 of a Haar program, and 8 at nb = 10.  On Haar programs
+# at nb = 8 (1 BLAS thread, Xeon), batches of 16, 64, 128, 512 and 2048 KB
+# rebuilt in 124, 113, 101, 99 and 99 ms; at nb = 6 and 9 they were within
+# 10 %.  A batch's peak is about three times this (see _simulate).
+ANGLE_CHUNK_BYTES = 128 << 10
+
 
 class SeoParseError(ValueError):
     """Raised on malformed SEO text; carries the 1-based line number."""
@@ -362,9 +370,11 @@ def dense_peak_bytes(nb: int) -> int:
     gather's copy (one more matrix) and the four work arrays of one flush chunk:
     three matrices up to nb = 7, where a chunk takes every row pair, and two
     from nb = 8 on.  Measured with tracemalloc, the peak also holds vectors over
-    the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB) and the segment
+    the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB), the segment
     plan, at most 64 bytes per instruction (about 19 for a Haar program, 46
-    expanded); the guard counts the dense arrays only.
+    expanded), and one batch of segment angles, about 46 * 2**nb bytes per
+    segment and so about 3 * ANGLE_CHUNK_BYTES (384 KB) for a full batch; the
+    guard counts the dense arrays only.
     """
     n = 1 << nb
     row = 16 * n
@@ -558,19 +568,66 @@ def _cpha_terms(mask: int, val: int, t: int, x: int, nb: int, angle: float):
     return idx, np.where(sign, -angle, angle) / len(sub)
 
 
-def _walsh(idx: np.ndarray, deg: np.ndarray, size: int):
-    """Radians of sum_j deg_j (-1)**|idx_j & d| for d < size; a scalar when
-    every term sits at index 0."""
-    a = np.bincount(idx, weights=deg, minlength=size)
-    if not a[1:].any():
-        return math.radians(a[0])
-    a = bitops.kron_transform(a, "walsh")
-    return np.radians(a, out=a)
+def _batch_angles(plan: _Plan, j0: int, j1: int, nb: int) -> list:
+    """The angles of segments j0..j1-1, one entry per segment: (cos phi,
+    sin phi), each of shape (2**(nb-1), 1), for a ladder; exp(i Phi) over the
+    2**nb rows for a phase segment with terms; None for the others.
+
+    A few array passes serve all of them.  The Walsh terms of the ladders go
+    into one (ladders, 2**(nb-1)) stack by one bincount, those of the phase
+    segments into one (phase segments, 2**nb) stack, and each stack takes
+    one Walsh transform.  The zeta terms of each (segment, F-pattern) group
+    go into one row of a zeta stack, at most _chunk_segments(nb) groups at a
+    time; each row is transformed, read at d ^ f and added to its segment's
+    row, one group after the other in plan order.  Then one cos and sin, and
+    one exp.  Every step acts on each row alone and the groups are added in
+    one fixed order, so the angles do not depend on where chunks are cut.
+    """
+    n = 1 << nb
+    w_off, z_off = plan.w_off[j0:j1 + 1], plan.z_off[j0:j1 + 1]
+    kind = plan.kind[j0:j1]
+    ladder = kind == _LADDER
+    phase = (kind == _PHASE) & ((np.diff(w_off) > 0) | (np.diff(z_off) > 0))
+    row = np.cumsum(ladder) - 1   # each segment's row in its kind's stack
+    row[phase] = np.arange(np.count_nonzero(phase))
+    w = slice(w_off[0], w_off[-1])
+    idx, deg = plan.w_idx[w], plan.w_deg[w]
+    w_seg = np.repeat(np.arange(j1 - j0), np.diff(w_off))
+    stacks = []
+    for is_kind, size in ((ladder, n >> 1), (phase, n)):
+        on = is_kind[w_seg]
+        m = np.count_nonzero(is_kind)
+        a = np.bincount(row[w_seg[on]] * size + idx[on], weights=deg[on], minlength=m * size)
+        a = a.astype(np.float64, copy=False)   # a bincount of no terms is int64
+        a = bitops.kron_transform(a.reshape(m, size), "walsh")
+        stacks.append(np.radians(a, out=a))
+    phi, phase_phi = stacks
+    cos, sin = np.cos(phi[..., None]), np.sin(phi[..., None])
+    z = slice(z_off[0], z_off[-1])
+    z_seg = np.repeat(np.arange(j1 - j0), np.diff(z_off))
+    f, mask, z_deg = plan.z_f[z], plan.z_mask[z], plan.z_deg[z]
+    new_group = np.ones(len(f), dtype=bool)
+    new_group[1:] = (z_seg[1:] != z_seg[:-1]) | (f[1:] != f[:-1])
+    group = np.cumsum(new_group) - 1
+    head = np.append(np.flatnonzero(new_group), len(f))
+    step = _chunk_segments(nb)
+    rows = np.arange(n)
+    for g0 in range(0, len(head) - 1, step):
+        g1 = min(g0 + step, len(head) - 1)
+        t = slice(head[g0], head[g1])
+        zeta = np.bincount((group[t] - g0) * n + mask[t], weights=z_deg[t], minlength=(g1 - g0) * n)
+        zeta = np.radians(bitops.kron_transform(zeta.reshape(g1 - g0, n), "zeta"))
+        firsts = head[g0:g1]
+        zeta = np.take_along_axis(zeta, rows ^ f[firsts, None], axis=1)
+        np.add.at(phase_phi, row[z_seg[firsts]], zeta)
+    ex = np.exp(1j * phase_phi)
+    return [(cos[r], sin[r]) if is_ladder else ex[r] if is_phase else None
+            for r, is_ladder, is_phase in zip(row.tolist(), ladder.tolist(), phase.tolist())]
 
 
-def _zeta(masks: np.ndarray, deg: np.ndarray, nb: int) -> np.ndarray:
-    """Degrees sum_{m subset of d} deg[m] for every d: the subset-sum transform."""
-    return bitops.kron_transform(np.bincount(masks, weights=deg, minlength=1 << nb), "zeta")
+def _chunk_segments(nb: int) -> int:
+    """Segments (or zeta groups) per batch of _batch_angles on nb bits."""
+    return max(1, ANGLE_CHUNK_BYTES >> nb + 4)
 
 
 def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
@@ -588,18 +645,28 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
         pairs (pos[lo], pos[hi]) of its w-pairs, whose off-diagonal entries
         are scaled by ph[hi]/ph[lo]; then its X**e permutes pos and ph.  The
         rotation is folded into R in O(2**nb) when its pairing is R's;
-        otherwise R is first applied to arr and a new run starts.
+        otherwise R is first applied to arr and a new run starts.  While F
+        has not moved a row (pos is rows), the row pairs are the w-pairs
+        themselves, and R's pairing is a ladder's exactly when R's first
+        ladder had the same target.
+
+    The segments are taken in batches of _chunk_segments(nb): ANGLE_CHUNK_BYTES
+    over the 16 * 2**nb bytes of one phase segment's exp(i Phi).  Each batch
+    first gets the angles of all its segments from a few stacked transforms
+    (:func:`_batch_angles`), so the loop over segments only updates F and R.
+    A batch holds about 46 * 2**nb bytes per segment at its peak (measured
+    with tracemalloc at nb = 9), so about 3 * ANGLE_CHUNK_BYTES when full.
 
     At the end R, then F, is applied.  The cost is
     O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb):
-    the plan is array passes over the columns, each segment costs a few
-    O(nb 2**nb) transforms and O(2**nb) frame updates, and only a dense run
-    touches arr.  There are at most as many dense runs as ladder segments:
-    consecutive ladders on one target, with phase segments and multi-control
-    CNOTs between them, are one run.  A dense run goes through its row pairs
-    in chunks of at most FLUSH_CHUNK_BYTES per work array, and every chunk
-    reuses the same four work arrays.  arr may be overwritten; the result is
-    returned.
+    the plan is array passes over the columns, the angles are stacked
+    O(nb 2**nb) transforms per segment, each segment costs O(2**nb) frame
+    updates, and only a dense run touches arr.  There are at most as many
+    dense runs as ladder segments: consecutive ladders on one target, with
+    phase segments and multi-control CNOTs between them, are one run.  A
+    dense run goes through its row pairs in chunks of at most
+    FLUSH_CHUNK_BYTES per work array, and every chunk reuses the same four
+    work arrays.  arr may be overwritten; the result is returned.
     """
     if not len(p):
         return arr
@@ -612,7 +679,7 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     g = cmath.exp(1j * math.radians(plan.phas))
     parity = None
     pairs: dict = {}   # (lo, hi) rows of the w-pairs, by w
-    run = None  # pending R: (rows a, their partners b, partner, coef)
+    run = None  # pending R: (rows a, their partners b, partner, coef, w if pos was rows else -1)
     # Per chunk of row pairs, the same in every flush: its slice and four views
     # of the four (chunk, m) work arrays that all flushes share.
     chunks: list[tuple[slice, list[np.ndarray]]] = []
@@ -621,7 +688,7 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
         # Chunk by chunk, two passes: the lo rows of its pairs, then the hi
         # rows.  A chunk reads and writes only the rows of its own pairs, and
         # every step is element-wise, so chunking leaves the result unchanged.
-        a, b, _, coef = run
+        a, b, _, coef, _ = run
         if not chunks:
             step = _chunk_pairs(arr[0].nbytes, len(a))
             bufs = [np.empty((step,) + arr.shape[1:], dtype=arr.dtype) for _ in range(4)]
@@ -641,70 +708,68 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
             xb += xa
             arr[sb] = xb
 
-    w_off, z_off = plan.w_off.tolist(), plan.z_off.tolist()
     low = n - 1
-    for k, (kind, t, final, i) in enumerate(zip(plan.kind.tolist(), plan.target.tolist(),
-                                                plan.final.tolist(), plan.first.tolist())):
-        w0, w1 = w_off[k], w_off[k + 1]
-        if kind == _SWAP:
-            m, v = int(p.ctrl_mask[i]), int(p.ctrl_val[i])
-            q = np.where(rows & m == v, rows ^ (1 << t), rows)
-            pos = pos[q]
-            ph = ph[q]
-            continue
-        if kind == _LADDER:
-            lohi = pairs.get(t)
-            if lohi is None:
-                bit = (rows >> t) & 1
-                lohi = pairs[t] = (rows[bit == 0], rows[bit == 1])
-            lo, hi = lohi
-            phi = _walsh(plan.w_idx[w0:w1], plan.w_deg[w0:w1], n >> 1)
-            c, s = np.cos(phi), np.sin(phi)
-            if np.ndim(c):
-                c, s = c[:, None], s[:, None]
-            a, b = pos[lo], pos[hi]
-            r = (ph[hi] / ph[lo])[:, None]
-            up, down = s * r, s / r
-            if run is not None and (run[2][a] == b).all():
-                coef = run[3]
-                ca, cb = coef[a], coef[b]
-                coef[a] = c * ca + up * cb[:, ::-1]
-                coef[b] = c * cb - down * ca[:, ::-1]
-            else:
-                if run is not None:
-                    flush(arr, run)
-                partner = np.empty(n, dtype=np.intp)
-                partner[a] = b
-                partner[b] = a
-                coef = np.empty((n, 2), dtype=np.complex128)
-                coef[a, :1] = c
-                coef[a, 1:] = up
-                coef[b, :1] = c
-                coef[b, 1:] = -down
-                run = (a, b, partner, coef)
-        else:
-            z0, z1 = z_off[k], z_off[k + 1]
-            phi = _walsh(plan.w_idx[w0:w1], plan.w_deg[w0:w1], n) if w1 > w0 else 0.0
-            while z0 < z1:   # one zeta transform per F-pattern
-                f = int(plan.z_f[z0])
-                z2 = z0 + int(np.searchsorted(plan.z_f[z0:z1], f, side="right"))
-                zeta = _zeta(plan.z_mask[z0:z2], plan.z_deg[z0:z2], nb)
-                phi = phi + np.radians(zeta if f == 0 else zeta[rows ^ f])
-                z0 = z2
-            if np.ndim(phi):
-                ph *= np.exp(1j * phi)
-            elif phi:
-                ph *= cmath.exp(1j * phi)
-        if final:
-            if parity is None:
-                parity = bitops.popcount(rows) & 1
-            e = parity[rows & (final & low)] ^ (final >> nb) if final & low else final >> nb
-            q = rows ^ (e << t)
-            pos = pos[q]
-            ph = ph[q]
+    step = _chunk_segments(nb)
+    kinds, targets = plan.kind.tolist(), plan.target.tolist()
+    finals, firsts = plan.final.tolist(), plan.first.tolist()
+    for j0 in range(0, len(kinds), step):
+        j1 = min(j0 + step, len(kinds))
+        angles = _batch_angles(plan, j0, j1, nb)
+        for kind, t, final, i, angle in zip(kinds[j0:j1], targets[j0:j1], finals[j0:j1],
+                                            firsts[j0:j1], angles):
+            if kind == _SWAP:
+                m, v = int(p.ctrl_mask[i]), int(p.ctrl_val[i])
+                q = np.where(rows & m == v, rows ^ (1 << t), rows)
+                pos = pos[q]
+                ph = ph[q]
+                continue
+            if kind == _LADDER:
+                lohi = pairs.get(t)
+                if lohi is None:
+                    bit = (rows >> t) & 1
+                    lohi = pairs[t] = (rows[bit == 0], rows[bit == 1])
+                lo, hi = lohi
+                c, s = angle
+                r = (ph[hi] / ph[lo])[:, None]
+                up, down = s * r, s / r
+                if pos is rows:
+                    a, b = lo, hi
+                    fold = run is not None and run[4] == t
+                else:
+                    a, b = pos[lo], pos[hi]
+                    fold = run is not None and (run[2][a] == b).all()
+                if fold:
+                    coef = run[3]
+                    ca, cb = coef[a], coef[b]
+                    coef[a] = c * ca + up * cb[:, ::-1]
+                    coef[b] = c * cb - down * ca[:, ::-1]
+                else:
+                    if run is not None:
+                        flush(arr, run)
+                    partner = np.empty(n, dtype=np.intp)
+                    partner[a] = b
+                    partner[b] = a
+                    coef = np.empty((n, 2), dtype=np.complex128)
+                    coef[a, :1] = c
+                    coef[a, 1:] = up
+                    coef[b, :1] = c
+                    coef[b, 1:] = -down
+                    run = (a, b, partner, coef, t if pos is rows else -1)
+            elif angle is not None:
+                ph *= angle
+            if final:
+                if parity is None:
+                    parity = bitops.popcount(rows) & 1
+                e = parity[rows & (final & low)] ^ (final >> nb) if final & low else final >> nb
+                q = rows ^ (e << t)
+                pos = pos[q]
+                ph = ph[q]
     if run is not None:
         flush(arr, run)
-    chunks.clear()   # frees the work arrays before the gather below, which allocates a full copy
+    # free the work arrays and the last batch of angles before the gather
+    # below, which allocates a full copy
+    chunks.clear()
+    del angles
     if not (pos == rows).all():
         arr = arr[pos]
     ph *= g
@@ -721,8 +786,11 @@ def program_to_matrix(p: Program) -> np.ndarray:
     run or a multi-control CNOT, see ``_Plan``), and only the ladders touch
     the dense matrix, once per run of ladders on one target, a cache-sized
     chunk of row pairs at a time; everything else is tracked as a permutation
-    and phases.  The peak holds three dense matrices up to nb = 7 and two from
-    nb = 8 on (:func:`dense_peak_bytes`).  Raises DenseTooLargeError, before
+    and phases.  The angles of the segments come from stacked transforms, a
+    batch of ANGLE_CHUNK_BYTES / (16 * 2**nb) segments at a time, about
+    46 * 2**nb bytes per segment.  The peak holds three dense matrices up to
+    nb = 7 and two from nb = 8 on (:func:`dense_peak_bytes`), plus the
+    plan and one batch.  Raises DenseTooLargeError, before
     allocating, when about dense_peak_bytes(nb) bytes exceed the physical
     memory.
     """

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,39 @@ class TestFrobeniusDistance:
             assert frobenius_distance(a, b) == pytest.approx(frobenius_distance(b, a))
             assert (frobenius_distance(a, c)
                     <= frobenius_distance(a, b) + frobenius_distance(b, c) + 1e-12)
+
+    @pytest.mark.parametrize("nb", [1, 6, 9, 10])
+    def test_matches_an_exact_sum(self, rng, nb):
+        # Summed a chunk of rows at a time, the value stays within 1e-15 of the
+        # square root of the exactly summed squares; np.linalg.norm(a - b),
+        # one dot product over every entry, drifts up to 2e-14 from it at nb = 10.
+        n = 1 << nb
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = a + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        d = (a - b).reshape(-1).view(np.float64)
+        exact = math.sqrt(math.fsum(d * d))
+        got = frobenius_distance(a, b)
+        assert abs(got - exact) <= 1e-15 * exact
+        old = float(np.linalg.norm(a - b))
+        assert abs(got - old) <= abs(old - exact) + 1e-15 * exact
+        assert frobenius_distance(a, a.copy()) == 0.0
+        c = a.copy()
+        c[-1, -1] += 1e-9
+        assert frobenius_distance(a, c) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_no_dense_difference(self, rng):
+        # at nb = 9 a difference of the whole matrices is 4 MB
+        n = 1 << 9
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = a * (1 + 1e-3)
+        frobenius_distance(a, b)
+        tracemalloc.start()
+        try:
+            frobenius_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 4
 
 
 class TestMatrixTextFormat:

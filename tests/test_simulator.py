@@ -335,6 +335,15 @@ class TestDensePeak:
         p = haar_program(self.NB, expand)
         assert traced_peak(p) <= self.dense_bound() + 64 * len(p)
 
+    def test_many_short_segments(self):
+        # 1500 ROTY/ROTZ pairs on rotating bits: 3000 one-gate segments, whose
+        # angles are batched a few segments at a time, not all at once
+        nb = 9
+        p = parse("".join(f"ROTY {i % nb} {10 + i % 7}.5\nROTZ {(i + 4) % nb} {20 + i % 5}.25\n"
+                          for i in range(1500)), nb=nb)
+        assert len(_Plan(p).first) == 3000
+        assert traced_peak(p) <= self.dense_bound(nb) + 64 * len(p)
+
     def test_chunked_flushes(self):
         nb = 9   # 16 row pairs per chunk, 16 chunks per flush
         assert seo._chunk_pairs(16 << nb, 1 << nb - 1) < 1 << nb - 1
@@ -383,3 +392,57 @@ class TestChunkedFlush:
         assert got.shape == (1 << nb, columns) and np.array_equal(got, want)
         if columns == 1:
             assert np.array_equal(apply_to_state(p, block[:, 0]), want[:, 0])
+
+
+class TestChunkedAngles:
+    """With the batch budget cut to three segments and a half, the angles of
+    every program come in many batches of three segments, and the zeta
+    groups of a segment with more than three F-patterns in several; the
+    results are bit-identical to those of the default batches."""
+
+    @staticmethod
+    def chunked(monkeypatch, nb: int):
+        monkeypatch.setattr(seo, "ANGLE_CHUNK_BYTES", (7 << nb + 4) // 2)
+        assert seo._chunk_segments(nb) == 3
+
+    @staticmethod
+    def both(p: Program, block: np.ndarray):
+        return program_to_matrix(p), apply_to_state(p, block), apply_to_state(p, block[:, 0])
+
+    def assert_same(self, monkeypatch, p: Program) -> tuple:
+        rng = np.random.default_rng(len(p))
+        block = rng.standard_normal((1 << p.nb, 3)) + 1j * rng.standard_normal((1 << p.nb, 3))
+        want = self.both(p, block)
+        with monkeypatch.context() as m:
+            self.chunked(m, p.nb)
+            got = self.both(p, block)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        return want, block
+
+    @pytest.mark.parametrize("name", ["haar", "haar-expanded", "hadamard", "qft", "permutation"])
+    def test_compiled(self, monkeypatch, name):
+        nb = 6
+        rng = np.random.default_rng([20261021, nb])
+        u = {"haar": lambda: random_unitary(rng, 1 << nb),
+             "haar-expanded": lambda: random_unitary(rng, 1 << nb),
+             "hadamard": lambda: hadamard_input(nb),
+             "qft": lambda: state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
+             "permutation": lambda: np.eye(1 << nb)[rng.permutation(1 << nb)]}[name]()
+        p = compile_unitary(u, CompileOptions(expand_controls=name == "haar-expanded"))
+        assert len(_Plan(p).first) > 3
+        self.assert_same(monkeypatch, p)
+
+    def test_random_segment_programs(self, monkeypatch):
+        most_patterns = 0
+        for seed in range(20):
+            rng = np.random.default_rng([20261021, seed])
+            nb = 1 + seed % 6
+            p = segment_program(rng, nb, 80)
+            assert len(p) >= 200
+            plan = _Plan(p)
+            for z0, z1 in zip(plan.z_off[:-1], plan.z_off[1:]):
+                most_patterns = max(most_patterns, len(np.unique(plan.z_f[z0:z1])))
+            (matrix, state, _), block = self.assert_same(monkeypatch, p)
+            assert np.abs(matrix - by_gate_matrix(p)).max() < 1e-12
+            assert np.abs(state - simulate_by_gate(block.copy(), p)).max() < 1e-12
+        assert most_patterns > 3   # some segment's zeta groups span two batches
