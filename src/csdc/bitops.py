@@ -3,8 +3,8 @@
 Bit positions increase from right to left: bit 0 is the least significant bit
 of a state index.  A :class:`BitPermutation` relabels bit *positions*; its
 :meth:`~BitPermutation.state_map` is the induced permutation of the 2**nb
-state indices, one array pass per bit, which :func:`state_permutation` and
-:func:`apply_bit_permutation` index with.
+state indices, one array pass per bit, which :func:`apply_bit_permutation`
+indexes with.
 
 The three subset transforms over the 2**k bit strings, Walsh-Hadamard, zeta
 (subset sums) and Möbius (its inverse), are Kronecker powers of a 2x2 factor,
@@ -163,14 +163,6 @@ def bit_reversal_permutation(nb: int) -> BitPermutation:
     if nb < 1:
         raise ValueError("bit_reversal_permutation requires nb >= 1")
     return BitPermutation(nb, tuple(nb - 1 - b for b in range(nb)))
-
-
-def state_permutation(p: BitPermutation) -> np.ndarray:
-    """The 2**nb 0/1 matrix G with G|s> = |p(s)>."""
-    n = 1 << p.nb
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[p.state_map(), np.arange(n)] = 1.0
-    return out
 
 
 def apply_bit_permutation(p: BitPermutation, m) -> np.ndarray:

@@ -195,7 +195,7 @@ def split_on_bit(phases: np.ndarray, rot: int) -> tuple[np.ndarray, np.ndarray]:
     return ((p + p[:, ::-1]) / 2).reshape(-1), ((p[:, 0] - p[:, 1]) / 2).reshape(-1)
 
 
-def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, phased,
+def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None,
                     extract_phases: bool = True) -> list[tuple[Program, np.ndarray]]:
     """The centrals of a tree level, one per row i of the (n, 2**(nb-1))
     stack ``thetas``, as (program, owner of each instruction) pieces, the
@@ -203,14 +203,15 @@ def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None, p
 
     s = 1 marks central i's real D core; one :func:`multiplexors` call emits
     every core.  Given the level's ``factors``, s = 0 and 2 mark the right
-    and left side diagonals of each ``phased`` central (:func:`side_phases`):
-    one :func:`decompose_diagonals` call per side.  ``extract_phases`` only
+    and left side diagonals (:func:`side_phases`) of each complex D central,
+    one with a nonzero phase (``PhaseFactors.phased``): one
+    :func:`decompose_diagonals` call per side.  ``extract_phases`` only
     picks the form of these side diagonals.
     """
     program, owner = multiplexors(nb, level, ROTY, thetas)
     pieces = [(program, 3 * owner + 1)]
-    if factors is not None:
-        rows = np.flatnonzero(phased)
+    rows = np.flatnonzero(factors.phased()) if factors is not None else []
+    if len(rows):
         for s, phases in enumerate(side_phases(nb, level, factors)):
             program, owner = decompose_diagonals(phases[rows], _default_mode(extract_phases))
             pieces.append((program, 3 * rows[owner] + 2 * s))

@@ -148,12 +148,11 @@ class _Split:
     """One CSD pass over the k side matrices (each 2h x 2h) of a tree level.
 
     Matrix i contributes the sides ``lefts[i]`` = (l0, l1) and ``rights[i]`` =
-    (r0, r1) and row i of ``phases``: the complex D block of those parameters
-    where ``phased[i]``, else the real D block of its angles, with zero phases.
+    (r0, r1) and row i of ``phases``: the parameters of its D block, whose
+    phases are exactly 0.0 where the block is real.
     """
 
     phases: PhaseFactors      # fields (k, h)
-    phased: np.ndarray        # (k,)
     lefts: np.ndarray         # (k, 2, h, h)
     rights: np.ndarray        # (k, 2, h, h)
     left_identity: np.ndarray   # (k,)
@@ -210,7 +209,6 @@ def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> 
             lfold = ~aborted & ~left_identity & ldiag
             rfold = ~aborted & ~right_identity & rdiag
     folded = lfold | rfold
-    phased = folded.copy()
     pf = PhaseFactors(np.zeros((k, h)), np.zeros((k, h)), np.zeros((k, h)), thetas)
     read = np.flatnonzero(aborted | folded)
     if read.size:
@@ -234,18 +232,17 @@ def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> 
         got = phase_parameters(*blocks)
         # an aborted block that is real within STRUCTURE_TOL keeps zero phases
         keep = folded[read] | ~got.real_mask()
-        phased[read] = keep
         thetas[read] = got.thetas
         for name in ("omega", "omega_l", "omega_r"):
             getattr(pf, name)[read[keep]] = getattr(got, name)[keep]
-    return _Split(pf, phased, lefts, rights, left_identity, right_identity)
+    return _Split(pf, lefts, rights, left_identity, right_identity)
 
 
 @dataclass
 class TreeLevel:
     """The n centrals of one tree level, row i for central i: on a CSD level
-    the D angles ``thetas`` (n, 2**(nb-1)), block by block, and, if some
-    central is complex D (``phased``), the phase ``factors`` of all; on level
+    the D ``factors``, fields (n, 2**(nb-1)) block by block, whose phases
+    are exactly 0.0 in a real D central (``PhaseFactors.phased``); on level
     nb+1 the leaf diagonals' ``phases`` (n, 2**nb).  ``children`` holds the
     index of each left and right child on the next level, -1 for none.  A
     level-L node's children have its ``key`` + 2**(nb+2-L) (left) and
@@ -254,8 +251,6 @@ class TreeLevel:
 
     key: np.ndarray
     children: np.ndarray
-    thetas: np.ndarray | None = None
-    phased: np.ndarray | None = None
     factors: PhaseFactors | None = None
     phases: np.ndarray | None = None
 
@@ -306,10 +301,8 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions, check: bool = True) -> 
         parts = [sides[p & 1][p >> 1] for p in picks.tolist()]
         mats = parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else None
         parts = sides = split.lefts = split.rights = None
-        phased = split.phased.reshape(n, -1).any(1)
-        factors = split.phases.map(lambda x: x.reshape(n, -1))
         levels.append(TreeLevel(key, np.where(has, np.cumsum(has).reshape(n, 2) - 1, -1),
-                                factors.thetas, phased, factors if phased.any() else None))
+                                split.phases.map(lambda x: x.reshape(n, -1))))
         key = key[picks >> 1] + (1 - 2 * (picks & 1)) * (1 << (nb + 2 - level))
         if not len(key):
             break
@@ -339,16 +332,6 @@ def _application_order(levels: list[TreeLevel]) -> list[tuple[int, int]]:
     return [pairs[j] for j in np.argsort(np.concatenate([lv.key for lv in levels])).tolist()]
 
 
-def assemble(root: CsdNode) -> list[CsdNode]:
-    """The nodes of a tree in application order: right subtree, node, left
-    subtree.
-
-    The product of their central matrices, last applied leftmost, is the
-    tree's input.
-    """
-    return [CsdNode(root.nb, root.levels, *at) for at in _application_order(root.levels)]
-
-
 def decompose_central(node: CsdNode, extract_phases: bool = True) -> Program:
     """The program of one node's central matrix: the level pass of
     ``program_for_tree`` without expansion (``decompose_level``, or
@@ -363,8 +346,8 @@ def decompose_central(node: CsdNode, extract_phases: bool = True) -> Program:
     row = slice(i, i + 1)
     if lv.phases is not None:
         return decompose_diagonals(lv.phases[row], _default_mode(extract_phases))[0]
-    f = None if lv.factors is None else lv.factors.map(lambda x: x[row])
-    pieces = decompose_level(nb, level, lv.thetas[row], f, lv.phased[row], extract_phases)
+    f = lv.factors.map(lambda x: x[row])
+    pieces = decompose_level(nb, level, f.thetas, f, extract_phases)
     return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
 
 
@@ -428,7 +411,7 @@ def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> 
         if lv.phases is None:
             keys = (lv.key[:, None] + (-1, 0, 1)).ravel()   # of the owners 3i + s
             pieces += [(*piece, keys) for piece in decompose_level(
-                nb, level, lv.thetas, None if expand else lv.factors, lv.phased, ep)]
+                nb, level, lv.factors.thetas, None if expand else lv.factors, ep)]
         elif not expand:
             pieces.append((*decompose_diagonals(lv.phases, _default_mode(ep)), lv.key))
     if not expand:
@@ -436,8 +419,9 @@ def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> 
     sides = []   # per level: the phases each central adds before and after its core
     for level, lv in enumerate(levels, start=1):
         zero = np.zeros((len(lv.key), 1))
-        sides.append(side_phases(nb, level, lv.factors) if lv.factors is not None
-                     else (zero if lv.phases is None else lv.phases, zero))
+        sides.append((lv.phases, zero) if lv.phases is not None
+                     else side_phases(nb, level, lv.factors) if lv.factors.phased().any()
+                     else (zero, zero))
     steps = [(levels[L - 1].key[i], L, sides[L - 1][0][i], sides[L - 1][1][i])
              for L, i in _application_order(levels)]
     pieces += _carry_phases(nb, steps, ep)

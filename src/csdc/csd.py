@@ -81,23 +81,12 @@ class CsdFactors:
     r1: np.ndarray
     thetas: np.ndarray  # degrees
 
-    @property
-    def half_dim(self) -> int:
-        return self.l0.shape[-1]
-
     def fields(self) -> tuple[np.ndarray, ...]:
         return self.l0, self.l1, self.r0, self.r1, self.thetas
 
     def map(self, fn) -> "CsdFactors":
         """The factors with ``fn`` applied to every field."""
         return CsdFactors(*map(fn, self.fields()))
-
-
-def d_matrix(thetas_deg) -> np.ndarray:
-    """The real D matrix [[C, S], [-S, C]] of an angle vector."""
-    th = np.radians(np.asarray(thetas_deg, dtype=np.float64))
-    c, s = np.diag(np.cos(th)), np.diag(np.sin(th))
-    return np.block([[c, s], [-s, c]]).astype(np.complex128)
 
 
 def csd(u, tol: float = DEFAULT_TOL) -> CsdFactors:
@@ -366,7 +355,7 @@ def lighten_stack(f: CsdFactors) -> CsdFactors:
     entry of the row of r1 real and non-negative: the factors then do not
     depend on the rounding the CSD left there.  Angles are untouched.
     """
-    done = (f.r0 == np.eye(f.half_dim)).all(axis=(1, 2))
+    done = (f.r0 == np.eye(f.r0.shape[-1])).all(axis=(1, 2))
     flat = np.sin(np.radians(f.thetas)) < _PHASE_MAG_TINY
     if done.all() and not flat.any():
         return f
@@ -383,7 +372,7 @@ def lighten_stack(f: CsdFactors) -> CsdFactors:
         l1, r1 = l1 * e[:, None, :], e.conj()[:, :, None] * r1
     out = CsdFactors(l0=f.l0 * g[:, None, :], l1=l1, r0=gh * f.r0, r1=r1,
                      thetas=f.thetas.copy())
-    # singles and done are disjoint but for half_dim 1, where both give G = 1.
+    # singles and done are disjoint but for 1x1 sides, where both give G = 1.
     rows = np.flatnonzero(~(singles | done))
     if rows.size:
         _set_rows(out, rows, _qr_gauge(f.map(lambda x: x[rows])))
@@ -431,13 +420,15 @@ class PhaseFactors:
     omega_r: np.ndarray
     thetas: np.ndarray
 
-    @property
-    def half_dim(self) -> int:
-        return self.omega.shape[-1]
-
     def map(self, fn) -> "PhaseFactors":
         """The parameters with ``fn`` applied to every field."""
         return PhaseFactors(*map(fn, (self.omega, self.omega_l, self.omega_r, self.thetas)))
+
+    def phased(self) -> np.ndarray:
+        """Per parameter set of a stack: some phase is nonzero, which makes
+        its D matrix complex."""
+        return (np.any(self.omega, axis=-1) | np.any(self.omega_l, axis=-1)
+                | np.any(self.omega_r, axis=-1))
 
     def real_mask(self) -> np.ndarray:
         """Per parameter set of a stack: every phase is within STRUCTURE_TOL rad of 0."""
@@ -513,15 +504,3 @@ def extract_phases(d) -> PhaseFactors:
     if not is_complex_d(a):
         raise ValueError("extract_phases input blocks are not diagonal")
     return phase_parameters(*a[_block_diagonal_index(n)].reshape(4, -1))
-
-
-def phase_factors_matrix(pf: PhaseFactors) -> np.ndarray:
-    """Assemble the complex D matrix of a parameter set:
-    [I ⊕ Γ_L] · D(θ) · [Γ ⊕ Γ Γ_R]."""
-    h = pf.half_dim
-    gl = np.exp(1j * np.radians(pf.omega_l))
-    g = np.exp(1j * np.radians(pf.omega))
-    gr = np.exp(1j * np.radians(pf.omega_r))
-    left = np.concatenate([np.ones(h), gl])
-    right = np.concatenate([g, g * gr])
-    return left[:, None] * d_matrix(pf.thetas) * right[None, :]

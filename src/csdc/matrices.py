@@ -4,10 +4,10 @@ Conventions used throughout the package:
   * Matrices are square ``complex128`` ndarrays in row-major order and are
     treated as immutable values: no function mutates its arguments.
   * State indices are read as bit strings, bit 0 being the least significant
-    (rightmost) bit.  ``tensor_product(a, b)`` therefore places ``a`` on the
-    high bits and ``b`` on the low bits.
+    (rightmost) bit, so in ``np.kron(a, b)`` ``a`` acts on the high bits and
+    ``b`` on the low bits.
   * Angle and tolerance defaults live here so every module shares them.
-  * A check that XᴴX is the identity, or c²·I, goes through one kernel,
+  * A check that XᴴX is the identity goes through one kernel,
     ``gram_deviations``, which forms XᴴX by ZHERK (its upper triangle, half
     the flops of a product) from side GRAM_HERK_MIN_N on, and by one batched
     product below.  Products whose values feed a result stay products.
@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from typing import Iterable, TextIO
 
 import numpy as np
 from scipy.linalg.blas import zherk
@@ -54,34 +53,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with ``a`` as the high (left) tensor factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def direct_sum(blocks: Iterable) -> np.ndarray:
-    """Block-diagonal matrix built from square blocks; off-block entries are exactly zero."""
-    mats = [as_matrix(b) for b in blocks]
-    if not mats:
-        raise ValueError("direct_sum needs at least one block")
-    for b in mats:
-        if b.shape[0] != b.shape[1]:
-            raise ValueError(f"direct_sum blocks must be square, got {b.shape}")
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    for b in mats:
-        d = b.shape[0]
-        out[k:k + d, k:k + d] = b
-        k += d
-    return out
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-entry deviation of m†m from the identity is within tol."""
-    return unitarity_deviation(m) <= tol
-
-
 def unitarity_deviation(m) -> float:
     """Max-entry deviation of m†m from the identity; m must be square."""
     a = as_matrix(m)
@@ -117,9 +88,8 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 GRAM_HERK_MIN_N = 128
 
 
-def gram_deviations(x: np.ndarray, shift=None) -> np.ndarray:
-    """Max-entry deviation of XᴴX from shift·I, per matrix of a (k, n, n)
-    stack: shift is one value, one value per matrix, or None for 1.
+def gram_deviations(x: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of XᴴX from I, per matrix of a (k, n, n) stack.
     A non-finite entry of X makes its deviation non-finite, so that
     ``dev <= tol`` is false.
 
@@ -132,13 +102,12 @@ def gram_deviations(x: np.ndarray, shift=None) -> np.ndarray:
     """
     n = x.shape[-1]
     if n < GRAM_HERK_MIN_N:
-        eye = np.eye(n) if shift is None else np.reshape(shift, (-1, 1, 1)) * np.eye(n)
-        return np.abs(_mm(_ct(x), x) - eye).max(axis=(-2, -1))
+        return np.abs(_mm(_ct(x), x) - np.eye(n)).max(axis=(-2, -1))
     diag = np.arange(n)
     out = np.empty(len(x))
-    for k, s in enumerate(np.broadcast_to(1.0 if shift is None else shift, len(x))):
+    for k in range(len(x)):
         g = zherk(1.0, x[k].T, trans=0)
-        g[diag, diag] -= s
+        g[diag, diag] -= 1.0
         out[k] = np.abs(g).max()
     return out
 
@@ -208,17 +177,12 @@ def format_matrix_text(m) -> str:
     return "\n".join([str(n)] + [" ".join(map("{:.17g}".format, row)) for row in rows]) + "\n"
 
 
-def read_matrix_file(f: TextIO | str) -> np.ndarray:
-    if isinstance(f, str):
-        with open(f, "r", encoding="utf-8") as fh:
-            return parse_matrix_text(fh.read())
-    return parse_matrix_text(f.read())
+def read_matrix_file(path: str) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_matrix_text(fh.read())
 
 
-def write_matrix_file(f: TextIO | str, m) -> None:
+def write_matrix_file(path: str, m) -> None:
     text = format_matrix_text(m)
-    if isinstance(f, str):
-        with open(f, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        f.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -50,6 +50,15 @@ def dense_real_d_block(angles_deg):
     return out
 
 
+def exact_d_block(angles_deg):
+    """One D matrix [[C, S], [-S, C]] by its cos/sin formula, in O(h²): for
+    blocks too large for the O(h³) ``dense_real_d_block``, and for round
+    trips checked to 1e-15."""
+    th = np.radians(np.asarray(angles_deg, dtype=np.float64))
+    c, s = np.diag(np.cos(th)), np.diag(np.sin(th))
+    return np.block([[c, s], [-s, c]]).astype(complex)
+
+
 def level_alias(nb, level):
     """Bit relabeling that turns the rotation-on-top D form into a direct sum
     of 2**(level-1) blocks: the rotation bit nb-1 moves to nb-level and the
@@ -74,6 +83,9 @@ def transposition_matrix(n, pairs):
 
 
 def block_diag(blocks):
+    """The direct sum of square blocks."""
+    if any(b.shape[0] != b.shape[1] for b in blocks):
+        raise ValueError("blocks must be square")
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n), dtype=complex)
     k = 0
@@ -166,9 +178,22 @@ def dense_central(node):
     lv, i = node.levels[node.level - 1], node.index
     if lv.phases is not None:
         return dense_diagonal(lv.phases[i])
-    if not lv.phased[i]:
-        return dense_real_d_central(node.nb, node.level, lv.thetas[i])
     return dense_complex_d_central(node.nb, node.level, lv.factors.map(lambda x: x[i]))
+
+
+def walk(node):
+    """The nodes of a tree in application order, by recursion: right
+    subtree, node, left subtree."""
+    out = walk(node.right) if node.right else []
+    out.append(node)
+    return out + (walk(node.left) if node.left else [])
+
+
+def qft_input(nb):
+    """R·F, the DFT with its rows in bit-reversed order: the input whose tree
+    is the quantum FFT."""
+    from csdc import bit_reversal_permutation, dft_matrix
+    return dft_matrix(nb)[bit_reversal_permutation(nb).state_map()]
 
 
 def complex_d_program(nb, level, f, extract_phases=True):
@@ -176,8 +201,7 @@ def complex_d_program(nb, level, f, extract_phases=True):
     fields of the PhaseFactors ``f`` hold its 2**(nb-1) parameters."""
     from csdc.central import decompose_level
     from csdc.seo import gather
-    pieces = decompose_level(nb, level, f.thetas[None], f.map(lambda x: x[None]), [True],
-                             extract_phases)
+    pieces = decompose_level(nb, level, f.thetas[None], f.map(lambda x: x[None]), extract_phases)
     return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
 
 

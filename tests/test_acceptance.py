@@ -7,14 +7,12 @@ import numpy as np
 from csdc import (CompileOptions, build_tree, compile_unitary, csd, expand_controls,
                   frobenius_distance, hadamard_input, parse, program_to_matrix,
                   quantum_fft_program, serialize)
-from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.central import decompose_diagonals, multiplexors
-from csdc.reference import dft_matrix
 from csdc.seo import ROTY
 
 from conftest import (block_diag, complex_d_program, dense_complex_d_central, dense_diagonal,
-                      dense_real_d_central, program_of_rows, random_complex_d, random_program,
-                      random_unitary, rows, width)
+                      dense_real_d_central, program_of_rows, qft_input, random_complex_d,
+                      random_program, random_unitary, rows, width)
 
 SEED = 0xC5D
 
@@ -22,10 +20,6 @@ SEED = 0xC5D
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
     assert ok, f"{name}: {detail}"
-
-
-def dft_input(nb):
-    return state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
 
 
 def test_criterion_1_round_trip_fidelity():
@@ -44,7 +38,7 @@ def test_criterion_2_quantum_fft_reproduction():
     ok = True
     details = []
     for nb in (2, 3, 4):
-        u = dft_input(nb)
+        u = qft_input(nb)
         prog = compile_unitary(u)
         err = frobenius_distance(u, program_to_matrix(prog))
         got = sorted(r[4] for r in rows(prog) if r[0] == "CPHA")
@@ -183,7 +177,7 @@ def test_criterion_8_dft_tree_is_a_string():
     ok = True
     details = []
     for nb in (2, 3, 4):
-        root = build_tree(dft_input(nb), CompileOptions())
+        root = build_tree(qft_input(nb), CompileOptions())
         widths = []
 
         def walk(n):

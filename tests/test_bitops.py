@@ -3,8 +3,8 @@ import pytest
 
 from csdc import (BitPermutation, apply_bit_permutation, basis_change_matrix,
                   bit_reversal_permutation, frobenius_distance, gray_sequence,
-                  hadamard_transform, sylvester_hadamard, tensor_product)
-from csdc.bitops import gray_codes, kron_transform, popcount, state_permutation
+                  hadamard_transform, sylvester_hadamard)
+from csdc.bitops import gray_codes, kron_transform, popcount
 from csdc.central import angles_to_theta
 
 from conftest import SIGMA_X, random_unitary, transposition_matrix
@@ -161,14 +161,14 @@ class TestSylvesterHadamard:
 
 class TestBitPermutation:
     def test_bit_reversal_nb3_state_transpositions(self):
-        g = state_permutation(bit_reversal_permutation(3))
+        g = np.eye(8)[:, bit_reversal_permutation(3).state_map()]   # g|s> = |p(s)>
         assert np.array_equal(g, transposition_matrix(8, [(1, 4), (3, 6)]))
 
     def test_bit_reversal_nb1_identity(self):
         assert bit_reversal_permutation(1).mapping == (0,)
 
     def test_bit_reversal_nb2_swaps_middle_states(self):
-        g = state_permutation(bit_reversal_permutation(2))
+        g = np.eye(4)[:, bit_reversal_permutation(2).state_map()]
         assert np.array_equal(g, transposition_matrix(4, [(1, 2)]))
 
     def test_rejects_non_bijection(self):
@@ -205,12 +205,12 @@ class TestApplyBitPermutation:
     def test_swap_exchanges_tensor_factors(self, rng):
         x, y = random_unitary(rng, 2), random_unitary(rng, 2)
         swapped = apply_bit_permutation(BitPermutation(2, (1, 0)),
-                                        tensor_product(x, y))
-        assert frobenius_distance(swapped, tensor_product(y, x)) < 1e-12
+                                        np.kron(x, y))
+        assert frobenius_distance(swapped, np.kron(y, x)) < 1e-12
 
     def test_moves_single_bit_gate(self):
-        sx0 = tensor_product(np.eye(4), SIGMA_X)
-        sx2 = tensor_product(SIGMA_X, np.eye(4))
+        sx0 = np.kron(np.eye(4), SIGMA_X)
+        sx2 = np.kron(SIGMA_X, np.eye(4))
         moved = apply_bit_permutation(BitPermutation(3, (2, 1, 0)), sx0)
         assert np.array_equal(moved, sx2)
 

@@ -3,14 +3,14 @@ import pytest
 
 from csdc import (PhaseFactors, angles_to_theta, apply_bit_permutation, build_tree,
                   decompose_central, frobenius_distance, program_to_matrix, serialize)
-from csdc.bitops import hadamard_transform, kron_transform, state_permutation
+from csdc.bitops import hadamard_transform, kron_transform
 from csdc.central import decompose_diagonals, diagonal_costs, multiplexors
 from csdc.compiler import CsdNode, TreeLevel
-from csdc.csd import d_matrix
 from csdc.seo import PRUNE_TOL, ROTY, rename_bits, two_qubit_gates
 
 from conftest import (bits_of, cheaper_diagonal, complex_d_program, dense_complex_d_central,
-                      dense_diagonal, dense_real_d_central, level_alias, random_complex_d, rows)
+                      dense_diagonal, dense_real_d_central, exact_d_block, level_alias,
+                      random_complex_d, rows)
 
 
 def real_d(nb, level, phi):
@@ -111,8 +111,7 @@ class TestLevelAlias:
         phi = rng.uniform(-90, 90, 4)
         top = dense_real_d_central(3, 1, phi)
         summed = dense_real_d_central(3, 2, phi)
-        g = state_permutation(level_alias(3, 2))
-        assert frobenius_distance(g @ top @ g.conj().T, summed) < 1e-12
+        assert frobenius_distance(apply_bit_permutation(level_alias(3, 2), top), summed) < 1e-12
 
 
 def pruned_angles(rng, nb):
@@ -156,7 +155,7 @@ class TestFinalBitPositions:
         the compiled D matrix of these angles is one tree node, whose
         program is the ladder."""
         for pattern, phi in right_angle_patterns(nb):
-            top = decompose_central(build_tree(d_matrix(phi)))
+            top = decompose_central(build_tree(exact_d_block(phi)))
             assert top == real_d(nb, 1, phi)
             if pattern == "none":
                 assert len(top) == 0

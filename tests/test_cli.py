@@ -6,12 +6,11 @@ import pytest
 
 from csdc import (Program, cli, expand_controls, frobenius_distance, parse,
                   program_to_matrix, quantum_fft_program, serialize)
-from csdc.bitops import bit_reversal_permutation, state_permutation
 from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
 from csdc.reference import dft_matrix
 
-from conftest import SIGMA_X, near_structure_inputs, random_unitary, two_bit_rows
+from conftest import SIGMA_X, near_structure_inputs, qft_input, random_unitary, two_bit_rows
 
 
 def write_matrix(path, m):
@@ -28,7 +27,7 @@ class TestCompileCommand:
         assert "instructions: 0" in capsys.readouterr().out
 
     def test_dft_input_reports_small_error(self, tmp_path, capsys):
-        u = state_permutation(bit_reversal_permutation(3)) @ dft_matrix(3)
+        u = qft_input(3)
         inp = write_matrix(tmp_path / "dft.txt", u)
         out = tmp_path / "dft.seo"
         assert main(["compile", inp, "-o", str(out), "--report", "json"]) == 0
@@ -283,7 +282,7 @@ class TestVerifyCommand:
         assert main(["verify", inp, str(seo)]) == 1
 
     def test_quantum_fft_reference_verifies_against_dft(self, tmp_path):
-        u = state_permutation(bit_reversal_permutation(3)) @ dft_matrix(3)
+        u = qft_input(3)
         inp = write_matrix(tmp_path / "u.txt", u)
         seo = tmp_path / "p.seo"
         seo.write_text(serialize(quantum_fft_program(3)))

@@ -1,6 +1,7 @@
 """The column representation of a program: its rows, text I/O, the column
 stages against per-instruction definitions, validation and the dense guard."""
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdc import (BitPermutation, DenseTooLargeError, Program, central, cli, compiler,
-                  expand_controls, hadamard_input, matrices, parse, phase_factors_matrix,
-                  program_to_matrix, seo, serialize)
+                  expand_controls, hadamard_input, matrices, parse, program_to_matrix, seo,
+                  serialize)
 from csdc.seo import KINDS, SeoParseError, concat, rename_bits
 
-from conftest import (concat_by_rows, kron_program_matrix, program_of_rows,
-                      random_phase_factors, random_program, random_unitary, rename_by_rows,
-                      rows, width)
+from conftest import (concat_by_rows, dense_complex_d_block, kron_program_matrix,
+                      program_of_rows, random_phase_factors, random_program, random_unitary,
+                      rename_by_rows, rows, width)
 
 ANGLES = st.floats(-720, 720, allow_nan=False, allow_infinity=False)
 
@@ -272,7 +273,7 @@ class TestUnitarityCheckedOnce:
 
     def test_complex_d_root_checked_once(self, rng, monkeypatch):
         calls = self.dense_checks(monkeypatch)
-        u = phase_factors_matrix(random_phase_factors(rng, 4))
+        u = dense_complex_d_block(*astuple(random_phase_factors(rng, 4)))
         compiler.compile_unitary(u)
         assert calls == [(8, 8)]
         calls.clear()
@@ -283,7 +284,8 @@ class TestUnitarityCheckedOnce:
     def test_perm_search_checks_once(self, rng, monkeypatch):
         calls = self.dense_checks(monkeypatch)
         opts = compiler.CompileOptions(perm_search="root-exhaustive")
-        for u in (random_unitary(rng, 8), phase_factors_matrix(random_phase_factors(rng, 4))):
+        for u in (random_unitary(rng, 8),
+                  dense_complex_d_block(*astuple(random_phase_factors(rng, 4)))):
             compiler.compile_unitary(u, opts)
             assert calls == [(8, 8)]
             calls.clear()
@@ -300,7 +302,7 @@ class TestUnitarityCheckedOnce:
         csd = sys.modules["csdc.csd"]
         gram, one_cluster, csd_stack = csd.gram_deviations, csd._one_cluster, compiler.csd_stack
         monkeypatch.setattr(csd, "gram_deviations",
-                            lambda x, shift=None: grams.append(x.shape) or gram(x, shift))
+                            lambda x: grams.append(x.shape) or gram(x))
 
         def one_cluster_counted(q11, q21):
             got = one_cluster(q11, q21)

@@ -4,29 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, assemble, build_tree,
-                  compile_unitary, compiler, direct_sum, expand_controls, frobenius_distance,
-                  hadamard_input, is_complex_d, pad_to_power_of_two, phase_factors_matrix,
-                  program_to_matrix)
-from csdc.bitops import bit_reversal_permutation, state_permutation
+from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, build_tree, compile_unitary,
+                  compiler, expand_controls, frobenius_distance, hadamard_input, is_complex_d,
+                  pad_to_power_of_two, program_to_matrix)
 from csdc.cli import ROUND_TRIP_TOL
 from csdc.central import decompose_level, multiplexors, side_phases
 from csdc.compiler import IDENTITY_TOL, _carry_phases, _split_level, program_for_tree
-from csdc.csd import STRUCTURE_TOL, csd_stack, d_matrix, lighten_stack
+from csdc.csd import STRUCTURE_TOL, csd_stack, lighten_stack
 from csdc.reference import dft_matrix
 from csdc.seo import ROTY, concat, gather, serialize
 
-from conftest import (bits_of, cheaper_diagonal, dense_central, dense_complex_d_central,
-                      dense_diagonal, kron_program_matrix, near_structure_inputs,
+from conftest import (bits_of, block_diag, cheaper_diagonal, dense_central,
+                      dense_complex_d_block, dense_complex_d_central, dense_diagonal,
+                      dense_real_d_block, kron_program_matrix, near_structure_inputs, qft_input,
                       random_complex_d, random_phase_factors, random_unitary, rows,
-                      two_bit_rows, width)
+                      two_bit_rows, walk, width)
 
 DEFAULTS = CompileOptions()
 PLAIN = CompileOptions(lighten=False, extract_phases=False)
-
-
-def dft_input(nb):
-    return state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
 
 
 def tree_nodes(root):
@@ -75,17 +70,17 @@ class TestBuildTree:
         root = build_tree(np.eye(8), DEFAULTS)
         assert root.left is None and root.right is None
         lv = root.levels[0]
-        assert lv.phases is None and not lv.phased[root.index]
-        assert np.allclose(lv.thetas[root.index], 0, atol=1e-9)
+        assert lv.phases is None and not lv.factors.phased()[root.index]
+        assert np.allclose(lv.factors.thetas[root.index], 0, atol=1e-9)
         assert len(program_for_tree(root, DEFAULTS)) == 0
 
     def test_real_d_input_root_only(self):
-        root = build_tree(d_matrix([30.0, 30.0, 60.0, 60.0]), DEFAULTS)
+        root = build_tree(dense_real_d_block([30.0, 30.0, 60.0, 60.0]), DEFAULTS)
         assert root.left is None and root.right is None
 
     def test_dft_tree_degenerates_to_string(self):
         for nb in (2, 3, 4):
-            root = build_tree(dft_input(nb), DEFAULTS)
+            root = build_tree(qft_input(nb), DEFAULTS)
             assert all(n.left is None or n.right is None for n in tree_nodes(root))
             assert len(tree_nodes(root)) == nb
 
@@ -127,20 +122,21 @@ class TestSplitLevel:
             return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
 
         near = np.array([[1.0, 8e-14], [-8e-14, 1.0]])
-        d = d_matrix([20.0, 35.0])
+        d = dense_real_d_block([20.0, 35.0])
+        f = random_phase_factors(rng, 2)
         return [
-            ("aborted, phased", phase_factors_matrix(random_phase_factors(rng, 2)),
+            ("aborted, phased", dense_complex_d_block(f.omega, f.omega_l, f.omega_r, f.thetas),
              (True, True, True, True)),
-            ("aborted, real", d_matrix([25.0, 70.0]) * np.exp(1e-14j),
+            ("aborted, real", dense_real_d_block([25.0, 70.0]) * np.exp(1e-14j),
              (True, False, True, True)),
-            ("left-folded", direct_sum([phases(), phases()]) @ d
-             @ direct_sum([random_unitary(rng, 2), random_unitary(rng, 2)]),
+            ("left-folded", block_diag([phases(), phases()]) @ d
+             @ block_diag([random_unitary(rng, 2), random_unitary(rng, 2)]),
              (False, True, True, False)),
-            ("right-folded", direct_sum([random_unitary(rng, 2), random_unitary(rng, 2)]) @ d
-             @ direct_sum([phases(), phases()]),
+            ("right-folded", block_diag([random_unitary(rng, 2), random_unitary(rng, 2)]) @ d
+             @ block_diag([phases(), phases()]),
              (False, True, False, True)),
-            ("both-folded", direct_sum([phases() @ near, phases() @ near]) @ d
-             @ direct_sum([near @ phases(), near @ phases()]),
+            ("both-folded", block_diag([phases() @ near, phases() @ near]) @ d
+             @ block_diag([near @ phases(), near @ phases()]),
              (False, True, True, True)),
         ] + [("plain", random_unitary(rng, 4), (False, False, False, False)) for _ in range(8)]
 
@@ -149,15 +145,13 @@ class TestSplitLevel:
         mats = np.stack([m for _, m, _ in cases])
         split = _split_level(mats, DEFAULTS)
         pf = split.phases
+        phased = pf.phased()
         for i, (name, m, want) in enumerate(cases):
-            got = (is_complex_d(m), bool(split.phased[i]),
+            got = (is_complex_d(m), bool(phased[i]),
                    bool(split.left_identity[i]), bool(split.right_identity[i]))
             assert got == want, name
-            row = PhaseFactors(pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i])
-            if not split.phased[i]:
-                assert not np.stack([row.omega, row.omega_l, row.omega_r]).any(), name
-            rebuilt = (direct_sum(split.lefts[i]) @ phase_factors_matrix(row)
-                       @ direct_sum(split.rights[i]))
+            d = dense_complex_d_block(pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i])
+            rebuilt = block_diag(list(split.lefts[i])) @ d @ block_diag(list(split.rights[i]))
             assert np.abs(rebuilt - m).max() < 1e-12, name
         # plain CSD blocks keep the factorization's angles, bit for bit
         plain = lighten_stack(csd_stack(mats[5:])).thetas
@@ -173,7 +167,7 @@ class TestSplitLevel:
         phase_parameters = compiler.phase_parameters
         monkeypatch.setattr(compiler, "phase_parameters", counted)
         split = _split_level(np.stack([random_unitary(rng, 4) for _ in range(6)]), DEFAULTS)
-        assert calls == [] and not split.phased.any()
+        assert calls == [] and not split.phases.phased().any()
         _split_level(np.stack([m for _, m, _ in self.level(rng)]), DEFAULTS)
         assert calls == [5]   # the two aborted and three folded blocks, in one call
 
@@ -251,13 +245,16 @@ class TestStructureIgnoresTol:
 
 
 class TestAssemble:
+    """The centrals of a tree, walked in application order (``walk``: right
+    subtree, node, left subtree), multiply to its input."""
+
     def test_single_node(self):
         root = build_tree(np.eye(4), DEFAULTS)
-        assert len(assemble(root)) == 1
+        assert len(walk(root)) == 1
 
     def test_full_tree_has_seven_entries(self, rng):
         root = build_tree(random_unitary(rng, 4), PLAIN)
-        assert len(assemble(root)) == 7
+        assert len(walk(root)) == 7
 
     def test_dense_product_rebuilds_input(self, rng):
         for nb in (1, 2, 3, 4):
@@ -265,7 +262,7 @@ class TestAssemble:
             for opts in (DEFAULTS, PLAIN):
                 root = build_tree(u, opts)
                 prod = np.eye(1 << nb, dtype=complex)
-                for node in assemble(root):  # application order: multiply from the left
+                for node in walk(root):  # application order: multiply from the left
                     prod = dense_central(node) @ prod
                 assert frobenius_distance(prod, u) < 1e-9
 
@@ -306,7 +303,7 @@ class TestCompile:
         assert counts[3] - counts[2] == counts[4] - counts[3]
 
     def test_optimizations_shorten_named_benchmarks(self):
-        for u in (hadamard_input(3), dft_input(3)):
+        for u in (hadamard_input(3), qft_input(3)):
             assert len(compile_unitary(u, DEFAULTS)) <= len(compile_unitary(u, PLAIN))
 
     def test_rejects_non_unitary_with_deviation(self):
@@ -365,7 +362,7 @@ def _two_qubit_corpus() -> dict[str, np.ndarray]:
     for nb in range(2, 7):
         out[f"haar-n{nb}"] = random_unitary(rng, 1 << nb)
         out[f"hadamard-n{nb}"] = hadamard_input(nb)
-        out[f"qft-n{nb}"] = dft_input(nb)
+        out[f"qft-n{nb}"] = qft_input(nb)
         out[f"dft-n{nb}"] = dft_matrix(nb)
     for nb in range(3, 6):
         n = 1 << nb
@@ -373,7 +370,7 @@ def _two_qubit_corpus() -> dict[str, np.ndarray]:
         out[f"ixu-n{nb}"] = np.kron(np.eye(n // 4), random_unitary(rng, 4))
         out[f"permutation-n{nb}"] = np.eye(n)[:, rng.permutation(n)]
         out[f"diagonal-n{nb}"] = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
-        out[f"controlled-u-n{nb}"] = direct_sum([np.eye(n // 2), random_unitary(rng, n // 2)])
+        out[f"controlled-u-n{nb}"] = block_diag([np.eye(n // 2), random_unitary(rng, n // 2)])
     return out
 
 
@@ -509,7 +506,7 @@ class TestTwoQubitEmission:
             (right,), (left,) = side_phases(nb, level, f)
             steps.append((4 * key, level, right, left))
             cores += [(*piece, np.full(3, 4 * key)) for piece in decompose_level(
-                nb, level, f.thetas, None, [False], extract_phases)]
+                nb, level, f.thetas, None, extract_phases)]
             want = dense_complex_d_central(nb, level, p) @ want
         program = gather(nb, cores + _carry_phases(nb, steps, extract_phases))
         got = kron_program_matrix(expand_controls(program))
@@ -562,5 +559,5 @@ class TestTwoQubitEmission:
 
     def test_qft_keeps_its_controlled_phases(self):
         # Two-control phases are already elementary: the textbook circuit stays.
-        u = dft_input(5)
+        u = qft_input(5)
         assert compile_unitary(u, CompileOptions(expand_controls=True)) == compile_unitary(u)

@@ -1,11 +1,13 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from csdc import (CsdFactors, NotUnitaryError, csd, extract_phases, frobenius_distance,
-                  is_complex_d, is_unitary, lighten, phase_factors_matrix, qr_nonneg)
-from csdc.csd import d_matrix
+                  is_complex_d, lighten, qr_nonneg)
+from csdc.matrices import unitarity_deviation
 
-from conftest import block_diag, random_unitary
+from conftest import block_diag, dense_complex_d_block, dense_real_d_block, random_unitary
 
 
 def reconstruct(f):
@@ -35,7 +37,7 @@ class TestCsd:
         assert frobenius_distance(reconstruct(f), np.eye(4)) < 1e-12
 
     def test_d_matrix_input_recovers_angles(self):
-        u = d_matrix([30.0, 60.0])
+        u = dense_real_d_block([30.0, 60.0])
         f = csd(u)
         assert np.allclose(f.thetas, [30.0, 60.0], atol=1e-10)
         assert frobenius_distance(reconstruct(f), u) < 1e-12
@@ -53,7 +55,7 @@ class TestCsd:
             assert_canonical(f.thetas)
             assert frobenius_distance(reconstruct(f), u) < 1e-10
             for side in (f.l0, f.l1, f.r0, f.r1):
-                assert is_unitary(side, 1e-12)
+                assert unitarity_deviation(side) <= 1e-12
 
     def test_blockwise_factorization(self, rng):
         u = random_unitary(rng, 8)
@@ -183,7 +185,7 @@ def eq_5c3_block(omega, omega_l, omega_r, theta):
 
 class TestExtractPhases:
     def test_real_d_input_gives_zero_phases(self):
-        pf = extract_phases(d_matrix([25.0, 65.0]))
+        pf = extract_phases(dense_real_d_block([25.0, 65.0]))
         assert np.allclose(pf.omega, 0) and np.allclose(pf.omega_l, 0)
         assert np.allclose(pf.omega_r, 0)
         assert np.allclose(pf.thetas, [25.0, 65.0])
@@ -201,7 +203,7 @@ class TestExtractPhases:
         d = -eq_5c3_block(0.0, 0.0, 0.0, 40.0)
         pf = extract_phases(d)
         assert 0 <= pf.thetas[0] <= 90
-        assert frobenius_distance(phase_factors_matrix(pf), d) < 1e-12
+        assert frobenius_distance(dense_complex_d_block(*astuple(pf)), d) < 1e-12
 
     @pytest.mark.parametrize("h", [1, 2, 4])
     def test_random_complex_d_round_trip(self, rng, h):
@@ -214,20 +216,20 @@ class TestExtractPhases:
                 d[j + h, j], d[j + h, j + h] = b[1, 0], b[1, 1]
             pf = extract_phases(d)
             assert np.all(pf.thetas >= 0) and np.all(pf.thetas <= 90)
-            assert frobenius_distance(phase_factors_matrix(pf), d) < 1e-10
+            assert frobenius_distance(dense_complex_d_block(*astuple(pf)), d) < 1e-10
 
     def test_degenerate_theta_endpoints(self):
         for theta in (0.0, 90.0):
             d = eq_5c3_block(35.0, -70.0, 0.0, theta)
             pf = extract_phases(d)
-            assert frobenius_distance(phase_factors_matrix(pf), d) < 1e-12
+            assert frobenius_distance(dense_complex_d_block(*astuple(pf)), d) < 1e-12
 
     def test_rejects_non_diagonal_blocks(self, rng):
         with pytest.raises(ValueError, match="diagonal"):
             extract_phases(random_unitary(rng, 4))
 
     def test_is_complex_d(self, rng):
-        assert is_complex_d(d_matrix([10.0, 20.0]))
+        assert is_complex_d(dense_real_d_block([10.0, 20.0]))
         assert is_complex_d(random_unitary(rng, 2))  # any 2x2 qualifies
         assert not is_complex_d(random_unitary(rng, 4))
         assert not is_complex_d(np.eye(3))

@@ -7,29 +7,37 @@ import numpy as np
 import pytest
 
 from csdc import (CompileOptions, CsdFactors, NotUnitaryError, compile_unitary, csd,
-                  frobenius_distance, hadamard_input, lighten, phase_factors_matrix,
-                  program_to_matrix)
-from csdc.bitops import bit_reversal_permutation, state_permutation
+                  frobenius_distance, hadamard_input, lighten, program_to_matrix)
 from csdc.compiler import _embed
 from csdc.csd import (_BATCHED_MIN_CS, _PHASE_MAG_TINY, ANGLE_CLUSTER_TOL, _block_diagonal_index,
-                      _svd2, _wrap_deg, csd_stack, d_matrix, extract_phases, is_complex_d,
+                      _svd2, _wrap_deg, csd_stack, extract_phases, is_complex_d,
                       is_complex_d_stack, lighten_stack, phase_parameters, qr_nonneg)
 from csdc.matrices import GRAM_HERK_MIN_N
 from csdc.reference import dft_matrix
 from scipy.linalg import cossin
 
-from conftest import block_diag, random_phase_factors, random_unitary, two_bit_rows
+from conftest import (block_diag, exact_d_block, qft_input, random_phase_factors, random_unitary,
+                      two_bit_rows)
 
 # The modules: ``csdc.csd`` as a package attribute is the function.
 csd_module = sys.modules["csdc.csd"]
 compiler_module = sys.modules["csdc.compiler"]
 
 
+def complex_d_matrix(pf):
+    """[I ⊕ Γ_L] · D(θ) · [Γ ⊕ Γ Γ_R] of a parameter set, by its exact
+    formula, to which ``extract_phases`` round-trips within 1e-15."""
+    gl, g, gr = (np.exp(1j * np.radians(x)) for x in (pf.omega_l, pf.omega, pf.omega_r))
+    left = np.concatenate([np.ones(len(g)), gl])
+    right = np.concatenate([g, g * gr])
+    return left[:, None] * exact_d_block(pf.thetas) * right[None, :]
+
+
 def with_angles(rng, thetas_deg):
     """(L0 ⊕ L1) D(θ) (R0 ⊕ R1) with Haar sides and the given angles."""
     h = len(thetas_deg)
     sides = [random_unitary(rng, h) for _ in range(4)]
-    return block_diag(sides[:2]) @ d_matrix(thetas_deg) @ block_diag(sides[2:])
+    return block_diag(sides[:2]) @ exact_d_block(thetas_deg) @ block_diag(sides[2:])
 
 
 def near_unitary(rng, dim, deviation):
@@ -245,7 +253,7 @@ class TestBatchedCsd:
                     with_angles(rng, [35.0] * 4),                       # one cluster
                     # A flat R0 gives Q11 equal column norms, yet four angles.
                     block_diag([random_unitary(rng, 4), random_unitary(rng, 4)])
-                    @ d_matrix([10.0, 30.0, 50.0, 70.0])
+                    @ exact_d_block([10.0, 30.0, 50.0, 70.0])
                     @ block_diag([dft_matrix(2), random_unitary(rng, 4)])]
         order = [generic[0], hard[0], generic[1], *hard[1:], *generic[2:]]
         is_hard = [any(m is h for h in hard) for m in order]
@@ -272,7 +280,7 @@ class TestBatchedCsd:
         # With R0 = I and an exact 0° angle, -Q21 R0ᴴ has an exactly zero
         # column: the weighted polar step divides by its zero norm.
         zero = (block_diag([random_unitary(rng, 4), random_unitary(rng, 4)])
-                @ d_matrix([0.0, 20.0, 50.0, 80.0])
+                @ exact_d_block([0.0, 20.0, 50.0, 80.0])
                 @ block_diag([np.eye(4), random_unitary(rng, 4)]))
         mats = np.stack([random_unitary(rng, 8), random_unitary(rng, 8), zero,
                          random_unitary(rng, 8)])
@@ -409,7 +417,7 @@ class TestBatchedCsd:
         h = 4
         r0 = block_diag([np.eye(1), random_unitary(rng, h - 1)])[:, [1, 0, 2, 3]]
         zero_pivot = (block_diag([random_unitary(rng, h), random_unitary(rng, h)])
-                      @ d_matrix([10.0, 30.0, 50.0, 70.0])
+                      @ exact_d_block([10.0, 30.0, 50.0, 70.0])
                       @ block_diag([r0, random_unitary(rng, h)]))
         mats = np.stack([random_unitary(rng, 2 * h), zero_pivot,
                          with_angles(rng, [20.0, 20.0, 45.0, 60.0])])
@@ -517,9 +525,9 @@ def reference_is_complex_d(a, tol=1e-10):
 
 class TestStackedPhases:
     def complex_d_stack(self, rng, h, k):
-        mats = [phase_factors_matrix(random_phase_factors(rng, h)) for _ in range(k)]
-        mats.append(d_matrix(np.linspace(0, 90, h)))        # theta = 0 and 90 exactly
-        mats.append(d_matrix([0.0] * h) * np.exp(1j * rng.uniform(-3, 3, 2 * h)))
+        mats = [complex_d_matrix(random_phase_factors(rng, h)) for _ in range(k)]
+        mats.append(exact_d_block(np.linspace(0, 90, h)))   # theta = 0 and 90 exactly
+        mats.append(exact_d_block([0.0] * h) * np.exp(1j * rng.uniform(-3, 3, 2 * h)))
         return np.stack(mats)
 
     @pytest.mark.parametrize("h", [1, 2, 4, 8])
@@ -537,8 +545,8 @@ class TestStackedPhases:
             assert np.array_equal(one.thetas, pf.thetas[i])
 
     def test_is_complex_d_equal_loop_entry_by_entry(self, rng):
-        mats = [d_matrix([10.0, 20.0, 30.0, 40.0]), random_unitary(rng, 8)]
-        nearly = d_matrix([10.0, 20.0, 30.0, 40.0]).copy()
+        mats = [exact_d_block([10.0, 20.0, 30.0, 40.0]), random_unitary(rng, 8)]
+        nearly = exact_d_block([10.0, 20.0, 30.0, 40.0]).copy()
         nearly[0, 5] = 2e-10          # off the block diagonals, above tol
         mats.append(nearly)
         barely = nearly.copy()
@@ -560,18 +568,14 @@ class TestStackedPhases:
         pf = random_phase_factors(rng, 4)
         pf = type(pf)(pf.omega, pf.omega_l, pf.omega_r,
                       np.degrees(np.arcsin([1e-11, 1e-9, 1e-7, 0.5])))
-        a = phase_factors_matrix(pf)
+        a = complex_d_matrix(pf)
         a[4:, :4] += np.diag(1e-17 * np.exp(1j * rng.uniform(-np.pi, np.pi, 4)))
-        assert np.abs(phase_factors_matrix(extract_phases(a)) - a).max() < 1e-15
+        assert np.abs(complex_d_matrix(extract_phases(a)) - a).max() < 1e-15
 
     def test_extract_phases_rejects_non_complex_d(self, rng):
-        extract_phases(d_matrix([10.0, 20.0]))
+        extract_phases(exact_d_block([10.0, 20.0]))
         with pytest.raises(ValueError, match="not diagonal"):
             extract_phases(random_unitary(rng, 4))
-
-
-def dft_input(nb):
-    return state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
 
 
 class TestLevelBuild:
@@ -592,7 +596,7 @@ class TestLevelBuild:
 
         monkeypatch.setattr(csd_module, "cossin", counted)
         for nb in range(3, 9):
-            for u in (hadamard_input(nb), dft_input(nb)):
+            for u in (hadamard_input(nb), qft_input(nb)):
                 prog = compile_unitary(u)
                 assert frobenius_distance(u, program_to_matrix(prog)) < 1e-10
         assert calls["n"] == 0
@@ -620,7 +624,7 @@ class TestLevelBuild:
         # The last digits of the 2x2 SVD once decided the gauge of L1 and R1
         # at zero sines, and with it the two-qubit count under expansion
         # without phase extraction.
-        inputs = [dft_input(nb) for nb in (4, 5, 6)] + [np.diag(np.exp(1j * np.arange(16.0)))]
+        inputs = [qft_input(nb) for nb in (4, 5, 6)] + [np.diag(np.exp(1j * np.arange(16.0)))]
         opts = CompileOptions(extract_phases=False, expand_controls=True)
         got = [two_bit_rows(compile_unitary(u, opts)) for u in inputs]
         monkeypatch.setattr(csd_module, "_svd2", np.linalg.svd)
@@ -662,7 +666,7 @@ class TestLevelBuild:
         rng = np.random.default_rng(0x5EED)
         out = {}
         for nb in range(2, 7):
-            out[f"qft-n{nb}"] = dft_input(nb)
+            out[f"qft-n{nb}"] = qft_input(nb)
             out[f"hadamard-n{nb}"] = hadamard_input(nb)
         out["u2xI-n5"] = np.kron(random_unitary(rng, 4), np.eye(8))
         out["u3xI-n5"] = np.kron(random_unitary(rng, 8), np.eye(4))
@@ -718,7 +722,7 @@ class TestLapackFallback:
         d = 2 * h
         r0 = block_diag([np.eye(1), random_unitary(rng, h - 1) if h > 2 else np.eye(1)])
         pivot = (block_diag([random_unitary(rng, h), random_unitary(rng, h)])
-                 @ d_matrix(np.linspace(10.0, 70.0, h))
+                 @ exact_d_block(np.linspace(10.0, 70.0, h))
                  @ block_diag([r0[:, [1, 0, *range(2, h)]], random_unitary(rng, h)]))
         phased = np.eye(d)[rng.permutation(d)] * np.exp(1j * rng.uniform(-np.pi, np.pi, d))
         return np.stack([

@@ -18,9 +18,9 @@ import pytest
 from scipy.stats import unitary_group
 
 from csdc import CompileOptions, compile_unitary, hadamard_input, parse, serialize
-from csdc.bitops import bit_reversal_permutation, state_permutation
-from csdc.matrices import tensor_product
 from csdc.reference import dft_matrix
+
+from conftest import qft_input
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 SEED = 20261018
@@ -40,13 +40,12 @@ def _cases() -> dict[str, tuple[np.ndarray, CompileOptions]]:
         out[f"haar-n{nb}-expand"] = (_haar(nb), CompileOptions(expand_controls=True))
     # at nb = 8 the input check (256) and the root's side checks (128) run by ZHERK
     for nb in (2, 3, 4, 5, 6, 8):
-        out[f"qft-n{nb}"] = (state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
-                             default)
+        out[f"qft-n{nb}"] = (qft_input(nb), default)
         out[f"hadamard-n{nb}"] = (hadamard_input(nb), default)
     u = unitary_group.rvs(4, random_state=np.random.default_rng([SEED, 99]))
-    out["u-kron-i-n4"] = (tensor_product(u, np.eye(4)), default)
+    out["u-kron-i-n4"] = (np.kron(u, np.eye(4, dtype=complex)), default)
     u = unitary_group.rvs(16, random_state=np.random.default_rng([SEED, 98]))
-    out["u-kron-i-n8"] = (tensor_product(u, np.eye(16)), default)
+    out["u-kron-i-n8"] = (np.kron(u, np.eye(16, dtype=complex)), default)
     for nb in (3, 4):
         out[f"haar-n{nb}-no-phases"] = (_haar(nb), CompileOptions(extract_phases=False))
     # the Haar -expand cases expand no gate; these expand 4 and 11 distinct ones

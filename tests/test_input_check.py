@@ -7,16 +7,16 @@ exact check.  Whatever path an input takes, the compile must accept it
 exactly when the exact dense check of the padded input does.
 """
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from csdc import (DEFAULT_TOL, CompileOptions, NotUnitaryError, cli, compile_unitary,
-                  compiler, hadamard_input, matrices, phase_factors_matrix,
-                  program_to_matrix)
+                  compiler, hadamard_input, matrices, program_to_matrix)
 from csdc.matrices import unitarity_deviation
 
-from conftest import random_phase_factors, random_unitary
+from conftest import dense_complex_d_block, random_phase_factors, random_unitary
 
 FACTORS = (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)   # of DEFAULT_TOL
 MESSAGE = re.compile(r"input is not unitary: max deviation (\S+) > 1\.0e-10")
@@ -42,7 +42,8 @@ def roots(nb, rng):
     return [
         ("haar", random_unitary(rng, 2 * h), ("column", "dense", "scaled")),
         ("hadamard", hadamard_input(nb), ("column", "scaled")),   # one angle cluster
-        ("complex-d", phase_factors_matrix(random_phase_factors(rng, h)), ("column", "dense")),
+        ("complex-d", dense_complex_d_block(*astuple(random_phase_factors(rng, h))),
+         ("column", "dense")),
     ]
 
 

@@ -13,30 +13,22 @@ import itertools
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, assemble, build_tree, decompose_central, direct_sum,
-                  expand_controls, hadamard_input, pad_to_power_of_two, serialize)
-from csdc.bitops import bit_reversal_permutation, state_permutation
+from csdc import (CompileOptions, build_tree, decompose_central, expand_controls, hadamard_input,
+                  pad_to_power_of_two, serialize)
 from csdc.central import (_default_mode, cheaper_mode, decompose_diagonals, diagonal_costs,
                           multiplexors, split_on_bit)
-from csdc.compiler import program_for_tree
+from csdc.compiler import _application_order, program_for_tree
 from csdc.reference import dft_matrix
 from csdc.seo import PRUNE_TOL, ROTY, ROTZ, concat
 
-from conftest import random_unitary
-
-
-def walk(node):
-    """The nodes of a tree in application order, by recursion."""
-    out = walk(node.right) if node.right else []
-    out.append(node)
-    return out + (walk(node.left) if node.left else [])
+from conftest import block_diag, qft_input, random_unitary, walk
 
 
 def variant(node):
     """What a node's level row holds: a diagonal, a complex or a real D."""
     lv = node.levels[node.level - 1]
     return ("diagonal" if lv.phases is not None
-            else "complexD" if lv.phased[node.index] else "realD")
+            else "complexD" if lv.factors.phased()[node.index] else "realD")
 
 
 def complex_d_pieces(node):
@@ -112,7 +104,7 @@ def _corpus():
     out = {f"haar-n{nb}": random_unitary(rng, 1 << nb) for nb in range(1, 8)}
     for nb in range(2, 7):
         out[f"hadamard-n{nb}"] = hadamard_input(nb)
-        out[f"qft-n{nb}"] = state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
+        out[f"qft-n{nb}"] = qft_input(nb)
         out[f"dft-n{nb}"] = dft_matrix(nb)
     for nb in range(3, 6):
         n = 1 << nb
@@ -120,7 +112,7 @@ def _corpus():
         out[f"ixu-n{nb}"] = np.kron(np.eye(n // 4), random_unitary(rng, 4))
         out[f"permutation-n{nb}"] = np.eye(n)[:, rng.permutation(n)]
         out[f"diagonal-n{nb}"] = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
-        out[f"controlled-u-n{nb}"] = direct_sum([np.eye(n // 2), random_unitary(rng, n // 2)])
+        out[f"controlled-u-n{nb}"] = block_diag([np.eye(n // 2), random_unitary(rng, n // 2)])
     for dim in (3, 5, 24):
         out[f"dim{dim}"] = pad_to_power_of_two(random_unitary(rng, dim))[0]
     return out
@@ -137,8 +129,7 @@ def test_same_text_as_node_by_node(name):
         root = build_tree(CORPUS[name], opts)
         assert serialize(program_for_tree(root, opts)) == serialize(node_by_node(root, opts)), opts
         # the order of the keys is the order of the child links
-        assert [(n.level, n.index) for n in assemble(root)] == \
-            [(n.level, n.index) for n in walk(root)]
+        assert _application_order(root.levels) == [(n.level, n.index) for n in walk(root)]
 
 
 def test_corpus_reaches_every_central_and_carry_branch():

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from csdc import (dft_matrix, frobenius_distance, hadamard_input, is_unitary,
-                  program_to_matrix, quantum_fft_program, sylvester_hadamard,
-                  tensor_product)
-from csdc.bitops import bit_reversal_permutation, state_permutation
+from csdc import (bit_reversal_permutation, dft_matrix, frobenius_distance, hadamard_input,
+                  program_to_matrix, quantum_fft_program, sylvester_hadamard)
+from csdc.matrices import DEFAULT_TOL, unitarity_deviation
 
-from conftest import rows
+from conftest import qft_input, rows
 
 
 class TestDftMatrix:
@@ -21,7 +20,7 @@ class TestDftMatrix:
 
     @pytest.mark.parametrize("nb", range(1, 7))
     def test_unitary(self, nb):
-        assert is_unitary(dft_matrix(nb), 1e-10)
+        assert unitarity_deviation(dft_matrix(nb)) <= 1e-10
 
     def test_symmetric_exactly(self):
         f = dft_matrix(4)
@@ -41,7 +40,7 @@ class TestQuantumFftProgram:
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4, 5])
     def test_matches_bit_reversed_dft(self, nb):
-        expected = state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb)
+        expected = qft_input(nb)
         assert frobenius_distance(program_to_matrix(quantum_fft_program(nb)),
                                   expected) < 1e-10
 
@@ -53,8 +52,8 @@ class TestQuantumFftProgram:
     def test_bit_reversal_times_program_is_dft(self, nb):
         # The program realizes P_BR F, and P_BR is self-inverse, so composing
         # the bit reversal after it recovers the plain DFT matrix.
-        pbr = state_permutation(bit_reversal_permutation(nb))
-        got = pbr @ program_to_matrix(quantum_fft_program(nb))
+        rev = bit_reversal_permutation(nb).state_map()
+        got = program_to_matrix(quantum_fft_program(nb))[rev]
         assert frobenius_distance(got, dft_matrix(nb)) < 1e-10
 
 
@@ -69,10 +68,10 @@ class TestHadamardInput:
     def test_tensor_power_structure(self):
         h1 = hadamard_input(1)
         assert frobenius_distance(hadamard_input(3),
-                                  tensor_product(h1, tensor_product(h1, h1))) < 1e-12
+                                  np.kron(h1, np.kron(h1, h1))) < 1e-12
 
     def test_unitary(self):
-        assert is_unitary(hadamard_input(4))
+        assert unitarity_deviation(hadamard_input(4)) <= DEFAULT_TOL
 
 
 def _shuffle(k):
@@ -115,5 +114,5 @@ def test_combined_shuffles_form_bit_reversal():
     # (I4 x P2)(I2 x P3) P4 equals the 4-bit bit-reversal permutation.
     combined = (np.kron(np.eye(4), _shuffle(2))
                 @ np.kron(np.eye(2), _shuffle(3)) @ _shuffle(4))
-    pbr = state_permutation(bit_reversal_permutation(4))
+    pbr = np.eye(16)[:, bit_reversal_permutation(4).state_map()]   # pbr|s> = |rev(s)>
     assert np.array_equal(combined, pbr)

@@ -12,14 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, dft_matrix,
-                  expand_controls, parse, program_to_matrix, seo)
-from csdc.bitops import bit_reversal_permutation, state_permutation
+from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, expand_controls,
+                  parse, program_to_matrix, seo)
 from csdc.reference import hadamard_input
 from csdc.seo import CNOT, CPHA, PHAS, ROTZ, SIGX, _Plan, dense_peak_bytes
 
 from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
-                      random_unitary, rows)
+                      qft_input, random_unitary, rows)
 
 
 def simulate_by_gate(arr: np.ndarray, p: Program) -> np.ndarray:
@@ -373,7 +372,7 @@ class TestChunkedFlush:
         u = {"haar": lambda: random_unitary(rng, 1 << nb),
              "haar-expanded": lambda: random_unitary(rng, 1 << nb),
              "hadamard": lambda: hadamard_input(nb),
-             "qft": lambda: state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
+             "qft": lambda: qft_input(nb),
              "permutation": lambda: np.eye(1 << nb)[rng.permutation(1 << nb)]}[name]()
         p = compile_unitary(u, CompileOptions(expand_controls=name == "haar-expanded"))
         want = program_to_matrix(p)
@@ -426,7 +425,7 @@ class TestChunkedAngles:
         u = {"haar": lambda: random_unitary(rng, 1 << nb),
              "haar-expanded": lambda: random_unitary(rng, 1 << nb),
              "hadamard": lambda: hadamard_input(nb),
-             "qft": lambda: state_permutation(bit_reversal_permutation(nb)) @ dft_matrix(nb),
+             "qft": lambda: qft_input(nb),
              "permutation": lambda: np.eye(1 << nb)[rng.permutation(1 << nb)]}[name]()
         p = compile_unitary(u, CompileOptions(expand_controls=name == "haar-expanded"))
         assert len(_Plan(p).first) > 3
