@@ -2,9 +2,11 @@
 
 Bit positions increase from right to left: bit 0 is the least significant bit
 of a state index.  A :class:`BitPermutation` relabels bit *positions*; its
-:meth:`~BitPermutation.state_map` is the induced permutation of the 2**nb
-state indices, one array pass per bit, which :func:`apply_bit_permutation`
-indexes with.
+:meth:`~BitPermutation.move_bits` moves the bits of every entry of an
+integer array, one array pass per bit.  On the 2**nb state indices that is
+the induced permutation :meth:`~BitPermutation.state_map`, which
+:func:`apply_bit_permutation` indexes with; on a program's control masks
+and values it is :func:`~csdc.seo.rename_bits`.
 
 The three subset transforms over the 2**k bit strings, Walsh-Hadamard, zeta
 (subset sums) and Möbius (its inverse), are Kronecker powers of a 2x2 factor,
@@ -28,7 +30,7 @@ from .matrices import as_matrix
 def gray_codes(n: int) -> np.ndarray:
     """:func:`gray_sequence` as a read-only int64 array, built once per n."""
     if n < 0:
-        raise ValueError("gray_sequence requires n >= 0")
+        raise ValueError("gray_codes requires n >= 0")
     i = np.arange(1 << n)
     g = i ^ (i >> 1)
     out = np.zeros_like(g)
@@ -149,13 +151,18 @@ class BitPermutation:
             inv[dest] = b
         return BitPermutation(self.nb, tuple(inv))
 
+    def move_bits(self, x) -> np.ndarray:
+        """The integer array x with each bit b of every entry moved to
+        mapping[b], one array pass per bit; bits from nb up are dropped."""
+        x = np.asarray(x, dtype=np.int64)
+        out = np.zeros_like(x)
+        for b, dest in enumerate(self.mapping):
+            out |= (x >> b & 1) << dest
+        return out
+
     def state_map(self) -> np.ndarray:
         """Entry s is the state index s with each bit b moved to mapping[b]."""
-        states = np.arange(1 << self.nb)
-        out = np.zeros_like(states)
-        for b, dest in enumerate(self.mapping):
-            out |= (states >> b & 1) << dest
-        return out
+        return self.move_bits(np.arange(1 << self.nb))
 
 
 def bit_reversal_permutation(nb: int) -> BitPermutation:

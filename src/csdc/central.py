@@ -27,12 +27,13 @@ through the cores of a program bound for :func:`~csdc.seo.expand_controls`.
 Every routine emits the columns of a :class:`~csdc.seo.Program` directly with
 array operations: a ladder is a mask over the Gray sequence, and a diagonal's
 PHAS/ROTZ/CPHA rows are index arithmetic on its transformed phases.  No
-routine builds a 4**nb matrix.  The routines (:func:`multiplexors`,
-:func:`decompose_diagonals`, :func:`decompose_level`) emit a stack of
-centrals, one per row, in one pass and say which row owns each instruction;
-a single central is a stack of one row.  Every real D core is one ROTY
-ladder, whatever its angles; ``extract_phases`` only picks the form of the
-diagonals.
+routine builds a 4**nb matrix.  The emitters (:func:`multiplexors` and
+:func:`decompose_diagonals`) take a stack, one row per central or diagonal,
+emit it in one pass and say which row owns each instruction; a single one
+is a stack of one row.  The compiler emits a tree level with one
+:func:`multiplexors` call for every real D core (one ROTY ladder, whatever
+its angles) and, for the complex D centrals, one :func:`side_phases` call
+and one :func:`decompose_diagonals` call per side.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import numpy as np
 from .bitops import (basis_change_matrix, gray_codes, gray_sequence,  # noqa: F401
                      hadamard_transform, kron_transform, popcount)
 from .csd import PhaseFactors, _wrap_deg
-from .seo import (CPHA, PHAS, PRUNE_TOL, ROTY, ROTZ, Program, concat,  # noqa: F401
+from .seo import (CPHA, PHAS, PRUNE_TOL, ROTZ, Program, concat,  # noqa: F401
                   cpha_ladder_pruned, rename_bits, rotation_ladder, z_ladder, z_ladder_cnots)
 
 
@@ -193,26 +194,3 @@ def split_on_bit(phases: np.ndarray, rot: int) -> tuple[np.ndarray, np.ndarray]:
     bits in increasing order, as :func:`multiplexors` takes its angles."""
     p = phases.reshape(-1, 2, 1 << rot)
     return ((p + p[:, ::-1]) / 2).reshape(-1), ((p[:, 0] - p[:, 1]) / 2).reshape(-1)
-
-
-def decompose_level(nb: int, level: int, thetas, factors: PhaseFactors | None,
-                    extract_phases: bool = True) -> list[tuple[Program, np.ndarray]]:
-    """The centrals of a tree level, one per row i of the (n, 2**(nb-1))
-    stack ``thetas``, as (program, owner of each instruction) pieces, the
-    owner 3i + s.
-
-    s = 1 marks central i's real D core; one :func:`multiplexors` call emits
-    every core.  Given the level's ``factors``, s = 0 and 2 mark the right
-    and left side diagonals (:func:`side_phases`) of each complex D central,
-    one with a nonzero phase (``PhaseFactors.phased``): one
-    :func:`decompose_diagonals` call per side.  ``extract_phases`` only
-    picks the form of these side diagonals.
-    """
-    program, owner = multiplexors(nb, level, ROTY, thetas)
-    pieces = [(program, 3 * owner + 1)]
-    rows = np.flatnonzero(factors.phased()) if factors is not None else []
-    if len(rows):
-        for s, phases in enumerate(side_phases(nb, level, factors)):
-            program, owner = decompose_diagonals(phases[rows], _default_mode(extract_phases))
-            pieces.append((program, 3 * rows[owner] + 2 * s))
-    return pieces

@@ -79,8 +79,8 @@ def _options_from_args(args) -> CompileOptions:
 
 def run_compile(args) -> int:
     u = read_matrix_file(args.input)
-    program = compile_unitary(u, _options_from_args(args))   # checks unitarity once
-    padded = _embed(u)
+    padded = _embed(u)   # u ⊕ I, which compile_unitary takes as it is, not a copy
+    program = compile_unitary(padded, _options_from_args(args))   # checks unitarity once
     original_dim = u.shape[0]
     nb = padded.shape[0].bit_length() - 1
     error = frobenius_distance(padded, program_to_matrix(program))

@@ -26,10 +26,11 @@ The complex-D, diagonal-side and real-phase tests read the fixed
 ``STRUCTURE_TOL``; ``opts.tol`` only decides whether the input is unitary,
 which the root's ``csd_stack`` decides (no dense check runs beside it), or
 the exact check where the root is complex D.
-The level keeps its centrals as arrays (``TreeLevel``), and a ``CsdNode`` is
-a view of one row.  Emission is one ``decompose_level`` pass per level, and
-one sort by the keys of the centrals puts the instructions in application
-order.
+The level keeps its centrals as arrays (``TreeLevel``) with one key each:
+the keys link a node to its children on the next level and sort the tree in
+application order, and a ``CsdNode`` is a view of one row.  Emission is one
+``_emit_level`` step per level, and one sort by key puts the instructions in
+application order.
 
 Optimizations (all per the compile options):
   * lighten: gauge-fix each CSD so the right sides drift toward identity.
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import BitPermutation, apply_bit_permutation
-from .central import (_default_mode, cheaper_mode, decompose_diagonals, decompose_level,
-                      diagonal_costs, multiplexors, side_phases, split_on_bit)
+from .central import (_default_mode, cheaper_mode, decompose_diagonals, diagonal_costs,
+                      multiplexors, side_phases, split_on_bit)
 # csd, lighten, is_complex_d and extract_phases are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them by name.
 from .csd import (STRUCTURE_TOL, PhaseFactors, _block_diagonal_index, csd,  # noqa: F401
@@ -61,8 +62,8 @@ from .csd import (STRUCTURE_TOL, PhaseFactors, _block_diagonal_index, csd,  # no
 from .matrices import DEFAULT_TOL, NotUnitaryError, as_matrix, check_tol, unitarity_deviation
 # concat is not called here; it stays importable from this module, where
 # perfbench/spans.py traces it by name.
-from .seo import (PRUNE_TOL, ROTZ, Program, concat, expand_controls, gather,  # noqa: F401
-                  rename_bits)
+from .seo import (PRUNE_TOL, ROTY, ROTZ, Program, concat, expand_controls,  # noqa: F401
+                  gather, rename_bits)
 
 # A side matrix whose max-entry deviation from the identity is below this
 # terminates its branch.  Looser than STRUCTURE_TOL, tighter than the
@@ -143,24 +144,11 @@ def _side_masks(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(off, on) <= IDENTITY_TOL, off <= STRUCTURE_TOL
 
 
-@dataclass
-class _Split:
-    """One CSD pass over the k side matrices (each 2h x 2h) of a tree level.
-
-    Matrix i contributes the sides ``lefts[i]`` = (l0, l1) and ``rights[i]`` =
-    (r0, r1) and row i of ``phases``: the parameters of its D block, whose
-    phases are exactly 0.0 where the block is real.
-    """
-
-    phases: PhaseFactors      # fields (k, h)
-    lefts: np.ndarray         # (k, 2, h, h)
-    rights: np.ndarray        # (k, 2, h, h)
-    left_identity: np.ndarray   # (k,)
-    right_identity: np.ndarray  # (k,)
-
-
-def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> _Split:
-    """CSD every matrix of a (k, d, d) level stack.
+def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> tuple:
+    """CSD every matrix of a (k, d, d) level stack.  Return the parameters of
+    its D blocks (``PhaseFactors``, fields (k, d/2)), its left and right
+    sides, (l0, l1) and (r0, r1) as (k, 2, d/2, d/2) stacks, and the (k,)
+    masks of the left and right sides that are the identity.
 
     Complex D matrices are kept whole (aborted CSD, identity sides).  The
     others are cosine-sine decomposed by one ``csd_stack`` call.  Diagonal but
@@ -235,7 +223,7 @@ def _split_level(mats: np.ndarray, opts: CompileOptions, root: bool = False) -> 
         thetas[read] = got.thetas
         for name in ("omega", "omega_l", "omega_r"):
             getattr(pf, name)[read[keep]] = getattr(got, name)[keep]
-    return _Split(pf, lefts, rights, left_identity, right_identity)
+    return pf, lefts, rights, left_identity, right_identity
 
 
 @dataclass
@@ -243,14 +231,13 @@ class TreeLevel:
     """The n centrals of one tree level, row i for central i: on a CSD level
     the D ``factors``, fields (n, 2**(nb-1)) block by block, whose phases
     are exactly 0.0 in a real D central (``PhaseFactors.phased``); on level
-    nb+1 the leaf diagonals' ``phases`` (n, 2**nb).  ``children`` holds the
-    index of each left and right child on the next level, -1 for none.  A
-    level-L node's children have its ``key`` + 2**(nb+2-L) (left) and
-    - 2**(nb+2-L) (right), so the keys sort the tree in application order.
+    nb+1 the leaf diagonals' ``phases`` (n, 2**nb).  The keys link the tree
+    and order it: a level-L node's children have its ``key`` + 2**(nb+2-L)
+    (left) and - 2**(nb+2-L) (right), so the keys sort the tree in
+    application order.
     """
 
     key: np.ndarray
-    children: np.ndarray
     factors: PhaseFactors | None = None
     phases: np.ndarray | None = None
 
@@ -265,12 +252,16 @@ class CsdNode:
     level: int = 1
     index: int = 0
 
-    def _child(self, side: int) -> "CsdNode | None":
-        j = int(self.levels[self.level - 1].children[self.index, side])
-        return None if j < 0 else CsdNode(self.nb, self.levels, self.level + 1, j)
+    def _child(self, sign: int) -> "CsdNode | None":
+        if self.level == len(self.levels):
+            return None
+        key = self.levels[self.level - 1].key[self.index] + sign * (1 << self.nb + 2 - self.level)
+        keys = self.levels[self.level].key   # strictly descending: left before right
+        j = len(keys) - 1 - int(keys[::-1].searchsorted(key))   # -1 if key is above them all
+        return CsdNode(self.nb, self.levels, self.level + 1, j) if keys[j] == key else None
 
-    left = property(lambda self: self._child(0))
-    right = property(lambda self: self._child(1))
+    left = property(lambda self: self._child(1))
+    right = property(lambda self: self._child(-1))
 
 
 def _build(a: np.ndarray, nb: int, opts: CompileOptions, check: bool = True) -> CsdNode:
@@ -289,20 +280,20 @@ def _build(a: np.ndarray, nb: int, opts: CompileOptions, check: bool = True) -> 
         n = len(key)
         if level == nb + 1:
             phases = np.degrees(np.angle(mats[:, 0, 0])).reshape(n, -1)
-            levels.append(TreeLevel(key, np.full((n, 2), -1), phases=phases))
+            levels.append(TreeLevel(key, phases=phases))
             break
-        split = _split_level(mats, opts, root=check and level == 1)
-        h = split.lefts.shape[-1]
-        sides = [x.reshape(n, -1, h, h) for x in (split.lefts, split.rights)]
-        has = ~np.stack([split.left_identity, split.right_identity], 1).reshape(n, -1, 2).all(1)
+        pf, lefts, rights, left_identity, right_identity = _split_level(
+            mats, opts, root=check and level == 1)
+        h = lefts.shape[-1]
+        sides = [x.reshape(n, -1, h, h) for x in (lefts, rights)]
+        has = ~np.stack([left_identity, right_identity], 1).reshape(n, -1, 2).all(1)
         picks = np.flatnonzero(has)   # 2 node + side, in the next level's order
         # A spine's one side is a view, not a copy; the sides no child takes
         # are dropped before the next level is split.
         parts = [sides[p & 1][p >> 1] for p in picks.tolist()]
         mats = parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else None
-        parts = sides = split.lefts = split.rights = None
-        levels.append(TreeLevel(key, np.where(has, np.cumsum(has).reshape(n, 2) - 1, -1),
-                                split.phases.map(lambda x: x.reshape(n, -1))))
+        parts = sides = lefts = rights = None
+        levels.append(TreeLevel(key, pf.map(lambda x: x.reshape(n, -1))))
         key = key[picks >> 1] + (1 - 2 * (picks & 1)) * (1 << (nb + 2 - level))
         if not len(key):
             break
@@ -332,23 +323,41 @@ def _application_order(levels: list[TreeLevel]) -> list[tuple[int, int]]:
     return [pairs[j] for j in np.argsort(np.concatenate([lv.key for lv in levels])).tolist()]
 
 
+def _emit_level(nb: int, level: int, lv: TreeLevel, extract_phases: bool,
+                sides: bool = True) -> list[tuple]:
+    """A tree level's (program, owner of each instruction, key of each owner)
+    pieces for ``gather``: every real D core, keyed by its central, from one
+    ``multiplexors`` call; with ``sides``, the right and left side diagonals
+    of the complex D centrals, keyed key - 1 and key + 1, from one
+    ``side_phases`` call and one ``decompose_diagonals`` call per side, or
+    the leaf level's diagonals.  ``extract_phases`` picks the diagonals'
+    form: controlled phases when set, a rotz chain otherwise."""
+    mode = _default_mode(extract_phases)
+    if lv.phases is not None:
+        return [(*decompose_diagonals(lv.phases, mode), lv.key)] if sides else []
+    pieces = [(*multiplexors(nb, level, ROTY, lv.factors.thetas), lv.key)]
+    rows = np.flatnonzero(lv.factors.phased()) if sides else ()
+    if len(rows):
+        right, left = side_phases(nb, level, lv.factors.map(lambda x: x[rows]))
+        pieces += [(*decompose_diagonals(right, mode), lv.key[rows] - 1),
+                   (*decompose_diagonals(left, mode), lv.key[rows] + 1)]
+    return pieces
+
+
 def decompose_central(node: CsdNode, extract_phases: bool = True) -> Program:
-    """The program of one node's central matrix: the level pass of
-    ``program_for_tree`` without expansion (``decompose_level``, or
-    ``decompose_diagonals`` on the leaf level) run on the node's row alone.
+    """The program of one node's central matrix: the level step of
+    ``program_for_tree`` without expansion (``_emit_level``) run on a level
+    of the node's row alone.
 
     ``extract_phases`` (the compile option) picks the form of the diagonals,
     the central itself or a complex D one's sides: controlled phases when
     set, a rotz chain otherwise.  The real D core is the same ROTY ladder
     either way.
     """
-    nb, level, lv, i = node.nb, node.level, node.levels[node.level - 1], node.index
-    row = slice(i, i + 1)
-    if lv.phases is not None:
-        return decompose_diagonals(lv.phases[row], _default_mode(extract_phases))[0]
-    f = lv.factors.map(lambda x: x[row])
-    pieces = decompose_level(nb, level, f.thetas, f, extract_phases)
-    return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
+    lv, row = node.levels[node.level - 1], slice(node.index, node.index + 1)
+    one = (TreeLevel(lv.key[row], phases=lv.phases[row]) if lv.phases is not None
+           else TreeLevel(lv.key[row], lv.factors.map(lambda x: x[row])))
+    return gather(node.nb, _emit_level(node.nb, node.level, one, extract_phases))
 
 
 def _carry_phases(nb: int, steps, extract_phases: bool) -> list[tuple]:
@@ -400,20 +409,14 @@ def _carry_phases(nb: int, steps, extract_phases: bool) -> list[tuple]:
 
 
 def program_for_tree(root: CsdNode, opts: CompileOptions = CompileOptions()) -> Program:
-    """Emit the program of a tree, one ``decompose_level`` pass per level,
-    and expand its controls if asked (the phases are then carried through
-    the cores, ``_carry_phases``).  An instruction takes its central's key,
-    less or plus 1 for a complex D central's right or left side diagonal;
-    one stable sort by key (``gather``) puts them in application order."""
+    """Emit the program of a tree, one ``_emit_level`` step per level, and
+    expand its controls if asked (the phases are then carried through the
+    cores, ``_carry_phases``).  An instruction takes its central's key, less
+    or plus 1 for a complex D central's right or left side diagonal; one
+    stable sort by key (``gather``) puts them in application order."""
     nb, levels, ep, expand = root.nb, root.levels, opts.extract_phases, opts.expand_controls
-    pieces = []
-    for level, lv in enumerate(levels, start=1):
-        if lv.phases is None:
-            keys = (lv.key[:, None] + (-1, 0, 1)).ravel()   # of the owners 3i + s
-            pieces += [(*piece, keys) for piece in decompose_level(
-                nb, level, lv.factors.thetas, None if expand else lv.factors, ep)]
-        elif not expand:
-            pieces.append((*decompose_diagonals(lv.phases, _default_mode(ep)), lv.key))
+    pieces = [piece for level, lv in enumerate(levels, start=1)
+              for piece in _emit_level(nb, level, lv, ep, sides=not expand)]
     if not expand:
         return gather(nb, pieces)
     sides = []   # per level: the phases each central adds before and after its core

@@ -23,6 +23,15 @@ from scipy.linalg.blas import zherk
 # at dimension 1024, so 1e-10 is safe for every desk-scale dimension.
 DEFAULT_TOL = 1e-10
 
+# The most bytes each cache-resident work array of a chunked job holds: each
+# of a dense flush's four (at least one row pair), a batch of segment angles
+# (16 * 2**nb bytes a segment: a whole Haar program at nb = 6, 8 segments at
+# nb = 10) and a chunk of frobenius_distance's rows.  On a Xeon with 2 MB of
+# L2 (1 BLAS thread), flushes of 128-192 KB rebuilt Haar nb = 8, 9 and
+# Hadamard nb = 10 programs 5-10 % faster than 96 or 256 KB; angle batches of
+# 16, 64, 128, 512 and 2048 KB rebuilt Haar nb = 8 in 124, 113, 101, 99, 99 ms.
+CHUNK_BYTES = 128 << 10
+
 
 def check_tol(tol: float) -> float:
     """tol itself if 0 < tol < inf; ValueError otherwise.  A NaN tolerance
@@ -116,15 +125,14 @@ def frobenius_distance(a, b) -> float:
     """Frobenius norm of a - b; zero iff the matrices are equal.
 
     The squares are summed a chunk of rows at a time, each chunk's difference
-    at most ``seo.FLUSH_CHUNK_BYTES`` (at least one row) in one reused
-    buffer, so no difference of the whole matrices is formed: at nb = 10 that
-    would be 16 MB.
+    at most CHUNK_BYTES (at least one row) in one reused buffer, so no
+    difference of the whole matrices is formed: at nb = 10 that would be
+    16 MB.
     """
-    from .seo import FLUSH_CHUNK_BYTES   # seo imports this module
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    step = max(1, FLUSH_CHUNK_BYTES // ma[0].nbytes)
+    step = max(1, CHUNK_BYTES // ma[0].nbytes)
     buf = np.empty((min(step, len(ma)), ma.shape[1]), dtype=np.complex128)
     total = 0.0
     for i in range(0, len(ma), step):

@@ -39,6 +39,7 @@ import os
 import numpy as np
 
 from . import bitops
+from .matrices import CHUNK_BYTES
 
 KINDS = ("ROTY", "ROTZ", "SIGX", "CNOT", "PHAS", "CPHA")
 ROTY, ROTZ, SIGX, CNOT, PHAS, CPHA = range(len(KINDS))
@@ -56,22 +57,6 @@ MAX_NB = 63
 # Rotations at or below this angle (degrees) are suppressed and their flanking
 # c-nots merged; this is what lets structured inputs collapse to short programs.
 PRUNE_TOL = 1e-10
-
-# A dense flush works through its row pairs in chunks, so that each of its four
-# work arrays holds at most this many bytes (at least one row pair).  On a Xeon
-# with 2 MB of L2 per core, 128-192 KB rebuilt Hadamard nb = 10 and Haar nb = 8
-# and 9 programs fastest, 5-10 % ahead of 96 and 256 KB and 2x ahead of one
-# chunk of all row pairs at nb = 10.
-FLUSH_CHUNK_BYTES = 128 << 10
-
-# The simulator finds the angles of its segments in batches of at most this
-# many bytes of phase rows, 16 * 2**nb bytes per segment: 128 segments at
-# nb = 6, so all 127 of a Haar program, and 8 at nb = 10.  On Haar programs
-# at nb = 8 (1 BLAS thread, Xeon), batches of 16, 64, 128, 512 and 2048 KB
-# rebuilt in 124, 113, 101, 99 and 99 ms; at nb = 6 and 9 they were within
-# 10 %.  A batch's peak is about three times this (see _simulate).
-ANGLE_CHUNK_BYTES = 128 << 10
-
 
 class SeoParseError(ValueError):
     """Raised on malformed SEO text; carries the 1-based line number."""
@@ -360,7 +345,7 @@ def physical_memory_bytes() -> int | None:
 
 def _chunk_pairs(row_bytes: int, pairs: int) -> int:
     """Row pairs per chunk of a dense flush over rows of row_bytes bytes."""
-    return min(pairs, max(1, FLUSH_CHUNK_BYTES // row_bytes)) if row_bytes else pairs
+    return min(pairs, max(1, CHUNK_BYTES // row_bytes)) if row_bytes else pairs
 
 
 def dense_peak_bytes(nb: int) -> int:
@@ -373,7 +358,7 @@ def dense_peak_bytes(nb: int) -> int:
     the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB), the segment
     plan, at most 64 bytes per instruction (about 19 for a Haar program, 46
     expanded), and one batch of segment angles, about 46 * 2**nb bytes per
-    segment and so about 3 * ANGLE_CHUNK_BYTES (384 KB) for a full batch; the
+    segment and so about 3 * CHUNK_BYTES (384 KB) for a full batch; the
     guard counts the dense arrays only.
     """
     n = 1 << nb
@@ -627,7 +612,7 @@ def _batch_angles(plan: _Plan, j0: int, j1: int, nb: int) -> list:
 
 def _chunk_segments(nb: int) -> int:
     """Segments (or zeta groups) per batch of _batch_angles on nb bits."""
-    return max(1, ANGLE_CHUNK_BYTES >> nb + 4)
+    return max(1, CHUNK_BYTES >> nb + 4)
 
 
 def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
@@ -650,12 +635,12 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
         themselves, and R's pairing is a ladder's exactly when R's first
         ladder had the same target.
 
-    The segments are taken in batches of _chunk_segments(nb): ANGLE_CHUNK_BYTES
+    The segments are taken in batches of _chunk_segments(nb): CHUNK_BYTES
     over the 16 * 2**nb bytes of one phase segment's exp(i Phi).  Each batch
     first gets the angles of all its segments from a few stacked transforms
     (:func:`_batch_angles`), so the loop over segments only updates F and R.
     A batch holds about 46 * 2**nb bytes per segment at its peak (measured
-    with tracemalloc at nb = 9), so about 3 * ANGLE_CHUNK_BYTES when full.
+    with tracemalloc at nb = 9), so about 3 * CHUNK_BYTES when full.
 
     At the end R, then F, is applied.  The cost is
     O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb):
@@ -665,7 +650,7 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     dense runs as ladder segments: consecutive ladders on one target, with
     phase segments and multi-control CNOTs between them, are one run.  A
     dense run goes through its row pairs in chunks of at most
-    FLUSH_CHUNK_BYTES per work array, and every chunk reuses the same four
+    CHUNK_BYTES per work array, and every chunk reuses the same four
     work arrays.  arr may be overwritten; the result is returned.
     """
     if not len(p):
@@ -787,7 +772,7 @@ def program_to_matrix(p: Program) -> np.ndarray:
     the dense matrix, once per run of ladders on one target, a cache-sized
     chunk of row pairs at a time; everything else is tracked as a permutation
     and phases.  The angles of the segments come from stacked transforms, a
-    batch of ANGLE_CHUNK_BYTES / (16 * 2**nb) segments at a time, about
+    batch of CHUNK_BYTES / (16 * 2**nb) segments at a time, about
     46 * 2**nb bytes per segment.  The peak holds three dense matrices up to
     nb = 7 and two from nb = 8 on (:func:`dense_peak_bytes`), plus the
     plan and one batch.  Raises DenseTooLargeError, before
@@ -1026,15 +1011,12 @@ def rename_bits(p: Program, perm: bitops.BitPermutation) -> Program:
     """Move every bit b of the program to ``perm(b)``; ``perm`` must permute
     the program's nb bits.
 
-    Targets go through a lookup table and masks through one shift per bit.
+    Targets go through a lookup table, control masks and values through
+    ``perm.move_bits``.
     """
     if perm.nb != p.nb:
         raise ValueError(f"a permutation of {perm.nb} bits cannot rename a program "
                          f"on {p.nb} bits")
-    mask = np.zeros_like(p.ctrl_mask)
-    val = np.zeros_like(p.ctrl_val)
-    for b, dest in enumerate(perm.mapping):
-        mask |= (p.ctrl_mask >> b & 1) << dest
-        val |= (p.ctrl_val >> b & 1) << dest
     lut = np.array(perm.mapping + (-1,))   # a target of -1 stays -1
-    return Program(p.nb, p.kind, lut[p.target], mask, val, p.angle, validate=False)
+    return Program(p.nb, p.kind, lut[p.target], perm.move_bits(p.ctrl_mask),
+                   perm.move_bits(p.ctrl_val), p.angle, validate=False)

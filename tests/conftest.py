@@ -199,10 +199,10 @@ def qft_input(nb):
 def complex_d_program(nb, level, f, extract_phases=True):
     """The program of one complex D central, the level pass on one row; the
     fields of the PhaseFactors ``f`` hold its 2**(nb-1) parameters."""
-    from csdc.central import decompose_level
+    from csdc.compiler import TreeLevel, _emit_level
     from csdc.seo import gather
-    pieces = decompose_level(nb, level, f.thetas[None], f.map(lambda x: x[None]), extract_phases)
-    return gather(nb, [(program, owner, np.arange(3)) for program, owner in pieces])
+    level_row = TreeLevel(np.zeros(1, dtype=np.int64), f.map(lambda x: x[None]))
+    return gather(nb, _emit_level(nb, level, level_row, extract_phases))
 
 
 def cheaper_diagonal(phases, extract_phases=True):

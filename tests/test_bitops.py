@@ -187,6 +187,14 @@ class TestBitPermutation:
         want = [sum(1 << p(b) for b in range(nb) if s >> b & 1) for s in range(1 << nb)]
         assert p.state_map().tolist() == want
 
+    def test_move_bits_of_any_integer_array(self, rng):
+        p = BitPermutation(5, rng.permutation(5))
+        x = rng.integers(0, 1 << 5, (3, 7))
+        got = p.move_bits(x)
+        assert got.shape == x.shape and got.dtype == np.int64
+        assert np.array_equal(got.ravel(), p.state_map()[x.ravel()])
+        assert p.move_bits(x | 0b1100000).tolist() == got.tolist()   # bits from nb up drop
+
     def test_compose_and_inverse(self, rng):
         p = BitPermutation(4, tuple(rng.permutation(4)))
         q = BitPermutation(4, tuple(rng.permutation(4)))

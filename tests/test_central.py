@@ -23,7 +23,7 @@ def diagonal_node(phases):
     """A tree node whose central is diag(exp(i phases)): row 0 of the leaf
     level nb + 1 (the levels above it are not read)."""
     nb = len(phases).bit_length() - 1
-    leaf = TreeLevel(np.zeros(1, dtype=np.int64), np.full((1, 2), -1), phases=phases[None])
+    leaf = TreeLevel(np.zeros(1, dtype=np.int64), phases=phases[None])
     return CsdNode(nb, [None] * nb + [leaf], nb + 1)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from csdc import (Program, cli, expand_controls, frobenius_distance, parse,
+from csdc import (Program, cli, compiler, expand_controls, frobenius_distance, parse,
                   program_to_matrix, quantum_fft_program, serialize)
 from csdc.cli import main
 from csdc.matrices import NotUnitaryError, format_matrix_text, read_matrix_file
@@ -60,6 +60,27 @@ class TestCompileCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 0 0 0\n1 0\n")
         assert main(["compile", str(bad), "-o", str(tmp_path / "x.seo")]) == 2
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"2\n1 0 0 0\n0 0 {entry} 0\n")
+        out = tmp_path / "x.seo"
+        assert main(["compile", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_input_padded_once(self, tmp_path, rng, monkeypatch, dim):
+        # compile_unitary gets u ⊕ I itself, which it takes as it is
+        got = []
+        compile_unitary = cli.compile_unitary
+        monkeypatch.setattr(cli, "compile_unitary",
+                            lambda u, opts: got.append(u) or compile_unitary(u, opts))
+        inp = write_matrix(tmp_path / "in.txt", random_unitary(rng, dim))
+        assert main(["compile", inp, "-o", str(tmp_path / "x.seo")]) == 0
+        (u,) = got
+        assert u.shape == (4, 4) and compiler._embed(u) is u
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compile", str(tmp_path / "none.txt"),

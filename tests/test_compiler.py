@@ -8,8 +8,9 @@ from csdc import (CompileOptions, NotUnitaryError, PhaseFactors, build_tree, com
                   compiler, expand_controls, frobenius_distance, hadamard_input, is_complex_d,
                   pad_to_power_of_two, program_to_matrix)
 from csdc.cli import ROUND_TRIP_TOL
-from csdc.central import decompose_level, multiplexors, side_phases
-from csdc.compiler import IDENTITY_TOL, _carry_phases, _split_level, program_for_tree
+from csdc.central import multiplexors, side_phases
+from csdc.compiler import (IDENTITY_TOL, TreeLevel, _carry_phases, _emit_level, _split_level,
+                           program_for_tree)
 from csdc.csd import STRUCTURE_TOL, csd_stack, lighten_stack
 from csdc.reference import dft_matrix
 from csdc.seo import ROTY, concat, gather, serialize
@@ -91,6 +92,23 @@ class TestBuildTree:
                 root = build_tree(u, opts)
                 assert len(tree_nodes(root)) <= (1 << (nb + 1)) - 1
 
+    @pytest.mark.parametrize("u", ["haar", "uxi", "qft"])
+    def test_keys_link_every_row_once(self, rng, u):
+        # left and right find each child by key: every row of every level is
+        # reached exactly once, and the walk is sorted by key; within a level
+        # the keys strictly descend, which the lookup relies on
+        nb = 4
+        u = {"haar": lambda: random_unitary(rng, 16), "qft": lambda: qft_input(nb),
+             "uxi": lambda: np.kron(random_unitary(rng, 4), np.eye(4))}[u]()
+        for opts in (DEFAULTS, PLAIN):
+            root = build_tree(u, opts)
+            rows = [(n.level, n.index) for n in walk(root)]
+            assert sorted(rows) == [(L, i) for L, lv in enumerate(root.levels, 1)
+                                    for i in range(len(lv.key))]
+            keys = [int(root.levels[L - 1].key[i]) for L, i in rows]
+            assert keys == sorted(keys)
+            assert all((np.diff(lv.key) < 0).all() for lv in root.levels)
+
     def test_plain_options_build_full_tree(self, rng):
         root = build_tree(random_unitary(rng, 4), PLAIN)
         assert len(tree_nodes(root)) == 7
@@ -143,15 +161,14 @@ class TestSplitLevel:
     def test_every_path_rebuilds_its_matrix(self, rng):
         cases = self.level(rng)
         mats = np.stack([m for _, m, _ in cases])
-        split = _split_level(mats, DEFAULTS)
-        pf = split.phases
+        pf, lefts, rights, left_identity, right_identity = _split_level(mats, DEFAULTS)
         phased = pf.phased()
         for i, (name, m, want) in enumerate(cases):
             got = (is_complex_d(m), bool(phased[i]),
-                   bool(split.left_identity[i]), bool(split.right_identity[i]))
+                   bool(left_identity[i]), bool(right_identity[i]))
             assert got == want, name
             d = dense_complex_d_block(pf.omega[i], pf.omega_l[i], pf.omega_r[i], pf.thetas[i])
-            rebuilt = block_diag(list(split.lefts[i])) @ d @ block_diag(list(split.rights[i]))
+            rebuilt = block_diag(list(lefts[i])) @ d @ block_diag(list(rights[i]))
             assert np.abs(rebuilt - m).max() < 1e-12, name
         # plain CSD blocks keep the factorization's angles, bit for bit
         plain = lighten_stack(csd_stack(mats[5:])).thetas
@@ -166,8 +183,8 @@ class TestSplitLevel:
 
         phase_parameters = compiler.phase_parameters
         monkeypatch.setattr(compiler, "phase_parameters", counted)
-        split = _split_level(np.stack([random_unitary(rng, 4) for _ in range(6)]), DEFAULTS)
-        assert calls == [] and not split.phases.phased().any()
+        pf = _split_level(np.stack([random_unitary(rng, 4) for _ in range(6)]), DEFAULTS)[0]
+        assert calls == [] and not pf.phased().any()
         _split_level(np.stack([m for _, m, _ in self.level(rng)]), DEFAULTS)
         assert calls == [5]   # the two aborted and three folded blocks, in one call
 
@@ -333,6 +350,11 @@ class TestCompile:
     def test_options_reject_tol_outside_positive_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             CompileOptions(tol=tol)
+
+    @pytest.mark.parametrize("mode", ["root", "exhaustive", ""])
+    def test_unknown_perm_search_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"unknown perm_search mode {mode!r}"):
+            CompileOptions(perm_search=mode)
 
     def test_perm_search_nb_cap(self, monkeypatch):
         builds = []
@@ -505,8 +527,8 @@ class TestTwoQubitEmission:
             f = p.map(lambda x: x[None])
             (right,), (left,) = side_phases(nb, level, f)
             steps.append((4 * key, level, right, left))
-            cores += [(*piece, np.full(3, 4 * key)) for piece in decompose_level(
-                nb, level, f.thetas, None, extract_phases)]
+            cores += _emit_level(nb, level, TreeLevel(np.array([4 * key]), f), extract_phases,
+                                 sides=False)
             want = dense_complex_d_central(nb, level, p) @ want
         program = gather(nb, cores + _carry_phases(nb, steps, extract_phases))
         got = kron_program_matrix(expand_controls(program))

@@ -203,6 +203,13 @@ def one(stack, i):
 
 
 class TestBatchedCsd:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_stack(self, rng, bad):
+        mats = np.stack([random_unitary(rng, 4) for _ in range(3)])
+        mats[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            csd_stack(mats)
+
     @pytest.mark.parametrize("dim", [4, 8, 16, 32])
     def test_matches_csd_then_lighten(self, rng, csd_calls, dim):
         mats = np.stack([random_unitary(rng, dim) for _ in range(12)])

@@ -250,5 +250,23 @@ class TestMatrixTextFormat:
         with pytest.raises(MatrixFormatError):
             parse_matrix_text("1\n1 x\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix file"),
+        (" \n\t\n", "empty matrix file"),
+        ("2.0\n1 0 0 0\n0 0 1 0\n", "first token must be the dimension, got '2.0'"),
+        ("x\n1 0\n", "first token must be the dimension, got 'x'"),
+        ("0\n", "dimension must be >= 1, got 0"),
+        ("-1\n1 0\n", "dimension must be >= 1, got -1"),
+        ("1\nnan 0\n", "matrix entries must be finite"),
+        ("1\n1 -inf\n", "matrix entries must be finite"),
+    ])
+    def test_rejects_malformed_text(self, text, message):
+        with pytest.raises(MatrixFormatError, match=message):
+            parse_matrix_text(text)
+
+    def test_format_rejects_non_square(self):
+        with pytest.raises(MatrixFormatError, match=r"requires a square matrix, got \(2, 3\)"):
+            format_matrix_text(np.ones((2, 3)))
+
     def test_deviation_reported(self):
         assert unitarity_deviation(np.diag([1.0, 2.0])) == pytest.approx(3.0)

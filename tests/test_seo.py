@@ -104,10 +104,17 @@ class TestParse:
         ("CNOT 0 X 1", "polarity must be T or F"),
         ("SIGX -1", "must be non-negative"),
         ("CPHA 0 T 1 F", "control/polarity pairs and an angle"),
+        ("ROTY x 45", "expected a bit index, got 'x'"),
+        ("CNOT 0.5 T 1", "expected a bit index, got '0.5'"),
     ])
     def test_malformed_line(self, line, message):
         with pytest.raises(SeoParseError, match=message):
             parse(line)
+
+    @pytest.mark.parametrize("nb", [0, -1, 64])
+    def test_nb_outside_range(self, nb):
+        with pytest.raises(ValueError, match=f"a program needs 1 <= nb <= 63, got {nb}"):
+            parse("SIGX 0", nb=nb)
 
     def test_bit_beyond_given_nb(self):
         with pytest.raises(SeoParseError):

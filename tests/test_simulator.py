@@ -352,16 +352,17 @@ class TestDensePeak:
 
 
 class TestChunkedFlush:
-    """With the chunk budget cut to three rows and a half, every flush runs in
-    many chunks of three row pairs and ends on a partial one; the results are
-    bit-identical to those of a flush over all row pairs at once."""
+    """With the chunk budget (``CHUNK_BYTES``) cut to three rows and a half,
+    every flush runs in many chunks of three row pairs and ends on a partial
+    one; the results are bit-identical to those of a flush over all row pairs
+    at once."""
 
     NB = 6
 
     @staticmethod
     def chunked(monkeypatch, columns: int):
         row = 16 * columns
-        monkeypatch.setattr(seo, "FLUSH_CHUNK_BYTES", 3 * row + row // 2)
+        monkeypatch.setattr(seo, "CHUNK_BYTES", 3 * row + row // 2)
         if columns:
             assert seo._chunk_pairs(row, 1 << TestChunkedFlush.NB - 1) == 3
 
@@ -394,14 +395,15 @@ class TestChunkedFlush:
 
 
 class TestChunkedAngles:
-    """With the batch budget cut to three segments and a half, the angles of
-    every program come in many batches of three segments, and the zeta
-    groups of a segment with more than three F-patterns in several; the
-    results are bit-identical to those of the default batches."""
+    """With the chunk budget (``CHUNK_BYTES``) cut to three segments and a
+    half, the angles of every program come in many batches of three
+    segments, and the zeta groups of a segment with more than three
+    F-patterns in several; the results are bit-identical to those of the
+    default batches."""
 
     @staticmethod
     def chunked(monkeypatch, nb: int):
-        monkeypatch.setattr(seo, "ANGLE_CHUNK_BYTES", (7 << nb + 4) // 2)
+        monkeypatch.setattr(seo, "CHUNK_BYTES", (7 << nb + 4) // 2)
         assert seo._chunk_segments(nb) == 3
 
     @staticmethod
