@@ -395,12 +395,13 @@ class _Plan:
     Across a segment every bit b is an affine GF(2) form of the bits at its
     start: x_b, XOR the parity of x & S, XOR a constant c.  SIGX and the
     single-control CNOTs into b add to S and c; they are the only gates that
-    move the forms.  A phase segment is cut wherever the CNOTs and SIGXs of
-    one target are followed by those of another while the first target's
-    (S, c) is not back to zero, so at most one bit of a segment, the target
-    of its last SIGX or CNOT, has a form other than x_b, and its (S, c) is
-    the XOR prefix of the packed contributions ``mask | flip << nb`` since
-    the segment start.  Then:
+    move the forms.  Only gates on a moved bit share its segment: a phase
+    segment is cut wherever a gate on another bit (a SIGX, CNOT or ROTZ on
+    another target, or any CPHA) follows the moves of a target whose (S, c)
+    is not back to zero.  So at most one bit of a segment, the target of its
+    last SIGX or CNOT, has a form other than x_b, its (S, c) is the XOR
+    prefix of the packed contributions ``mask | flip << nb`` since the
+    segment start, and only a ROTZ on that bit reads it.  Then:
 
       * a ladder is, on each w-pair p, X**e(p) · Ry(phi(p)) with
         phi(p) = sum_j theta_j (-1)**(|S_j & p| + c_j) over its rotations j:
@@ -409,9 +410,7 @@ class _Plan:
       * a phase segment is a permutation times exp(i Phi) in the coordinates
         of its start, Phi = the Walsh-Hadamard transform of the ROTZ
         coefficients plus, per F-pattern f of its CPHAs, the subset sum
-        (zeta transform) zeta_f[d ^ f] of their angles by control mask.  A
-        CPHA on the moved bit whose form has S = 0 flips its F-pattern; one
-        with S != 0 goes in as its 2**k Walsh terms;
+        (zeta transform) zeta_f[d ^ f] of their angles by control mask;
       * the permutation of either is d -> d ^ (e(d) << t),
         e(d) = |S & d| + c mod 2, for the moved bit t and its final (S, c).
 
@@ -448,17 +447,20 @@ class _Plan:
         contrib <<= nb
         contrib |= mask
         contrib[~moving] = 0
-        # Cut a phase segment where another target's moves follow a run of
-        # moves that does not return its target to x_t.
-        moves = np.flatnonzero(moving & ~ladder)
-        if moves.size:
-            seg = np.searchsorted(np.flatnonzero(start), moves, "right")
-            t = target[moves]
+        # Cut a phase segment where a gate on another bit follows a run of
+        # moves that does not return its target to x_t.  ROTZs group under
+        # their target and CPHAs under -1, and neither moves a bit.
+        free = moving & ~ladder
+        if free.any():
+            rows = np.flatnonzero(free | (kind == ROTZ) | (kind == CPHA))
+            seg = np.searchsorted(np.flatnonzero(start), rows, "right")
+            t = target[rows]
             new_target = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
             sub = np.flatnonzero(np.concatenate(([True], new_target)))
-            is_open = np.bitwise_xor.reduceat(contrib[moves], sub) != 0
+            is_open = np.bitwise_xor.reduceat(contrib[rows], sub) != 0
             cut = (seg[sub[1:]] == seg[sub[:-1]]) & is_open[:-1]
-            start[moves[sub[1:][cut]]] = True
+            start[rows[sub[1:][cut]]] = True
+        del free
         first = np.flatnonzero(start)
         del start
         end = np.append(first[1:], len(p)) - 1
@@ -467,68 +469,39 @@ class _Plan:
         base = cum[first]
         self.final = cum[end] ^ contrib[end] ^ base
         del contrib
-        moves = np.flatnonzero(moving)
-
-        def moved(rows):
-            """The target of the last move at or before each row (which has one)."""
-            return target[moves[np.searchsorted(moves, rows, "right") - 1]]
-
         self.first = first
         self.kind = np.where(ladder[first], _LADDER, np.where(multi[first], _SWAP, _PHASE))
         self.target = target[first]
+        # an open phase segment's moved bit is the target of its last move
         open_end = np.flatnonzero((self.kind == _PHASE) & (self.final != 0))
-        self.target[open_end] = moved(end[open_end])
-        del ladder, multi, end, open_end
-        low = (1 << nb) - 1
-
-        def state(rows):
-            """Each row's segment, and its (S, c) relative to that segment."""
-            seg = np.searchsorted(first, rows, "right") - 1
-            x = cum[rows]
-            x ^= base[seg]
-            return seg, x
-
-        # Walsh terms: ladder ROTYs (indexed by pair), ROTZs, split CPHAs.
+        moves = np.flatnonzero(moving)
+        self.target[open_end] = target[moves[np.searchsorted(moves, end[open_end], "right") - 1]]
+        del ladder, multi, end, open_end, moves
+        # Walsh terms: ladder ROTYs (indexed by pair) and ROTZs, each with
+        # its (S, c) relative to its segment's start.  Every bit but a ROTZ's
+        # own is x_b at its row, so that (S, c) is its own bit's.
         wr = np.flatnonzero(rot_y | (kind == ROTZ))
-        cz = np.flatnonzero(kind == CPHA)
-        z_seg, xc = state(cz)
-        w_seg, w_idx = state(wr)
+        w_seg = np.searchsorted(first, wr, "right") - 1
+        w_idx = cum[wr]
+        w_idx ^= base[w_seg]
         del cum
-        tc = np.full(len(cz), -1)   # the moved bit, for CPHAs with (S, c) != 0
-        nz = np.flatnonzero(xc)
-        tc[nz] = moved(cz[nz])
         t = target[wr]
         w_deg = angle[wr]
         z = np.flatnonzero(kind[wr] == ROTZ)
-        # a ROTZ sees its target's form only if that bit is the moved one
-        nz = z[w_idx[z] != 0]
-        w_idx[nz[moved(wr[nz]) != t[nz]]] = 0
-        del wr, nz, moves
+        del wr
         np.negative(w_deg, out=w_deg, where=w_idx >> nb != 0)
-        w_idx &= low   # S
+        w_idx &= (1 << nb) - 1   # S
         w_idx[z] ^= 1 << t[z]
         t[z] = -1
         y = np.flatnonzero(t >= 0)
         s, t = w_idx[y], t[y]
         w_idx[y] = (s & ((1 << t) - 1)) | (s >> (t + 1) << t)   # the pair of S, bit t dropped
         del z, y, s, t
-        # CPHAs: a zeta term, or Walsh terms when the moved bit has S != 0.
+        # CPHAs: zeta terms by F-pattern; every bit is x_b at a CPHA.
+        cz = np.flatnonzero(kind == CPHA)
+        z_seg = np.searchsorted(first, cz, "right") - 1
         mc = mask[cz]
         f = mc & ~val[cz]
-        hit = (xc != 0) & (mc >> np.maximum(tc, 0) & 1 != 0)
-        f[hit] ^= 1 << tc[hit]
-        split = np.flatnonzero(hit & (xc & low != 0))
-        if split.size:
-            terms = [_cpha_terms(int(mc[i]), int(val[cz[i]]), int(tc[i]), int(xc[i]), nb,
-                                 float(angle[cz[i]])) for i in split.tolist()]
-            w_idx = np.concatenate([w_idx] + [t[0] for t in terms])
-            w_deg = np.concatenate([w_deg] + [t[1] for t in terms])
-            w_seg = np.concatenate([w_seg, np.repeat(z_seg[split], [len(t[0]) for t in terms])])
-            order = np.argsort(w_seg, kind="stable")
-            w_idx, w_deg, w_seg = w_idx[order], w_deg[order], w_seg[order]
-            keep = np.ones(len(cz), dtype=bool)
-            keep[split] = False
-            cz, f, mc, z_seg = cz[keep], f[keep], mc[keep], z_seg[keep]
         order = np.lexsort((f, z_seg))
         self.w_idx, self.w_deg = w_idx, w_deg
         self.z_f, self.z_mask, self.z_deg = f[order], mc[order], angle[cz][order]
@@ -536,21 +509,6 @@ class _Plan:
         self.w_off = np.searchsorted(w_seg, segs)
         self.z_off = np.searchsorted(z_seg[order], segs)
         self.phas = float(angle[kind == PHAS].sum())
-
-
-def _cpha_terms(mask: int, val: int, t: int, x: int, nb: int, angle: float):
-    """Walsh terms of a CPHA whose control t has the form x_t + |S & d| + c:
-    the product over its k controls b of (1 + (-1)**(bit_b + val_b)) / 2."""
-    bits = _bits_of(mask)
-    sub = np.arange(1 << len(bits))
-    idx = np.zeros_like(sub)
-    sign = np.zeros_like(sub)
-    for j, b in enumerate(bits):
-        has = sub >> j & 1
-        form, const = (1 << b, 0) if b != t else ((1 << b) ^ (x & ((1 << nb) - 1)), x >> nb)
-        idx ^= has * form
-        sign ^= has & ((val >> b & 1) ^ const)
-    return idx, np.where(sign, -angle, angle) / len(sub)
 
 
 def _batch_angles(plan: _Plan, j0: int, j1: int, nb: int) -> list:

@@ -16,16 +16,18 @@ same whatever version of csdc compiles them.
 Each output gets one record: the sha256 of its SEO text; the sha256 of its
 skeleton (its kind, target and control columns: the program without its
 angles); its counts by kind; its two-qubit gates after control expansion
-(``two_qubit_gates``); and the max-entry error of its matrix against the
-padded input.  A rejected input's record names the error instead.
+(``two_qubit_gates``); the sha256 of the matrix that ``program_to_matrix``
+rebuilds from it; and that matrix's max-entry error against the padded
+input.  A rejected input's record names the error instead.
 
 The compiles run in a subprocess pinned to one BLAS thread, since the
 output depends on the thread count.  ``--against COMMIT`` runs this same
 script on that commit's ``src/``, checked out in a temporary ``git
 worktree`` that is removed afterwards, so it works on commits older than
 the script; the two sides run at once, one process each.  It then prints,
-per output, one of: identical; same skeleton, with the largest angle
-change; or changed counts.
+per output, one of: identical; changed matrix (the same SEO text, another
+rebuilt matrix), with both sides' errors; same skeleton, with the largest
+angle change; or changed counts.
 """
 from __future__ import annotations
 
@@ -167,7 +169,9 @@ def records(max_nb: int = 8):
             record = _record(program, csdc.serialize(program))
             record["two_qubit_gates"] = (None if two_qubit_gates is None
                                          else int(two_qubit_gates(program)))
-            err = np.abs(csdc.program_to_matrix(program) - padded).max()
+            matrix = csdc.program_to_matrix(program)
+            record["matrix"] = hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+            err = np.abs(matrix - padded).max()
             yield {**case, **record, "max_error": float(err)}, program.angle
 
 
@@ -204,16 +208,18 @@ def _finish(proc: subprocess.Popen, src: Path, out: Path) -> tuple[list, dict]:
 
 
 def verdict(old: dict, new: dict, old_angles=None, new_angles=None) -> tuple[str, str, float]:
-    """How one output changed: one of "identical", "same skeleton" and
-    "changed counts" (which prints both sides' counts); a detail for the
-    printout; and the largest angle change in degrees (0.0 unless only the
-    angles moved)."""
+    """How one output changed: one of "identical", "changed matrix" (which
+    prints both sides' errors), "same skeleton" and "changed counts" (which
+    prints both sides' counts); a detail for the printout; and the largest
+    angle change in degrees (0.0 unless only the angles moved)."""
     if "reject" in old or "reject" in new:
         if old.get("reject") == new.get("reject"):
             return "identical", "", 0.0
         return "changed counts", f"{old.get('reject')!r} -> {new.get('reject')!r}", 0.0
     if old["sha256"] == new["sha256"]:
-        return "identical", "", 0.0
+        if old["matrix"] == new["matrix"]:
+            return "identical", "", 0.0
+        return "changed matrix", f"max error {old['max_error']:.3g} -> {new['max_error']:.3g}", 0.0
     if old["skeleton"] == new["skeleton"]:
         change = (np.asarray(new_angles) - np.asarray(old_angles) + 180.0) % 360.0 - 180.0
         moved = float(np.abs(change).max())

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 
-from csdc import CompileOptions, compile_unitary, serialize
+from csdc import CompileOptions, compile_unitary, program_to_matrix, serialize
 
 import corpus
 
@@ -28,12 +28,17 @@ def test_two_runs_give_equal_records():
                                                 perm_search="root-exhaustive"))
     assert got["sha256"] == hashlib.sha256(serialize(program).encode()).hexdigest()
     assert sum(got["counts"].values()) == len(program) and got["max_error"] < 1e-12
+    assert got["matrix"] == hashlib.sha256(program_to_matrix(program).tobytes()).hexdigest()
 
 
 def test_verdicts():
-    old = {"sha256": "a", "skeleton": "s", "counts": {"ROTY": 2}, "two_qubit_gates": 0}
+    old = {"sha256": "a", "skeleton": "s", "counts": {"ROTY": 2}, "two_qubit_gates": 0,
+           "matrix": "m", "max_error": 1e-15}
     angles = np.array([10.0, -179.5])
     assert corpus.verdict(old, dict(old), angles, angles) == ("identical", "", 0.0)
+    rebuilt = {**old, "matrix": "n", "max_error": 2e-15}
+    assert corpus.verdict(old, rebuilt, angles, angles) \
+        == ("changed matrix", "max error 1e-15 -> 2e-15", 0.0)
     moved = {**old, "sha256": "b"}
     kind, _, change = corpus.verdict(old, moved, angles, np.array([10.25, 180.0]))
     assert (kind, change) == ("same skeleton", 0.5)   # angles compared modulo 360

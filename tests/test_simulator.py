@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, expand_controls,
-                  parse, program_to_matrix, seo)
+from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, dft_matrix,
+                  expand_controls, parse, program_to_matrix, seo)
 from csdc.reference import hadamard_input
 from csdc.seo import CNOT, CPHA, PHAS, ROTZ, SIGX, _Plan, dense_peak_bytes
 
@@ -150,6 +150,27 @@ def assert_agrees(p: Program) -> None:
     assert np.abs(got - kron_program_matrix(p)).max() < 1e-12
 
 
+def moved_bits_by_gate(p: Program) -> list[set]:
+    """Per row, the bits that the SIGXs and single-control c-nots since the
+    start of the row's segment (see ``_Plan``) have left moved before it,
+    found by walking the moves gate by gate: bit b's offset is the packed
+    (S, c) of its affine form x_b + |x & S| + c in the segment's start
+    coordinates."""
+    starts = set(_Plan(p).first.tolist())
+    out = []
+    offset = [0] * p.nb
+    for i, (kind, t, m, v, _) in enumerate(zip(*(c.tolist() for c in p.columns))):
+        if i in starts:
+            offset = [0] * p.nb
+        out.append({b for b in range(p.nb) if offset[b]})
+        if kind == SIGX:
+            offset[t] ^= 1 << p.nb
+        elif kind == CNOT and m & (m - 1) == 0:
+            c = m.bit_length() - 1
+            offset[t] ^= (1 << c) ^ offset[c] ^ ((v == 0) << p.nb)
+    return out
+
+
 def haar_program(nb: int, expand: bool) -> Program:
     p = compile_unitary(random_unitary(np.random.default_rng([20261018, nb]), 1 << nb))
     return expand_controls(p) if expand else p
@@ -236,8 +257,8 @@ class TestSegments:
         assert_agrees(p)
 
     def test_moves_inside_phase_segments(self):
-        # SIGX and c-nots move bits 1 and 2; CPHAs follow on moved bits, with
-        # S = 0 (after the SIGX) and S != 0 (after the c-nots)
+        # SIGX and c-nots move bits 0, 1 and 2; a CPHA after a run of moves
+        # that leaves its bit moved starts a new segment
         p = parse("ROTZ 0 30\nSIGX 1\nCPHA 1 T 2 T 40\nCPHA 1 F 12\nCNOT 0 F 1\nROTZ 1 25\n"
                   "CPHA 0 T 1 F 70\nCPHA 1 T 50\nPHAS 8\nCNOT 2 T 1\nCPHA 1 T 2 F 3 T 15\n"
                   "SIGX 0\nCNOT 1 T 0\nCPHA 0 T 1 T 20\nROTZ 0 -45\nCNOT 3 F 2\nROTZ 2 5\n"
@@ -246,13 +267,59 @@ class TestSegments:
 
     def test_phase_segment_cut_where_a_moved_bit_stays_open(self):
         # bit 1 is left moved when bit 2 starts moving, so a new segment
-        # starts at the c-not into bit 2; bit 0's moves close again before
-        # bit 1's start, so they share a segment
+        # starts at the c-not into bit 2, and bit 2 is left moved at the
+        # CPHA, which starts another; bit 0's moves close again before bit
+        # 1's start, so they share a segment
         p = parse("CNOT 2 T 0\nROTZ 0 10\nCNOT 2 T 0\nCNOT 0 T 1\nROTZ 1 20\n"
                   "CNOT 0 T 2\nROTZ 2 30\nCPHA 1 T 2 T 40", nb=3)
         plan = _Plan(p)
-        assert plan.first.tolist() == [0, 5]
+        assert plan.first.tolist() == [0, 5, 7]
         assert_agrees(p)
+
+    def test_cpha_after_a_sigx_on_its_control(self):
+        # the SIGX leaves bit 1 flipped, so the CPHA on it starts a segment
+        p = parse("ROTZ 0 15\nSIGX 1\nCPHA 0 T 1 F 40\nROTZ 1 25\nSIGX 1\nCPHA 1 T 30", nb=2)
+        assert _Plan(p).first.tolist() == [0, 2, 5]
+        assert_agrees(p)
+
+    def test_cpha_after_a_cnot_into_its_control(self):
+        # the first c-not leaves bit 1 moved, so the CPHA on it starts a
+        # segment; the two c-nots from bit 2 close again before the last CPHA
+        p = parse("CNOT 0 T 1\nCPHA 1 T 2 F 40\nCNOT 2 F 1\nROTZ 1 10\nCNOT 2 F 1\n"
+                  "CPHA 0 F 1 T 20", nb=3)
+        assert _Plan(p).first.tolist() == [0, 1]
+        assert_agrees(p)
+
+    def test_rotz_on_another_bit_after_an_open_cnot_run(self):
+        # a ROTZ on bit 1 reads its moved form; one on bit 0 or 2 starts a segment
+        p = parse("CNOT 0 T 1\nROTZ 1 20\nROTZ 0 30\nCNOT 0 T 1\nROTZ 2 -15", nb=3)
+        assert _Plan(p).first.tolist() == [0, 2, 4]
+        assert_agrees(p)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_no_phase_gate_reads_another_moved_bit(self, seed):
+        rng = np.random.default_rng([20261018, seed])
+        nb = int(rng.integers(1, 6))
+        p = segment_program(rng, nb, int(rng.integers(1, 12)))
+        for kind, t, m, moved in zip(p.kind.tolist(), p.target.tolist(), p.ctrl_mask.tolist(),
+                                     moved_bits_by_gate(p)):
+            if kind == CPHA:
+                assert not any(m >> b & 1 for b in moved)
+            elif kind == ROTZ:
+                assert moved <= {t}
+
+    @pytest.mark.parametrize("expand", [False, True])
+    @pytest.mark.parametrize("name,nb", [("haar", 3), ("haar", 4), ("haar", 5), ("haar", 6),
+                                         ("dft", 4), ("dft", 5), ("dft", 6)])
+    def test_compiled_phase_runs_are_not_cut(self, name, nb, expand):
+        # a segment starts on a ROTZ or CPHA row only at the start of the
+        # program or right after a ladder or a multi-control CNOT
+        p = (haar_program(nb, expand) if name == "haar"
+             else compile_unitary(dft_matrix(nb), CompileOptions(expand_controls=expand)))
+        assert np.isin(p.kind, (ROTZ, CPHA)).any()
+        plan = _Plan(p)
+        on_phase_gate = np.isin(p.kind[plan.first[1:]], (ROTZ, CPHA))
+        assert not (plan.kind[:-1][on_phase_gate] == seo._PHASE).any()
 
     def test_multi_control_cnots_between_segments(self):
         p = parse("ROTY 0 30\nCNOT 1 T 0\nCNOT 1 T 2 T 0\nROTY 0 20\nCNOT 0 T 1 F 2\n"
@@ -280,7 +347,7 @@ class TestLargeAngles:
     @pytest.mark.parametrize("gate", ["ROTY 1", "ROTZ 1", "PHAS", "CPHA 1 T 2 F"])
     @pytest.mark.parametrize("angle", [1e308, -1e308, 3e16, 7.5e17])
     def test_matches_reduced_twin(self, gate, angle):
-        # the c-not moves bit 1, so a CPHA on it also goes in as Walsh terms
+        # the c-not leaves bit 1 moved, so a CPHA on it starts a new segment
         p = parse(f"{gate} {angle!r}\n{gate} {angle!r}\nCNOT 0 T 1\n{gate} {angle!r}\n"
                   f"ROTY 0 30\n{gate} 10.5\n", nb=3)
         kind, target, mask, val, deg = p.columns
