@@ -5,10 +5,9 @@ ROUND_TRIP_TOL, the bound compile holds its own output to); 2 unreadable or
 malformed input or options (a bad option, such as a --tol outside
 0 < tol < inf, is argparse's exit 2), a dimension mismatch, or a program too
 large to simulate (the dense 2**nb x 2**nb rebuild is refused up front when
-about seo.dense_peak_bytes(nb) bytes, 3 * 16 * 4**nb up to nb = 7 and
-2 * 16 * 4**nb from nb = 8 on, exceed physical memory); 3 non-unitary matrix;
-4 internal tolerance failure (the compiled program fails to reproduce its
-input; the report is printed and the SEO file is still written first).
+the bytes of seo.dense_peak_bytes(nb) exceed physical memory); 3 non-unitary
+matrix; 4 internal tolerance failure (the compiled program fails to reproduce
+its input; the report is printed and the SEO file is still written first).
 Failures map to exit codes by exception type, in ``main`` only.
 
 ``verify`` pads the matrix as ``compile`` does (u ⊕ I up to a power of two)

@@ -24,10 +24,10 @@ from scipy.linalg.blas import zherk
 DEFAULT_TOL = 1e-10
 
 # The most bytes each cache-resident work array of a chunked job holds: each
-# of a dense flush's four (at least one row pair), a batch of segment angles
+# of a ladder update's four (at least one row pair), a batch of segment angles
 # (16 * 2**nb bytes a segment: a whole Haar program at nb = 6, 8 segments at
 # nb = 10) and a chunk of frobenius_distance's rows.  On a Xeon with 2 MB of
-# L2 (1 BLAS thread), flushes of 128-192 KB rebuilt Haar nb = 8, 9 and
+# L2 (1 BLAS thread), chunks of 128-192 KB rebuilt Haar nb = 8, 9 and
 # Hadamard nb = 10 programs 5-10 % faster than 96 or 256 KB; angle batches of
 # 16, 64, 128, 512 and 2048 KB rebuilt Haar nb = 8 in 124, 113, 101, 99, 99 ms.
 CHUNK_BYTES = 128 << 10

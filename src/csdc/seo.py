@@ -344,7 +344,7 @@ def physical_memory_bytes() -> int | None:
 
 
 def _chunk_pairs(row_bytes: int, pairs: int) -> int:
-    """Row pairs per chunk of a dense flush over rows of row_bytes bytes."""
+    """Row pairs per chunk of a ladder's dense update over rows of row_bytes bytes."""
     return min(pairs, max(1, CHUNK_BYTES // row_bytes)) if row_bytes else pairs
 
 
@@ -352,14 +352,14 @@ def dense_peak_bytes(nb: int) -> int:
     """Bytes of the dense arrays program_to_matrix holds at its peak on nb bits.
 
     That is the 2**nb x 2**nb complex128 matrix plus the larger of the final
-    gather's copy (one more matrix) and the four work arrays of one flush chunk:
-    three matrices up to nb = 7, where a chunk takes every row pair, and two
-    from nb = 8 on.  Measured with tracemalloc, the peak also holds vectors over
-    the 2**nb rows, numpy's fixed-size ufunc buffer (128 KB), the segment
-    plan, at most 64 bytes per instruction (about 19 for a Haar program, 46
-    expanded), and one batch of segment angles, about 46 * 2**nb bytes per
-    segment and so about 3 * CHUNK_BYTES (384 KB) for a full batch; the
-    guard counts the dense arrays only.
+    gather's copy (one more matrix) and the four work arrays of one chunk of
+    a ladder's update: three matrices up to nb = 7, where a chunk takes every
+    row pair, and two from nb = 8 on.  Measured with tracemalloc, the peak
+    also holds vectors over the 2**nb rows, numpy's fixed-size ufunc buffer
+    (128 KB), the segment plan, at most 64 bytes per instruction (about 19
+    for a Haar program, 46 expanded), and one batch of segment angles, about
+    46 * 2**nb bytes per segment and so about 3 * CHUNK_BYTES (384 KB) for a
+    full batch; the guard counts the dense arrays only.
     """
     n = 1 << nb
     row = 16 * n
@@ -577,39 +577,29 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     """Apply the instructions of p, first to last, to the rows of arr, shape
     (2**nb, m), one segment (see :class:`_Plan`) at a time.
 
-    The operator applied so far is held as F · R · arr:
-
-      * F, the frame, is monomial: row d of F·x is g * ph[d] * x[pos[d]], g a
-        global phase.  A phase segment multiplies ph by exp(i Phi), then
-        permutes pos and ph once; a multi-control CNOT permutes them.
-      * R is a pending run of pair rotations that share one pairing of rows:
-        row i of R·x is coef[i, 0] * x[i] + coef[i, 1] * x[partner[i]].  A
-        ladder on w moved through F becomes a rotation by phi(p) on the row
-        pairs (pos[lo], pos[hi]) of its w-pairs, whose off-diagonal entries
-        are scaled by ph[hi]/ph[lo]; then its X**e permutes pos and ph.  The
-        rotation is folded into R in O(2**nb) when its pairing is R's;
-        otherwise R is first applied to arr and a new run starts.  While F
-        has not moved a row (pos is rows), the row pairs are the w-pairs
-        themselves, and R's pairing is a ladder's exactly when R's first
-        ladder had the same target.
+    The operator applied so far is held as F · arr, where F, the frame, is
+    monomial: row d of F·x is g * ph[d] * x[pos[d]], g a global phase.  A
+    phase segment multiplies ph by exp(i Phi), then permutes pos and ph once;
+    a multi-control CNOT permutes them.  A ladder on w moved through F
+    becomes a rotation by phi(p) on the row pairs (pos[lo], pos[hi]) of its
+    w-pairs, whose off-diagonal entries are scaled by ph[hi]/ph[lo]; it is
+    applied to arr at once, then its X**e permutes pos and ph.
 
     The segments are taken in batches of _chunk_segments(nb): CHUNK_BYTES
     over the 16 * 2**nb bytes of one phase segment's exp(i Phi).  Each batch
     first gets the angles of all its segments from a few stacked transforms
-    (:func:`_batch_angles`), so the loop over segments only updates F and R.
+    (:func:`_batch_angles`), so the loop over segments only updates F and arr.
     A batch holds about 46 * 2**nb bytes per segment at its peak (measured
     with tracemalloc at nb = 9), so about 3 * CHUNK_BYTES when full.
 
-    At the end R, then F, is applied.  The cost is
-    O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb):
+    At the end F is applied.  The cost is
+    O(#ladders * 2**nb * m + len * log(len) + #segments * nb * 2**nb):
     the plan is array passes over the columns, the angles are stacked
     O(nb 2**nb) transforms per segment, each segment costs O(2**nb) frame
-    updates, and only a dense run touches arr.  There are at most as many
-    dense runs as ladder segments: consecutive ladders on one target, with
-    phase segments and multi-control CNOTs between them, are one run.  A
-    dense run goes through its row pairs in chunks of at most
-    CHUNK_BYTES per work array, and every chunk reuses the same four
-    work arrays.  arr may be overwritten; the result is returned.
+    updates, and only a ladder touches arr.  A ladder goes through its row
+    pairs in chunks of at most CHUNK_BYTES per work array, and every chunk
+    of every ladder reuses the same four work arrays.  arr may be
+    overwritten; the result is returned.
     """
     if not len(p):
         return arr
@@ -622,32 +612,30 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
     g = cmath.exp(1j * math.radians(plan.phas))
     parity = None
     pairs: dict = {}   # (lo, hi) rows of the w-pairs, by w
-    run = None  # pending R: (rows a, their partners b, partner, coef, w if pos was rows else -1)
-    # Per chunk of row pairs, the same in every flush: its slice and four views
-    # of the four (chunk, m) work arrays that all flushes share.
-    chunks: list[tuple[slice, list[np.ndarray]]] = []
+    # Per chunk of row pairs, the same for every ladder: its slice and four
+    # views of the four (chunk, m) work arrays that all ladders share.
+    half = n >> 1
+    chunk = _chunk_pairs(arr[0].nbytes, half)
+    bufs = [np.empty((chunk,) + arr.shape[1:], dtype=arr.dtype) for _ in range(4)]
+    chunks = [(slice(j, j + chunk), [x[:half - j] for x in bufs]) for j in range(0, half, chunk)]
+    del bufs
 
-    def flush(arr, run):
-        # Chunk by chunk, two passes: the lo rows of its pairs, then the hi
-        # rows.  A chunk reads and writes only the rows of its own pairs, and
-        # every step is element-wise, so chunking leaves the result unchanged.
-        a, b, _, coef, _ = run
-        if not chunks:
-            step = _chunk_pairs(arr[0].nbytes, len(a))
-            bufs = [np.empty((step,) + arr.shape[1:], dtype=arr.dtype) for _ in range(4)]
-            chunks.extend((slice(j, j + step), [x[:len(a) - j] for x in bufs])
-                          for j in range(0, len(a), step))
-        ca, cb = coef[a], coef[b]
+    def rotate(a, b, c, up, down):
+        # Row a[i] becomes c x[a] + up x[b] and row b[i] c x[b] + down x[a],
+        # chunk by chunk, in two passes: the lo rows of its pairs, then the
+        # hi rows.  A chunk reads and writes only the rows of its own pairs,
+        # and every step is element-wise, so chunking leaves the result
+        # unchanged.
         for k, (xa, xb, out, tmp) in chunks:
             sa, sb = a[k], b[k]
             # mode="clip" (the rows are in range) keeps take from buffering its output
             np.take(arr, sa, axis=0, out=xa, mode="clip")
             np.take(arr, sb, axis=0, out=xb, mode="clip")
-            np.multiply(xa, ca[k, :1], out=out)
-            out += np.multiply(xb, ca[k, 1:], out=tmp)
+            np.multiply(xa, c[k], out=out)
+            out += np.multiply(xb, up[k], out=tmp)
             arr[sa] = out
-            xb *= cb[k, :1]
-            xa *= cb[k, 1:]
+            xb *= c[k]
+            xa *= down[k]
             xb += xa
             arr[sb] = xb
 
@@ -674,30 +662,9 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
                 lo, hi = lohi
                 c, s = angle
                 r = (ph[hi] / ph[lo])[:, None]
-                up, down = s * r, s / r
-                if pos is rows:
-                    a, b = lo, hi
-                    fold = run is not None and run[4] == t
-                else:
-                    a, b = pos[lo], pos[hi]
-                    fold = run is not None and (run[2][a] == b).all()
-                if fold:
-                    coef = run[3]
-                    ca, cb = coef[a], coef[b]
-                    coef[a] = c * ca + up * cb[:, ::-1]
-                    coef[b] = c * cb - down * ca[:, ::-1]
-                else:
-                    if run is not None:
-                        flush(arr, run)
-                    partner = np.empty(n, dtype=np.intp)
-                    partner[a] = b
-                    partner[b] = a
-                    coef = np.empty((n, 2), dtype=np.complex128)
-                    coef[a, :1] = c
-                    coef[a, 1:] = up
-                    coef[b, :1] = c
-                    coef[b, 1:] = -down
-                    run = (a, b, partner, coef, t if pos is rows else -1)
+                # c as complex, like the matrix: a real factor would be cast
+                # in buffered pieces on every product
+                rotate(pos[lo], pos[hi], c.astype(np.complex128), s * r, -(s / r))
             elif angle is not None:
                 ph *= angle
             if final:
@@ -707,8 +674,6 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
                 q = rows ^ (e << t)
                 pos = pos[q]
                 ph = ph[q]
-    if run is not None:
-        flush(arr, run)
     # free the work arrays and the last batch of angles before the gather
     # below, which allocates a full copy
     chunks.clear()
@@ -724,18 +689,17 @@ def _simulate(arr: np.ndarray, p: Program) -> np.ndarray:
 def program_to_matrix(p: Program) -> np.ndarray:
     """Dense unitary of a program: the first instruction acts first on a ket.
 
-    Costs O(#dense runs * 4**nb + len * log(len) + #segments * nb * 2**nb):
+    Costs O(#ladders * 4**nb + len * log(len) + #segments * nb * 2**nb):
     the program is simulated one segment at a time (a ROTY ladder, a phase
     run or a multi-control CNOT, see ``_Plan``), and only the ladders touch
-    the dense matrix, once per run of ladders on one target, a cache-sized
-    chunk of row pairs at a time; everything else is tracked as a permutation
-    and phases.  The angles of the segments come from stacked transforms, a
-    batch of CHUNK_BYTES / (16 * 2**nb) segments at a time, about
-    46 * 2**nb bytes per segment.  The peak holds three dense matrices up to
-    nb = 7 and two from nb = 8 on (:func:`dense_peak_bytes`), plus the
-    plan and one batch.  Raises DenseTooLargeError, before
-    allocating, when about dense_peak_bytes(nb) bytes exceed the physical
-    memory.
+    the dense matrix, once each, a cache-sized chunk of row pairs at a time;
+    everything else is tracked as a permutation and phases.  The angles of
+    the segments come from stacked transforms, a batch of
+    CHUNK_BYTES / (16 * 2**nb) segments at a time, about 46 * 2**nb bytes
+    per segment.  The peak holds three dense matrices up to nb = 7 and two
+    from nb = 8 on (:func:`dense_peak_bytes`), plus the plan and one batch.
+    Raises DenseTooLargeError, before allocating, when about
+    dense_peak_bytes(nb) bytes exceed the physical memory.
     """
     _check_dense(p.nb)
     return _simulate(np.eye(1 << p.nb, dtype=np.complex128), p)
@@ -744,7 +708,7 @@ def program_to_matrix(p: Program) -> np.ndarray:
 def apply_to_state(p: Program, state) -> np.ndarray:
     """Apply a program to a state vector, or to the columns of a (2**nb, m) array.
 
-    Costs O(#dense runs * 2**nb * m + len * log(len) + #segments * nb * 2**nb)
+    Costs O(#ladders * 2**nb * m + len * log(len) + #segments * nb * 2**nb)
     for m columns, as :func:`program_to_matrix`.
     """
     v = np.array(state, dtype=np.complex128)

@@ -310,6 +310,25 @@ def kron_program_matrix(program):
     return out
 
 
+class _CountingArray(np.ndarray):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        type(self).writes += 1
+        super().__setitem__(key, value)
+
+
+def dense_runs(program):
+    """Dense updates made while simulating a program on at most 7 bits, where
+    one chunk takes every row pair: each one writes the matrix twice, once
+    for the lo rows of its pairs and once for the hi rows."""
+    from csdc.seo import _simulate
+    _CountingArray.writes = 0
+    _simulate(np.eye(1 << program.nb, dtype=complex).view(_CountingArray), program)
+    assert _CountingArray.writes % 2 == 0
+    return _CountingArray.writes // 2
+
+
 def concat_by_rows(*programs):
     """concat, defined instruction by instruction."""
     return program_of_rows(max(p.nb for p in programs), [r for p in programs for r in rows(p)])

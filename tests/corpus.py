@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/corpus.py                   # records as JSON lines
     PYTHONPATH=src python tests/corpus.py --against HEAD~1  # diff against a commit
+    PYTHONPATH=src python tests/corpus.py --against HEAD --threads 2  # diff thread counts
 
 The corpus holds, at nb 1-8: Haar, real orthogonal, DFT, bit-reversed QFT,
 Hadamard, permutation, phased permutation and diagonal inputs; U⊗I, I⊗U
@@ -21,13 +22,16 @@ rebuilds from it; and that matrix's max-entry error against the padded
 input.  A rejected input's record names the error instead.
 
 The compiles run in a subprocess pinned to one BLAS thread, since the
-output depends on the thread count.  ``--against COMMIT`` runs this same
-script on that commit's ``src/``, checked out in a temporary ``git
-worktree`` that is removed afterwards, so it works on commits older than
-the script; the two sides run at once, one process each.  It then prints,
-per output, one of: identical; changed matrix (the same SEO text, another
-rebuilt matrix), with both sides' errors; same skeleton, with the largest
-angle change; or changed counts.
+output depends on the thread count; ``--threads N`` runs this checkout's
+side on N threads instead.  ``--against COMMIT`` runs this same script on
+that commit's ``src/``, always on one thread, checked out in a temporary
+``git worktree`` that is removed afterwards, so it works on commits older
+than the script; the two sides run at once, one process each.  So
+``--against HEAD --threads 2`` on a clean checkout shows what the thread
+count alone changes.  It then prints, per output, one of: identical;
+changed matrix (the same SEO text, another rebuilt matrix), with both
+sides' errors; same skeleton, with the largest angle change; or changed
+counts.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 20261021
 DEFAULT_TOL = 1e-10   # csdc.DEFAULT_TOL, restated so that no csdc is imported here
 PERM_SEARCH_MAX_NB = 3
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _haar(rng, n: int) -> np.ndarray:
@@ -186,11 +190,11 @@ def _write(out: Path) -> None:
     np.savez(out / "angles.npz", **angles)
 
 
-def _start(src: Path, out: Path) -> subprocess.Popen:
+def _start(src: Path, out: Path, threads: int) -> subprocess.Popen:
     """Start compiling the corpus with the csdc of ``src`` in a subprocess
-    on one BLAS thread, writing to ``out``."""
+    on ``threads`` BLAS threads, writing to ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, str(threads)), "PYTHONPATH": str(src)}
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--write", str(out)],
                             env=env)
 
@@ -228,9 +232,10 @@ def verdict(old: dict, new: dict, old_angles=None, new_angles=None) -> tuple[str
                               f"{new['counts']} 2q={new['two_qubit_gates']}"), 0.0
 
 
-def against(commit: str) -> int:
-    """Diff the corpus compiled at ``commit`` against this checkout's src/,
-    both sides at once; 0 if every output is identical, 1 otherwise."""
+def against(commit: str, threads: int) -> int:
+    """Diff the corpus compiled at ``commit`` on one BLAS thread against this
+    checkout's src/ on ``threads``, both sides at once; 0 if every output is
+    identical, 1 otherwise."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="csdc-corpus-") as tmp:
         tree, tmp = Path(tmp) / "tree", Path(tmp)
@@ -238,8 +243,9 @@ def against(commit: str) -> int:
                         str(tree), commit], check=True)
         runs = []
         try:
-            for src, out in ((tree / "src", tmp / "old"), (ROOT / "src", tmp / "new")):
-                runs.append((_start(src, out), src, out))
+            for src, out, n in ((tree / "src", tmp / "old", 1),
+                                (ROOT / "src", tmp / "new", threads)):
+                runs.append((_start(src, out, n), src, out))
             (old, old_angles), (new, new_angles) = [_finish(*run) for run in runs]
         finally:
             for proc, _, _ in runs:
@@ -256,8 +262,8 @@ def against(commit: str) -> int:
             tally[kind] = tally.get(kind, 0) + 1
             largest = max(largest, moved)
     summary = ", ".join(f"{v} {k}" for k, v in sorted(tally.items()))
-    print(f"{len(new)} outputs against {commit}: {summary}; largest angle change "
-          f"{largest:.3g} deg; {time.perf_counter() - start:.1f} s")
+    print(f"{len(new)} outputs against {commit} ({threads} BLAS threads here): {summary}; "
+          f"largest angle change {largest:.3g} deg; {time.perf_counter() - start:.1f} s")
     return 0 if tally.get("identical", 0) == len(new) else 1
 
 
@@ -265,16 +271,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="COMMIT",
                         help="diff against the outputs of COMMIT's src/")
+    parser.add_argument("--threads", metavar="N", type=int, default=1,
+                        help="BLAS threads of this checkout's side (default 1)")
     parser.add_argument("--write", metavar="DIR", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     if args.write:
         _write(args.write)
         return 0
     if args.against:
-        return against(args.against)
+        return against(args.against, args.threads)
     with tempfile.TemporaryDirectory(prefix="csdc-corpus-") as tmp:
         src = ROOT / "src"
-        recs, _ = _finish(_start(src, Path(tmp)), src, Path(tmp))
+        recs, _ = _finish(_start(src, Path(tmp), args.threads), src, Path(tmp))
     for record in recs:
         print(json.dumps(record))
     return 0

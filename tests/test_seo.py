@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from csdc import (BitPermutation, Program, apply_to_state, expand_controls, frobenius_distance,
                   parse, program_to_matrix, serialize)
 from csdc.bitops import popcount
-from csdc.seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, SIGX, SeoParseError, _simulate, concat,
+from csdc.seo import (CNOT, CPHA, PHAS, PRUNE_TOL, ROTY, SIGX, SeoParseError, concat,
                       cpha_ladder_pruned, rename_bits, two_qubit_gates, z_ladder)
 
-from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
+from conftest import (dense_runs, kron_instruction_matrix, kron_program_matrix, program_of_rows,
                       random_program, rows, transposition_matrix, two_bit_rows, width)
 
 
@@ -232,23 +232,6 @@ class TestApplyToState:
             apply_to_state(Program(1), np.zeros((2, 2, 2)))
 
 
-class _CountingArray(np.ndarray):
-    writes = 0
-
-    def __setitem__(self, key, value):
-        type(self).writes += 1
-        super().__setitem__(key, value)
-
-
-def dense_runs(p: Program) -> int:
-    """Dense updates made while simulating p: each one writes the matrix twice,
-    once for the lo rows of its pairs and once for the hi rows."""
-    _CountingArray.writes = 0
-    _simulate(np.eye(1 << p.nb, dtype=complex).view(_CountingArray), p)
-    assert _CountingArray.writes % 2 == 0
-    return _CountingArray.writes // 2
-
-
 def assert_matches_kron(p: Program) -> None:
     want = kron_program_matrix(p)
     assert np.abs(program_to_matrix(p) - want).max() < 1e-12
@@ -272,10 +255,12 @@ class TestSimulator:
             got = program_to_matrix(row_program(p, i))
             assert np.abs(got - kron_instruction_matrix(row, nb)).max() < 1e-12
 
-    def test_roty_run_fused_across_cnots_on_its_target(self):
+    def test_one_dense_update_per_ladder_around_a_multi_control_cnot(self):
+        # the c-nots into bit 0 join its ROTYs into one ladder; the
+        # multi-control c-not between them cuts it into two
         p = parse("ROTY 0 20\nCNOT 1 T 0\nROTY 0 -35\nCNOT 2 F 1 T 0\nROTY 0 50\n"
                   "CNOT 1 T 0\nROTY 0 10", nb=3)
-        assert dense_runs(p) == 1
+        assert dense_runs(p) == 2
         assert_matches_kron(p)
 
     def test_run_broken_by_cnot_on_another_target(self):
@@ -288,18 +273,18 @@ class TestSimulator:
         assert dense_runs(p) == 3
         assert_matches_kron(p)
 
-    def test_expanded_multi_control_cnot_is_one_run(self):
+    def test_expanded_multi_control_cnot_is_two_ladders(self):
         p = parse("CNOT 0 T 1 F 2")
         ex = expand_controls(p)
-        assert dense_runs(ex) == 1
+        assert dense_runs(ex) == 2
         assert np.abs(program_to_matrix(ex) - kron_instruction_matrix(rows(p)[0], 3)).max() < 1e-12
 
     def test_phases_carried_through_permutation_into_roty(self):
-        # Phases set before the permutation reach the later ROTYs as
-        # off-diagonal ratios, both starting a run and fused into it.
+        # Phases set before the permutation reach both later ROTYs as
+        # off-diagonal ratios, one dense update each.
         p = parse("ROTZ 0 30\nCPHA 1 T 50\nPHAS 15\nCNOT 1 T 0\nROTY 0 40\n"
                   "CPHA 0 T 1 T 70\nROTZ 1 -25\nCNOT 1 F 0\nROTY 0 -65\nSIGX 1", nb=2)
-        assert dense_runs(p) == 1
+        assert dense_runs(p) == 2
         assert_matches_kron(p)
 
     def test_monomial_program_makes_no_dense_update(self):

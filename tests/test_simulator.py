@@ -17,7 +17,7 @@ from csdc import (CompileOptions, Program, apply_to_state, compile_unitary, dft_
 from csdc.reference import hadamard_input
 from csdc.seo import CNOT, CPHA, PHAS, ROTZ, SIGX, _Plan, dense_peak_bytes
 
-from conftest import (kron_instruction_matrix, kron_program_matrix, program_of_rows,
+from conftest import (dense_runs, kron_instruction_matrix, kron_program_matrix, program_of_rows,
                       qft_input, random_unitary, rows)
 
 
@@ -321,6 +321,17 @@ class TestSegments:
         on_phase_gate = np.isin(p.kind[plan.first[1:]], (ROTZ, CPHA))
         assert not (plan.kind[:-1][on_phase_gate] == seo._PHASE).any()
 
+    @pytest.mark.parametrize("expand", [False, True])
+    @pytest.mark.parametrize("name,nb", [("haar", 4), ("haar", 5), ("ixu", 4), ("ixu", 5),
+                                         ("qft", 4), ("qft", 5)])
+    def test_one_dense_update_per_ladder(self, name, nb, expand):
+        rng = np.random.default_rng([20261022, nb])
+        u = {"haar": lambda: random_unitary(rng, 1 << nb),
+             "ixu": lambda: np.kron(np.eye(2), random_unitary(rng, 1 << nb - 1)),
+             "qft": lambda: qft_input(nb)}[name]()
+        p = compile_unitary(u, CompileOptions(expand_controls=expand))
+        assert dense_runs(p) == np.count_nonzero(_Plan(p).kind == seo._LADDER)
+
     def test_multi_control_cnots_between_segments(self):
         p = parse("ROTY 0 30\nCNOT 1 T 0\nCNOT 1 T 2 T 0\nROTY 0 20\nCNOT 0 T 1 F 2\n"
                   "ROTZ 2 10\nCPHA 0 T 2 T 35\nCNOT 0 F 2 T 3 F 1\nSIGX 1\nCNOT 1 F 3\n"
@@ -372,12 +383,13 @@ def traced_peak(p: Program) -> int:
 
 class TestDensePeak:
     """The peak that dense_peak_bytes states, measured with tracemalloc at nb = 7
-    and, where flushes run in chunks, at nb = 9.
+    and, where ladder updates run in chunks, at nb = 9.
 
     Besides its dense arrays a simulation holds vectors over the 2**nb rows
-    (frame, pairing, coefficients), numpy's fixed-size ufunc buffer (for the
-    broadcast products of a dense run; 128 KB, half a dense array at nb = 7)
-    and its segment plan, which grows with the program's length."""
+    (the frame, and each ladder's row pairs and coefficients), numpy's
+    fixed-size ufunc buffer (for the broadcast products of a ladder's update;
+    128 KB, half a dense array at nb = 7) and its segment plan, which grows
+    with the program's length."""
 
     NB = 7
 
@@ -390,7 +402,7 @@ class TestDensePeak:
 
     def test_work_arrays_are_freed_before_the_final_gather(self):
         # SIGX leaves the frame moved, so the matrix is gathered into a new
-        # array at the end; the flush's work arrays must be gone by then.
+        # array at the end; the ladders' work arrays must be gone by then.
         ladder = "".join(f"ROTY {b} 45\n" for b in range(self.NB))
         moved = traced_peak(parse(ladder + "SIGX 0\n", nb=self.NB))
         assert moved <= self.dense_bound()
@@ -411,18 +423,18 @@ class TestDensePeak:
         assert traced_peak(p) <= self.dense_bound(nb) + 64 * len(p)
 
     def test_chunked_flushes(self):
-        nb = 9   # 16 row pairs per chunk, 16 chunks per flush
+        nb = 9   # 16 row pairs per chunk, 16 chunks per ladder
         assert seo._chunk_pairs(16 << nb, 1 << nb - 1) < 1 << nb - 1
         peak = traced_peak(compile_unitary(hadamard_input(nb)))
         assert peak <= self.dense_bound(nb)
-        assert peak < 3 * 16 * 4 ** nb   # the peak of one flush over all row pairs
+        assert peak < 3 * 16 * 4 ** nb   # the peak of one update over all row pairs
 
 
 class TestChunkedFlush:
     """With the chunk budget (``CHUNK_BYTES``) cut to three rows and a half,
-    every flush runs in many chunks of three row pairs and ends on a partial
-    one; the results are bit-identical to those of a flush over all row pairs
-    at once."""
+    every ladder's dense update runs in many chunks of three row pairs and
+    ends on a partial one; the results are bit-identical to those of an
+    update over all row pairs at once."""
 
     NB = 6
 
